@@ -18,7 +18,7 @@ from .bundles import BundleSpec, divisor_of
 from .cohomology import b_coords, dual_map_H0, dualization_condition
 from .geometry import build_grid
 from .lab import DRIVERS, ExperimentConfig, write_run
-from .strata import div_classifier, existence_range
+from .strata import DEFAULT_TOL, div_classifier, existence_range
 
 
 def _parse_complex_list(text: str) -> np.ndarray:
@@ -50,9 +50,9 @@ def _load_config(args, default_experiment: str) -> ExperimentConfig:
     cfg.experiment = default_experiment
     if args.out:
         cfg.out_dir = args.out
-    if args.lmax:
+    if args.lmax is not None:
         cfg.solver = dict(cfg.solver, l_max=args.lmax)
-    if args.tol:
+    if args.tol is not None:
         cfg.tol = args.tol
     if args.seed is not None:
         cfg.seed = args.seed
@@ -61,8 +61,12 @@ def _load_config(args, default_experiment: str) -> ExperimentConfig:
     return cfg
 
 
+def _tol(args) -> float:
+    return DEFAULT_TOL if args.tol is None else args.tol
+
+
 def _cmd_grid_check(args) -> int:
-    l_max = args.lmax or 32
+    l_max = 32 if args.lmax is None else args.lmax
     grid = build_grid(l_max)
     checks = {}
     checks["weights_sum"] = abs(grid.weights.sum() - 1.0) < 1e-12
@@ -87,8 +91,8 @@ def _cmd_classify(args) -> int:
         rep = div_classifier(b, spec, exact=True)
     else:
         b = _parse_complex_list(args.b)
-        rep = div_classifier(b, spec, tol=args.tol or 1e-8)
-    rng = existence_range(b, spec, tol=args.tol or 1e-8, exact=args.exact)
+        rep = div_classifier(b, spec, tol=_tol(args))
+    rng = existence_range(b, spec, tol=_tol(args), exact=args.exact)
     out = {
         "div_eta": rep.div_eta,
         "j_star": rep.j_star,
@@ -106,12 +110,12 @@ def _cmd_classify(args) -> int:
 def _cmd_dualize(args) -> int:
     spec = BundleSpec(args.deg_l1, args.deg_l2)
     a = _parse_complex_list(args.a)
-    grid = build_grid(args.lmax or 32)
+    grid = build_grid(32 if args.lmax is None else args.lmax)
     from .bundles import HoloClass
 
     phi = HoloClass(spec, a)
     eta = dual_map_H0(phi, grid)
-    rep = div_classifier(eta.b, spec, tol=args.tol or 1e-8)
+    rep = div_classifier(eta.b, spec, tol=_tol(args))
     out = {
         "b": [[x.real, x.imag] for x in eta.b],
         "stratum_m": rep.stratum_m,
@@ -142,7 +146,7 @@ def _cmd_solve(args) -> int:
     cfg = _load_config(args, "solve")
     phi = cfg.the_class()
     scfg = cfg.solve_config()
-    lam = args.lam if args.lam else float(cfg.lambda_grid[-1])
+    lam = float(cfg.lambda_grid[-1]) if args.lam is None else args.lam
     from .pde import solve_phi_system
 
     res = solve_phi_system(phi, lam, scfg)
@@ -218,6 +222,10 @@ def main(argv=None) -> int:
     common(p)
 
     args = parser.parse_args(argv)
+    for flag in ("lmax", "tol", "lam"):
+        value = getattr(args, flag, None)
+        if value is not None and value <= 0:
+            parser.error(f"--{flag} must be positive, got {value}")
     if args.verb == "grid-check":
         return _cmd_grid_check(args)
     if args.verb == "classify":

@@ -8,8 +8,12 @@ contraction.  The metric dual of [phi] under H_u has coordinates
 
 against the normalized measure; the integrand is the chart-stable pairing
 weight from :mod:`spherecurv.bundles`, so the quadrature never sees the pole.
-The same weights normalize the dbar solver below, which makes the expansion
-coefficients of its polynomial part land exactly on the b-coordinates.
+The same weights normalize the dbar solver below.  It is one spectral
+Poisson solve: on the unit-area sphere lap = 4*pi (1+|z|^2)^2 d_z d_zbar, and
+since H^{0,1}(P^1) = 0 the Poisson solution solves the dbar problem exactly.
+The coefficients of its polynomial part at the north pole are exact finite
+sums over the spherical-harmonic coefficients (the leading coefficients of
+the Legendre functions at the pole), and they land on the b-coordinates.
 
 Sphere isometries act on classes through Moebius maps of the chart;
 orientation-reversing maps conjugate coefficients.
@@ -33,8 +37,8 @@ from .bundles import (
     pair_weight_h0,
     pair_weight_values,
 )
-from .errors import QuadratureSingular, SpecMismatch, ZeroClass
-from .geometry import ScalarField, SphereGrid
+from .errors import SpecMismatch, ZeroClass
+from .geometry import GAUSS_CURVATURE, ScalarField, SphereGrid, _normalized_legendre
 
 
 @dataclass(frozen=True)
@@ -303,10 +307,11 @@ def norm_equivariance_profile(iso: IsometryAction, phi: HoloClass, u: ConformalF
 class DbarSolution:
     """Solution of the dbar problem sourced by the dual of a class.
 
-    ``f`` vanishes at the north pole; ``p_f`` (low-order-first, degree
-    <= k-1, zero constant term) is the polynomial part of -f at w = 0 whose
-    coefficients are the b-coordinates of the class.  ``report`` carries the
-    residual and expansion diagnostics.
+    ``f`` vanishes at the north pole; ``p_f`` (low-order-first, degrees
+    1..k-1) is the polynomial part of -f at w = 0, read exactly off the
+    spherical-harmonic coefficients of f; its coefficients are the
+    b-coordinates of the class.  ``report`` carries the residual and
+    expansion diagnostics.
     """
 
     f: ScalarField
@@ -315,212 +320,60 @@ class DbarSolution:
     report: dict
 
 
-def _cauchy_moment_antiholo(z: np.ndarray) -> np.ndarray:
-    """Closed form of integral( (conj z' - conj z) / (z - z') nu(z') ).
+def dbar_solve(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> DbarSolution:
+    """Solve dbar_z f = rho = -2*pi * conj(g) * |zeta|^2_{H_u} with f(N) = 0.
 
-    Equals conj(z)^2 * t(s) with s = |z|^2 and
-    t(s) = [log(1+s) - s/(1+s)] / s^2 - 1/(1+s); checked by the dbar
-    identity d/d(conj z) of the transform = source * (1+s)^{-2}.
-    """
-    s = np.abs(z) ** 2
-    t = (np.log1p(s) - s / (1.0 + s)) / s**2 - 1.0 / (1.0 + s)
-    return np.conj(z) ** 2 * t
+    One spectral Poisson solve.  On the unit-area sphere
+    lap = 4*pi (1+|z|^2)^2 d_z d_zbar, so
+    lap f = 4*pi (1+|z|^2)^2 d_z rho  fixes f up to a constant, and
+    f(N) = 0 fixes the constant.  Then d_z(d_zbar f - rho) = 0, so
+    (d_zbar f - rho) dzbar is an antiholomorphic (0,1)-form on P^1; since
+    H^{0,1}(P^1) = 0 it vanishes, and f solves the dbar problem exactly.
 
-
-def _cauchy_moment_antiholo_sq(z: np.ndarray) -> np.ndarray:
-    """Closed form of integral( (conj z' - conj z)^2 / (z - z') nu(z') )."""
-    zb = np.conj(z)
-    s = np.abs(z) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # integral( conj(z')^2 / (z - z') nu ) = conj(z)^3/s^3 * [s - 2 log(1+s) + s/(1+s)]
-        kernel = (s - 2.0 * np.log1p(s) + s / (1.0 + s)) / s**3
-    j_term = _cauchy_moment_antiholo(z) + zb**2 / (1.0 + s)  # = integral( conj z'/(z-z') )
-    return zb**3 * kernel - 2.0 * zb * j_term + zb**2 * zb / (1.0 + s)
-
-
-def _subtracted_cauchy(zt, ht, grads, hesses, zj, hj, nu, exclude_self=False, chunk=256):
-    """integral( h(z') / (z_t - z') nu(z') ) with cubic-remainder subtraction.
-
-    ``grads = (hz, hzb)`` and ``hesses = (hzz, hzzb, hzbzb)`` are the Taylor
-    data of h at the targets.  The subtracted moments against the kernel are
-    exact:
-
-        1              ->  conj(z)/(1+s)
-        (z'-z)         ->  -1
-        (cz'-cz)       ->  antiholo moment above
-        (z'-z)^2       ->  z        (first chart moment of nu vanishes)
-        (z'-z)(cz'-cz) ->  conj(z)
-        (cz'-cz)^2     ->  antiholo square moment above
-    """
-    zt = np.asarray(zt, dtype=complex).ravel()
-    ht = np.asarray(ht, dtype=complex).ravel()
-    hz, hzb = (np.asarray(a, dtype=complex).ravel() for a in grads)
-    hzz, hzzb, hzbzb = (np.asarray(a, dtype=complex).ravel() for a in hesses)
-    out = np.empty(zt.size, dtype=complex)
-    for start in range(0, zt.size, chunk):
-        idx = slice(start, min(start + chunk, zt.size))
-        zi = zt[idx][:, None]
-        d = zj[None, :] - zi  # z' - z
-        db = np.conj(d)
-        kernel = -d  # z - z'
-        safe = np.where(kernel == 0, 1.0, kernel)
-        rem = (
-            hj[None, :]
-            - ht[idx][:, None]
-            - hz[idx][:, None] * d
-            - hzb[idx][:, None] * db
-            - 0.5 * hzz[idx][:, None] * d * d
-            - hzzb[idx][:, None] * d * db
-            - 0.5 * hzbzb[idx][:, None] * db * db
-        )
-        terms = rem / safe * nu[None, :]
-        if exclude_self:
-            terms[kernel == 0] = 0.0
-        out[idx] = terms.sum(axis=1)
-    s = np.abs(zt) ** 2
-    out += (
-        ht * np.conj(zt) / (1.0 + s)
-        - hz
-        + hzb * _cauchy_moment_antiholo(zt)
-        + 0.5 * hzz * zt
-        + hzzb * np.conj(zt)
-        + 0.5 * hzbzb * _cauchy_moment_antiholo_sq(zt)
-    )
-    return out
-
-
-def _cauchy_sum_nodes(h, taylor, grid: SphereGrid) -> np.ndarray:
-    """f at every node: the z-chart Cauchy transform of h against nu."""
-    hz, hzb, hzz, hzzb, hzbzb = taylor
-    z = grid.z.ravel()
-    nu = grid.weights.ravel()
-    out = _subtracted_cauchy(
-        z,
-        h.ravel(),
-        (hz.ravel(), hzb.ravel()),
-        (hzz.ravel(), hzzb.ravel(), hzbzb.ravel()),
-        z,
-        h.ravel(),
-        nu,
-        exclude_self=True,
-    )
-    return out.reshape(grid.z.shape)
-
-
-def _cauchy_eval_w(h: np.ndarray, taylor_at, w_targets: np.ndarray, grid: SphereGrid) -> np.ndarray:
-    """f at arbitrary w-chart points: f(w) = w * I_h - w^2 * G(w).
-
-    G(w) = integral( h / (w - w') nu ) with the same cubic-remainder
-    subtraction as the node sum; the measure has identical closed-form
-    Cauchy moments in the w chart.  ``taylor_at`` maps an array of w points
-    to (h, h_w, h_wb, h_ww, h_wwb, h_wbwb) there.
-    """
-    wt = np.asarray(w_targets, dtype=complex).ravel()
-    wj = grid.w.ravel()
-    nu = grid.weights.ravel()
-    hv = h.ravel()
-    i_h = np.sum(hv * nu)
-    nonzero = wt != 0
-    out = np.zeros(wt.size, dtype=complex)
-    if np.any(nonzero):
-        pts = wt[nonzero]
-        if min(np.abs(p - wj).min() for p in pts) < 1e-12:
-            raise QuadratureSingular("evaluation point coincides with a node")
-        ht, hw, hwb, hww, hwwb, hwbwb = taylor_at(pts)
-        g = _subtracted_cauchy(pts, ht, (hw, hwb), (hww, hwwb, hwbwb), wj, hv, nu)
-        out[nonzero] = pts * i_h - pts * pts * g
-    return out.reshape(np.asarray(w_targets).shape)
-
-
-def dbar_solve(
-    phi: HoloClass,
-    u: ConformalFactor,
-    grid: SphereGrid,
-    fit_radii: tuple = (0.04, 0.06, 0.08, 0.1, 0.12),
-    n_angles: int = 64,
-) -> DbarSolution:
-    """Solve dbar_z f = -2*pi * conj(g) * |zeta|^2_{H_u} with f(N) = 0.
-
-    The right-hand side carries the same 2*pi pairing normalization as the
-    b-coordinate weights, so the polynomial part of the expansion at the
-    north pole reproduces b_coords(phi, u) directly.  The kernel integral is
-    discretized with singularity subtraction (exact closed-form moments of
-    the measure); this is a verification tool with a 1e-4 accuracy contract,
-    not a spectral solver.
+    In the w chart rho dzbar vanishes to order w^k at N, so below degree k
+    the Taylor expansion of f there is holomorphic.  The term w^j lives in
+    the m = -j column alone, and P_l^j(cos t) = sin^j t (A[j, l] + O(t^2))
+    with sin t = 2|w| / (1+|w|^2), so each coefficient of p_f is a finite
+    sum over f's coefficients; no fit is made.  The right-hand side carries
+    the 2*pi pairing normalization of the b-coordinate weights, so p_f
+    reproduces b_coords(phi, u).
     """
     k = phi.spec.k
-    gauge = np.exp(2.0 * u.total)
+    L = grid.l_max
     ones = np.zeros(k - 1, dtype=complex)
     ones[0] = 1.0
     # h = -2*pi * conj(g) (1+|z|^2)^{2-k} e^{2(u+c)}; smooth through both poles
-    h = -TANGENT_NORMALIZATION * pair_weight_h0(ones, phi.a, phi.spec, grid) * gauge
-    hz = grid.d_dz(h)
-    hzb = grid.d_dzbar(h)
-    hzz = grid.d_dz(hz)
-    hzzb = grid.d_dzbar(hz)
-    hzbzb = grid.d_dzbar(hzb)
-    f_nodes = _cauchy_sum_nodes(h, (hz, hzb, hzz, hzzb, hzbzb), grid)
+    h = -TANGENT_NORMALIZATION * pair_weight_h0(ones, phi.a, phi.spec, grid) * np.exp(2.0 * u.total)
+    s = 1.0 + np.abs(grid.z) ** 2
+    rho = h / s**2
+    # 4*pi s^2 d_z rho, expanded: forming d_z rho and multiplying by s^2
+    # would amplify its spectral error by up to |z|^4 near N
+    f_vals = grid.solve_poisson(GAUSS_CURVATURE * (grid.d_dz(h) - 2.0 * np.conj(grid.z) * h / s))
+    coeffs = grid.analyze(f_vals)
 
-    u_coeffs = grid.analyze(u.u)
-    z = grid.z
-    zb = np.conj(z)
-    # w-chart Taylor data of h as smooth global fields (chain rule w = 1/z)
-    deriv_coeffs = [
-        grid.analyze(-(z**2) * hz),
-        grid.analyze(-(zb**2) * hzb),
-        grid.analyze(2.0 * z**3 * hz + z**4 * hzz),
-        grid.analyze(z**2 * zb**2 * hzzb),
-        grid.analyze(2.0 * zb**3 * hzb + zb**4 * hzbzb),
-    ]
+    # lead[j, l] = A[j, l]; at N only the m = 0 column is nonzero, and
+    # sqrt(2) * A[0, 0] = 1 makes the constant shift one coefficient
+    lead = _normalized_legendre(L, np.array(1.0), _unit_sin=True)
+    shift = np.sqrt(2.0) * (coeffs[:, L] @ lead[0])
+    coeffs[0, L] -= shift
+    f_vals = f_vals - shift
+    j = np.arange(1, k)
+    p_f = -np.sqrt(2.0) * 2.0**j * np.einsum("lj,jl->j", coeffs[:, L - j], lead[j])
 
-    def taylor_at(w_pts):
-        theta = 2.0 * np.arctan(np.abs(w_pts))
-        phi_ang = (-np.angle(w_pts)) % (2.0 * np.pi)
-        z_pts = 1.0 / w_pts
-        weight = pair_weight_values(ones, phi.a, k, z_pts, w_pts)
-        u_here = grid.evaluate(u_coeffs, theta, phi_ang).real
-        ht = -TANGENT_NORMALIZATION * weight * np.exp(2.0 * (u_here + u.offset))
-        derivs = [grid.evaluate(c, theta, phi_ang) for c in deriv_coeffs]
-        return (ht, *derivs)
+    resid = grid.d_dzbar(f_vals) - rho
+    rel_l2 = float(np.sqrt(grid.integrate(np.abs(resid) ** 2).real / grid.integrate(np.abs(rho) ** 2).real))
 
-    # expansion circles around the north pole, radii between node rings
-    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    coeff_rows = []
-    for r in fit_radii:
-        targets = r * np.exp(1j * angles)
-        fvals = _cauchy_eval_w(h, taylor_at, targets, grid)
-        fourier = np.fft.fft(fvals) / n_angles
-        coeff_rows.append(fourier)
-    coeff_rows = np.array(coeff_rows)  # (n_radii, n_angles)
-
-    radii = np.asarray(fit_radii, dtype=float)
-    p_f = np.zeros(k, dtype=complex)  # index j = degree, [0] stays 0
-    for j in range(1, k):
-        # remainder terms w^a conj(w)^b with a-b = j, a+b >= k contribute
-        # radial powers j + 2*beta >= k only; fit those exactly
-        p0 = j + 2 * ((k - j + 1) // 2)
-        design = np.stack([radii**j, radii**p0, radii ** (p0 + 2)], axis=1)
-        sol, *_ = np.linalg.lstsq(design, coeff_rows[:, j], rcond=None)
-        p_f[j] = -sol[0]
-
-    f_north = complex(_cauchy_eval_w(h, taylor_at, np.array([[0.0 + 0j]]), grid)[0, 0])
-
-    # spectral residual of the dbar equation
-    rhs = h / (1.0 + np.abs(grid.z) ** 2) ** 2
-    dbar_f = grid.d_dzbar(f_nodes)
-    num = grid.integrate(np.abs(dbar_f - rhs) ** 2)
-    den = grid.integrate(np.abs(rhs) ** 2)
-    rel_l2 = float(np.sqrt(np.real(num) / np.real(den)))
-
-    # remainder order check: O = f + p_f should scale like |w|^k
-    dyadic = np.array([0.2, 0.1])
-    o_mag = []
-    for r in dyadic:
-        targets = r * np.exp(1j * angles)
-        fvals = _cauchy_eval_w(h, taylor_at, targets, grid)
-        poly = _polyval_vec(p_f, targets)
-        o_mag.append(np.abs(fvals + poly).max())
-    slope = float(np.log(o_mag[0] / o_mag[1]) / np.log(dyadic[0] / dyadic[1]))
+    # f at N, and the remainder O = f + p_f on two circles: O ~ |w|^k
+    radii = np.array([0.2, 0.1])
+    angles = 2.0 * np.pi * np.arange(64) / 64
+    theta = np.concatenate([[0.0], np.repeat(2.0 * np.arctan(radii), angles.size)])
+    lon = np.concatenate([[0.0], np.tile(-angles % (2.0 * np.pi), radii.size)])
+    vals = grid.evaluate(coeffs, theta, lon)
+    f_north = complex(vals[0])
+    w_pts = radii[:, None] * np.exp(1j * angles)
+    poly = _polyval_vec(np.concatenate([[0.0], p_f]), w_pts)
+    o_mag = list(np.abs(vals[1:].reshape(w_pts.shape) + poly).max(axis=1))
+    slope = float(np.log(o_mag[0] / o_mag[1]) / np.log(radii[0] / radii[1]))
 
     report = {
         "dbar_rel_l2": rel_l2,
@@ -528,4 +381,4 @@ def dbar_solve(
         "remainder_mags": o_mag,
         "f_north_abs": abs(f_north),
     }
-    return DbarSolution(f=ScalarField(f_nodes), p_f=p_f[1:], f_north=f_north, report=report)
+    return DbarSolution(f=ScalarField(f_vals), p_f=p_f, f_north=f_north, report=report)

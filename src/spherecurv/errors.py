@@ -38,9 +38,5 @@ class SweepInconclusive(SphereCurvError):
     """Shooting sweep could not resolve the sign pattern of the mismatch."""
 
 
-class QuadratureSingular(SphereCurvError):
-    """Cauchy-kernel quadrature hit (or failed to isolate) a singular node."""
-
-
 class HypothesisViolation(SphereCurvError):
     """Family parameters violate the inequality they are required to satisfy."""

@@ -35,18 +35,20 @@ GAUSS_CURVATURE = 4.0 * np.pi
 SPHERE_RADIUS = 1.0 / (2.0 * np.sqrt(np.pi))
 
 
-def _normalized_legendre(l_max: int, mu: np.ndarray, derivative: bool = False):
+def _normalized_legendre(l_max: int, mu: np.ndarray, derivative: bool = False, _unit_sin: bool = False):
     """Associated Legendre functions, orthonormal on [-1, 1].
 
     Returns ``p[m, l, :]`` with ``int P[m,l] P[m,l'] dmu = delta_{ll'}``
     (zero for l < m).  With ``derivative=True`` also returns d/dtheta of the
-    same functions, using mu = cos(theta).
+    same functions, using mu = cos(theta).  ``_unit_sin=True`` sets the
+    sin(theta) factor to 1, which yields P[m,l] / sin^m(theta); at mu = 1
+    these are the leading coefficients of P[m,l] at the north pole.
 
     The recurrence is the standard stable one seeded at the sectoral term,
     so no factorials are formed and degrees of a few hundred are safe.
     """
     mu = np.asarray(mu, dtype=float)
-    s = np.sqrt(np.maximum(1.0 - mu * mu, 0.0))  # sin(theta) > 0 off the poles
+    s = 1.0 if _unit_sin else np.sqrt(np.maximum(1.0 - mu * mu, 0.0))  # sin(theta) > 0 off the poles
     p = np.zeros((l_max + 1, l_max + 1) + mu.shape)
     p[0, 0] = np.sqrt(0.5)
     for m in range(1, l_max + 1):
@@ -80,14 +82,9 @@ def _normalized_legendre(l_max: int, mu: np.ndarray, derivative: bool = False):
 
 @dataclass
 class ScalarField:
-    """Samples of a scalar function at the grid nodes, shape (n_lat, n_lon).
-
-    ``coeffs`` caches the spherical-harmonic coefficients (filled lazily by
-    the grid transform helpers; never required).
-    """
+    """Samples of a scalar function at the grid nodes, shape (n_lat, n_lon)."""
 
     values: np.ndarray
-    coeffs: np.ndarray | None = None
 
 
 def _vals(f) -> np.ndarray:

@@ -28,7 +28,7 @@ from .strata import DEFAULT_TOL, div_classifier
 
 SCHEMA_VERSION = 1
 
-CSV_HEADER_PREFIX = ["lambda", "converged", "residual_sup", "offset"]
+CSV_HEADER_PREFIX = ["lambda", "converged", "stall_lambda", "residual_sup", "offset"]
 CSV_HEADER_SUFFIX = ["stratum", "margin"]
 
 
@@ -177,9 +177,12 @@ def random_class(spec: BundleSpec, seed: int) -> HoloClass:
 
 
 def _row(lam, result, b, stratum, margin, tol):
+    # an unconverged row's residual_sup and offset belong to stall_lambda,
+    # the last coupling the solver reached, not to the target lambda
     row = {
         "lambda": float(lam),
         "converged": bool(result.converged) if result is not None else False,
+        "stall_lambda": None if result is None or result.converged else float(result.lam),
         "residual_sup": float(result.residual_sup) if result is not None else float("nan"),
         "offset": float(result.offset) if result is not None else float("nan"),
     }
@@ -332,6 +335,7 @@ def run_radial_nonexistence(cfg: ExperimentConfig) -> RunRecord:
     ]
     row = _row(lam, None, bvec, rep.stratum_m, rep.margin, cfg.tol)
     row["converged"] = rad.converged
+    row["stall_lambda"] = None if rad.converged else lam
     row["residual_sup"] = rad.residual_sup if rad.residual_sup is not None else float("nan")
     row["offset"] = float(rad.u.offset) if rad.u is not None else float("nan")
     rows = [row]
@@ -391,6 +395,7 @@ def write_run(record: RunRecord, cfg: ExperimentConfig, out_dir=None) -> dict:
                 [
                     f"{row['lambda']:.17g}",
                     int(row["converged"]),
+                    "" if row["stall_lambda"] is None else f"{row['stall_lambda']:.17g}",
                     f"{row['residual_sup']:.17g}",
                     f"{row['offset']:.17g}",
                 ]

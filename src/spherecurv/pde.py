@@ -415,21 +415,15 @@ def solve_radial(
     # change; the sweep minimum is then also a candidate start, tried first
     if mism_min < 1e-4 * max(1.0, lam):
         roots.insert(0, float(alphas[good][np.argmin(np.abs(values[good]))]))
+    sweep = dict(
+        lam=lam, mismatch_alphas=alphas, mismatch_values=values, mismatch_min=mism_min, error_estimate=err_est
+    )
     if not roots:
         if mism_min < 10.0 * err_est:
             raise SweepInconclusive(
                 f"no sign change but minimum defect {mism_min:.2e} is within noise {err_est:.2e}"
             )
-        return RadialResult(
-            converged=False,
-            lam=lam,
-            root_alpha=None,
-            residual_sup=None,
-            mismatch_alphas=alphas,
-            mismatch_values=values,
-            mismatch_min=mism_min,
-            error_estimate=err_est,
-        )
+        return RadialResult(converged=False, root_alpha=None, residual_sup=None, **sweep)
 
     # polish each candidate on the spectral grid, keep the best residual
     grid = build_grid(cfg.l_max)
@@ -449,17 +443,16 @@ def solve_radial(
             best = (float(root), polish)
         if polish.converged:
             break
+    if best is None:
+        # no candidate root could be integrated again to start the polish
+        return RadialResult(converged=False, root_alpha=None, residual_sup=None, **sweep)
     root, polish = best
     noise_fraction = float(np.mean(np.abs(values[good]) < 1e-6 * max(1.0, lam)))
     return RadialResult(
         converged=polish.converged,
-        lam=lam,
         root_alpha=root,
         residual_sup=polish.residual_sup,
-        mismatch_alphas=alphas,
-        mismatch_values=values,
-        mismatch_min=mism_min,
-        error_estimate=err_est,
         u=polish.u,
         degenerate_family=noise_fraction > 0.75,
+        **sweep,
     )

@@ -122,6 +122,23 @@ class TestSweep:
         assert all(r["converged"] for r in rec.rows)
         assert rec.summary["flat_dual_stratum"] == 2
         assert rec.summary["first_failure_lambda"] is None
+        assert all(r["stall_lambda"] is None for r in rec.rows)
+
+    def test_stall_lambda_on_pole_free_ring(self, tmp_path):
+        # the branch stalls below 4*pi; the 4*pi row's residual and offset
+        # come from the stall coupling, which the row must name
+        cfg = ExperimentConfig(
+            experiment="sweep",
+            deg_L2=7,
+            family={"kind": 2, "a": 1, "n": 4},
+            lambda_grid=[float(4 * np.pi)],
+            solver={"l_max": 32},
+            out_dir=str(tmp_path),
+        )
+        row = run_existence_sweep(cfg).rows[0]
+        assert not row["converged"]
+        assert row["lambda"] == pytest.approx(4 * np.pi)
+        assert 0 < row["stall_lambda"] < 4 * np.pi
 
     def test_reproducible_csv(self, tmp_path):
         cfg = small_sweep_config(tmp_path)
@@ -174,7 +191,9 @@ class TestSweep:
         raw = open(paths["csv"], "rb").read()
         assert b"\r\n" not in raw
         header = raw.decode("utf-8").splitlines()[0]
-        assert header == "lambda,converged,residual_sup,offset,b_1_re,b_1_im,b_2_re,b_2_im,b_3_re,b_3_im,stratum,margin"
+        assert header == (
+            "lambda,converged,stall_lambda,residual_sup,offset,b_1_re,b_1_im,b_2_re,b_2_im,b_3_re,b_3_im,stratum,margin"
+        )
 
     def test_csv_blank_cells_on_failure(self, tmp_path):
         cfg = ExperimentConfig(
@@ -189,7 +208,8 @@ class TestSweep:
         lines = open(paths["csv"]).read().splitlines()
         cells = lines[1].split(",")
         assert cells[1] == "0"  # not converged
-        assert cells[4] == "" and cells[-1] == ""  # b and margin blank
+        assert 0 < float(cells[2]) < 4 * np.pi  # stall_lambda
+        assert cells[5] == "" and cells[-1] == ""  # b and margin blank
 
 
 class TestRadialDriver:
@@ -309,6 +329,18 @@ class TestCli:
         assert cli_main(["dualize", "--a", "0,0;1,0;0,0", "--deg-l2", "4", "--lmax", "16"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["stratum_m"] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["grid-check", "--lmax", "0"], ["classify", "--b", "1,0", "--deg-l2", "2", "--tol", "0"], ["solve", "--lam", "0"]],
+        ids=["lmax", "tol", "lam"],
+    )
+    def test_zero_override_rejected(self, argv, capsys):
+        # a zero override is an error, not a fall back to the default
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
 
     def test_solve_exit_code(self, tmp_path, capsys):
         cfg = ExperimentConfig(

@@ -270,6 +270,19 @@ class TestRadial:
         assert not r.converged
         assert r.mismatch_min > 10 * r.error_estimate
 
+    def test_polish_without_integration_is_not_converged(self, monkeypatch):
+        # every candidate root found by the sweep fails to re-integrate:
+        # the result is a non-converged record of the sweep, not a crash
+        import spherecurv.pde as pde
+
+        shoot = pde._shoot
+        monkeypatch.setattr(pde, "_shoot", lambda *args, **kw: (shoot(*args, **kw)[0], None))
+        r = solve_radial(monomial(4, 1), 2 * np.pi, SolveConfig(l_max=16))
+        assert not r.converged
+        assert r.root_alpha is None and r.residual_sup is None and r.u is None
+        assert r.mismatch_values.shape == r.mismatch_alphas.shape
+        assert np.isfinite(r.mismatch_min)
+
     def test_profile_requires_monomial(self):
         with pytest.raises(ValueError):
             RadialProfile.from_class(HoloClass(spec_k(4), np.array([1.0, 1.0, 0.0])))
