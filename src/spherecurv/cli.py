@@ -226,6 +226,8 @@ def main(argv=None) -> int:
         value = getattr(args, flag, None)
         if value is not None and value <= 0:
             parser.error(f"--{flag} must be positive, got {value}")
+    if getattr(args, "lmax", None) is not None and args.lmax < 4:
+        parser.error(f"--lmax must be at least 4, got {args.lmax}")
     if args.verb == "grid-check":
         return _cmd_grid_check(args)
     if args.verb == "classify":

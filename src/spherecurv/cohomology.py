@@ -22,7 +22,6 @@ orientation-reversing maps conjugate coefficients.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -162,11 +161,6 @@ class IsometryAction:
     def rotation_about_axis(cls, angle: float) -> "IsometryAction":
         """Rotation about the polar axis: z -> e^{i angle} z."""
         return cls(cmath.exp(0.5j * angle), 0j)
-
-    @classmethod
-    def from_unnormalized(cls, alpha: complex, beta: complex, reverses: bool = False) -> "IsometryAction":
-        n = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-        return cls(alpha / n, beta / n, reverses)
 
     @classmethod
     def random_rotation(cls, rng) -> "IsometryAction":

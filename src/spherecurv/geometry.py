@@ -2,21 +2,31 @@
 
 Everything in this package lives on the sphere normalized so that the total
 area is 1 and the Gaussian curvature is 4*pi (radius 1/(2*sqrt(pi))).  The
-grid is Gauss-Legendre in colatitude times an equispaced longitude circle,
-with a complex spherical-harmonic transform attached.  In this normalization
+grid is Gauss-Legendre in colatitude times an equispaced longitude circle.
+In this normalization
 
-    laplacian(Y_lm) = -4*pi * l*(l+1) * Y_lm
+    laplacian(Y_lm) = -4*pi * l*(l+1) * Y_lm,   Y_lm = sqrt(2) Pbar_l^|m|(cos t) e^{i m phi}
 
-and the quadrature weights sum to exactly 1.
+and the quadrature weights sum to exactly 1.  The |m| Legendre factor is
+shared by both signs of m (no Condon-Shortley flip), so Y_l,-m = conj(Y_lm).
+
+One real spectral core does every transform: a real FFT in longitude, then
+one batched matmul against the m >= 0 Legendre table.  Real fields use the
+packed orthonormal real basis (``analyze_real``/``synthesize_real``): entries
+(m, cos|sin, l) for l >= m, the sin part only for m >= 1, m >= 1 entries
+scaled by +-sqrt(2); it has (l_max+1)^2 entries, entry 0 is the constant,
+and its Euclidean inner product is the L2 pairing.  The complex API
+(``analyze``/``synthesize``, coefficients c[l, m+l_max]) pushes the real and
+imaginary parts through the same core.
 
 Charts: ``z = cot(theta/2) * exp(i*phi)`` is the stereographic coordinate
 that is infinite at the north pole N and zero at the south pole S;
 ``w = 1/z``.  Grid nodes never touch the poles, so both charts are finite on
 every node.
 
-Determinism: all transforms are dense numpy contractions and are
-deterministic for a fixed BLAS; ``integrate(..., sequential=True)`` bypasses
-BLAS reductions entirely (math.fsum) for golden tests.
+Determinism: all transforms are FFTs and BLAS matmuls and are deterministic
+for a fixed BLAS; ``integrate(..., sequential=True)`` bypasses BLAS
+reductions entirely (math.fsum) for golden tests.
 """
 
 from __future__ import annotations
@@ -32,17 +42,15 @@ from .errors import NonZeroMean, SpecMismatch
 
 # Curvature of the unit-area sphere; single source of the Laplacian scale.
 GAUSS_CURVATURE = 4.0 * np.pi
-SPHERE_RADIUS = 1.0 / (2.0 * np.sqrt(np.pi))
 
 
-def _normalized_legendre(l_max: int, mu: np.ndarray, derivative: bool = False, _unit_sin: bool = False):
+def _normalized_legendre(l_max: int, mu: np.ndarray, _unit_sin: bool = False):
     """Associated Legendre functions, orthonormal on [-1, 1].
 
     Returns ``p[m, l, :]`` with ``int P[m,l] P[m,l'] dmu = delta_{ll'}``
-    (zero for l < m).  With ``derivative=True`` also returns d/dtheta of the
-    same functions, using mu = cos(theta).  ``_unit_sin=True`` sets the
-    sin(theta) factor to 1, which yields P[m,l] / sin^m(theta); at mu = 1
-    these are the leading coefficients of P[m,l] at the north pole.
+    (zero for l < m).  ``_unit_sin=True`` sets the sin(theta) factor to 1,
+    which yields P[m,l] / sin^m(theta); at mu = 1 these are the leading
+    coefficients of P[m,l] at the north pole.
 
     The recurrence is the standard stable one seeded at the sectoral term,
     so no factorials are formed and degrees of a few hundred are safe.
@@ -60,24 +68,7 @@ def _normalized_legendre(l_max: int, mu: np.ndarray, derivative: bool = False, _
             a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
             b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
             p[m, l] = a * (mu * p[m, l - 1] - b * p[m, l - 2])
-    if not derivative:
-        return p
-    # d/dmu by differentiating the same recurrences, then d/dtheta = -s d/dmu.
-    # Sectoral seed: dP_mm/dmu = -m*mu/(1-mu^2) * P_mm.
-    dp = np.zeros_like(p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_s2 = 1.0 / (1.0 - mu * mu)
-    for m in range(1, l_max + 1):
-        dp[m, m] = -m * mu * inv_s2 * p[m, m]
-    for m in range(l_max):
-        dp[m, m + 1] = np.sqrt(2 * m + 3.0) * (p[m, m] + mu * dp[m, m])
-    for m in range(l_max + 1):
-        for l in range(m + 2, l_max + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            dp[m, l] = a * (p[m, l - 1] + mu * dp[m, l - 1] - b * dp[m, l - 2])
-    dp_dtheta = -s * dp
-    return p, dp_dtheta
+    return p
 
 
 @dataclass
@@ -155,11 +146,11 @@ class SphereGrid:
     def __init__(self, l_max: int):
         if l_max < 4:
             raise ValueError(f"l_max must be >= 4, got {l_max}")
-        self.l_max = int(l_max)
-        self.n_lat = self.l_max + 1
+        self.l_max = L = int(l_max)
+        self.n_lat = L + 1
         # Multiple of 4 keeps the longitude circle invariant under the
         # quarter-turn isometries used in the symmetry experiments.
-        self.n_lon = 4 * ((2 * self.l_max + 2 + 3) // 4)
+        self.n_lon = 4 * ((2 * L + 2 + 3) // 4)
 
         mu, glw = roots_legendre(self.n_lat)
         order = np.argsort(-mu)  # north to south
@@ -174,58 +165,100 @@ class SphereGrid:
         self.z = (np.cos(theta / 2) / np.sin(theta / 2)) * phase
         self.w = (np.sin(theta / 2) / np.cos(theta / 2)) * np.conj(phase)
 
-        plm, dplm = _normalized_legendre(self.l_max, self.mu, derivative=True)
-        # Tables indexed by the signed order m = -l_max..l_max (column m+l_max).
-        abs_m = np.abs(np.arange(-self.l_max, self.l_max + 1))
-        self._plm_full = plm[abs_m]          # (2L+1, L+1, n_lat)
-        self._dplm_full = dplm[abs_m]
-        self._fft_cols = np.arange(-self.l_max, self.l_max + 1) % self.n_lon
-        ell = np.arange(self.l_max + 1, dtype=float)
+        self._plm = _normalized_legendre(L, self.mu)  # (m, l, n_lat), m >= 0
+        # d/dtheta Pbar_l^m = (l mu Pbar_l^m - c_lm Pbar_{l-1}^m) / sin(theta)
+        mm, ll = np.ogrid[: L + 1, : L + 1]
+        c_lm = np.sqrt(np.maximum((2 * ll + 1) * (ll * ll - mm * mm), 0) / np.abs(2 * ll - 1))
+        prev = np.zeros_like(self._plm)
+        prev[:, 1:] = self._plm[:, :-1]
+        self._dplm = (ll[..., None] * self.mu * self._plm - c_lm[..., None] * prev) / np.sin(self.colat)
+        # longitude-mean quadrature weight times the sqrt(2) of the basis
+        self._wq = np.sqrt(2.0) * self.glw / 2.0
+        ell = np.arange(L + 1, dtype=float)
         self.laplace_eigenvalues = -GAUSS_CURVATURE * ell * (ell + 1.0)
+
+        # packed real basis: entry (m, part, l), part 0 = cos, 1 = sin
+        idx = [(m, p, l) for m in range(L + 1) for p in ((0, 1) if m else (0,)) for l in range(m, L + 1)]
+        self._pm, self._pp, self._pl = np.array(idx).T
+        self._ps = np.where(self._pm == 0, 1.0, np.sqrt(2.0) * (1 - 2 * self._pp))
+        self.n_packed = self._pl.size
+        self.packed_laplace = self.laplace_eigenvalues[self._pl]
 
     # ------------------------------------------------------------------
     # transforms
     # ------------------------------------------------------------------
 
-    def analyze(self, values) -> np.ndarray:
-        """Forward transform to coefficients c[l, m+l_max], m in [-l_max, l_max]."""
-        v = np.asarray(_vals(values), dtype=complex)
+    def _field(self, values, dtype) -> np.ndarray:
+        v = np.asarray(_vals(values), dtype=dtype)
         if v.shape != (self.n_lat, self.n_lon):
             raise SpecMismatch(f"field shape {v.shape} does not match grid {(self.n_lat, self.n_lon)}")
-        fm = np.fft.fft(v, axis=1) / self.n_lon
-        wfm = (self.glw / 2.0)[:, None] * fm[:, self._fft_cols]
-        return np.sqrt(2.0) * np.einsum("mlj,jm->lm", self._plm_full, wfm)
+        return v
+
+    def _analyze_half(self, v: np.ndarray) -> np.ndarray:
+        """Half spectrum h[m, l, re_1..re_r | im_1..im_r] (m >= 0) of real fields v[r, lat, lon]."""
+        f = np.fft.rfft(v * self._wq[:, None], axis=-1, norm="forward")[..., : self.l_max + 1]
+        return np.matmul(self._plm, np.concatenate([f.real, f.imag]).transpose(2, 1, 0))
+
+    def _synthesize_half(self, h: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Real fields v[r, lat, lon] from a half spectrum; ``table`` is _plm or _dplm."""
+        g = np.sqrt(2.0) * np.matmul(table.transpose(0, 2, 1), h)  # (m, lat, 2r)
+        r = g.shape[-1] // 2
+        spec = (g[..., :r] + 1j * g[..., r:]).transpose(2, 1, 0)
+        return np.fft.irfft(spec, n=self.n_lon, axis=-1, norm="forward")
+
+    def analyze_real(self, values) -> np.ndarray:
+        """Packed real coefficients of a real field."""
+        h = self._analyze_half(self._field(values, float)[None])
+        return self._ps * h[self._pm, self._pl, self._pp]
+
+    def synthesize_real(self, x) -> np.ndarray:
+        """Node values of packed real coefficients."""
+        h = np.zeros((self.l_max + 1, self.l_max + 1, 2))
+        h[self._pm, self._pl, self._pp] = np.asarray(x, dtype=float) / self._ps
+        return self._synthesize_half(h, self._plm)[0]
+
+    def embed_packed(self, x) -> np.ndarray:
+        """Zero-pad the packed coefficients of a coarser grid onto this grid's packed basis."""
+        out = np.zeros(self.n_packed)
+        out[self._pl < math.isqrt(len(x))] = x
+        return out
+
+    def analyze(self, values) -> np.ndarray:
+        """Forward transform to coefficients c[l, m+l_max], m in [-l_max, l_max]."""
+        v = self._field(values, complex)
+        h = self._analyze_half(np.stack([v.real, v.imag]))
+        re, im = h[..., 0] + 1j * h[..., 2], h[..., 1] + 1j * h[..., 3]  # half spectra of v.real, v.imag
+        c = np.empty((self.l_max + 1, 2 * self.l_max + 1), dtype=complex)
+        c[:, self.l_max :: -1] = (re.conj() + 1j * im.conj()).T
+        c[:, self.l_max :] = (re + 1j * im).T
+        return c
 
     def synthesize(self, coeffs) -> np.ndarray:
         """Inverse transform from c[l, m+l_max] to node values."""
-        c = np.asarray(coeffs, dtype=complex)
-        g = np.sqrt(2.0) * np.einsum("mlj,lm->jm", self._plm_full, c)
-        spread = np.zeros((self.n_lat, self.n_lon), dtype=complex)
-        np.add.at(spread, (slice(None), self._fft_cols), g)
-        return np.fft.ifft(spread, axis=1) * self.n_lon
+        return self._synthesize_complex(coeffs, self._plm)
 
     def synthesize_dtheta(self, coeffs) -> np.ndarray:
         """Colatitude derivative of the band-limited field with given coefficients."""
+        return self._synthesize_complex(coeffs, self._dplm)
+
+    def _synthesize_complex(self, coeffs, table: np.ndarray) -> np.ndarray:
         c = np.asarray(coeffs, dtype=complex)
-        g = np.sqrt(2.0) * np.einsum("mlj,lm->jm", self._dplm_full, c)
-        spread = np.zeros((self.n_lat, self.n_lon), dtype=complex)
-        np.add.at(spread, (slice(None), self._fft_cols), g)
-        return np.fft.ifft(spread, axis=1) * self.n_lon
+        pos, neg = c[:, self.l_max :].T, c[:, self.l_max :: -1].T.conj()
+        re, im = (pos + neg) / 2.0, (pos - neg) / 2j  # half spectra of the real and imaginary parts
+        v = self._synthesize_half(np.stack([re.real, im.real, re.imag, im.imag], axis=-1), table)
+        return v[0] + 1j * v[1]
 
     def evaluate(self, coeffs, theta, phi) -> np.ndarray:
         """Evaluate the band-limited field at arbitrary points (off-grid synthesis)."""
         c = np.asarray(coeffs, dtype=complex)
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        plm = _normalized_legendre(self.l_max, np.cos(theta))
-        out = np.zeros(theta.shape, dtype=complex)
-        for m in range(-self.l_max, self.l_max + 1):
-            col = c[:, m + self.l_max]
-            if not np.any(col):
-                continue
-            radial = np.tensordot(col, plm[abs(m)], axes=(0, 0))
-            out += np.sqrt(2.0) * radial * np.exp(1j * m * phi)
-        return out
+        L = self.l_max
+        plm = _normalized_legendre(L, np.cos(theta))
+        e = np.exp(1j * np.multiply.outer(np.arange(L + 1), phi))
+        pos = np.einsum("ml,ml...->m...", c[:, L:].T, plm) * e
+        neg = np.einsum("ml,ml...->m...", c[:, L - 1 :: -1].T, plm[1:]) * e[1:].conj()
+        return np.sqrt(2.0) * (pos.sum(axis=0) + neg.sum(axis=0))
 
     # ------------------------------------------------------------------
     # quadrature and calculus

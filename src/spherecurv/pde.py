@@ -2,9 +2,10 @@
 
 The unknown is the dilation exponent in  lap(u) + 2 K e^{2u} - lambda = 0
 with K the flat-metric squared norm of a holomorphic class.  Galerkin
-collocation in the spherical-harmonic basis; the Jacobian
-lap + 4 K e^{2u} is symmetric in the orthonormal real coefficient basis and
-is inverted matrix-free with MINRES preconditioned by (sigma - lap)^{-1}.
+collocation on the grid's packed real coefficients
+(``SphereGrid.analyze_real``/``synthesize_real``; entry 0 is the constant);
+the Jacobian lap + 4 K e^{2u} is symmetric in that orthonormal basis and is
+inverted matrix-free with MINRES preconditioned by (sigma - lap)^{-1}.
 Continuation ramps lambda from a small value (where the constant-mode
 asymptotics give the initializer) with step halving on Newton failure.
 
@@ -27,7 +28,7 @@ from scipy.sparse.linalg import LinearOperator, minres
 from .bundles import BundleSpec, ConformalFactor, HoloClass, phi_norm_sq
 from .cohomology import DualCoords, b_coords
 from .errors import InvalidLambda, NonConvergence, SweepInconclusive
-from .geometry import GAUSS_CURVATURE, ScalarField, SphereGrid, build_grid
+from .geometry import ScalarField, SphereGrid, build_grid
 
 
 @dataclass
@@ -67,49 +68,6 @@ class SolveResult:
 
 
 # ----------------------------------------------------------------------
-# real coefficient packing (orthonormal basis, Parseval-exact)
-# ----------------------------------------------------------------------
-
-
-def _pack(c: np.ndarray, l_max: int) -> np.ndarray:
-    L = l_max
-    parts = [c[:, L].real]
-    for m in range(1, L + 1):
-        col = c[m:, L + m]
-        parts.append(math.sqrt(2.0) * col.real)
-        parts.append(-math.sqrt(2.0) * col.imag)
-    return np.concatenate(parts)
-
-
-def _unpack(x: np.ndarray, l_max: int) -> np.ndarray:
-    # real fields have c[l,-m] = conj(c[l,m]) in this basis (the |m| Legendre
-    # factor is shared by both signs, so no Condon-Shortley flip appears)
-    L = l_max
-    c = np.zeros((L + 1, 2 * L + 1), dtype=complex)
-    c[:, L] = x[: L + 1]
-    pos = L + 1
-    for m in range(1, L + 1):
-        n = L + 1 - m
-        p = x[pos : pos + n]
-        q = x[pos + n : pos + 2 * n]
-        pos += 2 * n
-        col = (p - 1j * q) / math.sqrt(2.0)
-        c[m:, L + m] = col
-        c[m:, L - m] = np.conj(col)
-    return c
-
-
-def _packed_laplace_diag(grid: SphereGrid) -> np.ndarray:
-    L = grid.l_max
-    ell = [np.arange(0, L + 1, dtype=float)]
-    for m in range(1, L + 1):
-        lm = np.arange(m, L + 1, dtype=float)
-        ell.extend([lm, lm])
-    ell = np.concatenate(ell)
-    return -GAUSS_CURVATURE * ell * (ell + 1.0)
-
-
-# ----------------------------------------------------------------------
 # residual and Newton
 # ----------------------------------------------------------------------
 
@@ -120,50 +78,41 @@ def residual(u: ConformalFactor, phi: HoloClass, lam: float, grid: SphereGrid) -
 
 
 class _Workspace:
-    """Transform plumbing for one (grid, K) pair."""
+    """Residual and Jacobian for one (grid, K) pair on the grid's packed real coefficients."""
 
     def __init__(self, grid: SphereGrid, k_vals: np.ndarray, phi: HoloClass | None = None, refine_factor: float = 1.5):
         self.grid = grid
         self.k_vals = k_vals
-        self.diag = _packed_laplace_diag(grid)
-        self.n = self.diag.size
+        self.diag = grid.packed_laplace
+        self.n = grid.n_packed
         self.fine_grid = None
         if phi is not None:
             self.fine_grid = build_grid(int(refine_factor * grid.l_max))
             self.k_fine = phi_norm_sq(phi, ConformalFactor.zero(self.fine_grid), self.fine_grid).values
 
     def u_values(self, x: np.ndarray) -> np.ndarray:
-        return self.grid.synthesize(_unpack(x, self.grid.l_max)).real
+        return self.grid.synthesize_real(x)
 
     def fine_residual_sup(self, x: np.ndarray, lam: float) -> float:
         """Sup residual with the solution re-evaluated on a refined grid."""
         if self.fine_grid is None:
             return float("nan")
         gf = self.fine_grid
-        c = _unpack(x, self.grid.l_max)
-        cf = np.zeros((gf.l_max + 1, 2 * gf.l_max + 1), dtype=complex)
-        lo = gf.l_max - self.grid.l_max
-        cf[: self.grid.l_max + 1, lo : lo + 2 * self.grid.l_max + 1] = c
-        u_vals = gf.synthesize(cf).real
-        lap = gf.synthesize(gf.laplace_eigenvalues[:, None] * cf).real
+        xf = gf.embed_packed(x)
+        u_vals = gf.synthesize_real(xf)
+        lap = gf.synthesize_real(gf.packed_laplace * xf)
         return float(np.abs(lap + 2.0 * self.k_fine * np.exp(2.0 * u_vals) - lam).max())
 
     def residual_packed(self, x: np.ndarray, lam: float) -> np.ndarray:
-        c = _unpack(x, self.grid.l_max)
-        u_vals = self.grid.synthesize(c).real
-        lap_vals = self.grid.synthesize(self.grid.laplace_eigenvalues[:, None] * c).real
-        r_vals = lap_vals + 2.0 * self.k_vals * np.exp(2.0 * u_vals) - lam
-        return _pack(self.grid.analyze(r_vals), self.grid.l_max)
+        u_vals = self.grid.synthesize_real(x)
+        lap_vals = self.grid.synthesize_real(self.diag * x)
+        return self.grid.analyze_real(lap_vals + 2.0 * self.k_vals * np.exp(2.0 * u_vals) - lam)
 
     def jacobian_operator(self, x: np.ndarray):
         v_vals = 4.0 * self.k_vals * np.exp(2.0 * self.u_values(x))
 
         def matvec(y):
-            c = _unpack(y, self.grid.l_max)
-            vals = self.grid.synthesize(c).real
-            out = self.grid.analyze(v_vals * vals)
-            out += self.grid.laplace_eigenvalues[:, None] * c
-            return _pack(out, self.grid.l_max)
+            return self.grid.analyze_real(v_vals * self.grid.synthesize_real(y)) + self.diag * y
 
         sigma = max(float(v_vals.mean()), 1e-8)
         m_diag = 1.0 / (sigma - self.diag)
@@ -205,14 +154,12 @@ def _newton(ws: _Workspace, x0: np.ndarray, lam: float, cfg: SolveConfig):
 
 def _initial_guess(ws: _Workspace, lam: float, cfg: SolveConfig) -> np.ndarray:
     """Constant balance plus one Poisson correction, valid for small lambda."""
-    grid = ws.grid
-    mass = float(np.real(grid.integrate(2.0 * ws.k_vals)))
+    mass = float(np.real(ws.grid.integrate(2.0 * ws.k_vals)))
     c0 = 0.5 * math.log(lam / mass)
-    rhs = lam - 2.0 * ws.k_vals * math.exp(2.0 * c0)
-    v = grid.solve_poisson(rhs - np.real(grid.integrate(rhs)), mean_tol=np.inf).real
-    coeffs = grid.analyze(v)
-    coeffs[0, grid.l_max] = c0
-    return _pack(coeffs, grid.l_max)
+    x = ws.grid.analyze_real(lam - 2.0 * ws.k_vals * math.exp(2.0 * c0))
+    x[1:] /= ws.diag[1:]
+    x[0] = c0
+    return x
 
 
 def solve_phi_system(
@@ -239,7 +186,7 @@ def solve_phi_system(
         return ws.fine_residual_sup(x, lam_at) <= cfg.spurious_tol * max(1.0, lam_at)
 
     if initial is not None:
-        x = _pack(grid.analyze(initial.total), grid.l_max).astype(float)
+        x = grid.analyze_real(initial.total)
         x, iters, rnorm, ok = _newton(ws, x, lam, cfg)
         trace.append((lam, iters, rnorm))
         return _finish(ws, phi, x, lam, ok and accepted(x, lam), trace)
@@ -269,10 +216,7 @@ def solve_phi_system(
 
 def _finish(ws: _Workspace, phi: HoloClass, x, lam, converged, trace) -> SolveResult:
     grid = ws.grid
-    coeffs = _unpack(x, grid.l_max)
-    offset = float(coeffs[0, grid.l_max].real)
-    coeffs[0, grid.l_max] = 0.0
-    u = ConformalFactor(grid.synthesize(coeffs).real, offset)
+    u = ConformalFactor(grid.synthesize_real(np.concatenate([[0.0], x[1:]])), float(x[0]))
     res = residual(u, phi, lam, grid)
     return SolveResult(
         u=u,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -202,6 +204,46 @@ class TestInvariants:
         f = random_real_field(grid16, rng)
         f2 = grid16.synthesize(grid16.analyze(f)).real
         assert np.abs(f2 - f).max() < 1e-10 * max(1.0, np.abs(f).max())
+
+
+class TestChartDerivatives:
+    # (f, d_z f, d_zbar f) with s = 1+|z|^2; band-limited, so spectrally exact.
+    # 2z/s = sin(t) e^{i phi} is (l, m) = (1, 1) alone; 1/s and z/s^2 also
+    # carry l > |m|, where d/dtheta uses the Pbar_{l-1}^m term
+    CLOSED_FORMS = {
+        "2z_over_s": (lambda z, s: 2 * z / s, lambda z, s: 2 / s**2, lambda z, s: -2 * z**2 / s**2),
+        "1_over_s": (lambda z, s: 1 / s, lambda z, s: -np.conj(z) / s**2, lambda z, s: -z / s**2),
+        "z_over_s2": (lambda z, s: z / s**2, lambda z, s: (2 - s) / s**3, lambda z, s: -2 * z**2 / s**3),
+    }
+
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_closed_form(self, grid16, name):
+        f, dz, dzbar = self.CLOSED_FORMS[name]
+        z = grid16.z
+        s = 1.0 + np.abs(z) ** 2
+        assert np.abs(grid16.d_dz(f(z, s)) - dz(z, s)).max() < 1e-12
+        assert np.abs(grid16.d_dzbar(f(z, s)) - dzbar(z, s)).max() < 1e-12
+
+
+class TestRealCore:
+    # packed real coefficients of random band-limited fields, l_max 4..24
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(l_max=st.integers(4, 24), seed=st.integers(0, 2**32 - 1))
+    def test_transform_invariants(self, l_max, seed):
+        grid = build_grid(l_max)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=grid.n_packed)
+        v = grid.synthesize_real(x)
+        assert np.abs(grid.analyze_real(v) - x).max() < 1e-12 * np.abs(x).max()
+        # Parseval: the packed basis is orthonormal for the normalized measure
+        assert abs(grid.integrate(v * v) - x @ x) < 1e-12 * (x @ x)
+        w = v + 1j * grid.synthesize_real(rng.normal(size=grid.n_packed))
+        c = grid.analyze(w)
+        assert np.abs(grid.synthesize(c) - w).max() < 1e-12 * np.abs(w).max()
+        # off-grid synthesis at the nodes themselves, both signs of m
+        j = rng.integers(grid.n_lat, size=8)
+        k = rng.integers(grid.n_lon, size=8)
+        assert np.abs(grid.evaluate(c, grid.colat[j], grid.lon[k]) - w[j, k]).max() < 1e-12 * np.abs(w).max()
 
 
 class TestBasisOracle:

@@ -331,16 +331,22 @@ class TestCli:
         assert data["stratum_m"] == 2
 
     @pytest.mark.parametrize(
-        "argv",
-        [["grid-check", "--lmax", "0"], ["classify", "--b", "1,0", "--deg-l2", "2", "--tol", "0"], ["solve", "--lam", "0"]],
-        ids=["lmax", "tol", "lam"],
+        "argv,message",
+        [
+            (["grid-check", "--lmax", "0"], "must be positive"),
+            (["classify", "--b", "1,0", "--deg-l2", "2", "--tol", "0"], "must be positive"),
+            (["solve", "--lam", "0"], "must be positive"),
+            (["grid-check", "--lmax", "2"], "--lmax must be at least 4, got 2"),
+        ],
+        ids=["lmax", "tol", "lam", "lmax_below_grid_minimum"],
     )
-    def test_zero_override_rejected(self, argv, capsys):
-        # a zero override is an error, not a fall back to the default
+    def test_zero_override_rejected(self, argv, message, capsys):
+        # a zero or too small override is a usage error, not a fall back to
+        # the default or a traceback
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
         assert exc.value.code == 2
-        assert "must be positive" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_solve_exit_code(self, tmp_path, capsys):
         cfg = ExperimentConfig(
