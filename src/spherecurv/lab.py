@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -45,7 +44,6 @@ class ExperimentConfig:
     seed: int = 20240101
     tol: float = DEFAULT_TOL
     exact: bool = False
-    workers: int = 1
     schema: int = SCHEMA_VERSION
 
     @classmethod
@@ -193,8 +191,8 @@ def _row(lam, result, b, stratum, margin, tol):
     return row
 
 
-def _solve_point(phi, lam, scfg, grid, tol, initial=None):
-    result = solve_phi_system(phi, lam, scfg, initial=initial)
+def _solve_point(phi, lam, scfg, grid, tol, start):
+    result = solve_phi_system(phi, lam, scfg, start=start)
     if result.converged:
         b = b_coords(phi, result.u, grid).b
         rep = div_classifier(b, phi.spec, tol=tol)
@@ -202,34 +200,28 @@ def _solve_point(phi, lam, scfg, grid, tol, initial=None):
     return _row(lam, result, None, None, None, tol), result
 
 
+def _warm_ladder(phi, cfg: ExperimentConfig, grid) -> list:
+    """Ascending rows, each continued from the last converged point (so stall_lambda is the branch's)."""
+    scfg = cfg.solve_config()
+    rows = []
+    last = None
+    for lam in sorted(float(x) for x in cfg.lambda_grid):
+        row, result = _solve_point(phi, lam, scfg, grid, cfg.tol, start=last)
+        rows.append(row)
+        if result.converged:
+            last = result
+    return rows
+
+
 def run_existence_sweep(cfg: ExperimentConfig) -> RunRecord:
     """Solve along the coupling grid; classify the emitted coordinates.
 
-    Sequential runs warm-start each point from the previous solution;
-    with cfg.workers > 1 the points run independently and are sorted by
-    lambda afterwards, so the output order is identical either way.
+    Each point continues the branch from the last converged point below it.
     """
     t0 = time.time()
     phi = cfg.the_class()
-    scfg = cfg.solve_config()
-    grid = build_grid(scfg.l_max)
-    lambdas = sorted(float(x) for x in cfg.lambda_grid)
-
-    rows = []
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futs = [pool.submit(_solve_point, phi, lam, scfg, grid, cfg.tol) for lam in lambdas]
-            rows = [f.result()[0] for f in futs]
-    else:
-        prev = None
-        for lam in lambdas:
-            initial = prev.u if (prev is not None and prev.converged) else None
-            row, result = _solve_point(phi, lam, scfg, grid, cfg.tol, initial=initial)
-            if not row["converged"] and initial is not None:
-                row, result = _solve_point(phi, lam, scfg, grid, cfg.tol)  # cold retry
-            rows.append(row)
-            prev = result
-    rows.sort(key=lambda r: r["lambda"])
+    grid = build_grid(cfg.solve_config().l_max)
+    rows = _warm_ladder(phi, cfg, grid)
 
     b0 = dual_map_H0(phi, grid)
     rep0 = div_classifier(b0.b, phi.spec, tol=cfg.tol)
@@ -264,24 +256,18 @@ def run_symmetry_audit(cfg: ExperimentConfig) -> RunRecord:
     a = int(cfg.family["a"])
     n = int(cfg.family["n"])
     phi = cfg.the_class()
-    scfg = cfg.solve_config()
-    grid = build_grid(scfg.l_max)
+    grid = build_grid(cfg.solve_config().l_max)
     k = phi.spec.k
 
     pattern = np.array([(j - 1 - a) % n == 0 for j in range(1, k)])
-    rows = []
+    rows = _warm_ladder(phi, cfg, grid)
     worst = 0.0
-    prev = None
-    for lam in sorted(float(x) for x in cfg.lambda_grid):
-        initial = prev.u if (prev is not None and prev.converged) else None
-        row, result = _solve_point(phi, lam, scfg, grid, cfg.tol, initial=initial)
+    for row in rows:
         if row["converged"]:
             b = np.array(row["b"])
             off = float(np.linalg.norm(b[~pattern]) / np.linalg.norm(b))
             row["off_pattern"] = off
             worst = max(worst, off)
-        rows.append(row)
-        prev = result
 
     # identity audit is exact; reflection conjugates coefficients
     ident = pullback_class(IsometryAction.identity(), phi)

@@ -7,7 +7,8 @@ collocation on the grid's packed real coefficients
 the Jacobian lap + 4 K e^{2u} is symmetric in that orthonormal basis and is
 inverted matrix-free with MINRES preconditioned by (sigma - lap)^{-1}.
 Continuation ramps lambda from a small value (where the constant-mode
-asymptotics give the initializer) with step halving on Newton failure.
+asymptotics give the initializer), or from a start state (a converged
+result at a lower coupling), with step halving on Newton failure.
 
 A radially symmetric reduction (two-point boundary value problem in the
 colatitude) is solved by shooting on the regularized momentum
@@ -167,16 +168,25 @@ def solve_phi_system(
     lam: float,
     cfg: SolveConfig,
     initial: ConformalFactor | None = None,
+    *,
+    start: SolveResult | None = None,
 ) -> SolveResult:
     """Continuation-in-lambda Newton solve of the curvature system.
 
     Starts from the small-coupling asymptotic initializer and ramps lambda to
     the target with adaptive steps; a stalled ramp (step below cfg.min_step)
     returns converged=False with the trace instead of raising, since that is
-    the expected signature of leaving the solvable range.
+    the expected signature of leaving the solvable range; its ``lam`` is the
+    last coupling the ramp accepted.  ``start``, a converged result on the same
+    grid at a coupling ``start.lam <= lam``, begins the ramp there with the full
+    step instead; ``initial`` runs one Newton solve at the target, no ramp.
     """
     if lam <= 0:
         raise InvalidLambda(f"lambda must be positive, got {lam}")
+    if initial is not None and start is not None:
+        raise ValueError("pass at most one of initial and start")
+    if start is not None and not (start.converged and start.lam <= lam):
+        raise ValueError(f"start must be converged at a coupling <= {lam}, got {start.lam} ({start.converged=})")
     grid = build_grid(cfg.l_max)
     k_vals = phi_norm_sq(phi, ConformalFactor.zero(grid), grid).values
     ws = _Workspace(grid, k_vals, phi, cfg.refine_factor)
@@ -191,12 +201,16 @@ def solve_phi_system(
         trace.append((lam, iters, rnorm))
         return _finish(ws, phi, x, lam, ok and accepted(x, lam), trace)
 
-    lam_now = min(cfg.lambda_init, lam)
-    x = _initial_guess(ws, lam_now, cfg)
-    x, iters, rnorm, ok = _newton(ws, x, lam_now, cfg)
-    trace.append((lam_now, iters, rnorm))
-    if not (ok and accepted(x, lam_now)):
-        return _finish(ws, phi, x, lam_now, False, trace)
+    if start is not None:
+        lam_now = start.lam
+        x = grid.analyze_real(start.u.total)
+    else:
+        lam_now = min(cfg.lambda_init, lam)
+        x = _initial_guess(ws, lam_now, cfg)
+        x, iters, rnorm, ok = _newton(ws, x, lam_now, cfg)
+        trace.append((lam_now, iters, rnorm))
+        if not (ok and accepted(x, lam_now)):
+            return _finish(ws, phi, x, lam_now, False, trace)
 
     step = cfg.continuation_step
     while lam_now < lam:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from spherecurv import lab
 from spherecurv.bundles import BundleSpec, divisor_of
 from spherecurv.cli import main as cli_main
 from spherecurv.errors import HypothesisViolation
@@ -14,6 +15,7 @@ from spherecurv.lab import (
     run_symmetry_audit,
     write_run,
 )
+from spherecurv.pde import solve_phi_system
 
 
 def spec_k(k):
@@ -102,7 +104,7 @@ class TestConfig:
             cfg.the_class()
 
 
-def small_sweep_config(tmp_path, lambdas=(2.0, 4.0), workers=1):
+def small_sweep_config(tmp_path, lambdas=(2.0, 4.0)):
     return ExperimentConfig(
         experiment="sweep",
         deg_L1=0,
@@ -111,8 +113,21 @@ def small_sweep_config(tmp_path, lambdas=(2.0, 4.0), workers=1):
         lambda_grid=list(lambdas),
         solver={"l_max": 16},
         out_dir=str(tmp_path),
-        workers=workers,
     )
+
+
+def pole_free_ring_config(tmp_path, experiment, lambdas):
+    return ExperimentConfig(
+        experiment=experiment,
+        deg_L2=7,
+        family={"kind": 2, "a": 1, "n": 4},
+        lambda_grid=[float(x) for x in lambdas],
+        solver={"l_max": 32},
+        out_dir=str(tmp_path),
+    )
+
+
+LADDER = [np.pi, 2 * np.pi, 3 * np.pi, 4 * np.pi]
 
 
 class TestSweep:
@@ -126,33 +141,36 @@ class TestSweep:
 
     def test_stall_lambda_on_pole_free_ring(self, tmp_path):
         # the branch stalls below 4*pi; the 4*pi row's residual and offset
-        # come from the stall coupling, which the row must name
-        cfg = ExperimentConfig(
-            experiment="sweep",
-            deg_L2=7,
-            family={"kind": 2, "a": 1, "n": 4},
-            lambda_grid=[float(4 * np.pi)],
-            solver={"l_max": 32},
-            out_dir=str(tmp_path),
-        )
-        row = run_existence_sweep(cfg).rows[0]
-        assert not row["converged"]
-        assert row["lambda"] == pytest.approx(4 * np.pi)
-        assert 0 < row["stall_lambda"] < 4 * np.pi
+        # come from the stall coupling, which the row must name.  Continuing
+        # from the last converged point, a coarser or finer coupling grid
+        # reaches the same stall.
+        stalls = []
+        for lambdas in ([4 * np.pi], LADDER):
+            row = run_existence_sweep(pole_free_ring_config(tmp_path, "sweep", lambdas)).rows[-1]
+            assert not row["converged"]
+            assert row["lambda"] == pytest.approx(4 * np.pi)
+            assert 0 < row["stall_lambda"] < 4 * np.pi
+            stalls.append(row["stall_lambda"])
+        assert stalls[1] == pytest.approx(stalls[0], abs=1e-3 * 4 * np.pi)
+
+    def test_one_solve_per_coupling(self, tmp_path, monkeypatch):
+        # no point is solved twice, even where the branch stalls
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return solve_phi_system(*args, **kwargs)
+
+        monkeypatch.setattr(lab, "solve_phi_system", counting)
+        rec = run_existence_sweep(pole_free_ring_config(tmp_path, "sweep", LADDER))
+        assert not rec.rows[-1]["converged"]
+        assert calls == sorted(float(x) for x in LADDER)
 
     def test_reproducible_csv(self, tmp_path):
         cfg = small_sweep_config(tmp_path)
         p1 = write_run(run_existence_sweep(cfg), cfg, out_dir=tmp_path / "a")
         p2 = write_run(run_existence_sweep(cfg), cfg, out_dir=tmp_path / "b")
         assert open(p1["csv"], "rb").read() == open(p2["csv"], "rb").read()
-
-    def test_worker_pool_matches_sequential(self, tmp_path):
-        seq = run_existence_sweep(small_sweep_config(tmp_path))
-        par = run_existence_sweep(small_sweep_config(tmp_path, workers=2))
-        assert [r["lambda"] for r in seq.rows] == [r["lambda"] for r in par.rows]
-        for a, b in zip(seq.rows, par.rows):
-            assert a["converged"] == b["converged"]
-            assert np.allclose(a["b"], b["b"], atol=1e-9)
 
     def test_p1_class_reports_failure_and_bound(self, tmp_path):
         cfg = ExperimentConfig(
@@ -260,6 +278,17 @@ class TestSymmetryAudit:
         assert rec.summary["identity_pullback_error"] == 0.0
         assert rec.summary["reflection_conjugation_error"] < 1e-12
         assert rec.ok()
+
+    def test_unconverged_row_reports_branch_stall(self, tmp_path):
+        # the audit's 4*pi row stalls where the sweep's branch does, not at
+        # its target coupling
+        audit = run_symmetry_audit(pole_free_ring_config(tmp_path, "symmetry-audit", LADDER))
+        sweep = run_existence_sweep(pole_free_ring_config(tmp_path, "sweep", LADDER))
+        row = audit.rows[-1]
+        assert not row["converged"]
+        assert row["stall_lambda"] < 4 * np.pi
+        assert row["stall_lambda"] == sweep.rows[-1]["stall_lambda"]
+        assert audit.summary["max_off_pattern"] < 1e-6
 
     def test_requires_ring_family(self, tmp_path):
         cfg = ExperimentConfig(

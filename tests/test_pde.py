@@ -116,6 +116,28 @@ class TestSolve:
         assert res.lam < 4 * np.pi
         assert len(res.continuation_trace) > 3
 
+    def test_start_continues_the_ramp(self):
+        cfg = SolveConfig(l_max=16)
+        phi = monomial(4, 1)
+        start = solve_phi_system(phi, 2 * np.pi, cfg)
+        warm = solve_phi_system(phi, 3 * np.pi, cfg, start=start)
+        cold = solve_phi_system(phi, 3 * np.pi, cfg)
+        assert warm.converged and warm.lam == 3 * np.pi
+        assert warm.continuation_trace[0][0] > start.lam
+        assert np.abs(warm.u.total - cold.u.total).max() < 1e-8
+
+    def test_start_must_be_converged_below_target(self):
+        cfg = SolveConfig(l_max=16)
+        stalled = solve_phi_system(monomial(4, 2), 4 * np.pi, cfg)
+        assert not stalled.converged
+        with pytest.raises(ValueError, match="start"):
+            solve_phi_system(monomial(4, 2), 4 * np.pi, cfg, start=stalled)
+        above = solve_phi_system(monomial(4, 1), 2 * np.pi, cfg)
+        with pytest.raises(ValueError, match="start"):
+            solve_phi_system(monomial(4, 1), np.pi, cfg, start=above)
+        with pytest.raises(ValueError, match="at most one"):
+            solve_phi_system(monomial(4, 1), 3 * np.pi, cfg, above.u, start=above)
+
     def test_invalid_lambda(self):
         with pytest.raises(InvalidLambda):
             solve_phi_system(monomial(2, 0), -1.0, SolveConfig(l_max=16))
