@@ -1,8 +1,11 @@
 """Exact complex-rational arithmetic and the little linear algebra it needs.
 
 The divisor classifier has an exact backend for rational inputs; numbers are
-pairs of ``fractions.Fraction`` (real and imaginary part), which keeps the
-Hankel eliminations exact without pulling in a symbolic engine.
+pairs of ``fractions.Fraction`` (real and imaginary part), which keeps its
+Berlekamp-Massey profile and the Sylvester resultant of a candidate exact
+without pulling in a symbolic engine.  ``solve_exact`` is not used by the
+classifier: it is the tests' reference oracle, which checks the profile
+against one Hankel elimination per pole budget s and prefix length t.
 """
 
 from __future__ import annotations
@@ -124,43 +127,3 @@ def determinant_exact(rows):
                 f = a[r][col] * inv
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return det
-
-
-def poly_degree(coeffs) -> int:
-    """Degree with exact zero-tests; -1 for the zero polynomial."""
-    deg = -1
-    for i, c in enumerate(coeffs):
-        if c:
-            deg = i
-    return deg
-
-
-def sylvester_resultant(p, q):
-    """Resultant of two polynomials (low-order-first QQi coefficients)."""
-    dp, dq = poly_degree(p), poly_degree(q)
-    if dp < 0 or dq < 0:
-        return QQI_ZERO
-    if dp == 0:
-        return _qqi_pow(QQi.of(p[0]), dq)
-    if dq == 0:
-        return _qqi_pow(QQi.of(q[0]), dp)
-    n = dp + dq
-    rows = []
-    for i in range(dq):
-        row = [QQI_ZERO] * n
-        for j in range(dp + 1):
-            row[i + j] = QQi.of(p[dp - j])
-        rows.append(row)
-    for i in range(dp):
-        row = [QQI_ZERO] * n
-        for j in range(dq + 1):
-            row[i + j] = QQi.of(q[dq - j])
-        rows.append(row)
-    return determinant_exact(rows)
-
-
-def _qqi_pow(x: QQi, n: int) -> QQi:
-    out = QQI_ONE
-    for _ in range(n):
-        out = out * x
-    return out

@@ -54,10 +54,6 @@ def _load_config(args, default_experiment: str) -> ExperimentConfig:
         cfg.solver = dict(cfg.solver, l_max=args.lmax)
     if args.tol is not None:
         cfg.tol = args.tol
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.exact:
-        cfg.exact = True
     return cfg
 
 
@@ -192,8 +188,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", help="output directory override")
         p.add_argument("--lmax", type=int, help="spectral degree override")
         p.add_argument("--tol", type=float, help="classifier tolerance override")
-        p.add_argument("--seed", type=int, help="RNG seed override")
-        p.add_argument("--exact", action="store_true", help="exact rational classifier mode")
 
     p = sub.add_parser("grid-check", help="grid and transform invariant checks")
     common(p)
@@ -201,6 +195,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("classify", help="classify a coordinate vector")
     common(p)
     p.add_argument("--b", required=True, help="coordinates 're,im;re,im;...' (exact: 'p/q,p/q;...')")
+    p.add_argument("--exact", action="store_true", help="exact rational classifier mode")
     p.add_argument("--deg-l1", type=int, default=0)
     p.add_argument("--deg-l2", type=int, required=True)
 

@@ -41,9 +41,7 @@ class ExperimentConfig:
     lambda_grid: list = field(default_factory=lambda: [np.pi, 2 * np.pi, 3 * np.pi, 4 * np.pi])
     solver: dict = field(default_factory=dict)
     out_dir: str = "runs"
-    seed: int = 20240101
     tol: float = DEFAULT_TOL
-    exact: bool = False
     schema: int = SCHEMA_VERSION
 
     @classmethod

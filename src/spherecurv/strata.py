@@ -9,9 +9,16 @@ the north pole; the subbundle degree is
 
     div = deg_L1 + max_s (longest_prefix(s) + 1 - s).
 
-The prefix condition is a linear (Hankel) recurrence on b, solved in floating
-point with a relative tolerance or exactly over Gaussian rationals.  The
-stratum index m = deg_L2 - div drives the solvable coupling range (0, 4*pi*m).
+The prefix condition is a linear recurrence of order s on b: a prefix of
+length t has such an h exactly when its linear complexity L(t) is at most s.
+One Berlekamp-Massey profile gives L(t) and a connection polynomial (the
+witness's 1 - v) for every t at once, so longest_prefix(s) + 1 is the first
+t > s with L(t) > s.  The profile runs exactly over Gaussian rationals
+(a discrepancy d is zero when d == 0) or in floating point (when
+|d| <= tol*||b||).  Floating-point reports carry a margin: the smallest
+||b||-normalized least-squares residual of the Hankel systems that would
+certify the next-lower stratum.  The stratum index m = deg_L2 - div drives
+the solvable coupling range (0, 4*pi*m).
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._rational import QQI_ONE, QQI_ZERO, QQi, solve_exact, sylvester_resultant
+from ._rational import QQI_ONE, QQI_ZERO, QQi, determinant_exact
 from .bundles import BundleSpec
 from .errors import ZeroClass
 
@@ -65,14 +72,14 @@ class RationalCandidate:
         """No common zeros of y and 1 - v (resultant bounded away from zero)."""
         if self.is_zero():
             return _degree(self.v) < 0
-        one_minus_v = _one_minus(self.v)
-        if _is_exact(self.y) and _is_exact(self.v):
-            res = sylvester_resultant([QQi.of(c) for c in self.y], [QQi.of(c) for c in one_minus_v])
+        exact = _is_exact(self.y) and _is_exact(self.v)
+        conv = QQi.of if exact else complex
+        y = [conv(c) for c in self.y]
+        q = [conv(c) for c in _one_minus(self.v)]
+        res = _resultant(y, q)
+        if exact:
             return bool(res)
-        y = np.asarray([complex(c) for c in self.y])
-        q = np.asarray([complex(c) for c in one_minus_v])
-        res = _resultant_float(y, q)
-        scale = max(np.abs(y).max(), np.abs(q).max()) ** (len(y) + len(q))
+        scale = max(map(abs, y + q)) ** (len(y) + len(q))
         return abs(res) > tol * max(scale, 1e-300)
 
 
@@ -102,22 +109,22 @@ def _one_minus(v) -> list:
     return out
 
 
-def _resultant_float(p, q):
-    dp = int(np.nonzero(np.abs(p) > 0)[0][-1]) if np.any(p) else -1
-    dq = int(np.nonzero(np.abs(q) > 0)[0][-1]) if np.any(q) else -1
+def _resultant(p, q):
+    """Resultant of two low-order-first polynomials: the Sylvester determinant.
+
+    Exact (``determinant_exact``) for QQi coefficients, ``np.linalg.det``
+    for complex ones.
+    """
+    dp, dq = _degree(p), _degree(q)
     if dp < 0 or dq < 0:
-        return 0.0
-    if dp == 0:
-        return p[0] ** dq
-    if dq == 0:
-        return q[0] ** dp
+        return 0
+    zero = p[0] * 0
     n = dp + dq
-    s = np.zeros((n, n), dtype=complex)
-    for i in range(dq):
-        s[i, i : i + dp + 1] = p[dp::-1]
-    for i in range(dp):
-        s[dq + i, i : i + dq + 1] = q[dq::-1]
-    return np.linalg.det(s)
+    rows = [[zero] * i + p[dp::-1] + [zero] * (dq - 1 - i) for i in range(dq)]
+    rows += [[zero] * i + q[dq::-1] + [zero] * (dp - 1 - i) for i in range(dp)]
+    if isinstance(zero, QQi):
+        return determinant_exact(rows)
+    return np.linalg.det(np.array(rows, dtype=complex).reshape(n, n))
 
 
 @dataclass(frozen=True)
@@ -161,33 +168,52 @@ def series_of_rational(cand: RationalCandidate, order: int):
 # ----------------------------------------------------------------------
 
 
-def _system(b, s: int, t: int, exact: bool):
-    """Rows of the prefix-t recurrence with denominator budget s.
+def _coords(b, exact: bool, tol: float):
+    """b as QQi or complex entries, and the zero test on a discrepancy."""
+    if exact:
+        return [QQi.of(x) for x in b], lambda d: not d
+    b = [complex(x) for x in b]
+    tol_abs = tol * float(np.linalg.norm(b))
+    return b, lambda d: abs(d) <= tol_abs
 
-    Row j (s+1 <= j <= t):  sum_{m=1..min(s,j-1)} q_m b_{j-m} = -b_j.
+
+def _profile(b, negligible):
+    """Berlekamp-Massey over b_1..b_n (Massey 1969) for every prefix t = 0..n.
+
+    Returns (L, C): L[t] is the linear complexity of b_1..b_t and C[t] a
+    connection polynomial for it, low-order-first with C[t][0] = 1 and
+    degree <= L[t], so that b_j + sum_i C[t][i] b_{j-i} = 0 for L[t] < j <= t.
+    Only ``negligible``, the zero test on the discrepancy, depends on the
+    arithmetic.
     """
-    rows, rhs = [], []
-    for j in range(s + 1, t + 1):
-        if exact:
-            row = [b[j - m - 1] if 1 <= j - m <= len(b) else QQI_ZERO for m in range(1, s + 1)]
+    c, prev = [1], [1]  # current polynomial, and the one before the last length change
+    length, shift, prev_d = 0, 1, 1
+    lengths, polys = [0], [c]
+    for n in range(len(b)):
+        d = b[n]
+        for i in range(1, len(c)):
+            d = d + c[i] * b[n - i]
+        if negligible(d):
+            shift += 1
         else:
-            row = [b[j - m - 1] if 1 <= j - m <= len(b) else 0j for m in range(1, s + 1)]
-        rows.append(row)
-        rhs.append(-b[j - 1])
-    return rows, rhs
+            f = d / prev_d
+            new = c + [0 * f] * (shift + len(prev) - len(c))
+            for i, p in enumerate(prev):
+                new[i + shift] = new[i + shift] - f * p
+            if 2 * length <= n:
+                length, prev, prev_d, shift = n + 1 - length, c, d, 1
+            else:
+                shift += 1
+            c = new
+        lengths.append(length)
+        polys.append(c)
+    return lengths, polys
 
 
-def _consistent_float(rows, rhs, tol_abs: float):
-    if not rows:
-        return True, np.zeros(0, dtype=complex), 0.0
-    a = np.asarray(rows, dtype=complex)
-    r = np.asarray(rhs, dtype=complex)
-    if a.shape[1] == 0:
-        resid = float(np.linalg.norm(r))
-        return resid <= tol_abs, np.zeros(0, dtype=complex), resid
-    x, *_ = np.linalg.lstsq(a, r, rcond=None)
-    resid = float(np.linalg.norm(a @ x - r))
-    return resid <= tol_abs, x, resid
+def _matching_orders(lengths) -> list:
+    """j*(s) for s = 0..k-1: the first t in s+1..k-1 with L(t) > s, else k."""
+    k = len(lengths)
+    return [next((t for t in range(s + 1, k) if lengths[t] > s), k) for s in range(k)]
 
 
 def max_matching_order(b, s: int, *, tol: float = DEFAULT_TOL, exact: bool = False) -> int:
@@ -196,120 +222,70 @@ def max_matching_order(b, s: int, *, tol: float = DEFAULT_TOL, exact: bool = Fal
     The first j*-1 coordinates of b are matched; j* = k means the whole
     vector is the Taylor prefix of an admissible rational function.
     """
-    j_star, _, _ = _max_matching(b, s, tol=tol, exact=exact)
-    return j_star
-
-
-def _max_matching(b, s: int, *, tol: float, exact: bool):
-    """(j_star, q-solution at the best t, residual at the first failing t)."""
     k = len(b) + 1
     if not 0 <= s <= k - 1:
         raise ValueError(f"pole budget s={s} outside [0, {k - 1}]")
-    if exact:
-        bq = [QQi.of(x) for x in b]
-        best_q = [QQI_ZERO] * s
-        for t in range(s + 1, k):
-            rows, rhs = _system(bq, s, t, exact=True)
-            ok, x = solve_exact(rows, rhs)
-            if not ok:
-                return t, best_q, None
-            best_q = x
-        return k, best_q, None
-    barr = np.asarray(b, dtype=complex)
-    tol_abs = tol * float(np.linalg.norm(barr))
-    best_q = np.zeros(s, dtype=complex)
-    for t in range(s + 1, k):
-        rows, rhs = _system(barr, s, t, exact=False)
-        ok, x, resid = _consistent_float(rows, rhs, tol_abs)
-        if not ok:
-            return t, best_q, resid
-        best_q = x
-    return k, best_q, None
+    lengths, _ = _profile(*_coords(b, exact, tol))
+    return _matching_orders(lengths)[s]
 
 
-def _witness(b, s: int, j_star: int, q, exact: bool):
-    """Rebuild (y, v) from the denominator solution: y = (1-v)*B mod w^{s+1}."""
-    if exact:
-        bq = [QQi.of(x) for x in b]
-        qfull = [QQI_ONE] + list(q)
-        y = [QQI_ZERO] * (s + 1)
-        for j in range(1, s + 1):
-            acc = QQI_ZERO
-            for m in range(0, min(j, s) + 1):
-                idx = j - m
-                if 1 <= idx <= len(bq) and m < len(qfull):
-                    acc = acc + qfull[m] * bq[idx - 1]
-            if j < j_star:
-                y[j] = acc
-        v = tuple([QQI_ZERO] + [-c for c in q])
-        cand = RationalCandidate(tuple(y), v)
-    else:
-        barr = np.asarray(b, dtype=complex)
-        qfull = np.concatenate([[1.0 + 0j], np.asarray(q, dtype=complex)])
-        y = np.zeros(s + 1, dtype=complex)
-        for j in range(1, s + 1):
-            if j >= j_star:
-                break
-            acc = 0j
-            for m in range(0, min(j, len(qfull) - 1) + 1):
-                idx = j - m
-                if 1 <= idx <= len(barr):
-                    acc += qfull[m] * barr[idx - 1]
-            y[j] = acc
-        v = tuple(np.concatenate([[0j], -np.asarray(q, dtype=complex)]))
-        cand = RationalCandidate(tuple(y), v)
+def _witness(b, s: int, c):
+    """(y, v) from a connection polynomial c: 1 - v = c, y = c*B mod w^{s+1}."""
+    zero = b[0] * 0
+    c = (list(c) + [zero] * s)[: s + 1]
+    y = [zero] + [sum((c[i] * b[j - i - 1] for i in range(j)), zero) for j in range(1, s + 1)]
+    v = [zero] + [-x for x in c[1:]]
+    cand = RationalCandidate(tuple(y), tuple(v))
     return "zero-h" if cand.is_zero() else cand
+
+
+def _margin(b, score: int) -> float:
+    """Smallest ||b||-normalized least-squares residual among the Hankel
+    systems that would certify score + 1: rows j = s+1..score+s of
+    b_j + sum_{m=1..s} q_m b_{j-m} = 0, over every budget s with score+s < k.
+    """
+    b = np.asarray(b, dtype=complex)
+    resid = math.inf
+    for s in range(len(b) + 1 - score):
+        t = score + s
+        a = np.array([b[j - s - 1 : j - 1][::-1] for j in range(s + 1, t + 1)]).reshape(t - s, s)
+        x = np.linalg.lstsq(a, -b[s:t], rcond=None)[0]
+        resid = min(resid, float(np.linalg.norm(a @ x + b[s:t])))
+    return resid / float(np.linalg.norm(b))
 
 
 def div_classifier(b, spec: BundleSpec, *, tol: float = DEFAULT_TOL, exact: bool = False) -> DivisorReport:
     """Maximal line-subbundle degree of the extension with coordinates b.
 
-    Scans pole budgets s = 0..k-1, scores each by j*(s) - s, and floors the
-    result at deg_L1 (the budget-free subbundle).  Floating-point inputs get
-    a margin: the smallest normalized residual among the systems that would
-    have certified the next-lower stratum.
+    One Berlekamp-Massey profile of b gives j*(s) for every pole budget
+    s = 0..k-1; each budget scores j*(s) - s, the first best budget is kept,
+    and the result is floored at deg_L1 (the budget-free subbundle).  Exact
+    inputs (QQi) test discrepancies against zero, floating-point inputs
+    against tol*||b||.  Floating-point inputs also get a margin: the smallest
+    ||b||-normalized least-squares residual among the Hankel systems that
+    would certify one score higher, i.e. the next-lower stratum.
     """
     b_seq = list(b)
     k = spec.k
     if len(b_seq) != k - 1:
         raise ValueError(f"coordinate vector has length {len(b_seq)}, expected {k - 1}")
-    if exact:
-        if not any(bool(QQi.of(x)) for x in b_seq):
-            raise ZeroClass("zero coordinate vector")
-    elif not np.any(np.asarray(b_seq, dtype=complex)):
+    coords, negligible = _coords(b_seq, exact, tol)
+    if not any(coords):
         raise ZeroClass("zero coordinate vector")
 
-    best = None  # (score, s, j_star, q)
-    for s in range(0, k):
-        j_star, q, _ = _max_matching(b_seq, s, tol=tol, exact=exact)
-        score = j_star - s
-        if best is None or score > best[0]:
-            best = (score, s, j_star, q)
-    score, s, j_star, q = best
+    lengths, polys = _profile(coords, negligible)
+    orders = _matching_orders(lengths)
+    s = max(range(k), key=lambda budget: orders[budget] - budget)  # the first best budget
+    j_star = orders[s]
+    score = j_star - s
     div_eta = max(spec.deg_L1 + score, spec.deg_L1)
-    witness = _witness(b_seq, s, j_star, q, exact)
-
-    margin = None
-    if not exact:
-        barr = np.asarray(b_seq, dtype=complex)
-        bnorm = float(np.linalg.norm(barr))
-        needed = []
-        for s2 in range(0, k):
-            # prefix length that would certify one score higher: t+1-s2 = score+1
-            t_needed = score + s2
-            if s2 + 1 <= t_needed <= k - 1:
-                rows, rhs = _system(barr, s2, t_needed, exact=False)
-                _, _, resid = _consistent_float(rows, rhs, 0.0)
-                needed.append(resid / bnorm)
-        margin = min(needed) if needed else math.inf
-
     return DivisorReport(
         div_eta=div_eta,
         j_star=j_star,
         s_minus=s,
-        witness=witness,
+        witness=_witness(coords, s, polys[j_star - 1]),
         stratum_m=spec.deg_L2 - div_eta,
-        margin=margin,
+        margin=None if exact else _margin(coords, score),
     )
 
 

@@ -227,7 +227,7 @@ class TestChartDerivatives:
 
 class TestRealCore:
     # packed real coefficients of random band-limited fields, l_max 4..24
-    @settings(derandomize=True, max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(l_max=st.integers(4, 24), seed=st.integers(0, 2**32 - 1))
     def test_transform_invariants(self, l_max, seed):
         grid = build_grid(l_max)

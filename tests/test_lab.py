@@ -79,7 +79,6 @@ class TestConfig:
             lambda_grid=[1.0, 2.0],
             solver={"l_max": 16},
             out_dir=str(tmp_path),
-            seed=3,
         )
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg.canonical_dict()))
@@ -93,10 +92,12 @@ class TestConfig:
             ExperimentConfig.from_json(p)
 
     def test_unknown_keys_rejected(self, tmp_path):
+        # no driver reads a seed or an exact flag, so neither is a config key
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"schema": 1, "experiment": "sweep", "bogus": 1}))
-        with pytest.raises(ValueError, match="bogus"):
-            ExperimentConfig.from_json(p)
+        for key, value in (("bogus", 1), ("seed", 7), ("exact", True)):
+            p.write_text(json.dumps({"schema": 1, "experiment": "sweep", key: value}))
+            with pytest.raises(ValueError, match=key):
+                ExperimentConfig.from_json(p)
 
     def test_class_and_family_exclusive(self):
         cfg = ExperimentConfig(experiment="sweep", family={"kind": 1, "a": 1}, class_coeffs=[[1, 0]])

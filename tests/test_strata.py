@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from spherecurv._rational import QQi
-from spherecurv.bundles import BundleSpec
+from spherecurv._rational import QQi, solve_exact
+from spherecurv.bundles import BundleSpec, HoloClass
+from spherecurv.cohomology import dual_map_H0
 from spherecurv.errors import ZeroClass
 from spherecurv.strata import (
+    DEFAULT_TOL,
     RationalCandidate,
     alpha_stable,
     alpha_stable_slope_form,
@@ -47,6 +51,39 @@ def random_exact_candidate(rng, s, max_len):
         cand = RationalCandidate(tuple(y), tuple(v))
         if cand.s_minus == s and not cand.is_zero() and cand.in_generic_position():
             return cand
+
+
+def hankel_matching_order(b, s):
+    """Oracle for j*(s): one exact elimination per prefix length t of the
+    order-s recurrence b_j + sum_{m=1..s} q_m b_{j-m} = 0, j = s+1..t."""
+    k = len(b) + 1
+    for t in range(s + 1, k):
+        js = range(s + 1, t + 1)
+        consistent, _ = solve_exact([[b[j - m - 1] for m in range(1, s + 1)] for j in js], [-b[j - 1] for j in js])
+        if not consistent:
+            return t
+    return k
+
+
+QQI_ZERO = QQi(Fraction(0))
+_unit = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1)])
+_small = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+_entries = st.one_of(st.just(QQI_ZERO), st.builds(QQi, _unit, _unit), st.builds(QQi, _small, _small))
+
+
+@st.composite
+def gaussian_rational_vectors(draw):
+    """b_1..b_{k-1}, k = 3..12: free entries, or the Taylor prefix of a
+    y/(1-v) with at most k//2 poles; entries are often 0 or in {-1, 0, 1}."""
+    k = draw(st.integers(3, 12))
+    if draw(st.booleans()):
+        b = draw(st.lists(_entries, min_size=k - 1, max_size=k - 1))
+    else:
+        s = draw(st.integers(1, k // 2))
+        y, v = (tuple([QQI_ZERO] + draw(st.lists(_entries, min_size=s, max_size=s))) for _ in range(2))
+        b = series_of_rational(RationalCandidate(y, v), k - 1)
+    assume(any(b))
+    return b
 
 
 class TestSeries:
@@ -224,6 +261,58 @@ class TestClassifier:
         assert rep.witness != "zero-h"
         again = series_of_rational(rep.witness, k - 1)
         assert np.allclose(again, b, atol=1e-10)
+
+
+class TestBerlekampMasseyProfile:
+    @settings(max_examples=200)
+    @given(b=gaussian_rational_vectors())
+    def test_exact_matches_hankel_eliminations(self, b):
+        k = len(b) + 1
+        orders = [hankel_matching_order(b, s) for s in range(k)]
+        scores = [j - s for s, j in enumerate(orders)]
+        s = scores.index(max(scores))
+        rep = div_classifier(b, spec_k(k, deg_L1=1), exact=True)
+        assert (rep.div_eta, rep.j_star, rep.s_minus) == (1 + scores[s], orders[s], s)
+        assert [max_matching_order(b, s2, exact=True) for s2 in range(k)] == orders
+        # the witness has at most s poles and reproduces the matched prefix
+        matched = b[: rep.j_star - 1]
+        if rep.witness == "zero-h":
+            assert not any(matched)
+        else:
+            assert rep.witness.s_minus <= s
+            assert series_of_rational(rep.witness, rep.j_star - 1) == matched
+
+    def test_float_never_confidently_wrong(self):
+        # acceptance 04's construction at the lengths where the float path is
+        # most fragile: a report with margin > 10*tol must agree with exact
+        rng = np.random.default_rng(2015)
+        wrong = []
+        for k in (10, 11, 12):
+            spec = spec_k(k)
+            for _ in range(100):
+                s = int(rng.integers(1, k // 2 + 1))
+                b = series_of_rational(random_exact_candidate(rng, s, k), k - 1)
+                exact = div_classifier(b, spec, exact=True)
+                flt = div_classifier([complex(x) for x in b], spec)
+                if flt.margin > 10 * DEFAULT_TOL and flt.div_eta != exact.div_eta:
+                    wrong.append((k, s, flt.div_eta, exact.div_eta, flt.margin))
+        assert not wrong
+
+    def test_flat_dual_stratum_survives_normwise_noise(self, grid16):
+        # discrepancies are judged against tol*||b||, so noise at 1e-10*||b||
+        # must not move the flat duals of z^a off their stratum
+        rng = np.random.default_rng(31)
+        for k in range(3, 9):
+            spec = spec_k(k)
+            for a in range(k - 1):
+                coeffs = np.zeros(k - 1, dtype=complex)
+                coeffs[a] = 1.0
+                b = dual_map_H0(HoloClass(spec, coeffs), grid16).b
+                clean = div_classifier(b, spec).stratum_m
+                for _ in range(5):
+                    noise = rng.normal(size=k - 1) + 1j * rng.normal(size=k - 1)
+                    noisy = b + 1e-10 * np.linalg.norm(b) * noise / np.linalg.norm(noise)
+                    assert div_classifier(noisy, spec).stratum_m == clean, (k, a)
 
 
 class TestAlphaStable:
