@@ -63,11 +63,12 @@ def _normalized_legendre(l_max: int, mu: np.ndarray, _unit_sin: bool = False):
         p[m, m] = -np.sqrt((2 * m + 1) / (2.0 * m)) * s * p[m - 1, m - 1]
     for m in range(l_max):
         p[m, m + 1] = np.sqrt(2 * m + 3.0) * mu * p[m, m]
-    for m in range(l_max + 1):
-        for l in range(m + 2, l_max + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            p[m, l] = a * (mu * p[m, l - 1] - b * p[m, l - 2])
+    for l in range(2, l_max + 1):
+        # all orders m <= l - 2 at once; a, b broadcast over the trailing mu axes
+        m = np.arange(l - 1).reshape((-1,) + (1,) * mu.ndim)
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+        p[: l - 1, l] = a * (mu * p[: l - 1, l - 1] - b * p[: l - 1, l - 2])
     return p
 
 

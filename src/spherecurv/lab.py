@@ -198,28 +198,41 @@ def _solve_point(phi, lam, scfg, grid, tol, start):
     return _row(lam, result, None, None, None, tol), result
 
 
-def _warm_ladder(phi, cfg: ExperimentConfig, grid) -> list:
-    """Ascending rows, each continued from the last converged point (so stall_lambda is the branch's)."""
+def _warm_ladder(phi, cfg: ExperimentConfig, grid) -> tuple[list, int]:
+    """Ascending rows, each continued from the last converged point (so stall_lambda is the branch's).
+
+    Once a solve stalls, every higher coupling reuses that stalled result and
+    solves nothing: its ramp would only repeat the stalled one from the same
+    converged point.  Returns the rows and the MINRES iterations of all solves.
+    """
     scfg = cfg.solve_config()
     rows = []
-    last = None
+    last = stalled = None
+    minres_iters = 0
     for lam in sorted(float(x) for x in cfg.lambda_grid):
+        if stalled is not None:
+            rows.append(_row(lam, stalled, None, None, None, cfg.tol))
+            continue
         row, result = _solve_point(phi, lam, scfg, grid, cfg.tol, start=last)
         rows.append(row)
+        minres_iters += result.minres_iters
         if result.converged:
             last = result
-    return rows
+        else:
+            stalled = result
+    return rows, minres_iters
 
 
 def run_existence_sweep(cfg: ExperimentConfig) -> RunRecord:
     """Solve along the coupling grid; classify the emitted coordinates.
 
-    Each point continues the branch from the last converged point below it.
+    Each point continues the branch from the last converged point below it;
+    points above the first stall reuse the stalled result.
     """
     t0 = time.time()
     phi = cfg.the_class()
     grid = build_grid(cfg.solve_config().l_max)
-    rows = _warm_ladder(phi, cfg, grid)
+    rows, minres_iters = _warm_ladder(phi, cfg, grid)
 
     b0 = dual_map_H0(phi, grid)
     rep0 = div_classifier(b0.b, phi.spec, tol=cfg.tol)
@@ -236,6 +249,7 @@ def run_existence_sweep(cfg: ExperimentConfig) -> RunRecord:
             if failed
             else f"all sweep points converged; classifier bound 4*pi*m={bound:.6f}"
         ),
+        "minres_iters": minres_iters,
         "checks_passed": True,
     }
     return RunRecord(cfg.config_hash(), rows, summary, time.time() - t0)
@@ -258,7 +272,7 @@ def run_symmetry_audit(cfg: ExperimentConfig) -> RunRecord:
     k = phi.spec.k
 
     pattern = np.array([(j - 1 - a) % n == 0 for j in range(1, k)])
-    rows = _warm_ladder(phi, cfg, grid)
+    rows, minres_iters = _warm_ladder(phi, cfg, grid)
     worst = 0.0
     for row in rows:
         if row["converged"]:
@@ -281,6 +295,7 @@ def run_symmetry_audit(cfg: ExperimentConfig) -> RunRecord:
         "identity_pullback_error": ident_err,
         "reflection_conjugation_error": refl_err,
         "all_converged": len(converged_rows) == len(rows),
+        "minres_iters": minres_iters,
         "checks_passed": bool(worst < 1e-6 and ident_err < 1e-12 and refl_err < 1e-12),
     }
     return RunRecord(cfg.config_hash(), rows, summary, time.time() - t0)

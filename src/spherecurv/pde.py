@@ -6,6 +6,16 @@ collocation on the grid's packed real coefficients
 (``SphereGrid.analyze_real``/``synthesize_real``; entry 0 is the constant);
 the Jacobian lap + 4 K e^{2u} is symmetric in that orthonormal basis and is
 inverted matrix-free with MINRES preconditioned by (sigma - lap)^{-1}.
+
+Newton is inexact (Eisenstat & Walker 1996, SIAM J. Sci. Comput. 17): each
+correction is solved only as tightly as the outer residual needs, with the
+forcing term  rtol_k = min(1e-3, max(minres_rtol, 0.9 (|r_k|/|r_{k-1}|)^2,
+0.25 newton_tol/|r_k|))  and 1e-3 on the first step.  MINRES stops on the
+preconditioned residual while the line search measures the Euclidean one, so
+a loose correction can fail to decrease |r| at any step size; a correction
+that fails its residual check or the line search is solved again once at
+minres_rtol from the same point.  Only |r| < newton_tol on the exact packed
+residual accepts a solve.
 Continuation ramps lambda from a small value (where the constant-mode
 asymptotics give the initializer), or from a start state (a converged
 result at a lower coupling), with step halving on Newton failure.
@@ -41,6 +51,8 @@ class SolveConfig:
     min_step: float = 1e-4
     lambda_init: float = 0.25
     blowup_sup: float = 14.0
+    # floor of the inexact-Newton forcing term, and the tolerance of the
+    # re-solve after a loose correction fails
     minres_rtol: float = 1e-12
     minres_maxiter: int = 800
     # collocation can fabricate under-resolved equilibria past the true
@@ -62,6 +74,9 @@ class SolveResult:
     converged: bool
     continuation_trace: list = field(default_factory=list)
     residual_fine: float = float("nan")
+    # MINRES iterations over every Newton step, rejected ramp steps and
+    # fallback re-solves included
+    minres_iters: int = 0
 
     @property
     def offset(self) -> float:
@@ -123,34 +138,63 @@ class _Workspace:
         return op, pre
 
 
+# loosest MINRES tolerance of an inexact Newton correction
+_FORCING_CAP = 1e-3
+
+
+def _damped_step(ws: _Workspace, op, pre, x, r, rnorm, lam, rtol, cfg: SolveConfig):
+    """One MINRES correction at ``rtol`` and its halving line search.
+
+    Returns ((x, r, |r|) or None on failure, MINRES iterations).
+    """
+    iters = 0
+
+    def count(_):
+        nonlocal iters
+        iters += 1
+
+    delta, info = minres(op, -r, M=pre, rtol=rtol, maxiter=cfg.minres_maxiter, callback=count)
+    if info != 0 and np.linalg.norm(op @ delta + r) > 0.1 * rnorm:
+        return None, iters
+    step = 1.0
+    for _ in range(10):
+        x_try = x + step * delta
+        if np.abs(ws.u_values(x_try)).max() > cfg.blowup_sup:
+            step *= 0.5
+            continue
+        r_try = ws.residual_packed(x_try, lam)
+        n_try = np.linalg.norm(r_try)
+        if n_try < rnorm or n_try < cfg.newton_tol:
+            return (x_try, r_try, n_try), iters
+        step *= 0.5
+    return None, iters
+
+
 def _newton(ws: _Workspace, x0: np.ndarray, lam: float, cfg: SolveConfig):
-    """Damped Newton at fixed lambda; returns (x, iterations, |r|, ok)."""
+    """Inexact damped Newton at fixed lambda; returns (x, iterations, |r|, ok, MINRES iterations)."""
     x = x0.copy()
     r = ws.residual_packed(x, lam)
     rnorm = np.linalg.norm(r)
+    rprev = None
+    minres_iters = 0
     for it in range(1, cfg.max_newton + 1):
         if rnorm < cfg.newton_tol:
-            return x, it - 1, rnorm, True
+            return x, it - 1, rnorm, True, minres_iters
+        rtol = _FORCING_CAP
+        if rprev is not None:
+            forcing = max(cfg.minres_rtol, 0.9 * (rnorm / rprev) ** 2, 0.25 * cfg.newton_tol / rnorm)
+            rtol = min(_FORCING_CAP, forcing)
         op, pre = ws.jacobian_operator(x)
-        delta, info = minres(op, -r, M=pre, rtol=cfg.minres_rtol, maxiter=cfg.minres_maxiter)
-        if info != 0 and np.linalg.norm(op @ delta + r) > 0.1 * rnorm:
-            return x, it, rnorm, False
-        step = 1.0
-        for _ in range(10):
-            x_try = x + step * delta
-            if np.abs(ws.u_values(x_try)).max() > cfg.blowup_sup:
-                step *= 0.5
-                continue
-            r_try = ws.residual_packed(x_try, lam)
-            n_try = np.linalg.norm(r_try)
-            if n_try < rnorm or n_try < cfg.newton_tol:
-                x, r, rnorm = x_try, r_try, n_try
-                break
-            step *= 0.5
-        else:
-            return x, it, rnorm, False
-    ok = rnorm < cfg.newton_tol
-    return x, cfg.max_newton, rnorm, ok
+        new, n = _damped_step(ws, op, pre, x, r, rnorm, lam, rtol, cfg)
+        minres_iters += n
+        if new is None and rtol > cfg.minres_rtol:
+            new, n = _damped_step(ws, op, pre, x, r, rnorm, lam, cfg.minres_rtol, cfg)
+            minres_iters += n
+        if new is None:
+            return x, it, rnorm, False, minres_iters
+        rprev = rnorm
+        x, r, rnorm = new
+    return x, cfg.max_newton, rnorm, rnorm < cfg.newton_tol, minres_iters
 
 
 def _initial_guess(ws: _Workspace, lam: float, cfg: SolveConfig) -> np.ndarray:
@@ -191,15 +235,16 @@ def solve_phi_system(
     k_vals = phi_norm_sq(phi, ConformalFactor.zero(grid), grid).values
     ws = _Workspace(grid, k_vals, phi, cfg.refine_factor)
     trace = []
+    minres_iters = 0
 
     def accepted(x, lam_at):
         return ws.fine_residual_sup(x, lam_at) <= cfg.spurious_tol * max(1.0, lam_at)
 
     if initial is not None:
         x = grid.analyze_real(initial.total)
-        x, iters, rnorm, ok = _newton(ws, x, lam, cfg)
+        x, iters, rnorm, ok, minres_iters = _newton(ws, x, lam, cfg)
         trace.append((lam, iters, rnorm))
-        return _finish(ws, phi, x, lam, ok and accepted(x, lam), trace)
+        return _finish(ws, phi, x, lam, ok and accepted(x, lam), trace, minres_iters)
 
     if start is not None:
         lam_now = start.lam
@@ -207,15 +252,16 @@ def solve_phi_system(
     else:
         lam_now = min(cfg.lambda_init, lam)
         x = _initial_guess(ws, lam_now, cfg)
-        x, iters, rnorm, ok = _newton(ws, x, lam_now, cfg)
+        x, iters, rnorm, ok, minres_iters = _newton(ws, x, lam_now, cfg)
         trace.append((lam_now, iters, rnorm))
         if not (ok and accepted(x, lam_now)):
-            return _finish(ws, phi, x, lam_now, False, trace)
+            return _finish(ws, phi, x, lam_now, False, trace, minres_iters)
 
     step = cfg.continuation_step
     while lam_now < lam:
         lam_try = min(lam_now + step, lam)
-        x_try, iters, rnorm, ok = _newton(ws, x, lam_try, cfg)
+        x_try, iters, rnorm, ok, n = _newton(ws, x, lam_try, cfg)
+        minres_iters += n
         if ok and np.abs(ws.u_values(x_try)).max() <= cfg.blowup_sup and accepted(x_try, lam_try):
             x, lam_now = x_try, lam_try
             trace.append((lam_try, iters, rnorm))
@@ -224,11 +270,11 @@ def solve_phi_system(
             trace.append((lam_try, iters, float("nan")))
             step *= 0.5
             if step < cfg.min_step:
-                return _finish(ws, phi, x, lam_now, False, trace)
-    return _finish(ws, phi, x, lam_now, True, trace)
+                return _finish(ws, phi, x, lam_now, False, trace, minres_iters)
+    return _finish(ws, phi, x, lam_now, True, trace, minres_iters)
 
 
-def _finish(ws: _Workspace, phi: HoloClass, x, lam, converged, trace) -> SolveResult:
+def _finish(ws: _Workspace, phi: HoloClass, x, lam, converged, trace, minres_iters) -> SolveResult:
     grid = ws.grid
     u = ConformalFactor(grid.synthesize_real(np.concatenate([[0.0], x[1:]])), float(x[0]))
     res = residual(u, phi, lam, grid)
@@ -239,6 +285,7 @@ def _finish(ws: _Workspace, phi: HoloClass, x, lam, converged, trace) -> SolveRe
         converged=bool(converged),
         continuation_trace=trace,
         residual_fine=ws.fine_residual_sup(x, lam),
+        minres_iters=int(minres_iters),
     )
 
 

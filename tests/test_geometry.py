@@ -92,6 +92,19 @@ def unit_harmonic_ext(grid, l, m):
     return np.sqrt(2.0) * p[abs(m), l][:, None] * np.exp(1j * m * grid.lon)[None, :]
 
 
+class TestLegendreTable:
+    def test_matches_scipy(self):
+        # scipy orders the table [l, m] and carries the Condon-Shortley phase too
+        from scipy.special import assoc_legendre_p_all
+
+        from spherecurv.geometry import _normalized_legendre
+
+        mu = build_grid(40).mu
+        p = _normalized_legendre(40, mu)
+        ref = assoc_legendre_p_all(40, 40, mu, norm=True)[0][:, :41].transpose(1, 0, 2)
+        assert np.abs(p - ref).max() < 1e-13 * np.abs(ref).max()
+
+
 class TestLaplacian:
     def test_constant(self, grid16):
         # quadrature noise ~1e-15 is amplified by the top eigenvalue ~ 4*pi*l^2

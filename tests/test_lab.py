@@ -167,6 +167,26 @@ class TestSweep:
         assert not rec.rows[-1]["converged"]
         assert calls == sorted(float(x) for x in LADDER)
 
+    def test_no_solve_above_the_first_stall(self, tmp_path, monkeypatch):
+        # the branch stalls near 3.15*pi: 3.5*pi is the last coupling solved,
+        # and the rows above it reuse its stalled result
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return solve_phi_system(*args, **kwargs)
+
+        monkeypatch.setattr(lab, "solve_phi_system", counting)
+        lambdas = [x * np.pi for x in (1, 2, 3, 3.5, 3.75, 4)]
+        rec = run_existence_sweep(pole_free_ring_config(tmp_path, "sweep", lambdas))
+        assert calls == lambdas[:4]
+        stalled = rec.rows[3:]
+        assert not any(r["converged"] for r in stalled)
+        for key in ("stall_lambda", "residual_sup", "offset"):
+            assert len({r[key] for r in stalled}) == 1, key
+        assert stalled[0]["stall_lambda"] < lambdas[3]
+        assert rec.summary["minres_iters"] > 0
+
     def test_reproducible_csv(self, tmp_path):
         cfg = small_sweep_config(tmp_path)
         p1 = write_run(run_existence_sweep(cfg), cfg, out_dir=tmp_path / "a")
@@ -290,6 +310,8 @@ class TestSymmetryAudit:
         assert row["stall_lambda"] < 4 * np.pi
         assert row["stall_lambda"] == sweep.rows[-1]["stall_lambda"]
         assert audit.summary["max_off_pattern"] < 1e-6
+        # the same solves, so the same linear-solver work
+        assert audit.summary["minres_iters"] == sweep.summary["minres_iters"] > 0
 
     def test_requires_ring_family(self, tmp_path):
         cfg = ExperimentConfig(

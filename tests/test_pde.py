@@ -178,6 +178,44 @@ class TestSolve:
             assert np.abs(s - sols[0]).max() < 1e-6
 
 
+class TestInexactNewton:
+    # b at 4*pi of z on k=4, l_max 32, as the exact-MINRES Newton (every
+    # correction at rtol 1e-12) computed it; the coupling identity makes it 2*pi
+    B_EXACT_NEWTON = np.array([0.0, 6.283185307179687, 0.0])
+
+    def b_at_4pi(self, res, l_max):
+        return b_coords(monomial(4, 1), res.u, build_grid(l_max)).b
+
+    def test_forcing_terms_cut_minres_work(self):
+        res = solve_phi_system(monomial(4, 1), 4 * np.pi, SolveConfig(l_max=32))
+        assert res.converged
+        assert 0 < res.minres_iters <= 100  # 150 with every correction at 1e-12
+        b = self.b_at_4pi(res, 32)
+        assert np.linalg.norm(b - self.B_EXACT_NEWTON) < 1e-9 * np.linalg.norm(self.B_EXACT_NEWTON)
+
+    def test_failed_loose_correction_is_resolved_tight(self, monkeypatch):
+        # every loose MINRES call returns a useless zero correction: the line
+        # search cannot decrease |r|, so only the re-solve at minres_rtol moves
+        import spherecurv.pde as pde
+
+        cfg = SolveConfig(l_max=16)
+        reference = solve_phi_system(monomial(4, 1), 4 * np.pi, cfg)
+        exact = pde.minres
+        loose = []
+
+        def zero_when_loose(op, rhs, *args, rtol, **kwargs):
+            if rtol > cfg.minres_rtol:
+                loose.append(rtol)
+                return np.zeros_like(rhs), 0
+            return exact(op, rhs, *args, rtol=rtol, **kwargs)
+
+        monkeypatch.setattr(pde, "minres", zero_when_loose)
+        res = solve_phi_system(monomial(4, 1), 4 * np.pi, cfg)
+        assert loose and res.converged
+        b, b_ref = self.b_at_4pi(res, 16), self.b_at_4pi(reference, 16)
+        assert np.linalg.norm(b - b_ref) < 1e-9 * np.linalg.norm(b_ref)
+
+
 class TestForwardF:
     def test_limit_matches_flat_dual(self, grid16):
         cfg = SolveConfig(l_max=16)
