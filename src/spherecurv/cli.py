@@ -151,6 +151,8 @@ def _cmd_solve(args) -> int:
         "lambda": lam,
         "converged": res.converged,
         "reached_lambda": res.lam,
+        "stop_reason": res.stop_reason,
+        "stop_residual_fine": None if np.isnan(res.stop_residual_fine) else res.stop_residual_fine,
         "residual_sup": res.residual_sup,
         "offset": res.offset,
         "sup_u": float(np.abs(res.u.total).max()),

@@ -55,9 +55,6 @@ class DualCoords:
         if not np.any(b):
             raise ZeroClass("extension class must be nonzero")
 
-    def scaled(self, c: complex) -> "DualCoords":
-        return DualCoords(self.spec, c * self.b)
-
 
 def projective_angle(x, y) -> float:
     """Fubini-Study angle between projective coordinate vectors.

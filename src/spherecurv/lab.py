@@ -181,6 +181,8 @@ def _row(lam, result, b, stratum, margin, tol):
         "stall_lambda": None if result is None or result.converged else float(result.lam),
         "residual_sup": float(result.residual_sup) if result is not None else float("nan"),
         "offset": float(result.offset) if result is not None else float("nan"),
+        "stop_reason": None if result is None else result.stop_reason,
+        "stop_residual_fine": float("nan") if result is None else float(result.stop_residual_fine),
     }
     row["b"] = None if b is None else [complex(x) for x in b]
     row["stratum"] = stratum
@@ -223,6 +225,13 @@ def _warm_ladder(phi, cfg: ExperimentConfig, grid) -> tuple[list, int]:
     return rows, minres_iters
 
 
+def _stop(rows) -> dict:
+    """Why the branch stopped: the first unconverged row's stop fields, or "converged"."""
+    row = next((r for r in rows if not r["converged"]), {"stop_reason": "converged", "stop_residual_fine": np.nan})
+    fine = row["stop_residual_fine"]
+    return {"stop_reason": row["stop_reason"], "stop_residual_fine": None if np.isnan(fine) else fine}  # null, not NaN
+
+
 def run_existence_sweep(cfg: ExperimentConfig) -> RunRecord:
     """Solve along the coupling grid; classify the emitted coordinates.
 
@@ -249,6 +258,7 @@ def run_existence_sweep(cfg: ExperimentConfig) -> RunRecord:
             if failed
             else f"all sweep points converged; classifier bound 4*pi*m={bound:.6f}"
         ),
+        **_stop(rows),
         "minres_iters": minres_iters,
         "checks_passed": True,
     }
@@ -295,6 +305,7 @@ def run_symmetry_audit(cfg: ExperimentConfig) -> RunRecord:
         "identity_pullback_error": ident_err,
         "reflection_conjugation_error": refl_err,
         "all_converged": len(converged_rows) == len(rows),
+        **_stop(rows),
         "minres_iters": minres_iters,
         "checks_passed": bool(worst < 1e-6 and ident_err < 1e-12 and refl_err < 1e-12),
     }

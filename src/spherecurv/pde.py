@@ -18,7 +18,8 @@ minres_rtol from the same point.  Only |r| < newton_tol on the exact packed
 residual accepts a solve.
 Continuation ramps lambda from a small value (where the constant-mode
 asymptotics give the initializer), or from a start state (a converged
-result at a lower coupling), with step halving on Newton failure.
+result at a lower coupling), with step halving on Newton failure and Illinois
+regula falsi (Dowell & Jarratt 1971, BIT 11) on a refined-grid filter crossing.
 
 A radially symmetric reduction (two-point boundary value problem in the
 colatitude) is solved by shooting on the regularized momentum
@@ -57,7 +58,9 @@ class SolveConfig:
     minres_maxiter: int = 800
     # collocation can fabricate under-resolved equilibria past the true
     # solvable range; accepted points must also pass a refined-grid residual.
-    # Genuine solutions sit around 1e-9..1e-3 there, fabricated ones at 1e+2.
+    # Resolved solutions sit around 1e-9..1e-3 there, fabricated ones at 1e+2;
+    # a branch concentrating near the chart pole beyond the grid's resolution
+    # crosses the 0.01*lambda bound at about 0.1, which is where it stalls.
     spurious_tol: float = 1e-2
     refine_factor: float = 1.5
 
@@ -77,6 +80,10 @@ class SolveResult:
     # MINRES iterations over every Newton step, rejected ramp steps and
     # fallback re-solves included
     minres_iters: int = 0
+    # guard that rejected the last step before a stall ("init", "newton",
+    # "blowup" or "filter"), and that step's residual_fine (NaN if Newton failed)
+    stop_reason: str = "converged"
+    stop_residual_fine: float = float("nan")
 
     @property
     def offset(self) -> float:
@@ -207,6 +214,17 @@ def _initial_guess(ws: _Workspace, lam: float, cfg: SolveConfig) -> np.ndarray:
     return x
 
 
+def _trial(ws: _Workspace, x0: np.ndarray, lam: float, cfg: SolveConfig):
+    """Newton at ``lam`` from ``x0``: (x, iterations, |r|, residual_fine, failed guard or None, MINRES iterations)."""
+    x, iters, rnorm, ok, n = _newton(ws, x0, lam, cfg)
+    if not ok:
+        return x, iters, rnorm, math.nan, "newton", n
+    fine = ws.fine_residual_sup(x, lam)
+    if np.abs(ws.u_values(x)).max() > cfg.blowup_sup:
+        return x, iters, rnorm, fine, "blowup", n
+    return x, iters, rnorm, fine, None if fine <= cfg.spurious_tol * max(1.0, lam) else "filter", n
+
+
 def solve_phi_system(
     phi: HoloClass,
     lam: float,
@@ -218,12 +236,13 @@ def solve_phi_system(
     """Continuation-in-lambda Newton solve of the curvature system.
 
     Starts from the small-coupling asymptotic initializer and ramps lambda to
-    the target with adaptive steps; a stalled ramp (step below cfg.min_step)
-    returns converged=False with the trace instead of raising, since that is
-    the expected signature of leaving the solvable range; its ``lam`` is the
-    last coupling the ramp accepted.  ``start``, a converged result on the same
-    grid at a coupling ``start.lam <= lam``, begins the ramp there with the full
-    step instead; ``initial`` runs one Newton solve at the target, no ramp.
+    the target with adaptive steps; a stalled ramp (step or filter bracket below
+    cfg.min_step) returns converged=False with the trace instead of raising,
+    since that is the expected signature of leaving the solvable range; its
+    ``lam`` is the last coupling the ramp accepted.  ``start``, a converged
+    result on the same grid at a coupling ``start.lam <= lam``, begins the ramp
+    there with the full step instead; ``initial`` runs one Newton solve at the
+    target, no ramp.
     """
     if lam <= 0:
         raise InvalidLambda(f"lambda must be positive, got {lam}")
@@ -235,46 +254,54 @@ def solve_phi_system(
     k_vals = phi_norm_sq(phi, ConformalFactor.zero(grid), grid).values
     ws = _Workspace(grid, k_vals, phi, cfg.refine_factor)
     trace = []
-    minres_iters = 0
 
-    def accepted(x, lam_at):
-        return ws.fine_residual_sup(x, lam_at) <= cfg.spurious_tol * max(1.0, lam_at)
+    def margin(fine, lam_at):  # log(residual_fine / filter bound), > 0 where the filter rejects
+        return math.log(max(fine, 1e-300) / (cfg.spurious_tol * max(1.0, lam_at)))
 
     if initial is not None:
-        x = grid.analyze_real(initial.total)
-        x, iters, rnorm, ok, minres_iters = _newton(ws, x, lam, cfg)
+        x, iters, rnorm, fine, reason, minres_iters = _trial(ws, grid.analyze_real(initial.total), lam, cfg)
         trace.append((lam, iters, rnorm))
-        return _finish(ws, phi, x, lam, ok and accepted(x, lam), trace, minres_iters)
+        return _finish(ws, phi, x, lam, fine, trace, minres_iters, reason or "converged", fine if reason else math.nan)
 
     if start is not None:
-        lam_now = start.lam
+        lam_now, fine_now, minres_iters = start.lam, start.residual_fine, 0
         x = grid.analyze_real(start.u.total)
     else:
         lam_now = min(cfg.lambda_init, lam)
-        x = _initial_guess(ws, lam_now, cfg)
-        x, iters, rnorm, ok, minres_iters = _newton(ws, x, lam_now, cfg)
+        x, iters, rnorm, fine_now, reason, minres_iters = _trial(ws, _initial_guess(ws, lam_now, cfg), lam_now, cfg)
         trace.append((lam_now, iters, rnorm))
-        if not (ok and accepted(x, lam_now)):
-            return _finish(ws, phi, x, lam_now, False, trace, minres_iters)
+        if reason is not None:
+            return _finish(ws, phi, x, lam_now, fine_now, trace, minres_iters, "init", fine_now)
 
-    step = cfg.continuation_step
+    # bracket [lam_now, lam_hi] around a filter crossing (lam_hi None without
+    # one), margins g_now, g_hi, trials 2% inside; side: the end last moved
+    step, lam_hi, side, stop = cfg.continuation_step, None, 0, ("converged", math.nan)
     while lam_now < lam:
-        lam_try = min(lam_now + step, lam)
-        x_try, iters, rnorm, ok, n = _newton(ws, x, lam_try, cfg)
-        minres_iters += n
-        if ok and np.abs(ws.u_values(x_try)).max() <= cfg.blowup_sup and accepted(x_try, lam_try):
-            x, lam_now = x_try, lam_try
-            trace.append((lam_try, iters, rnorm))
-            step = min(step * 1.5, cfg.continuation_step * 4)
+        if lam_hi is None:
+            lam_try = min(lam_now + step, lam)
         else:
-            trace.append((lam_try, iters, float("nan")))
-            step *= 0.5
-            if step < cfg.min_step:
-                return _finish(ws, phi, x, lam_now, False, trace, minres_iters)
-    return _finish(ws, phi, x, lam_now, True, trace, minres_iters)
+            t = g_now / (g_now - g_hi)
+            lam_try = lam_now + (lam_hi - lam_now) * (0.5 if math.isnan(t) else min(max(t, 0.02), 0.98))
+        x_try, iters, rnorm, fine, reason, n = _trial(ws, x, lam_try, cfg)
+        minres_iters += n
+        trace.append((lam_try, iters, rnorm if reason is None else float("nan")))
+        if reason is None:
+            x, lam_now, fine_now = x_try, lam_try, fine
+            if lam_hi is None:
+                step = min(step * 1.5, cfg.continuation_step * 4)
+            else:  # Illinois: the end kept twice in a row has its margin halved
+                g_now, g_hi, side = margin(fine, lam_try), g_hi / 2 if side > 0 else g_hi, 1
+        elif reason == "filter":
+            g_now = margin(fine_now, lam_now) if lam_hi is None else (g_now / 2 if side < 0 else g_now)
+            lam_hi, g_hi, side, stop = lam_try, margin(fine, lam_try), -1, (reason, fine)
+        else:
+            lam_hi, step, stop = None, 0.5 * (lam_try - lam_now), (reason, fine)
+        if (step if lam_hi is None else lam_hi - lam_now) < cfg.min_step:
+            return _finish(ws, phi, x, lam_now, fine_now, trace, minres_iters, *stop)
+    return _finish(ws, phi, x, lam_now, fine_now, trace, minres_iters, "converged", math.nan)
 
 
-def _finish(ws: _Workspace, phi: HoloClass, x, lam, converged, trace, minres_iters) -> SolveResult:
+def _finish(ws: _Workspace, phi: HoloClass, x, lam, fine, trace, minres_iters, reason, stop_fine) -> SolveResult:
     grid = ws.grid
     u = ConformalFactor(grid.synthesize_real(np.concatenate([[0.0], x[1:]])), float(x[0]))
     res = residual(u, phi, lam, grid)
@@ -282,10 +309,13 @@ def _finish(ws: _Workspace, phi: HoloClass, x, lam, converged, trace, minres_ite
         u=u,
         lam=float(lam),
         residual_sup=float(np.abs(res.values).max()),
-        converged=bool(converged),
+        converged=reason == "converged",
         continuation_trace=trace,
-        residual_fine=ws.fine_residual_sup(x, lam),
+        # NaN only where Newton failed, which left the refined grid unvisited
+        residual_fine=ws.fine_residual_sup(x, lam) if math.isnan(fine) else fine,
         minres_iters=int(minres_iters),
+        stop_reason=reason,
+        stop_residual_fine=float(stop_fine),
     )
 
 

@@ -139,6 +139,8 @@ class TestSweep:
         assert rec.summary["flat_dual_stratum"] == 2
         assert rec.summary["first_failure_lambda"] is None
         assert all(r["stall_lambda"] is None for r in rec.rows)
+        assert {r["stop_reason"] for r in rec.rows} == {rec.summary["stop_reason"]} == {"converged"}
+        assert rec.summary["stop_residual_fine"] is None
 
     def test_stall_lambda_on_pole_free_ring(self, tmp_path):
         # the branch stalls below 4*pi; the 4*pi row's residual and offset
@@ -182,9 +184,12 @@ class TestSweep:
         assert calls == lambdas[:4]
         stalled = rec.rows[3:]
         assert not any(r["converged"] for r in stalled)
-        for key in ("stall_lambda", "residual_sup", "offset"):
+        for key in ("stall_lambda", "residual_sup", "offset", "stop_reason", "stop_residual_fine"):
             assert len({r[key] for r in stalled}) == 1, key
         assert stalled[0]["stall_lambda"] < lambdas[3]
+        # the fine-grid filter, not Newton, stopped the branch
+        assert rec.summary["stop_reason"] == stalled[0]["stop_reason"] == "filter"
+        assert rec.summary["stop_residual_fine"] > 0.01 * stalled[0]["stall_lambda"]
         assert rec.summary["minres_iters"] > 0
 
     def test_reproducible_csv(self, tmp_path):
@@ -413,4 +418,5 @@ class TestCli:
         # the bottom-stratum class cannot be continued to 4*pi: exit code 1
         code = cli_main(["solve", "--config", str(p), "--lam", str(4 * np.pi)])
         assert code == 1
-        capsys.readouterr()
+        report = json.loads(capsys.readouterr().out)
+        assert report["stop_reason"] == "filter" and report["stop_residual_fine"] > 0.01 * report["reached_lambda"]

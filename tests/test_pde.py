@@ -302,6 +302,95 @@ class TestRingFamilyAtTopCoupling:
         assert 0.6 * 4 * np.pi < res.lam < 4 * np.pi
 
 
+def pole_free_ring():
+    coeffs = np.zeros(6, dtype=complex)
+    coeffs[5] = 1.0
+    coeffs[1] = -1.0  # z (z^4 - 1) on k=7
+    return HoloClass(spec_k(7), coeffs)
+
+
+def edge_random_class(k):
+    # the random classes of the benchmark's edge workload
+    rng = np.random.default_rng(20150318)
+    for kk in range(4, k + 1):
+        a = rng.normal(size=kk - 1) + 1j * rng.normal(size=kk - 1)
+    return HoloClass(spec_k(k), a)
+
+
+def counting_newton(monkeypatch, fail_above=None):
+    """Record (lambda, ok) of every pde._newton call; optionally fail every solve above a coupling."""
+    import spherecurv.pde as pde
+
+    calls = []
+    newton = pde._newton
+
+    def wrapped(ws, x0, lam, cfg):
+        out = newton(ws, x0, lam, cfg)
+        if fail_above is not None and lam > fail_above:
+            out = out[:3] + (False,) + out[4:]
+        calls.append((lam, out[3]))
+        return out
+
+    monkeypatch.setattr(pde, "_newton", wrapped)
+    return calls
+
+
+class TestCrossingSearch:
+    # stall couplings of cold solves to 4*pi under the step-halving ramp
+    # (every filter-rejected step halved down to min_step)
+    @pytest.mark.parametrize(
+        "make_phi, l_max, stall",
+        [
+            (pole_free_ring, 32, 0.78685 * 4 * np.pi),
+            (pole_free_ring, 48, 0.86135 * 4 * np.pi),
+            (lambda: edge_random_class(4), 32, 3.56211 * np.pi),
+            (lambda: edge_random_class(5), 32, 3.39785 * np.pi),
+        ],
+    )
+    def test_stall_matches_halving(self, make_phi, l_max, stall):
+        cfg = SolveConfig(l_max=l_max)
+        res = solve_phi_system(make_phi(), 4 * np.pi, cfg)
+        assert not res.converged
+        assert res.lam == pytest.approx(stall, abs=1e-3 * 4 * np.pi)
+        assert res.stop_reason == "filter"
+        # the last rejected step sat just past the filter bound, the stall just inside
+        assert res.residual_fine <= cfg.spurious_tol * res.lam < res.stop_residual_fine
+
+    def test_few_solves_after_the_first_filter_rejection(self, monkeypatch):
+        calls = counting_newton(monkeypatch)
+        res = solve_phi_system(pole_free_ring(), 4 * np.pi, SolveConfig(l_max=32))
+        assert res.stop_reason == "filter"
+        assert len(calls) == len(res.continuation_trace)
+        first = next(
+            i for i, ((_, ok), (_, _, rnorm)) in enumerate(zip(calls, res.continuation_trace)) if ok and np.isnan(rnorm)
+        )
+        # step halving spent 27 Newton solves here
+        assert len(calls) - first - 1 <= 8
+
+    def test_newton_failure_stalls_by_halving(self, monkeypatch):
+        cfg = SolveConfig(l_max=16)
+        fail_above = 2 * np.pi
+        calls = counting_newton(monkeypatch, fail_above)
+        res = solve_phi_system(monomial(4, 1), 4 * np.pi, cfg)
+        assert not res.converged
+        assert res.stop_reason == "newton" and np.isnan(res.stop_residual_fine)
+        assert fail_above - 2 * cfg.min_step < res.lam <= fail_above
+        assert np.isfinite(res.residual_fine)
+        # a failure right after a failure tries half its step from the same
+        # accepted coupling, and the ramp stops once the step is below min_step
+        halvings, last_ok, prev = 0, None, None
+        for lam_try, ok in calls:
+            if ok:
+                last_ok, prev = lam_try, None
+                continue
+            if prev is not None:
+                assert lam_try - last_ok == pytest.approx((prev - last_ok) / 2, rel=1e-9)
+                halvings += 1
+            prev = lam_try
+        assert halvings >= 3
+        assert 0.5 * (prev - last_ok) < cfg.min_step
+
+
 class TestRadial:
     def test_k2_constant(self):
         r = solve_radial(monomial(2, 0), 4 * np.pi, SolveConfig(l_max=16))
