@@ -35,7 +35,7 @@ from .cohomology import (
     pullback_class,
     pullback_dual,
 )
-from .geometry import ChartPoint, ScalarField, SphereGrid, build_grid, integrate, laplacian, solve_poisson
+from .geometry import ChartPoint, ScalarField, SphereGrid, build_grid
 from .lab import ExperimentConfig, RunRecord, gen_family, run_existence_sweep, run_radial_nonexistence, run_symmetry_audit
 from .pde import RadialProfile, SolveConfig, SolveResult, forward_F, residual, solve_phi_system, solve_radial
 from .strata import (
@@ -81,9 +81,6 @@ __all__ = [
     "ScalarField",
     "SphereGrid",
     "build_grid",
-    "integrate",
-    "laplacian",
-    "solve_poisson",
     "ExperimentConfig",
     "RunRecord",
     "gen_family",

@@ -7,10 +7,10 @@ sections are polynomials g(z) of degree <= k-2 against the canonical frame;
 their divisors are the roots of g plus the complementary multiplicity at the
 chart pole (w = 0).
 
-All pointwise weights that mix a polynomial with the metric are evaluated
-chart-stably: the z-chart formula on the southern hemisphere (|z| <= 1) and
-the reversed-coefficient w-chart formula on the northern one, so nothing
-blows up near the poles.
+All pointwise weights that mix a polynomial with the metric are built from
+one chart-stable monomial matrix (:func:`chart_monomials`): the z-chart
+monomials on the southern hemisphere (|z| <= 1) and the w-chart ones on the
+northern one, so nothing blows up near the poles.
 
 The chart reference is the north pole; to work relative to any other
 reference point, conjugate classes through the rotation taking it to N with
@@ -20,7 +20,7 @@ isometry action).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,51 +117,32 @@ class Divisor:
 # ----------------------------------------------------------------------
 
 
-def _reversed_coeffs(coeffs: np.ndarray, k: int) -> np.ndarray:
-    """Coefficients of w^{k-2} * p(1/w) for deg p <= k-2 (zero-padded)."""
-    padded = np.zeros(k - 1, dtype=complex)
-    padded[: len(coeffs)] = coeffs
-    return padded[::-1].copy()
+def chart_monomials(k: int, z, w) -> np.ndarray:
+    """Chart-stable monomial matrix V[..., j], j = 0..k-2, at points (z, w = 1/z).
+
+    Column j is z^j (1+|z|^2)^(1-k/2) where |z| <= 1 and
+    w^(k-2-j) (1+|w|^2)^(1-k/2) elsewhere.  The two charts differ by the
+    unimodular factor (|z|/z)^(k-2), the same for every j, so
+    (V a) * conj(V b) does not depend on the chart and stays bounded at
+    both poles.
+    """
+    south = np.abs(z) <= 1.0
+    x = np.where(south, z, w)
+    v = np.empty(x.shape + (k - 1,), dtype=complex)
+    v[..., 0] = (1.0 + np.abs(x) ** 2) ** (1.0 - k / 2.0)
+    for j in range(1, k - 1):  # powers by recurrence: complex ** is several times slower
+        v[..., j] = v[..., j - 1] * x
+    return np.where(south[..., None], v, v[..., ::-1])
 
 
-def _polyval_vec(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # Horner, lowest-order-first coefficients
-    out = np.zeros_like(x, dtype=complex)
-    for c in coeffs[::-1]:
-        out = out * x + c
-    return out
-
-
-def pair_weight_values(avec, bvec, k: int, z: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+def pair_weight_values(avec, bvec, k: int, z, w) -> np.ndarray:
     """Chart-stable values of A(z) * conj(B(z)) * (1+|z|^2)^(2-k).
 
     A and B are polynomials of degree <= k-2 given by low-order-first
-    coefficient vectors.  In the w-chart the same quantity is
-    At(w) * conj(Bt(w)) * (1+|w|^2)^(2-k) with reversed coefficients, which
-    is what makes the weight bounded through the pole.
+    coefficient vectors.
     """
-    z = np.asarray(z, dtype=complex)
-    if w is None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(z != 0, 1.0 / np.where(z != 0, z, 1.0), np.inf)
-    avec = np.asarray(avec, dtype=complex)
-    bvec = np.asarray(bvec, dtype=complex)
-    south = np.abs(z) <= 1.0
-    out = np.empty(z.shape, dtype=complex)
-
-    zs = z[south]
-    out[south] = (
-        _polyval_vec(avec, zs)
-        * np.conj(_polyval_vec(bvec, zs))
-        * (1.0 + np.abs(zs) ** 2) ** (2 - k)
-    )
-    wn = np.asarray(w)[~south]
-    out[~south] = (
-        _polyval_vec(_reversed_coeffs(avec, k), wn)
-        * np.conj(_polyval_vec(_reversed_coeffs(bvec, k), wn))
-        * (1.0 + np.abs(wn) ** 2) ** (2 - k)
-    )
-    return out
+    v = chart_monomials(k, z, w)
+    return (v @ np.asarray(avec, dtype=complex)) * np.conj(v @ np.asarray(bvec, dtype=complex))
 
 
 def pair_weight_h0(avec, bvec, spec: BundleSpec, grid: SphereGrid) -> np.ndarray:
@@ -221,19 +202,3 @@ def divisor_of(phi: HoloClass, cluster_tol: float = 1e-7) -> Divisor:
         pts.append((ChartPoint.from_w(0j), pole_mult))
     return Divisor(tuple(pts))
 
-
-def log_norm_zeta_callable(u_coeffs, offset: float, spec: BundleSpec, grid: SphereGrid):
-    """Closed-form-plus-synthesis callable for ln |zeta|_{H_u} at arbitrary points.
-
-    Used by the curvature cross-checks: the log of the canonical-section norm
-    has a chart singularity at the north pole, so its Laplacian is taken with
-    the local finite-difference operator, never the spectral one.
-    """
-    k = spec.k
-
-    def fn(theta, phi_ang):
-        log_h0 = k * np.log(np.sin(np.asarray(theta) / 2.0))
-        u_here = grid.evaluate(u_coeffs, np.asarray(theta).ravel(), np.asarray(phi_ang).ravel()).real
-        return log_h0 + u_here.reshape(np.asarray(theta).shape) + offset
-
-    return fn

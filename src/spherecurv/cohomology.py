@@ -6,9 +6,11 @@ contraction.  The metric dual of [phi] under H_u has coordinates
 
     b_j = 2*pi * integral( z^{j-1} conj(g(z)) (1+|z|^2)^{2-k} e^{2(u+c)} )
 
-against the normalized measure; the integrand is the chart-stable pairing
-weight from :mod:`spherecurv.bundles`, so the quadrature never sees the pole.
-The same weights normalize the dbar solver below.  It is one spectral
+against the normalized measure, i.e. b = G(u) conj(a) with one Hermitian
+Gram matrix G(u) of the chart-stable monomials of :mod:`spherecurv.bundles`
+(:func:`gram`), so the quadrature never sees the pole.  The flat dual, its
+inverse and its condition number use G(0).  The same pairing weight
+normalizes the dbar solver below.  It is one spectral
 Poisson solve: on the unit-area sphere lap = 4*pi (1+|z|^2)^2 d_z d_zbar, and
 since H^{0,1}(P^1) = 0 the Poisson solution solves the dbar problem exactly.
 The coefficients of its polynomial part at the north pole are exact finite
@@ -22,8 +24,7 @@ orientation-reversing maps conjugate coefficients.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +33,8 @@ from .bundles import (
     BundleSpec,
     ConformalFactor,
     HoloClass,
-    _polyval_vec,
+    chart_monomials,
     pair_weight_h0,
-    pair_weight_values,
 )
 from .errors import SpecMismatch, ZeroClass
 from .geometry import GAUSS_CURVATURE, ScalarField, SphereGrid, _normalized_legendre
@@ -82,51 +82,36 @@ def coupling(phi: HoloClass, eta: DualCoords) -> complex:
     return complex(np.sum(phi.a * eta.b))
 
 
+def gram(spec: BundleSpec, u: ConformalFactor, grid: SphereGrid) -> np.ndarray:
+    """Hermitian Gram matrix of the monomials under H_u: b = G @ conj(a).
+
+    G[i, j] = 2*pi * integral( z^i conj(z^j) (1+|z|^2)^{2-k} e^{2(u+c)} ),
+    taken on the chart-stable monomial matrix V:
+    G = 2*pi * V^T diag(q e^{2(u+c)}) conj(V), q the quadrature weights.
+    """
+    v = chart_monomials(spec.k, grid.z, grid.w).reshape(-1, spec.k - 1)
+    q = (grid.weights * np.exp(2.0 * u.total)).ravel()
+    return TANGENT_NORMALIZATION * (v.T * q) @ v.conj()
+
+
 def b_coords(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> DualCoords:
     """Coordinates of the H_u-dual of phi (conjugate-linear in phi)."""
-    k = phi.spec.k
-    gauge = np.exp(2.0 * u.total)
-    b = np.empty(k - 1, dtype=complex)
-    for j in range(1, k):
-        mono = np.zeros(k - 1, dtype=complex)
-        mono[j - 1] = 1.0
-        w = pair_weight_h0(mono, phi.a, phi.spec, grid)
-        b[j - 1] = TANGENT_NORMALIZATION * grid.integrate(w * gauge)
-    return DualCoords(phi.spec, b)
+    return DualCoords(phi.spec, gram(phi.spec, u, grid) @ np.conj(phi.a))
 
 
 def dual_map_H0(phi: HoloClass, grid: SphereGrid) -> DualCoords:
     """The flat-metric dual; conjugate-linear bijection on classes."""
-    m, _ = _dual_matrix(phi.spec, grid)
-    return DualCoords(phi.spec, m @ np.conj(phi.a))
+    return DualCoords(phi.spec, gram(phi.spec, ConformalFactor.zero(grid), grid) @ np.conj(phi.a))
 
 
 def dual_map_H0_inverse(eta: DualCoords, grid: SphereGrid) -> HoloClass:
-    m, _ = _dual_matrix(eta.spec, grid)
-    return HoloClass(eta.spec, np.conj(np.linalg.solve(m, eta.b)))
+    g0 = gram(eta.spec, ConformalFactor.zero(grid), grid)
+    return HoloClass(eta.spec, np.conj(np.linalg.solve(g0, eta.b)))
 
 
 def dualization_condition(spec: BundleSpec, grid: SphereGrid) -> float:
-    """Condition number of the cached H_0 dualization matrix."""
-    _, cond = _dual_matrix(spec, grid)
-    return cond
-
-
-@lru_cache(maxsize=64)
-def _dual_matrix(spec: BundleSpec, grid: SphereGrid):
-    """(k-1)x(k-1) matrix taking conj(a) to b under H_0; built once per spec.
-
-    b(e_i) = M conj(e_i) = M e_i for the real basis vectors, so the columns
-    are just the dualized monomial classes.
-    """
-    k = spec.k
-    u0 = ConformalFactor(np.zeros((grid.n_lat, grid.n_lon)), 0.0)
-    m = np.empty((k - 1, k - 1), dtype=complex)
-    for i in range(k - 1):
-        basis = np.zeros(k - 1, dtype=complex)
-        basis[i] = 1.0
-        m[:, i] = b_coords(HoloClass(spec, basis), u0, grid).b
-    return m, float(np.linalg.cond(m))
+    """Condition number of the flat Gram matrix, the H_0 dualization map."""
+    return float(np.linalg.cond(gram(spec, ConformalFactor.zero(grid), grid)))
 
 
 # ----------------------------------------------------------------------
@@ -256,39 +241,6 @@ def pullback_conformal(iso: IsometryAction, u: ConformalFactor, grid: SphereGrid
     return ConformalFactor(vals - mean, u.offset + mean)
 
 
-def phi_norm_sq_at(phi: HoloClass, u: ConformalFactor, grid: SphereGrid, theta, phi_ang) -> np.ndarray:
-    """Pointwise squared H_u-norm of the class at arbitrary points."""
-    theta = np.asarray(theta, dtype=float)
-    phi_ang = np.asarray(phi_ang, dtype=float)
-    z = (np.cos(theta / 2) / np.sin(theta / 2)) * np.exp(1j * phi_ang)
-    w = (np.sin(theta / 2) / np.cos(theta / 2)) * np.exp(-1j * phi_ang)
-    weight = pair_weight_values(phi.a, phi.a, phi.spec.k, z, w).real
-    coeffs = grid.analyze(u.u)
-    u_here = grid.evaluate(coeffs, theta.ravel(), phi_ang.ravel()).real.reshape(theta.shape)
-    return TANGENT_NORMALIZATION * weight * np.exp(2.0 * (u_here + u.offset))
-
-
-def norm_equivariance_profile(iso: IsometryAction, phi: HoloClass, u: ConformalFactor, grid: SphereGrid):
-    """(constant, relative deviation) of the pulled-back-norm ratio.
-
-    The ratio  |phi|^2_{H_u}(iso(x)) / |iso* phi|^2_{H_{iso* u}}(x)  must be
-    a single positive constant over the sphere.
-    """
-    phi_star = pullback_class(iso, phi)
-    u_star = pullback_conformal(iso, u, grid)
-    from .bundles import phi_norm_sq  # local import avoids a cycle at module load
-
-    denom = phi_norm_sq(phi_star, u_star, grid).values
-    TH, PH = np.meshgrid(grid.colat, grid.lon, indexing="ij")
-    th2, ph2 = iso.apply_angles(TH, PH)
-    numer = phi_norm_sq_at(phi, u, grid, th2, ph2)
-    keep = denom > 1e-6 * denom.max()
-    ratio = numer[keep] / denom[keep]
-    c = float(np.mean(ratio))
-    dev = float(np.abs(ratio - c).max() / c)
-    return c, dev
-
-
 # ----------------------------------------------------------------------
 # dbar solver
 # ----------------------------------------------------------------------
@@ -362,7 +314,7 @@ def dbar_solve(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> DbarSolu
     vals = grid.evaluate(coeffs, theta, lon)
     f_north = complex(vals[0])
     w_pts = radii[:, None] * np.exp(1j * angles)
-    poly = _polyval_vec(np.concatenate([[0.0], p_f]), w_pts)
+    poly = np.polynomial.polynomial.polyval(w_pts, np.concatenate([[0.0], p_f]))
     o_mag = list(np.abs(vals[1:].reshape(w_pts.shape) + poly).max(axis=1))
     slope = float(np.log(o_mag[0] / o_mag[1]) / np.log(radii[0] / radii[1]))
 

@@ -323,61 +323,8 @@ class SphereGrid:
         return np.conj(self.d_dz(np.conj(np.asarray(_vals(f), dtype=complex))))
 
 
-# ----------------------------------------------------------------------
-# module-level operations (thin functional wrappers)
-# ----------------------------------------------------------------------
-
-
 @lru_cache(maxsize=8)
 def build_grid(l_max: int) -> SphereGrid:
     """Grid for spectral degree l_max (>= 4); cached since construction is pure."""
     return SphereGrid(l_max)
 
-
-def integrate(f, grid: SphereGrid, sequential: bool = False):
-    return grid.integrate(f, sequential=sequential)
-
-
-def laplacian(f, grid: SphereGrid) -> ScalarField:
-    return ScalarField(grid.laplacian(f))
-
-
-def solve_poisson(rhs, grid: SphereGrid, mean_tol: float = 1e-8) -> ScalarField:
-    return ScalarField(grid.solve_poisson(rhs, mean_tol=mean_tol))
-
-
-def laplacian_local(fn, theta, phi, h: float = 1e-3) -> np.ndarray:
-    """High-order finite-difference Laplacian of a callable field.
-
-    ``fn(theta, phi)`` must be evaluable at arbitrary points near the
-    targets.  This is the evaluation route for fields with isolated chart
-    singularities (log potentials), where the global spectral operator's
-    band-limited precondition fails; it is also the independent oracle used
-    against the spectral path in tests.  Fourth-order central differences in
-    both coordinates:
-
-        lap f = 4*pi * [ f_tt + cot(t) f_t + f_pp / sin(t)^2 ].
-    """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-
-    def d1(axis_theta):
-        if axis_theta:
-            samples = [fn(theta + k * h, phi) for k in (-2, -1, 1, 2)]
-        else:
-            samples = [fn(theta, phi + k * h) for k in (-2, -1, 1, 2)]
-        fm2, fm1, fp1, fp2 = samples
-        return (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
-
-    def d2(axis_theta):
-        if axis_theta:
-            samples = [fn(theta + k * h, phi) for k in (-2, -1, 0, 1, 2)]
-        else:
-            samples = [fn(theta, phi + k * h) for k in (-2, -1, 0, 1, 2)]
-        fm2, fm1, f0, fp1, fp2 = samples
-        return (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * h * h)
-
-    f_t = d1(True)
-    f_tt = d2(True)
-    f_pp = d2(False)
-    return GAUSS_CURVATURE * (f_tt + f_t / np.tan(theta) + f_pp / np.sin(theta) ** 2)

@@ -80,8 +80,10 @@ class SolveResult:
     # MINRES iterations over every Newton step, rejected ramp steps and
     # fallback re-solves included
     minres_iters: int = 0
-    # guard that rejected the last step before a stall ("init", "newton",
-    # "blowup" or "filter"), and that step's residual_fine (NaN if Newton failed)
+    # "converged", or the guard that rejected the step a stall ended on:
+    # "init" (the lambda_init solve failed), "newton", "blowup"
+    # (sup|u - c| > blowup_sup) or "filter"; and that step's residual_fine
+    # (NaN if Newton failed)
     stop_reason: str = "converged"
     stop_residual_fine: float = float("nan")
 
@@ -149,6 +151,11 @@ class _Workspace:
 _FORCING_CAP = 1e-3
 
 
+def _blown_up(ws: _Workspace, x: np.ndarray, cfg: SolveConfig) -> bool:
+    """sup|u - c| > blowup_sup; packed entry 0 is the constant c, so the class's scale cannot trip it."""
+    return np.abs(ws.u_values(x) - x[0]).max() > cfg.blowup_sup
+
+
 def _damped_step(ws: _Workspace, op, pre, x, r, rnorm, lam, rtol, cfg: SolveConfig):
     """One MINRES correction at ``rtol`` and its halving line search.
 
@@ -166,7 +173,7 @@ def _damped_step(ws: _Workspace, op, pre, x, r, rnorm, lam, rtol, cfg: SolveConf
     step = 1.0
     for _ in range(10):
         x_try = x + step * delta
-        if np.abs(ws.u_values(x_try)).max() > cfg.blowup_sup:
+        if _blown_up(ws, x_try, cfg):
             step *= 0.5
             continue
         r_try = ws.residual_packed(x_try, lam)
@@ -220,7 +227,7 @@ def _trial(ws: _Workspace, x0: np.ndarray, lam: float, cfg: SolveConfig):
     if not ok:
         return x, iters, rnorm, math.nan, "newton", n
     fine = ws.fine_residual_sup(x, lam)
-    if np.abs(ws.u_values(x)).max() > cfg.blowup_sup:
+    if _blown_up(ws, x, cfg):  # a zero-step Newton run from ``initial`` can still start past the bound
         return x, iters, rnorm, fine, "blowup", n
     return x, iters, rnorm, fine, None if fine <= cfg.spurious_tol * max(1.0, lam) else "filter", n
 

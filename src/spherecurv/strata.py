@@ -305,12 +305,6 @@ def alpha_stable(spec: BundleSpec, div_eta: int, alpha: float) -> bool:
     return (lower < alpha < upper) and alpha < 0
 
 
-def alpha_stable_slope_form(spec: BundleSpec, div_eta: int, alpha: float) -> bool:
-    """Direct form max{deg_L1, div+alpha} < mu_alpha; oracle for alpha_stable."""
-    mu = (spec.deg_L1 + spec.deg_L2 + alpha) / 2.0
-    return max(spec.deg_L1, div_eta + alpha) < mu and alpha < 0
-
-
 @dataclass(frozen=True)
 class ExistenceRange:
     """Open solvable interval (0, 4*pi*m) plus the certified empty band.

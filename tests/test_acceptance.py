@@ -17,16 +17,16 @@ from spherecurv.cohomology import (
     b_coords,
     dbar_solve,
     dual_map_H0,
-    norm_equivariance_profile,
     projective_angle,
     pullback_class,
     pullback_dual,
 )
-from spherecurv.geometry import build_grid, laplacian_local
+from spherecurv.geometry import build_grid
 from spherecurv.pde import SolveConfig, _Workspace, forward_F, solve_phi_system, solve_radial
 from spherecurv.strata import RationalCandidate, div_classifier, series_of_rational
 
 from conftest import random_real_field
+from oracles import laplacian_local, norm_equivariance_profile
 
 
 def _report(num, ok, detail):

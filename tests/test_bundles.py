@@ -6,19 +6,18 @@ from spherecurv.bundles import (
     BundleSpec,
     ConformalFactor,
     HoloClass,
-    _polyval_vec,
-    _reversed_coeffs,
+    chart_monomials,
     curvature_scalar,
     degree_by_integration,
     divisor_of,
     h0_norm_zeta,
-    log_norm_zeta_callable,
+    pair_weight_values,
     phi_norm_sq,
 )
 from spherecurv.errors import ZeroClass
-from spherecurv.geometry import laplacian_local
 
 from conftest import random_real_field
+from oracles import laplacian_local, log_norm_zeta_callable
 
 
 def spec_k(k, deg_L1=0):
@@ -61,8 +60,8 @@ class TestPhiNormSq:
         k = 5
         a = np.zeros(k - 1, dtype=complex)
         a[-1] = 1.0
-        val = 2 * np.pi * abs(_polyval_vec(a, np.array([0.0 + 0j]))[0]) ** 2
-        assert val == 0.0
+        val = pair_weight_values(a, a, k, np.array([0j]), np.array([complex(np.inf)]))
+        assert val[0] == 0.0
 
     def test_total_mass_oracle(self, grid16):
         # g = 1, k = 3: 1-D radial quadrature of the closed-form integrand
@@ -76,18 +75,28 @@ class TestPhiNormSq:
         assert abs(grid16.integrate(f.values) - oracle) < 1e-10
 
     def test_chart_covariance(self, grid16):
-        # z-chart and w-chart formulas agree on the overlap annulus
+        # on the overlap annulus the z-chart and w-chart rows of V differ by
+        # one unimodular factor common to every column, so the pairing weight
+        # is the z-chart formula in either chart
         rng = np.random.default_rng(5)
         k = 6
-        spec = spec_k(k)
         a = rng.normal(size=k - 1) + 1j * rng.normal(size=k - 1)
         band = (np.abs(grid16.z) >= 0.5) & (np.abs(grid16.z) <= 2.0)
-        z = grid16.z[band]
-        w = grid16.w[band]
-        f_z = np.abs(_polyval_vec(a, z)) ** 2 * (1 + np.abs(z) ** 2) ** (2 - k)
-        ar = _reversed_coeffs(a, k)
-        f_w = np.abs(_polyval_vec(ar, w)) ** 2 * (1 + np.abs(w) ** 2) ** (2 - k)
-        assert np.abs(f_z - f_w).max() < 1e-9 * max(1.0, np.abs(f_z).max())
+        z = grid16.z[band][:, None]
+        w = grid16.w[band][:, None]
+        j = np.arange(k - 1)
+        v_z = z**j * (1 + np.abs(z) ** 2) ** (1 - k / 2)
+        v_w = w ** (k - 2 - j) * (1 + np.abs(w) ** 2) ** (1 - k / 2)
+        ratio = v_w / v_z
+        assert np.abs(ratio - ratio[:, :1]).max() < 1e-13
+        assert np.abs(np.abs(ratio) - 1.0).max() < 1e-13
+        v = chart_monomials(k, z[:, 0], w[:, 0])
+        north = np.abs(z[:, 0]) > 1.0
+        assert north.any() and not north.all()
+        assert np.abs(v - np.where(north[:, None], v_w, v_z)).max() < 1e-15 * np.abs(v).max()
+        f_z = np.abs(np.polynomial.polynomial.polyval(z[:, 0], a)) ** 2 * (1 + np.abs(z[:, 0]) ** 2) ** (2 - k)
+        f = pair_weight_values(a, a, k, z[:, 0], w[:, 0])
+        assert np.abs(f - f_z).max() < 1e-13 * np.abs(f_z).max()
 
     def test_positive_and_small_near_roots(self, grid32):
         k = 4

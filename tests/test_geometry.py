@@ -10,10 +10,10 @@ from spherecurv.geometry import (
     GAUSS_CURVATURE,
     ChartPoint,
     build_grid,
-    laplacian_local,
 )
 
 from conftest import random_real_field
+from oracles import laplacian_local
 
 
 def unit_harmonic(grid, l, m):
@@ -281,20 +281,6 @@ class TestBasisOracle:
             mine = grid16.evaluate(c, th, ph)
             ref = 2 * np.sqrt(np.pi) * harm(m, l, th, ph)
             assert np.abs(mine - ref).max() < 1e-12, (l, m)
-
-
-class TestModuleWrappers:
-    def test_scalar_field_roundtrip(self, grid16):
-        from spherecurv.geometry import ScalarField, integrate, laplacian, solve_poisson
-
-        rng = np.random.default_rng(77)
-        g = random_real_field(grid16, rng)
-        g = g - grid16.integrate(g)
-        field = ScalarField(g)
-        assert abs(integrate(field, grid16)) < 1e-10
-        lap = laplacian(field, grid16)
-        back = solve_poisson(lap, grid16)
-        assert np.abs(back.values - g).max() < 1e-8
 
 
 class TestChartPoint:

@@ -116,6 +116,19 @@ class TestSolve:
         assert res.lam < 4 * np.pi
         assert len(res.continuation_trace) > 3
 
+    def test_blowup_guard_ignores_the_class_scale(self):
+        # the solution for s*phi is the one for phi shifted by -log|s|; the
+        # guard bounds sup|u - c|, so every scale converges to the same metric
+        cfg = SolveConfig(l_max=24)
+        grid = build_grid(24)
+        ref = solve_phi_system(monomial(4, 1), 2 * np.pi, cfg)
+        b_ref = b_coords(monomial(4, 1), ref.u, grid).b
+        for s in (1.0, 1e-7, 1e7):
+            res = solve_phi_system(monomial(4, 1, s), 2 * np.pi, cfg)
+            assert res.converged, (s, res.stop_reason)
+            assert np.abs(res.u.total + np.log(s) - ref.u.total).max() < 1e-12
+            assert projective_angle(b_coords(monomial(4, 1, s), res.u, grid).b, b_ref) < 1e-12
+
     def test_start_continues_the_ramp(self):
         cfg = SolveConfig(l_max=16)
         phi = monomial(4, 1)

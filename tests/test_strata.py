@@ -12,12 +12,13 @@ from spherecurv.strata import (
     DEFAULT_TOL,
     RationalCandidate,
     alpha_stable,
-    alpha_stable_slope_form,
     div_classifier,
     existence_range,
     max_matching_order,
     series_of_rational,
 )
+
+from oracles import alpha_stable_slope_form
 
 
 def spec_k(k, deg_L1=0):
