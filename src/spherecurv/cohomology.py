@@ -291,7 +291,11 @@ def dbar_solve(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> DbarSolu
     rho = h / s**2
     # 4*pi s^2 d_z rho, expanded: forming d_z rho and multiplying by s^2
     # would amplify its spectral error by up to |z|^4 near N
-    f_vals = grid.solve_poisson(GAUSS_CURVATURE * (grid.d_dz(h) - 2.0 * np.conj(grid.z) * h / s))
+    rhs = GAUSS_CURVATURE * (grid.d_dz(h) - 2.0 * np.conj(grid.z) * h / s)
+    # exact data has mean zero; an under-resolved e^{2u} leaves a quadrature
+    # mean, which is projected out and reported instead of failing the solve
+    rhs_mean = complex(grid.integrate(rhs))
+    f_vals = grid.solve_poisson(rhs - rhs_mean)
     coeffs = grid.analyze(f_vals)
 
     # lead[j, l] = A[j, l]; at N only the m = 0 column is nonzero, and
@@ -323,5 +327,6 @@ def dbar_solve(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> DbarSolu
         "remainder_slope": slope,
         "remainder_mags": o_mag,
         "f_north_abs": abs(f_north),
+        "rhs_mean": rhs_mean,
     }
     return DbarSolution(f=ScalarField(f_vals), p_f=p_f, f_north=f_north, report=report)

@@ -10,23 +10,28 @@ In this normalization
 and the quadrature weights sum to exactly 1.  The |m| Legendre factor is
 shared by both signs of m (no Condon-Shortley flip), so Y_l,-m = conj(Y_lm).
 
-One real spectral core does every transform: a real FFT in longitude, then
-one batched matmul against the m >= 0 Legendre table.  Real fields use the
-packed orthonormal real basis (``analyze_real``/``synthesize_real``): entries
-(m, cos|sin, l) for l >= m, the sin part only for m >= 1, m >= 1 entries
-scaled by +-sqrt(2); it has (l_max+1)^2 entries, entry 0 is the constant,
-and its Euclidean inner product is the L2 pairing.  The complex API
-(``analyze``/``synthesize``, coefficients c[l, m+l_max]) pushes the real and
-imaginary parts through the same core.
+One real spectral core does every transform, as two real matmuls: a
+longitude table of b_m cos(m phi) and b_m sin(m phi), columns (m, cos|sin),
+then one batched matmul against the m >= 0 Legendre table (analysis weights
+the small latitude-by-column product by the Gauss weights in between).  The
+longitude tables are n_lon x 2(l_max+1), the size of one Legendre slice; at
+l_max 32..72 a matmul against them costs less than an FFT's per-call overhead.
+Real fields use the packed orthonormal real basis
+(``analyze_real``/``synthesize_real``): entries (m, cos|sin, l) for l >= m,
+the sin part only for m >= 1, basis functions b_m Pbar_l^m {cos, sin}(m phi)
+with b_0 = sqrt(2), b_m = 2; it has (l_max+1)^2 entries, entry 0 is the
+constant 1, and its Euclidean inner product is the L2 pairing.  The complex
+API (``analyze``/``synthesize``, coefficients c[l, m+l_max]) pushes the real
+and imaginary parts through the same core.
 
 Charts: ``z = cot(theta/2) * exp(i*phi)`` is the stereographic coordinate
 that is infinite at the north pole N and zero at the south pole S;
 ``w = 1/z``.  Grid nodes never touch the poles, so both charts are finite on
 every node.
 
-Determinism: all transforms are FFTs and BLAS matmuls and are deterministic
-for a fixed BLAS; ``integrate(..., sequential=True)`` bypasses BLAS
-reductions entirely (math.fsum) for golden tests.
+Determinism: the transforms are BLAS matmuls and are deterministic for a
+fixed BLAS (only ``d_dphi`` uses an FFT); ``integrate(..., sequential=True)``
+bypasses BLAS reductions entirely (math.fsum) for golden tests.
 """
 
 from __future__ import annotations
@@ -173,17 +178,30 @@ class SphereGrid:
         prev = np.zeros_like(self._plm)
         prev[:, 1:] = self._plm[:, :-1]
         self._dplm = (ll[..., None] * self.mu * self._plm - c_lm[..., None] * prev) / np.sin(self.colat)
-        # longitude-mean quadrature weight times the sqrt(2) of the basis
-        self._wq = np.sqrt(2.0) * self.glw / 2.0
         ell = np.arange(L + 1, dtype=float)
         self.laplace_eigenvalues = -GAUSS_CURVATURE * ell * (ell + 1.0)
 
-        # packed real basis: entry (m, part, l), part 0 = cos, 1 = sin
-        idx = [(m, p, l) for m in range(L + 1) for p in ((0, 1) if m else (0,)) for l in range(m, L + 1)]
-        self._pm, self._pp, self._pl = np.array(idx).T
-        self._ps = np.where(self._pm == 0, 1.0, np.sqrt(2.0) * (1 - 2 * self._pp))
-        self.n_packed = self._pl.size
-        self.packed_laplace = self.laplace_eigenvalues[self._pl]
+        # packed real basis b_m Pbar_l^m(mu) {cos, sin}(m phi), b_0 = sqrt(2),
+        # b_m = 2: entry (m, part, l) for l >= m, part 0 = cos, 1 = sin (m >= 1
+        # only); _flat is the entry's position in a half spectrum h[m, l, part]
+        packed = [(m, p, l) for m in range(L + 1) for p in ((0, 1) if m else (0,)) for l in range(m, L + 1)]
+        m, p, l = np.array(packed).T
+        self._pl = l
+        self._flat = (m * (L + 1) + l) * 2 + p
+        self.n_packed = l.size
+        self.packed_laplace = self.laplace_eigenvalues[l]
+        # packed cos entry / Re c_lm for a real field: 1 for m = 0, sqrt(2) above
+        self._ms = np.where(np.arange(L + 1) == 0, 1.0, np.sqrt(2.0))
+        # longitude tables: synthesis _lon_syn[(m, part), k] = b_m {cos, sin}(m lon_k),
+        # analysis _lon_an its contiguous transpose over n_lon; the Legendre
+        # step reads the (m, part) columns of lat-by-(m, part) products in place
+        # m*lon reduced to [0, 2pi) before cos/sin: the raw product loses 1e-14 at l_max 48
+        ang = 2.0 * np.pi / self.n_lon * (np.multiply.outer(np.arange(L + 1), np.arange(self.n_lon)) % self.n_lon)
+        trig = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        b = np.where(np.arange(L + 1) == 0, np.sqrt(2.0), 2.0)[:, None, None]
+        self._lon_syn = (b * trig).reshape(2 * L + 2, self.n_lon)
+        self._lon_an = np.ascontiguousarray(self._lon_syn.T) / self.n_lon
+        self._wq = self.glw / 2.0  # latitude quadrature weight
 
     # ------------------------------------------------------------------
     # transforms
@@ -196,27 +214,27 @@ class SphereGrid:
         return v
 
     def _analyze_half(self, v: np.ndarray) -> np.ndarray:
-        """Half spectrum h[m, l, re_1..re_r | im_1..im_r] (m >= 0) of real fields v[r, lat, lon]."""
-        f = np.fft.rfft(v * self._wq[:, None], axis=-1, norm="forward")[..., : self.l_max + 1]
-        return np.matmul(self._plm, np.concatenate([f.real, f.imag]).transpose(2, 1, 0))
+        """Half spectra h[m, r, l, cos|sin] in the packed scaling of real fields v[r, lat, lon]."""
+        g = v @ self._lon_an
+        g *= self._wq[:, None]
+        g = g.reshape(v.shape[0], self.n_lat, self.l_max + 1, 2).transpose(2, 0, 1, 3)  # (m, r, lat, part)
+        return np.matmul(self._plm[:, None], g)
 
     def _synthesize_half(self, h: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """Real fields v[r, lat, lon] from a half spectrum; ``table`` is _plm or _dplm."""
-        g = np.sqrt(2.0) * np.matmul(table.transpose(0, 2, 1), h)  # (m, lat, 2r)
-        r = g.shape[-1] // 2
-        spec = (g[..., :r] + 1j * g[..., r:]).transpose(2, 1, 0)
-        return np.fft.irfft(spec, n=self.n_lon, axis=-1, norm="forward")
+        """Real fields v[r, lat, lon] from half spectra h[m, r, l, cos|sin]; ``table`` is _plm or _dplm."""
+        g = np.empty((h.shape[1], self.n_lat, self.l_max + 1, 2))
+        np.matmul(table.transpose(0, 2, 1)[:, None], h, out=g.transpose(2, 0, 1, 3))
+        return g.reshape(h.shape[1], self.n_lat, -1) @ self._lon_syn
 
     def analyze_real(self, values) -> np.ndarray:
         """Packed real coefficients of a real field."""
-        h = self._analyze_half(self._field(values, float)[None])
-        return self._ps * h[self._pm, self._pl, self._pp]
+        return self._analyze_half(self._field(values, float)[None]).reshape(-1)[self._flat]
 
     def synthesize_real(self, x) -> np.ndarray:
         """Node values of packed real coefficients."""
-        h = np.zeros((self.l_max + 1, self.l_max + 1, 2))
-        h[self._pm, self._pl, self._pp] = np.asarray(x, dtype=float) / self._ps
-        return self._synthesize_half(h, self._plm)[0]
+        h = np.zeros(2 * (self.l_max + 1) ** 2)
+        h[self._flat] = x
+        return self._synthesize_half(h.reshape(self.l_max + 1, 1, self.l_max + 1, 2), self._plm)[0]
 
     def embed_packed(self, x) -> np.ndarray:
         """Zero-pad the packed coefficients of a coarser grid onto this grid's packed basis."""
@@ -228,7 +246,8 @@ class SphereGrid:
         """Forward transform to coefficients c[l, m+l_max], m in [-l_max, l_max]."""
         v = self._field(values, complex)
         h = self._analyze_half(np.stack([v.real, v.imag]))
-        re, im = h[..., 0] + 1j * h[..., 2], h[..., 1] + 1j * h[..., 3]  # half spectra of v.real, v.imag
+        # c_lm (m >= 0) of v.real and v.imag: (cos - i sin) / _ms
+        re, im = (h[..., 0] - 1j * h[..., 1]).transpose(1, 0, 2) / self._ms[:, None]
         c = np.empty((self.l_max + 1, 2 * self.l_max + 1), dtype=complex)
         c[:, self.l_max :: -1] = (re.conj() + 1j * im.conj()).T
         c[:, self.l_max :] = (re + 1j * im).T
@@ -245,8 +264,9 @@ class SphereGrid:
     def _synthesize_complex(self, coeffs, table: np.ndarray) -> np.ndarray:
         c = np.asarray(coeffs, dtype=complex)
         pos, neg = c[:, self.l_max :].T, c[:, self.l_max :: -1].T.conj()
-        re, im = (pos + neg) / 2.0, (pos - neg) / 2j  # half spectra of the real and imaginary parts
-        v = self._synthesize_half(np.stack([re.real, im.real, re.imag, im.imag], axis=-1), table)
+        # c_lm (m >= 0) of the real and imaginary parts, then cos = Re, sin = -Im, times _ms
+        half = np.stack([pos + neg, 1j * (neg - pos)], axis=1) * (self._ms[:, None, None] / 2.0)
+        v = self._synthesize_half(np.stack([half.real, -half.imag], axis=-1), table)
         return v[0] + 1j * v[1]
 
     def evaluate(self, coeffs, theta, phi) -> np.ndarray:

@@ -115,9 +115,6 @@ class _Workspace:
             self.fine_grid = build_grid(int(refine_factor * grid.l_max))
             self.k_fine = phi_norm_sq(phi, ConformalFactor.zero(self.fine_grid), self.fine_grid).values
 
-    def u_values(self, x: np.ndarray) -> np.ndarray:
-        return self.grid.synthesize_real(x)
-
     def fine_residual_sup(self, x: np.ndarray, lam: float) -> float:
         """Sup residual with the solution re-evaluated on a refined grid."""
         if self.fine_grid is None:
@@ -128,18 +125,36 @@ class _Workspace:
         lap = gf.synthesize_real(gf.packed_laplace * xf)
         return float(np.abs(lap + 2.0 * self.k_fine * np.exp(2.0 * u_vals) - lam).max())
 
-    def residual_packed(self, x: np.ndarray, lam: float) -> np.ndarray:
+    def evaluate(self, x: np.ndarray, lam: float, sup_max: float = math.inf):
+        """(sup|u - c|, residual, Jacobian weight 4 K e^{2u}) at x from one synthesis and one analysis.
+
+        Packed entry 0 is the constant c, so the class's scale cannot move the
+        sup.  Where it exceeds ``sup_max`` the residual and weight are None.
+        Analysis of a band-limited synthesis is exact under the grid's
+        quadrature, so lap(u) enters the residual as ``diag * x``.
+        """
         u_vals = self.grid.synthesize_real(x)
-        lap_vals = self.grid.synthesize_real(self.diag * x)
-        return self.grid.analyze_real(lap_vals + 2.0 * self.k_vals * np.exp(2.0 * u_vals) - lam)
+        sup = float(np.abs(u_vals - x[0]).max())
+        if sup > sup_max:
+            return sup, None, None
+        ke = 2.0 * self.k_vals * np.exp(2.0 * u_vals)
+        r = self.grid.analyze_real(ke) + self.diag * x
+        r[0] -= lam  # entry 0's basis function is the constant 1
+        return sup, r, 2.0 * ke
+
+    def residual_packed(self, x: np.ndarray, lam: float) -> np.ndarray:
+        return self.evaluate(x, lam)[1]
 
     def jacobian_operator(self, x: np.ndarray):
-        v_vals = 4.0 * self.k_vals * np.exp(2.0 * self.u_values(x))
+        return self.operator(self.evaluate(x, 0.0)[2])
+
+    def operator(self, weight: np.ndarray):
+        """Jacobian lap + weight and its preconditioner (sigma - lap)^{-1}, sigma the mean weight."""
 
         def matvec(y):
-            return self.grid.analyze_real(v_vals * self.grid.synthesize_real(y)) + self.diag * y
+            return self.grid.analyze_real(weight * self.grid.synthesize_real(y)) + self.diag * y
 
-        sigma = max(float(v_vals.mean()), 1e-8)
+        sigma = max(float(weight.mean()), 1e-8)
         m_diag = 1.0 / (sigma - self.diag)
 
         op = LinearOperator((self.n, self.n), matvec=matvec, dtype=float)
@@ -151,15 +166,11 @@ class _Workspace:
 _FORCING_CAP = 1e-3
 
 
-def _blown_up(ws: _Workspace, x: np.ndarray, cfg: SolveConfig) -> bool:
-    """sup|u - c| > blowup_sup; packed entry 0 is the constant c, so the class's scale cannot trip it."""
-    return np.abs(ws.u_values(x) - x[0]).max() > cfg.blowup_sup
-
-
 def _damped_step(ws: _Workspace, op, pre, x, r, rnorm, lam, rtol, cfg: SolveConfig):
     """One MINRES correction at ``rtol`` and its halving line search.
 
-    Returns ((x, r, |r|) or None on failure, MINRES iterations).
+    Each trial costs one synthesis and, below ``blowup_sup``, one analysis.
+    Returns ((x, r, |r|, sup|u - c|, Jacobian weight) or None on failure, MINRES iterations).
     """
     iters = 0
 
@@ -173,42 +184,40 @@ def _damped_step(ws: _Workspace, op, pre, x, r, rnorm, lam, rtol, cfg: SolveConf
     step = 1.0
     for _ in range(10):
         x_try = x + step * delta
-        if _blown_up(ws, x_try, cfg):
-            step *= 0.5
-            continue
-        r_try = ws.residual_packed(x_try, lam)
-        n_try = np.linalg.norm(r_try)
-        if n_try < rnorm or n_try < cfg.newton_tol:
-            return (x_try, r_try, n_try), iters
+        sup, r_try, weight = ws.evaluate(x_try, lam, cfg.blowup_sup)
+        if r_try is not None:
+            n_try = np.linalg.norm(r_try)
+            if n_try < rnorm or n_try < cfg.newton_tol:
+                return (x_try, r_try, n_try, sup, weight), iters
         step *= 0.5
     return None, iters
 
 
 def _newton(ws: _Workspace, x0: np.ndarray, lam: float, cfg: SolveConfig):
-    """Inexact damped Newton at fixed lambda; returns (x, iterations, |r|, ok, MINRES iterations)."""
+    """Inexact damped Newton at fixed lambda; returns (x, iterations, |r|, ok, MINRES iterations, sup|u - c|)."""
     x = x0.copy()
-    r = ws.residual_packed(x, lam)
+    sup, r, weight = ws.evaluate(x, lam)
     rnorm = np.linalg.norm(r)
     rprev = None
     minres_iters = 0
     for it in range(1, cfg.max_newton + 1):
         if rnorm < cfg.newton_tol:
-            return x, it - 1, rnorm, True, minres_iters
+            return x, it - 1, rnorm, True, minres_iters, sup
         rtol = _FORCING_CAP
         if rprev is not None:
             forcing = max(cfg.minres_rtol, 0.9 * (rnorm / rprev) ** 2, 0.25 * cfg.newton_tol / rnorm)
             rtol = min(_FORCING_CAP, forcing)
-        op, pre = ws.jacobian_operator(x)
+        op, pre = ws.operator(weight)
         new, n = _damped_step(ws, op, pre, x, r, rnorm, lam, rtol, cfg)
         minres_iters += n
         if new is None and rtol > cfg.minres_rtol:
             new, n = _damped_step(ws, op, pre, x, r, rnorm, lam, cfg.minres_rtol, cfg)
             minres_iters += n
         if new is None:
-            return x, it, rnorm, False, minres_iters
+            return x, it, rnorm, False, minres_iters, sup
         rprev = rnorm
-        x, r, rnorm = new
-    return x, cfg.max_newton, rnorm, rnorm < cfg.newton_tol, minres_iters
+        x, r, rnorm, sup, weight = new
+    return x, cfg.max_newton, rnorm, rnorm < cfg.newton_tol, minres_iters, sup
 
 
 def _initial_guess(ws: _Workspace, lam: float, cfg: SolveConfig) -> np.ndarray:
@@ -223,11 +232,11 @@ def _initial_guess(ws: _Workspace, lam: float, cfg: SolveConfig) -> np.ndarray:
 
 def _trial(ws: _Workspace, x0: np.ndarray, lam: float, cfg: SolveConfig):
     """Newton at ``lam`` from ``x0``: (x, iterations, |r|, residual_fine, failed guard or None, MINRES iterations)."""
-    x, iters, rnorm, ok, n = _newton(ws, x0, lam, cfg)
+    x, iters, rnorm, ok, n, sup = _newton(ws, x0, lam, cfg)
     if not ok:
         return x, iters, rnorm, math.nan, "newton", n
     fine = ws.fine_residual_sup(x, lam)
-    if _blown_up(ws, x, cfg):  # a zero-step Newton run from ``initial`` can still start past the bound
+    if sup > cfg.blowup_sup:  # a zero-step Newton run from ``initial`` can still start past the bound
         return x, iters, rnorm, fine, "blowup", n
     return x, iters, rnorm, fine, None if fine <= cfg.spurious_tol * max(1.0, lam) else "filter", n
 

@@ -1,10 +1,12 @@
+import collections
+
 import numpy as np
 import pytest
 
 from spherecurv.bundles import BundleSpec, ConformalFactor, HoloClass, phi_norm_sq
 from spherecurv.cohomology import b_coords, dual_map_H0, projective_angle, pullback_class, pullback_dual, IsometryAction
 from spherecurv.errors import InvalidLambda, NonConvergence
-from spherecurv.geometry import build_grid
+from spherecurv.geometry import SphereGrid, build_grid
 from spherecurv.pde import (
     RadialProfile,
     SolveConfig,
@@ -51,6 +53,20 @@ class TestResidual:
         r = residual(u, phi, lam, grid16)
         mass = grid16.integrate(2 * phi_norm_sq(phi, u, grid16).values)
         assert abs(grid16.integrate(r.values) - (mass - lam)) < 1e-9
+
+    @pytest.mark.parametrize("l_max", [16, 33])
+    def test_packed_residual_matches_pointwise(self, l_max):
+        # the packed residual takes lap(u) as diag * x: analysis of the
+        # pointwise defect of a band-limited u must give the same vector
+        grid = build_grid(l_max)
+        rng = np.random.default_rng(64 + l_max)
+        phi = HoloClass(spec_k(4), rng.normal(size=3) + 1j * rng.normal(size=3))
+        ws = _Workspace(grid, phi_norm_sq(phi, ConformalFactor.zero(grid), grid).values)
+        x = rng.normal(size=ws.n) / np.sqrt(ws.n)
+        u = ConformalFactor(grid.synthesize_real(np.concatenate([[0.0], x[1:]])), x[0])
+        lam = 3.0
+        expected = grid.analyze_real(residual(u, phi, lam, grid).values)
+        assert np.abs(ws.residual_packed(x, lam) - expected).max() < 1e-12 * np.abs(expected).max()
 
 
 class TestJacobian:
@@ -227,6 +243,62 @@ class TestInexactNewton:
         assert loose and res.converged
         b, b_ref = self.b_at_4pi(res, 16), self.b_at_4pi(reference, 16)
         assert np.linalg.norm(b - b_ref) < 1e-9 * np.linalg.norm(b_ref)
+
+
+class TestTransformCount:
+    def test_one_synthesis_and_analysis_per_line_search_trial(self, monkeypatch):
+        # On the solve grid and outside MINRES's matvecs, each line-search
+        # trial and each Newton start costs one synthesis and one analysis
+        # (one evaluated point); the Jacobian reuses the accepted trial's
+        # weight.  The rest of the solve adds the initial guess's analysis and
+        # the returned u's synthesis; each matvec costs one of each.
+        import spherecurv.pde as pde
+
+        transforms = collections.Counter()  # (grid, transform, innermost phase) -> calls
+        points = collections.Counter()  # phase an evaluated point was asked for in -> points
+        phase = ["solve"]
+
+        def counting(name):
+            transform = getattr(SphereGrid, name)
+
+            def wrapped(grid, arg):
+                transforms[grid, name, phase[-1]] += 1
+                return transform(grid, arg)
+
+            return wrapped
+
+        def within(label, fn):
+            def wrapped(*args, **kwargs):
+                if label == "point":
+                    points[phase[-1]] += 1
+                phase.append(label)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    phase.pop()
+
+            return wrapped
+
+        for name in ("synthesize_real", "analyze_real"):
+            monkeypatch.setattr(SphereGrid, name, counting(name))
+        monkeypatch.setattr(pde._Workspace, "evaluate", within("point", pde._Workspace.evaluate))
+        monkeypatch.setattr(pde, "_damped_step", within("line search", pde._damped_step))
+        monkeypatch.setattr(pde, "minres", within("minres", pde.minres))
+
+        res = solve_phi_system(monomial(4, 1), 4 * np.pi, SolveConfig(l_max=16))
+        assert res.converged
+        grid = build_grid(16)
+        trace = res.continuation_trace
+        assert points["solve"] == len(trace)  # one Newton start per coupling tried
+        assert points["line search"] >= sum(iters for _, iters, _ in trace)  # each Newton step accepts one trial
+
+        def both(where):
+            return transforms[grid, "synthesize_real", where], transforms[grid, "analyze_real", where]
+
+        assert both("point") == (sum(points.values()),) * 2
+        assert both("line search") == (0, 0)
+        assert both("solve") == (1, 1)
+        assert both("minres")[0] == both("minres")[1] > 0
 
 
 class TestForwardF:
