@@ -168,7 +168,7 @@ def phi_norm_sq(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> ScalarF
 
 def curvature_scalar(u: ConformalFactor, spec: BundleSpec, grid: SphereGrid) -> ScalarField:
     """Contracted curvature of H_u: the field 2*pi*k - laplacian(u)."""
-    return ScalarField(2.0 * np.pi * spec.k - grid.laplacian(u.u).real)
+    return ScalarField(2.0 * np.pi * spec.k - grid.laplacian(u.u))
 
 
 def degree_by_integration(u: ConformalFactor, spec: BundleSpec, grid: SphereGrid) -> float:

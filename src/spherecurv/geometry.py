@@ -16,13 +16,15 @@ then one batched matmul against the m >= 0 Legendre table (analysis weights
 the small latitude-by-column product by the Gauss weights in between).  The
 longitude tables are n_lon x 2(l_max+1), the size of one Legendre slice; at
 l_max 32..72 a matmul against them costs less than an FFT's per-call overhead.
-Real fields use the packed orthonormal real basis
-(``analyze_real``/``synthesize_real``): entries (m, cos|sin, l) for l >= m,
-the sin part only for m >= 1, basis functions b_m Pbar_l^m {cos, sin}(m phi)
-with b_0 = sqrt(2), b_m = 2; it has (l_max+1)^2 entries, entry 0 is the
-constant 1, and its Euclidean inner product is the L2 pairing.  The complex
-API (``analyze``/``synthesize``, coefficients c[l, m+l_max]) pushes the real
-and imaginary parts through the same core.
+Every coefficient vector is in one layout, the packed orthonormal real basis
+(``analyze``/``synthesize``): entries (m, cos|sin, l) for l >= m, the sin
+part only for m >= 1, basis functions b_m Pbar_l^m {cos, sin}(m phi) with
+b_0 = sqrt(2), b_m = 2; it has (l_max+1)^2 entries, entry 0 is the constant
+1, and its Euclidean inner product is the L2 pairing.  A complex field's
+coefficients are those of its real part plus 1j times those of its
+imaginary part.  Both angular derivatives act on the packed vector: d/dphi
+swaps each cos entry with its sin partner scaled by +-m, and d/dtheta is
+synthesis against the differentiated Legendre table.
 
 Charts: ``z = cot(theta/2) * exp(i*phi)`` is the stereographic coordinate
 that is infinite at the north pole N and zero at the south pole S;
@@ -30,8 +32,8 @@ that is infinite at the north pole N and zero at the south pole S;
 every node.
 
 Determinism: the transforms are BLAS matmuls and are deterministic for a
-fixed BLAS (only ``d_dphi`` uses an FFT); ``integrate(..., sequential=True)``
-bypasses BLAS reductions entirely (math.fsum) for golden tests.
+fixed BLAS; ``integrate(..., sequential=True)`` bypasses BLAS reductions
+entirely (math.fsum) for golden tests.
 """
 
 from __future__ import annotations
@@ -178,28 +180,31 @@ class SphereGrid:
         prev = np.zeros_like(self._plm)
         prev[:, 1:] = self._plm[:, :-1]
         self._dplm = (ll[..., None] * self.mu * self._plm - c_lm[..., None] * prev) / np.sin(self.colat)
-        ell = np.arange(L + 1, dtype=float)
-        self.laplace_eigenvalues = -GAUSS_CURVATURE * ell * (ell + 1.0)
 
         # packed real basis b_m Pbar_l^m(mu) {cos, sin}(m phi), b_0 = sqrt(2),
         # b_m = 2: entry (m, part, l) for l >= m, part 0 = cos, 1 = sin (m >= 1
-        # only); _flat is the entry's position in a half spectrum h[m, l, part]
+        # only), listed in packed_entries; _flat is the entry's position in a
+        # half spectrum h[m, l, part]
         packed = [(m, p, l) for m in range(L + 1) for p in ((0, 1) if m else (0,)) for l in range(m, L + 1)]
-        m, p, l = np.array(packed).T
-        self._pl = l
+        self.packed_entries = np.array(packed)
+        m, p, l = self.packed_entries.T
         self._flat = (m * (L + 1) + l) * 2 + p
         self.n_packed = l.size
-        self.packed_laplace = self.laplace_eigenvalues[l]
-        # packed cos entry / Re c_lm for a real field: 1 for m = 0, sqrt(2) above
-        self._ms = np.where(np.arange(L + 1) == 0, 1.0, np.sqrt(2.0))
+        self.packed_laplace = -GAUSS_CURVATURE * l * (l + 1.0)
+        # d/dphi swaps each entry with its cos|sin partner (same m, l; flat index ^ 1),
+        # scaled by m for cos and -m for sin; the m = 0 cos entries map to zero
+        pos = np.zeros(2 * (L + 1) ** 2, dtype=int)
+        pos[self._flat] = np.arange(self.n_packed)
+        self._partner = pos[self._flat ^ 1]
+        self._dphi_scale = np.where(p == 0, m, -m)
         # longitude tables: synthesis _lon_syn[(m, part), k] = b_m {cos, sin}(m lon_k),
         # analysis _lon_an its contiguous transpose over n_lon; the Legendre
         # step reads the (m, part) columns of lat-by-(m, part) products in place
         # m*lon reduced to [0, 2pi) before cos/sin: the raw product loses 1e-14 at l_max 48
         ang = 2.0 * np.pi / self.n_lon * (np.multiply.outer(np.arange(L + 1), np.arange(self.n_lon)) % self.n_lon)
         trig = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        b = np.where(np.arange(L + 1) == 0, np.sqrt(2.0), 2.0)[:, None, None]
-        self._lon_syn = (b * trig).reshape(2 * L + 2, self.n_lon)
+        self._b = np.where(np.arange(L + 1) == 0, np.sqrt(2.0), 2.0)
+        self._lon_syn = (self._b[:, None, None] * trig).reshape(2 * L + 2, self.n_lon)
         self._lon_an = np.ascontiguousarray(self._lon_syn.T) / self.n_lon
         self._wq = self.glw / 2.0  # latitude quadrature weight
 
@@ -207,8 +212,8 @@ class SphereGrid:
     # transforms
     # ------------------------------------------------------------------
 
-    def _field(self, values, dtype) -> np.ndarray:
-        v = np.asarray(_vals(values), dtype=dtype)
+    def _field(self, values) -> np.ndarray:
+        v = np.asarray(_vals(values))
         if v.shape != (self.n_lat, self.n_lon):
             raise SpecMismatch(f"field shape {v.shape} does not match grid {(self.n_lat, self.n_lon)}")
         return v
@@ -226,60 +231,52 @@ class SphereGrid:
         np.matmul(table.transpose(0, 2, 1)[:, None], h, out=g.transpose(2, 0, 1, 3))
         return g.reshape(h.shape[1], self.n_lat, -1) @ self._lon_syn
 
-    def analyze_real(self, values) -> np.ndarray:
-        """Packed real coefficients of a real field."""
-        return self._analyze_half(self._field(values, float)[None]).reshape(-1)[self._flat]
-
-    def synthesize_real(self, x) -> np.ndarray:
-        """Node values of packed real coefficients."""
-        h = np.zeros(2 * (self.l_max + 1) ** 2)
+    def half_spectrum(self, x) -> np.ndarray:
+        """Packed coefficients laid out as h[m, l, cos|sin], zero for l < m and for the m = 0 sin part."""
+        x = np.asarray(x)
+        h = np.zeros(2 * (self.l_max + 1) ** 2, dtype=complex if x.dtype.kind == "c" else float)
         h[self._flat] = x
-        return self._synthesize_half(h.reshape(self.l_max + 1, 1, self.l_max + 1, 2), self._plm)[0]
+        return h.reshape(self.l_max + 1, self.l_max + 1, 2)
+
+    def analyze(self, values) -> np.ndarray:
+        """Packed coefficients of a field; a complex field's are analyze(re) + 1j*analyze(im)."""
+        v = self._field(values)
+        if v.dtype.kind == "c":
+            h = self._analyze_half(np.stack([v.real, v.imag]))
+            re, im = h.transpose(1, 0, 2, 3).reshape(2, -1)[:, self._flat]
+            return re + 1j * im
+        return self._analyze_half(v[None]).reshape(-1)[self._flat]
+
+    def synthesize(self, x, table=None) -> np.ndarray:
+        """Node values of packed coefficients; ``table=self._dplm`` gives the colatitude derivative."""
+        table = self._plm if table is None else table
+        h = self.half_spectrum(x)
+        if h.dtype.kind == "c":
+            re, im = self._synthesize_half(np.stack([h.real, h.imag], axis=1), table)
+            return re + 1j * im
+        return self._synthesize_half(h[:, None], table)[0]
 
     def embed_packed(self, x) -> np.ndarray:
         """Zero-pad the packed coefficients of a coarser grid onto this grid's packed basis."""
         out = np.zeros(self.n_packed)
-        out[self._pl < math.isqrt(len(x))] = x
+        out[self.packed_entries[:, 2] < math.isqrt(len(x))] = x
         return out
 
-    def analyze(self, values) -> np.ndarray:
-        """Forward transform to coefficients c[l, m+l_max], m in [-l_max, l_max]."""
-        v = self._field(values, complex)
-        h = self._analyze_half(np.stack([v.real, v.imag]))
-        # c_lm (m >= 0) of v.real and v.imag: (cos - i sin) / _ms
-        re, im = (h[..., 0] - 1j * h[..., 1]).transpose(1, 0, 2) / self._ms[:, None]
-        c = np.empty((self.l_max + 1, 2 * self.l_max + 1), dtype=complex)
-        c[:, self.l_max :: -1] = (re.conj() + 1j * im.conj()).T
-        c[:, self.l_max :] = (re + 1j * im).T
-        return c
-
-    def synthesize(self, coeffs) -> np.ndarray:
-        """Inverse transform from c[l, m+l_max] to node values."""
-        return self._synthesize_complex(coeffs, self._plm)
-
-    def synthesize_dtheta(self, coeffs) -> np.ndarray:
-        """Colatitude derivative of the band-limited field with given coefficients."""
-        return self._synthesize_complex(coeffs, self._dplm)
-
-    def _synthesize_complex(self, coeffs, table: np.ndarray) -> np.ndarray:
-        c = np.asarray(coeffs, dtype=complex)
-        pos, neg = c[:, self.l_max :].T, c[:, self.l_max :: -1].T.conj()
-        # c_lm (m >= 0) of the real and imaginary parts, then cos = Re, sin = -Im, times _ms
-        half = np.stack([pos + neg, 1j * (neg - pos)], axis=1) * (self._ms[:, None, None] / 2.0)
-        v = self._synthesize_half(np.stack([half.real, -half.imag], axis=-1), table)
-        return v[0] + 1j * v[1]
-
-    def evaluate(self, coeffs, theta, phi) -> np.ndarray:
-        """Evaluate the band-limited field at arbitrary points (off-grid synthesis)."""
-        c = np.asarray(coeffs, dtype=complex)
+    def evaluate(self, x, theta, phi) -> np.ndarray:
+        """Packed coefficients synthesized at arbitrary points (off-grid synthesis)."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        L = self.l_max
-        plm = _normalized_legendre(L, np.cos(theta))
-        e = np.exp(1j * np.multiply.outer(np.arange(L + 1), phi))
-        pos = np.einsum("ml,ml...->m...", c[:, L:].T, plm) * e
-        neg = np.einsum("ml,ml...->m...", c[:, L - 1 :: -1].T, plm[1:]) * e[1:].conj()
-        return np.sqrt(2.0) * (pos.sum(axis=0) + neg.sum(axis=0))
+        ang = np.multiply.outer(np.arange(self.l_max + 1), phi)
+        trig = self._b[:, None, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)  # (m, cos|sin, point)
+        plm = _normalized_legendre(self.l_max, np.cos(theta))
+        h = self.half_spectrum(x)
+        parts = (h.real, h.imag) if h.dtype.kind == "c" else (h,)  # real parts: plm is never cast to complex
+        v = [(np.matmul(p.transpose(0, 2, 1), plm) * trig).sum(axis=(0, 1)) for p in parts]
+        return v[0] + 1j * v[1] if len(v) == 2 else v[0]
+
+    def d_dphi(self, x) -> np.ndarray:
+        """Packed coefficients of d/dphi: each cos entry takes m times its sin partner, each sin entry -m times its cos."""
+        return self._dphi_scale * np.asarray(x)[self._partner]
 
     # ------------------------------------------------------------------
     # quadrature and calculus
@@ -291,9 +288,7 @@ class SphereGrid:
         ``sequential=True`` reduces with math.fsum in a fixed order, which is
         bitwise reproducible regardless of BLAS threading.
         """
-        v = _vals(f)
-        if v.shape != (self.n_lat, self.n_lon):
-            raise SpecMismatch(f"field shape {v.shape} does not match grid {(self.n_lat, self.n_lon)}")
+        v = self._field(f)
         if sequential:
             prod = (self.weights * v).ravel()
             if np.iscomplexobj(prod):
@@ -303,28 +298,21 @@ class SphereGrid:
 
     def laplacian(self, f) -> np.ndarray:
         """Spectral Laplace-Beltrami operator; valid for band-limited fields."""
-        c = self.analyze(f)
-        return self.synthesize(self.laplace_eigenvalues[:, None] * c)
+        return self.synthesize(self.packed_laplace * self.analyze(f))
 
     def solve_poisson(self, rhs, mean_tol: float = 1e-8) -> np.ndarray:
         """Unique mean-zero u with laplacian(u) = rhs; rhs must have zero mean."""
-        c = self.analyze(rhs)
+        x = self.analyze(rhs)
         mean = self.integrate(rhs)
         if abs(mean) > mean_tol:
             raise NonZeroMean(abs(mean), mean_tol)
-        c = c.copy()
-        c[0, :] = 0.0
-        c[1:, :] /= self.laplace_eigenvalues[1:, None]
-        return self.synthesize(c)
+        x[0] = 0.0
+        x[1:] /= self.packed_laplace[1:]
+        return self.synthesize(x)
 
     # ------------------------------------------------------------------
     # chart derivatives
     # ------------------------------------------------------------------
-
-    def d_dphi(self, f) -> np.ndarray:
-        v = np.asarray(_vals(f), dtype=complex)
-        m = np.fft.fftfreq(self.n_lon, 1.0 / self.n_lon)
-        return np.fft.ifft(1j * m[None, :] * np.fft.fft(v, axis=1), axis=1)
 
     def d_dz(self, f) -> np.ndarray:
         """Chart derivative  d/dz  of a (smooth) field sampled on the nodes.
@@ -332,9 +320,9 @@ class SphereGrid:
         Uses dz = R'(theta) e^{i phi} dtheta + i z dphi with R = cot(theta/2):
         d/dz = [ -(sin(theta)/2) d/dtheta - (i/2) d/dphi ] / z.
         """
-        c = self.analyze(f)
-        f_theta = self.synthesize_dtheta(c)
-        f_phi = self.d_dphi(f)
+        x = self.analyze(f)
+        f_theta = self.synthesize(x, table=self._dplm)
+        f_phi = self.synthesize(self.d_dphi(x))
         sin_t = np.sin(self.colat)[:, None]
         return (-(sin_t / 2.0) * f_theta - 0.5j * f_phi) / self.z
 

@@ -2,8 +2,8 @@
 
 The unknown is the dilation exponent in  lap(u) + 2 K e^{2u} - lambda = 0
 with K the flat-metric squared norm of a holomorphic class.  Galerkin
-collocation on the grid's packed real coefficients
-(``SphereGrid.analyze_real``/``synthesize_real``; entry 0 is the constant);
+collocation on the packed real coefficients of every grid transform
+(``SphereGrid.analyze``/``synthesize``; entry 0 is the constant);
 the Jacobian lap + 4 K e^{2u} is symmetric in that orthonormal basis and is
 inverted matrix-free with MINRES preconditioned by (sigma - lap)^{-1}.
 
@@ -83,7 +83,8 @@ class SolveResult:
     # "converged", or the guard that rejected the step a stall ended on:
     # "init" (the lambda_init solve failed), "newton", "blowup"
     # (sup|u - c| > blowup_sup) or "filter"; and that step's residual_fine
-    # (NaN if Newton failed)
+    # (NaN if Newton failed).  "blowup" needs an ``initial=`` start past the
+    # bound that Newton accepts in zero steps; a ramp into it reads "newton"
     stop_reason: str = "converged"
     stop_residual_fine: float = float("nan")
 
@@ -99,7 +100,7 @@ class SolveResult:
 
 def residual(u: ConformalFactor, phi: HoloClass, lam: float, grid: SphereGrid) -> ScalarField:
     """Pointwise defect lap(u) + 2|phi|^2_{H_u} - lambda on the grid."""
-    return ScalarField(grid.laplacian(u.u).real + 2.0 * phi_norm_sq(phi, u, grid).values - lam)
+    return ScalarField(grid.laplacian(u.u) + 2.0 * phi_norm_sq(phi, u, grid).values - lam)
 
 
 class _Workspace:
@@ -121,8 +122,8 @@ class _Workspace:
             return float("nan")
         gf = self.fine_grid
         xf = gf.embed_packed(x)
-        u_vals = gf.synthesize_real(xf)
-        lap = gf.synthesize_real(gf.packed_laplace * xf)
+        u_vals = gf.synthesize(xf)
+        lap = gf.synthesize(gf.packed_laplace * xf)
         return float(np.abs(lap + 2.0 * self.k_fine * np.exp(2.0 * u_vals) - lam).max())
 
     def evaluate(self, x: np.ndarray, lam: float, sup_max: float = math.inf):
@@ -133,12 +134,12 @@ class _Workspace:
         Analysis of a band-limited synthesis is exact under the grid's
         quadrature, so lap(u) enters the residual as ``diag * x``.
         """
-        u_vals = self.grid.synthesize_real(x)
+        u_vals = self.grid.synthesize(x)
         sup = float(np.abs(u_vals - x[0]).max())
         if sup > sup_max:
             return sup, None, None
         ke = 2.0 * self.k_vals * np.exp(2.0 * u_vals)
-        r = self.grid.analyze_real(ke) + self.diag * x
+        r = self.grid.analyze(ke) + self.diag * x
         r[0] -= lam  # entry 0's basis function is the constant 1
         return sup, r, 2.0 * ke
 
@@ -152,7 +153,7 @@ class _Workspace:
         """Jacobian lap + weight and its preconditioner (sigma - lap)^{-1}, sigma the mean weight."""
 
         def matvec(y):
-            return self.grid.analyze_real(weight * self.grid.synthesize_real(y)) + self.diag * y
+            return self.grid.analyze(weight * self.grid.synthesize(y)) + self.diag * y
 
         sigma = max(float(weight.mean()), 1e-8)
         m_diag = 1.0 / (sigma - self.diag)
@@ -224,7 +225,7 @@ def _initial_guess(ws: _Workspace, lam: float, cfg: SolveConfig) -> np.ndarray:
     """Constant balance plus one Poisson correction, valid for small lambda."""
     mass = float(np.real(ws.grid.integrate(2.0 * ws.k_vals)))
     c0 = 0.5 * math.log(lam / mass)
-    x = ws.grid.analyze_real(lam - 2.0 * ws.k_vals * math.exp(2.0 * c0))
+    x = ws.grid.analyze(lam - 2.0 * ws.k_vals * math.exp(2.0 * c0))
     x[1:] /= ws.diag[1:]
     x[0] = c0
     return x
@@ -275,13 +276,13 @@ def solve_phi_system(
         return math.log(max(fine, 1e-300) / (cfg.spurious_tol * max(1.0, lam_at)))
 
     if initial is not None:
-        x, iters, rnorm, fine, reason, minres_iters = _trial(ws, grid.analyze_real(initial.total), lam, cfg)
+        x, iters, rnorm, fine, reason, minres_iters = _trial(ws, grid.analyze(initial.total), lam, cfg)
         trace.append((lam, iters, rnorm))
         return _finish(ws, phi, x, lam, fine, trace, minres_iters, reason or "converged", fine if reason else math.nan)
 
     if start is not None:
         lam_now, fine_now, minres_iters = start.lam, start.residual_fine, 0
-        x = grid.analyze_real(start.u.total)
+        x = grid.analyze(start.u.total)
     else:
         lam_now = min(cfg.lambda_init, lam)
         x, iters, rnorm, fine_now, reason, minres_iters = _trial(ws, _initial_guess(ws, lam_now, cfg), lam_now, cfg)
@@ -319,7 +320,7 @@ def solve_phi_system(
 
 def _finish(ws: _Workspace, phi: HoloClass, x, lam, fine, trace, minres_iters, reason, stop_fine) -> SolveResult:
     grid = ws.grid
-    u = ConformalFactor(grid.synthesize_real(np.concatenate([[0.0], x[1:]])), float(x[0]))
+    u = ConformalFactor(grid.synthesize(np.concatenate([[0.0], x[1:]])), float(x[0]))
     res = residual(u, phi, lam, grid)
     return SolveResult(
         u=u,

@@ -30,27 +30,18 @@ def grid48():
 
 
 def random_real_field(grid, rng, l_hi=None, amp=1.0, zero_mean=True):
-    """Random real band-limited field via Hermitian-symmetric coefficients.
+    """Random real band-limited field from normal packed coefficients.
 
-    In this basis real fields satisfy c[l,-m] = conj(c[l,m]) (no sign flip:
-    the |m| Legendre factor is shared by both signs of m).
+    The draws are those of complex coefficients c_lm with c_l,-m = conj(c_lm)
+    (no sign flip: the |m| Legendre factor is shared by both signs of m); for
+    m >= 1 the packed cos entry is sqrt(2) Re c_lm and the sin entry
+    -sqrt(2) Im c_lm.
     """
     l_hi = grid.l_max if l_hi is None else l_hi
-    c = np.zeros((grid.l_max + 1, 2 * grid.l_max + 1), dtype=complex)
+    h = np.zeros((grid.l_max + 1, grid.l_max + 1, 2))
     for l in range(0 if not zero_mean else 1, l_hi + 1):
-        c[l, grid.l_max] = rng.normal()
+        h[0, l, 0] = rng.normal()
         for m in range(1, l + 1):
             a = rng.normal() + 1j * rng.normal()
-            c[l, grid.l_max + m] = a
-            c[l, grid.l_max - m] = np.conj(a)
-    vals = grid.synthesize(c * amp)
-    return vals.real
-
-
-def random_complex_field(grid, rng, l_hi=None):
-    l_hi = grid.l_max if l_hi is None else l_hi
-    c = np.zeros((grid.l_max + 1, 2 * grid.l_max + 1), dtype=complex)
-    for l in range(l_hi + 1):
-        for m in range(-l, l + 1):
-            c[l, grid.l_max + m] = rng.normal() + 1j * rng.normal()
-    return grid.synthesize(c)
+            h[m, l] = np.sqrt(2.0) * a.real, -np.sqrt(2.0) * a.imag
+    return grid.synthesize(amp * h.reshape(-1)[grid._flat])

@@ -66,7 +66,7 @@ def log_norm_zeta_callable(u_coeffs, offset: float, spec: BundleSpec, grid: Sphe
 
     def fn(theta, phi_ang):
         log_h0 = k * np.log(np.sin(np.asarray(theta) / 2.0))
-        u_here = grid.evaluate(u_coeffs, np.asarray(theta).ravel(), np.asarray(phi_ang).ravel()).real
+        u_here = grid.evaluate(u_coeffs, np.asarray(theta).ravel(), np.asarray(phi_ang).ravel())
         return log_h0 + u_here.reshape(np.asarray(theta).shape) + offset
 
     return fn
@@ -79,8 +79,7 @@ def phi_norm_sq_at(phi: HoloClass, u: ConformalFactor, grid: SphereGrid, theta, 
     z = (np.cos(theta / 2) / np.sin(theta / 2)) * np.exp(1j * phi_ang)
     w = (np.sin(theta / 2) / np.cos(theta / 2)) * np.exp(-1j * phi_ang)
     weight = pair_weight_values(phi.a, phi.a, phi.spec.k, z, w).real
-    coeffs = grid.analyze(u.u)
-    u_here = grid.evaluate(coeffs, theta.ravel(), phi_ang.ravel()).real.reshape(theta.shape)
+    u_here = grid.evaluate(grid.analyze(u.u), theta.ravel(), phi_ang.ravel()).reshape(theta.shape)
     return TANGENT_NORMALIZATION * weight * np.exp(2.0 * (u_here + u.offset))
 
 

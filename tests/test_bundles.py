@@ -149,9 +149,9 @@ class TestDegree:
         assert degree_by_integration(u, spec_k(4), grid16) == pytest.approx(4.0, abs=1e-8)
 
     def test_y2_bump(self, grid16):
-        c = np.zeros((17, 33), dtype=complex)
-        c[2, 16] = 0.3
-        u = ConformalFactor.from_values(grid16.synthesize(c).real, grid16)
+        x = np.zeros(grid16.n_packed)
+        x[2] = 0.3  # packed entry 2 is the zonal (l, m) = (2, 0) one
+        u = ConformalFactor.from_values(grid16.synthesize(x), grid16)
         assert degree_by_integration(u, spec_k(2), grid16) == pytest.approx(2.0, abs=1e-8)
 
     def test_invariance_over_many_u(self, grid16):

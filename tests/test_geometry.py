@@ -16,10 +16,15 @@ from conftest import random_real_field
 from oracles import laplacian_local
 
 
+def packed_harmonic(grid, l, m):
+    """Packed coefficients of Y_lm = sqrt(2) Pbar_l^|m| e^{i m phi}: (cos + i sign(m) sin) / sqrt(2) for m != 0."""
+    h = np.zeros((grid.l_max + 1, grid.l_max + 1, 2), dtype=complex)
+    h[abs(m), l] = (1.0, 0.0) if m == 0 else (np.sqrt(0.5), 1j * np.sign(m) * np.sqrt(0.5))
+    return h.reshape(-1)[grid._flat]
+
+
 def unit_harmonic(grid, l, m):
-    c = np.zeros((grid.l_max + 1, 2 * grid.l_max + 1), dtype=complex)
-    c[l, m + grid.l_max] = 1.0
-    return grid.synthesize(c)
+    return grid.synthesize(packed_harmonic(grid, l, m))
 
 
 class TestGridConstruction:
@@ -169,11 +174,11 @@ class TestPoisson:
         # closed-form potential against each Legendre function.
         from spherecurv.geometry import _normalized_legendre
 
+        # packed entries 0..l_max are the zonal (m = 0) ones, entry l of degree l
         k, L = 2, grid24.l_max
-        rhs_c = np.zeros((L + 1, 2 * L + 1), dtype=complex)
-        for l in range(1, L + 1):
-            rhs_c[l, L] = -2 * np.pi * k * np.sqrt(2.0 * l + 1.0)
-        rhs = grid24.synthesize(rhs_c).real
+        rhs_x = np.zeros(grid24.n_packed)
+        rhs_x[1 : L + 1] = -2 * np.pi * k * np.sqrt(2.0 * np.arange(1, L + 1) + 1.0)
+        rhs = grid24.synthesize(rhs_x)
         u = grid24.solve_poisson(rhs)
         got = grid24.analyze(u)
 
@@ -185,7 +190,7 @@ class TestPoisson:
             # c_l = (sqrt(2)/2) * int f(mu) Pbar_l(mu) dmu
             val, _ = quad(integrand, -1.0, 1.0, epsabs=1e-13, limit=200)
             oracle = np.sqrt(2.0) / 2.0 * val
-            assert abs(got[l, L] - oracle) < 1e-10, l
+            assert abs(got[l] - oracle) < 1e-10, l
 
 
 class TestInvariants:
@@ -215,27 +220,45 @@ class TestInvariants:
     def test_roundtrip_bandlimited(self, grid16):
         rng = np.random.default_rng(13)
         f = random_real_field(grid16, rng)
-        f2 = grid16.synthesize(grid16.analyze(f)).real
+        f2 = grid16.synthesize(grid16.analyze(f))
         assert np.abs(f2 - f).max() < 1e-10 * max(1.0, np.abs(f).max())
 
 
 class TestChartDerivatives:
-    # (f, d_z f, d_zbar f) with s = 1+|z|^2; band-limited, so spectrally exact.
-    # 2z/s = sin(t) e^{i phi} is (l, m) = (1, 1) alone; 1/s and z/s^2 also
-    # carry l > |m|, where d/dtheta uses the Pbar_{l-1}^m term
+    # (f, d_z f, d_zbar f, d_phi f) with s = 1+|z|^2; band-limited, so
+    # spectrally exact.  2z/s = sin(t) e^{i phi} is (l, m) = (1, 1) alone;
+    # 1/s and z/s^2 also carry l > |m|, where d/dtheta uses the Pbar_{l-1}^m
+    # term.  z^a conj(z)^b g(|z|) has d/dphi = i (a - b) times itself
     CLOSED_FORMS = {
-        "2z_over_s": (lambda z, s: 2 * z / s, lambda z, s: 2 / s**2, lambda z, s: -2 * z**2 / s**2),
-        "1_over_s": (lambda z, s: 1 / s, lambda z, s: -np.conj(z) / s**2, lambda z, s: -z / s**2),
-        "z_over_s2": (lambda z, s: z / s**2, lambda z, s: (2 - s) / s**3, lambda z, s: -2 * z**2 / s**3),
+        "2z_over_s": (
+            lambda z, s: 2 * z / s,
+            lambda z, s: 2 / s**2,
+            lambda z, s: -2 * z**2 / s**2,
+            lambda z, s: 2j * z / s,
+        ),
+        "1_over_s": (
+            lambda z, s: 1 / s,
+            lambda z, s: -np.conj(z) / s**2,
+            lambda z, s: -z / s**2,
+            lambda z, s: 0 * z,
+        ),
+        "z_over_s2": (
+            lambda z, s: z / s**2,
+            lambda z, s: (2 - s) / s**3,
+            lambda z, s: -2 * z**2 / s**3,
+            lambda z, s: 1j * z / s**2,
+        ),
     }
 
     @pytest.mark.parametrize("name", CLOSED_FORMS)
     def test_closed_form(self, grid16, name):
-        f, dz, dzbar = self.CLOSED_FORMS[name]
+        f, dz, dzbar, dphi = self.CLOSED_FORMS[name]
         z = grid16.z
         s = 1.0 + np.abs(z) ** 2
         assert np.abs(grid16.d_dz(f(z, s)) - dz(z, s)).max() < 1e-12
         assert np.abs(grid16.d_dzbar(f(z, s)) - dzbar(z, s)).max() < 1e-12
+        # packed d/dphi: each cos entry takes m times its sin partner and back
+        assert np.abs(grid16.synthesize(grid16.d_dphi(grid16.analyze(f(z, s)))) - dphi(z, s)).max() < 1e-12
 
 
 class TestRealCore:
@@ -250,17 +273,20 @@ class TestRealCore:
         grid = build_grid(l_max)
         rng = np.random.default_rng(seed)
         x = rng.normal(size=grid.n_packed)
-        v = grid.synthesize_real(x)
-        assert np.abs(grid.analyze_real(v) - x).max() < 1e-12 * np.abs(x).max()
+        v = grid.synthesize(x)
+        assert np.abs(grid.analyze(v) - x).max() < 1e-12 * np.abs(x).max()
         # Parseval: the packed basis is orthonormal for the normalized measure
         assert abs(grid.integrate(v * v) - x @ x) < 1e-12 * (x @ x)
-        w = v + 1j * grid.synthesize_real(rng.normal(size=grid.n_packed))
-        c = grid.analyze(w)
-        assert np.abs(grid.synthesize(c) - w).max() < 1e-12 * np.abs(w).max()
-        # off-grid synthesis at the nodes themselves, both signs of m
+        y = x + 1j * rng.normal(size=grid.n_packed)
+        w = grid.synthesize(y)
+        assert np.abs(w.real - v).max() == 0.0
+        assert np.abs(grid.analyze(w) - y).max() < 1e-12 * np.abs(y).max()
+        # the basis is real, so analysis commutes with conjugation
+        assert np.abs(grid.analyze(np.conj(w)) - np.conj(grid.analyze(w))).max() < 1e-15 * np.abs(y).max()
+        # off-grid synthesis of a complex vector at the nodes themselves
         j = rng.integers(grid.n_lat, size=8)
         k = rng.integers(grid.n_lon, size=8)
-        assert np.abs(grid.evaluate(c, grid.colat[j], grid.lon[k]) - w[j, k]).max() < 1e-12 * np.abs(w).max()
+        assert np.abs(grid.evaluate(y, grid.colat[j], grid.lon[k]) - w[j, k]).max() < 1e-12 * np.abs(w).max()
 
     @pytest.mark.parametrize("l_max", [72, 128])
     def test_large_truncations_add_nothing_to_the_quadrature(self, l_max):
@@ -269,34 +295,35 @@ class TestRealCore:
         # Legendre Gram matrix sum_j glw_j P[m,l,j] P[m,l',j] misses the
         # identity by 1.6e-13 (l_max 72) and 6e-13 (l_max 128) even with exact
         # Legendre values.  So the round trip is checked against that Gram
-        # matrix, and the complex glue against the real path.
+        # matrix, and a complex field's single batched transform against two
+        # real ones.
         grid = build_grid(l_max)
         rng = np.random.default_rng(l_max)
         # packed entry (m, cos|sin, l) is the basis function b_m Pbar_l^m {cos, sin}(m phi)
-        packed = [(m, p, l) for m in range(l_max + 1) for p in ((0, 1) if m else (0,)) for l in range(m, l_max + 1)]
         for i in rng.integers(grid.n_packed, size=12):
-            m, p, l = packed[i]
+            m, p, l = grid.packed_entries[i]
             basis = (2.0 if m else np.sqrt(2.0)) * np.outer(grid._plm[m, l], (np.cos, np.sin)[p](m * grid.lon))
             e = np.zeros(grid.n_packed)
             e[i] = 1.0
-            assert np.abs(grid.synthesize_real(e) - basis).max() < 1e-13 * np.abs(basis).max()
+            assert np.abs(grid.synthesize(e) - basis).max() < 1e-13 * np.abs(basis).max()
         x = rng.normal(size=grid.n_packed)
-        v = grid.synthesize_real(x)
+        v = grid.synthesize(x)
         h = np.zeros(2 * (l_max + 1) ** 2)
         h[grid._flat] = x
         gram = np.matmul(grid._plm * grid.glw, grid._plm.transpose(0, 2, 1))
         expected = np.matmul(gram, h.reshape(l_max + 1, l_max + 1, 2)).reshape(-1)[grid._flat]
-        assert np.abs(grid.analyze_real(v) - expected).max() < 1e-13 * np.abs(x).max()
+        assert np.abs(grid.analyze(v) - expected).max() < 1e-13 * np.abs(x).max()
         assert abs(grid.integrate(v * v) - x @ x) < 1e-12 * (x @ x)
-        w = v + 1j * grid.synthesize_real(rng.normal(size=grid.n_packed))
-        real_path = sum(f * grid.synthesize_real(grid.analyze_real(part)) for f, part in ((1, w.real), (1j, w.imag)))
+        w = v + 1j * grid.synthesize(rng.normal(size=grid.n_packed))
+        real_path = sum(f * grid.synthesize(grid.analyze(part)) for f, part in ((1, w.real), (1j, w.imag)))
         assert np.abs(grid.synthesize(grid.analyze(w)) - real_path).max() < 1e-13 * np.abs(w).max()
 
 
 class TestBasisOracle:
     def test_matches_scipy_harmonics(self, grid16):
         # basis functions against an independent implementation: for m >= 0
-        # ours are 2*sqrt(pi) times the standard orthonormal harmonics
+        # Y_lm = (b_m cos + i b_m sin entries) / sqrt(2) is 2*sqrt(pi) times
+        # the standard orthonormal harmonic, which checks both packed entries
         try:
             from scipy.special import sph_harm_y
             def harm(m, l, th, ph):
@@ -310,9 +337,7 @@ class TestBasisOracle:
         th = rng.uniform(0.2, np.pi - 0.2, size=7)
         ph = rng.uniform(0, 2 * np.pi, size=7)
         for l, m in [(0, 0), (1, 0), (1, 1), (4, 2), (9, 7), (12, 0), (16, 16)]:
-            c = np.zeros((17, 33), dtype=complex)
-            c[l, 16 + m] = 1.0
-            mine = grid16.evaluate(c, th, ph)
+            mine = grid16.evaluate(packed_harmonic(grid16, l, m), th, ph)
             ref = 2 * np.sqrt(np.pi) * harm(m, l, th, ph)
             assert np.abs(mine - ref).max() < 1e-12, (l, m)
 

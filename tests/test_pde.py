@@ -63,9 +63,9 @@ class TestResidual:
         phi = HoloClass(spec_k(4), rng.normal(size=3) + 1j * rng.normal(size=3))
         ws = _Workspace(grid, phi_norm_sq(phi, ConformalFactor.zero(grid), grid).values)
         x = rng.normal(size=ws.n) / np.sqrt(ws.n)
-        u = ConformalFactor(grid.synthesize_real(np.concatenate([[0.0], x[1:]])), x[0])
+        u = ConformalFactor(grid.synthesize(np.concatenate([[0.0], x[1:]])), x[0])
         lam = 3.0
-        expected = grid.analyze_real(residual(u, phi, lam, grid).values)
+        expected = grid.analyze(residual(u, phi, lam, grid).values)
         assert np.abs(ws.residual_packed(x, lam) - expected).max() < 1e-12 * np.abs(expected).max()
 
 
@@ -250,8 +250,9 @@ class TestTransformCount:
         # On the solve grid and outside MINRES's matvecs, each line-search
         # trial and each Newton start costs one synthesis and one analysis
         # (one evaluated point); the Jacobian reuses the accepted trial's
-        # weight.  The rest of the solve adds the initial guess's analysis and
-        # the returned u's synthesis; each matvec costs one of each.
+        # weight.  The rest of the solve adds the initial guess's analysis, the
+        # returned u's synthesis and the Laplacian of the returned residual
+        # (one of each); each matvec costs one of each.
         import spherecurv.pde as pde
 
         transforms = collections.Counter()  # (grid, transform, innermost phase) -> calls
@@ -279,7 +280,7 @@ class TestTransformCount:
 
             return wrapped
 
-        for name in ("synthesize_real", "analyze_real"):
+        for name in ("synthesize", "analyze"):
             monkeypatch.setattr(SphereGrid, name, counting(name))
         monkeypatch.setattr(pde._Workspace, "evaluate", within("point", pde._Workspace.evaluate))
         monkeypatch.setattr(pde, "_damped_step", within("line search", pde._damped_step))
@@ -293,11 +294,11 @@ class TestTransformCount:
         assert points["line search"] >= sum(iters for _, iters, _ in trace)  # each Newton step accepts one trial
 
         def both(where):
-            return transforms[grid, "synthesize_real", where], transforms[grid, "analyze_real", where]
+            return transforms[grid, "synthesize", where], transforms[grid, "analyze", where]
 
         assert both("point") == (sum(points.values()),) * 2
         assert both("line search") == (0, 0)
-        assert both("solve") == (1, 1)
+        assert both("solve") == (2, 2)
         assert both("minres")[0] == both("minres")[1] > 0
 
 
