@@ -35,7 +35,7 @@ from .cohomology import (
     pullback_class,
     pullback_dual,
 )
-from .geometry import ChartPoint, ScalarField, SphereGrid, build_grid
+from .geometry import ChartPoint, SphereGrid, build_grid
 from .lab import ExperimentConfig, RunRecord, gen_family, run_existence_sweep, run_radial_nonexistence, run_symmetry_audit
 from .pde import RadialProfile, SolveConfig, SolveResult, forward_F, residual, solve_phi_system, solve_radial
 from .strata import (
@@ -78,7 +78,6 @@ __all__ = [
     "pullback_class",
     "pullback_dual",
     "ChartPoint",
-    "ScalarField",
     "SphereGrid",
     "build_grid",
     "ExperimentConfig",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecMismatch, ZeroClass
-from .geometry import ChartPoint, ScalarField, SphereGrid, _vals
+from .geometry import ChartPoint, SphereGrid
 
 # Normalization of |phi|^2 inherited from the unit-area tangent bundle.
 TANGENT_NORMALIZATION = 2.0 * np.pi
@@ -64,7 +64,7 @@ class ConformalFactor:
     @classmethod
     def from_values(cls, values, grid: SphereGrid, offset: float = 0.0) -> "ConformalFactor":
         """Split arbitrary real samples into mean-zero part + constant."""
-        v = np.asarray(_vals(values), dtype=float)
+        v = np.asarray(values, dtype=float)
         mean = float(np.real(grid.integrate(v)))
         return cls(v - mean, offset + mean)
 
@@ -160,20 +160,20 @@ def h0_norm_zeta(z, k: int):
     return (1.0 + np.abs(z) ** 2) ** (-k)
 
 
-def phi_norm_sq(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> ScalarField:
+def phi_norm_sq(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> np.ndarray:
     """Pointwise squared norm of the class under H_u; finite at both poles."""
     w = pair_weight_h0(phi.a, phi.a, phi.spec, grid).real
-    return ScalarField(TANGENT_NORMALIZATION * w * np.exp(2.0 * u.total))
+    return TANGENT_NORMALIZATION * w * np.exp(2.0 * u.total)
 
 
-def curvature_scalar(u: ConformalFactor, spec: BundleSpec, grid: SphereGrid) -> ScalarField:
+def curvature_scalar(u: ConformalFactor, spec: BundleSpec, grid: SphereGrid) -> np.ndarray:
     """Contracted curvature of H_u: the field 2*pi*k - laplacian(u)."""
-    return ScalarField(2.0 * np.pi * spec.k - grid.laplacian(u.u))
+    return 2.0 * np.pi * spec.k - grid.laplacian(u.u)
 
 
 def degree_by_integration(u: ConformalFactor, spec: BundleSpec, grid: SphereGrid) -> float:
     """Bundle degree recovered as the total curvature over 2*pi."""
-    total = grid.integrate(curvature_scalar(u, spec, grid).values)
+    total = grid.integrate(curvature_scalar(u, spec, grid))
     return float(np.real(total)) / (2.0 * np.pi)
 
 

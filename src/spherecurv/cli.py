@@ -42,11 +42,16 @@ def _parse_rational_list(text: str):
     return out
 
 
+def _config_file(path: str) -> ExperimentConfig:
+    """``--config`` type: a config that fails to load is a usage error (exit 2), not a traceback."""
+    try:
+        return ExperimentConfig.from_json(path)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{path}: {exc}") from exc
+
+
 def _load_config(args, default_experiment: str) -> ExperimentConfig:
-    if args.config:
-        cfg = ExperimentConfig.from_json(args.config)
-    else:
-        cfg = ExperimentConfig(experiment=default_experiment)
+    cfg = args.config or ExperimentConfig(experiment=default_experiment)
     cfg.experiment = default_experiment
     if args.out:
         cfg.out_dir = args.out
@@ -161,7 +166,7 @@ def _cmd_solve(args) -> int:
         # the conformal curvature actually realized by the solution
         from .bundles import phi_norm_sq
 
-        kfield = 2.0 * phi_norm_sq(phi, res.u, grid).values
+        kfield = 2.0 * phi_norm_sq(phi, res.u, grid)
         report["curvature_min"] = float(kfield.min())
         report["curvature_max"] = float(kfield.max())
         b = b_coords(phi, res.u, grid)
@@ -185,7 +190,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p):
-        p.add_argument("--config", help="JSON experiment config (schema 1)")
+        p.add_argument("--config", type=_config_file, help="JSON experiment config (schema 1)")
         p.add_argument("--out", help="output directory override")
         p.add_argument("--lmax", type=int, help="spectral degree override")
         p.add_argument("--tol", type=float, help="classifier tolerance override")

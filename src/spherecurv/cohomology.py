@@ -37,7 +37,7 @@ from .bundles import (
     pair_weight_h0,
 )
 from .errors import SpecMismatch, ZeroClass
-from .geometry import GAUSS_CURVATURE, ScalarField, SphereGrid, _normalized_legendre
+from .geometry import GAUSS_CURVATURE, SphereGrid, _normalized_legendre
 
 
 @dataclass(frozen=True)
@@ -261,7 +261,7 @@ class DbarSolution:
     (k = 5) and 5e-7..6.2e-6 (k = 10); ``b_coords`` gives the coordinates.
     """
 
-    f: ScalarField
+    f: np.ndarray
     p_f: np.ndarray
     f_north: complex
     report: dict
@@ -336,4 +336,4 @@ def dbar_solve(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> DbarSolu
         "f_north_abs": abs(f_north),
         "rhs_mean": rhs_mean,
     }
-    return DbarSolution(f=ScalarField(f_vals), p_f=p_f, f_north=f_north, report=report)
+    return DbarSolution(f=f_vals, p_f=p_f, f_north=f_north, report=report)

@@ -79,17 +79,6 @@ def _normalized_legendre(l_max: int, mu: np.ndarray, _unit_sin: bool = False):
     return p
 
 
-@dataclass
-class ScalarField:
-    """Samples of a scalar function at the grid nodes, shape (n_lat, n_lon)."""
-
-    values: np.ndarray
-
-
-def _vals(f) -> np.ndarray:
-    return f.values if isinstance(f, ScalarField) else np.asarray(f)
-
-
 @dataclass(frozen=True)
 class ChartPoint:
     """A point of the sphere in both stereographic charts, z*w = 1."""
@@ -213,7 +202,7 @@ class SphereGrid:
     # ------------------------------------------------------------------
 
     def _field(self, values) -> np.ndarray:
-        v = np.asarray(_vals(values))
+        v = np.asarray(values)
         if v.shape != (self.n_lat, self.n_lon):
             raise SpecMismatch(f"field shape {v.shape} does not match grid {(self.n_lat, self.n_lon)}")
         return v
@@ -300,12 +289,12 @@ class SphereGrid:
         """Spectral Laplace-Beltrami operator; valid for band-limited fields."""
         return self.synthesize(self.packed_laplace * self.analyze(f))
 
-    def solve_poisson(self, rhs, mean_tol: float = 1e-8) -> np.ndarray:
-        """Unique mean-zero u with laplacian(u) = rhs; rhs must have zero mean."""
+    def solve_poisson(self, rhs) -> np.ndarray:
+        """Unique mean-zero u with laplacian(u) = rhs; rhs must have zero mean (to 1e-8)."""
         x = self.analyze(rhs)
         mean = self.integrate(rhs)
-        if abs(mean) > mean_tol:
-            raise NonZeroMean(abs(mean), mean_tol)
+        if abs(mean) > 1e-8:
+            raise NonZeroMean(abs(mean), 1e-8)
         x[0] = 0.0
         x[1:] /= self.packed_laplace[1:]
         return self.synthesize(x)
@@ -328,7 +317,7 @@ class SphereGrid:
 
     def d_dzbar(self, f) -> np.ndarray:
         """Chart derivative d/d(conj z); conjugate-of-derivative-of-conjugate."""
-        return np.conj(self.d_dz(np.conj(np.asarray(_vals(f), dtype=complex))))
+        return np.conj(self.d_dz(np.conj(np.asarray(f, dtype=complex))))
 
 
 @lru_cache(maxsize=8)

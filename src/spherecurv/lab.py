@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,10 +50,11 @@ class ExperimentConfig:
         schema = data.get("schema")
         if schema != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema {schema!r}; expected {SCHEMA_VERSION}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        solver_keys = {f.name for f in fields(SolveConfig)}  # l_max alone: the other solver values are constants
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        unknown += sorted(f"solver.{key}" for key in set(data.get("solver") or {}) - solver_keys)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {unknown}")
         return cls(**data)
 
     def spec(self) -> BundleSpec:

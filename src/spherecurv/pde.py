@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -40,33 +41,37 @@ from scipy.sparse.linalg import LinearOperator, minres
 from .bundles import BundleSpec, ConformalFactor, HoloClass, phi_norm_sq
 from .cohomology import DualCoords, b_coords
 from .errors import InvalidLambda, NonConvergence, SweepInconclusive
-from .geometry import ScalarField, SphereGrid, build_grid
+from .geometry import SphereGrid, build_grid
 
 
 @dataclass
 class SolveConfig:
+    """Spectral degree of a solve; every other solver value is a fixed constant.
+
+    The constants decide where a continuation stops (the filter, blow-up and
+    step-size guards), so they belong to the solver, not to a run config.
+    """
+
     l_max: int = 32
-    newton_tol: float = 1e-10
-    max_newton: int = 30
-    continuation_step: float = 2.0
-    min_step: float = 1e-4
-    lambda_init: float = 0.25
-    blowup_sup: float = 14.0
+    newton_tol: ClassVar[float] = 1e-10
+    max_newton: ClassVar[int] = 30
+    continuation_step: ClassVar[float] = 2.0
+    min_step: ClassVar[float] = 1e-4
+    lambda_init: ClassVar[float] = 0.25
+    blowup_sup: ClassVar[float] = 14.0
     # floor of the inexact-Newton forcing term, and the tolerance of the
     # re-solve after a loose correction fails
-    minres_rtol: float = 1e-12
-    minres_maxiter: int = 800
+    minres_rtol: ClassVar[float] = 1e-12
+    minres_maxiter: ClassVar[int] = 800
+    # loosest MINRES tolerance of an inexact Newton correction
+    forcing_cap: ClassVar[float] = 1e-3
     # collocation can fabricate under-resolved equilibria past the true
     # solvable range; accepted points must also pass a refined-grid residual.
     # Resolved solutions sit around 1e-9..1e-3 there, fabricated ones at 1e+2;
     # a branch concentrating near the chart pole beyond the grid's resolution
     # crosses the 0.01*lambda bound at about 0.1, which is where it stalls.
-    spurious_tol: float = 1e-2
-    refine_factor: float = 1.5
-
-    def __post_init__(self):
-        if self.newton_tol <= 0 or self.min_step <= 0:
-            raise ValueError("newton_tol and min_step must be positive")
+    spurious_tol: ClassVar[float] = 1e-2
+    refine_factor: ClassVar[float] = 1.5
 
 
 @dataclass
@@ -98,23 +103,23 @@ class SolveResult:
 # ----------------------------------------------------------------------
 
 
-def residual(u: ConformalFactor, phi: HoloClass, lam: float, grid: SphereGrid) -> ScalarField:
+def residual(u: ConformalFactor, phi: HoloClass, lam: float, grid: SphereGrid) -> np.ndarray:
     """Pointwise defect lap(u) + 2|phi|^2_{H_u} - lambda on the grid."""
-    return ScalarField(grid.laplacian(u.u) + 2.0 * phi_norm_sq(phi, u, grid).values - lam)
+    return grid.laplacian(u.u) + 2.0 * phi_norm_sq(phi, u, grid) - lam
 
 
 class _Workspace:
     """Residual and Jacobian for one (grid, K) pair on the grid's packed real coefficients."""
 
-    def __init__(self, grid: SphereGrid, k_vals: np.ndarray, phi: HoloClass | None = None, refine_factor: float = 1.5):
+    def __init__(self, grid: SphereGrid, k_vals: np.ndarray, phi: HoloClass | None = None):
         self.grid = grid
         self.k_vals = k_vals
         self.diag = grid.packed_laplace
         self.n = grid.n_packed
         self.fine_grid = None
         if phi is not None:
-            self.fine_grid = build_grid(int(refine_factor * grid.l_max))
-            self.k_fine = phi_norm_sq(phi, ConformalFactor.zero(self.fine_grid), self.fine_grid).values
+            self.fine_grid = build_grid(int(SolveConfig.refine_factor * grid.l_max))
+            self.k_fine = phi_norm_sq(phi, ConformalFactor.zero(self.fine_grid), self.fine_grid)
 
     def fine_residual_sup(self, x: np.ndarray, lam: float) -> float:
         """Sup residual with the solution re-evaluated on a refined grid."""
@@ -143,12 +148,6 @@ class _Workspace:
         r[0] -= lam  # entry 0's basis function is the constant 1
         return sup, r, 2.0 * ke
 
-    def residual_packed(self, x: np.ndarray, lam: float) -> np.ndarray:
-        return self.evaluate(x, lam)[1]
-
-    def jacobian_operator(self, x: np.ndarray):
-        return self.operator(self.evaluate(x, 0.0)[2])
-
     def operator(self, weight: np.ndarray):
         """Jacobian lap + weight and its preconditioner (sigma - lap)^{-1}, sigma the mean weight."""
 
@@ -163,11 +162,7 @@ class _Workspace:
         return op, pre
 
 
-# loosest MINRES tolerance of an inexact Newton correction
-_FORCING_CAP = 1e-3
-
-
-def _damped_step(ws: _Workspace, op, pre, x, r, rnorm, lam, rtol, cfg: SolveConfig):
+def _damped_step(ws: _Workspace, op, pre, x, r, rnorm, lam, rtol):
     """One MINRES correction at ``rtol`` and its halving line search.
 
     Each trial costs one synthesis and, below ``blowup_sup``, one analysis.
@@ -179,49 +174,49 @@ def _damped_step(ws: _Workspace, op, pre, x, r, rnorm, lam, rtol, cfg: SolveConf
         nonlocal iters
         iters += 1
 
-    delta, info = minres(op, -r, M=pre, rtol=rtol, maxiter=cfg.minres_maxiter, callback=count)
+    delta, info = minres(op, -r, M=pre, rtol=rtol, maxiter=SolveConfig.minres_maxiter, callback=count)
     if info != 0 and np.linalg.norm(op @ delta + r) > 0.1 * rnorm:
         return None, iters
     step = 1.0
     for _ in range(10):
         x_try = x + step * delta
-        sup, r_try, weight = ws.evaluate(x_try, lam, cfg.blowup_sup)
+        sup, r_try, weight = ws.evaluate(x_try, lam, SolveConfig.blowup_sup)
         if r_try is not None:
             n_try = np.linalg.norm(r_try)
-            if n_try < rnorm or n_try < cfg.newton_tol:
+            if n_try < rnorm or n_try < SolveConfig.newton_tol:
                 return (x_try, r_try, n_try, sup, weight), iters
         step *= 0.5
     return None, iters
 
 
-def _newton(ws: _Workspace, x0: np.ndarray, lam: float, cfg: SolveConfig):
+def _newton(ws: _Workspace, x0: np.ndarray, lam: float):
     """Inexact damped Newton at fixed lambda; returns (x, iterations, |r|, ok, MINRES iterations, sup|u - c|)."""
     x = x0.copy()
     sup, r, weight = ws.evaluate(x, lam)
     rnorm = np.linalg.norm(r)
     rprev = None
     minres_iters = 0
-    for it in range(1, cfg.max_newton + 1):
-        if rnorm < cfg.newton_tol:
+    for it in range(1, SolveConfig.max_newton + 1):
+        if rnorm < SolveConfig.newton_tol:
             return x, it - 1, rnorm, True, minres_iters, sup
-        rtol = _FORCING_CAP
+        rtol = SolveConfig.forcing_cap
         if rprev is not None:
-            forcing = max(cfg.minres_rtol, 0.9 * (rnorm / rprev) ** 2, 0.25 * cfg.newton_tol / rnorm)
-            rtol = min(_FORCING_CAP, forcing)
+            forcing = max(SolveConfig.minres_rtol, 0.9 * (rnorm / rprev) ** 2, 0.25 * SolveConfig.newton_tol / rnorm)
+            rtol = min(SolveConfig.forcing_cap, forcing)
         op, pre = ws.operator(weight)
-        new, n = _damped_step(ws, op, pre, x, r, rnorm, lam, rtol, cfg)
+        new, n = _damped_step(ws, op, pre, x, r, rnorm, lam, rtol)
         minres_iters += n
-        if new is None and rtol > cfg.minres_rtol:
-            new, n = _damped_step(ws, op, pre, x, r, rnorm, lam, cfg.minres_rtol, cfg)
+        if new is None and rtol > SolveConfig.minres_rtol:
+            new, n = _damped_step(ws, op, pre, x, r, rnorm, lam, SolveConfig.minres_rtol)
             minres_iters += n
         if new is None:
             return x, it, rnorm, False, minres_iters, sup
         rprev = rnorm
         x, r, rnorm, sup, weight = new
-    return x, cfg.max_newton, rnorm, rnorm < cfg.newton_tol, minres_iters, sup
+    return x, SolveConfig.max_newton, rnorm, rnorm < SolveConfig.newton_tol, minres_iters, sup
 
 
-def _initial_guess(ws: _Workspace, lam: float, cfg: SolveConfig) -> np.ndarray:
+def _initial_guess(ws: _Workspace, lam: float) -> np.ndarray:
     """Constant balance plus one Poisson correction, valid for small lambda."""
     mass = float(np.real(ws.grid.integrate(2.0 * ws.k_vals)))
     c0 = 0.5 * math.log(lam / mass)
@@ -231,15 +226,15 @@ def _initial_guess(ws: _Workspace, lam: float, cfg: SolveConfig) -> np.ndarray:
     return x
 
 
-def _trial(ws: _Workspace, x0: np.ndarray, lam: float, cfg: SolveConfig):
+def _trial(ws: _Workspace, x0: np.ndarray, lam: float):
     """Newton at ``lam`` from ``x0``: (x, iterations, |r|, residual_fine, failed guard or None, MINRES iterations)."""
-    x, iters, rnorm, ok, n, sup = _newton(ws, x0, lam, cfg)
+    x, iters, rnorm, ok, n, sup = _newton(ws, x0, lam)
     if not ok:
         return x, iters, rnorm, math.nan, "newton", n
     fine = ws.fine_residual_sup(x, lam)
-    if sup > cfg.blowup_sup:  # a zero-step Newton run from ``initial`` can still start past the bound
+    if sup > SolveConfig.blowup_sup:  # a zero-step Newton run from ``initial`` can still start past the bound
         return x, iters, rnorm, fine, "blowup", n
-    return x, iters, rnorm, fine, None if fine <= cfg.spurious_tol * max(1.0, lam) else "filter", n
+    return x, iters, rnorm, fine, None if fine <= SolveConfig.spurious_tol * max(1.0, lam) else "filter", n
 
 
 def solve_phi_system(
@@ -254,7 +249,7 @@ def solve_phi_system(
 
     Starts from the small-coupling asymptotic initializer and ramps lambda to
     the target with adaptive steps; a stalled ramp (step or filter bracket below
-    cfg.min_step) returns converged=False with the trace instead of raising,
+    ``min_step``) returns converged=False with the trace instead of raising,
     since that is the expected signature of leaving the solvable range; its
     ``lam`` is the last coupling the ramp accepted.  ``start``, a converged
     result on the same grid at a coupling ``start.lam <= lam``, begins the ramp
@@ -268,15 +263,15 @@ def solve_phi_system(
     if start is not None and not (start.converged and start.lam <= lam):
         raise ValueError(f"start must be converged at a coupling <= {lam}, got {start.lam} ({start.converged=})")
     grid = build_grid(cfg.l_max)
-    k_vals = phi_norm_sq(phi, ConformalFactor.zero(grid), grid).values
-    ws = _Workspace(grid, k_vals, phi, cfg.refine_factor)
+    k_vals = phi_norm_sq(phi, ConformalFactor.zero(grid), grid)
+    ws = _Workspace(grid, k_vals, phi)
     trace = []
 
     def margin(fine, lam_at):  # log(residual_fine / filter bound), > 0 where the filter rejects
-        return math.log(max(fine, 1e-300) / (cfg.spurious_tol * max(1.0, lam_at)))
+        return math.log(max(fine, 1e-300) / (SolveConfig.spurious_tol * max(1.0, lam_at)))
 
     if initial is not None:
-        x, iters, rnorm, fine, reason, minres_iters = _trial(ws, grid.analyze(initial.total), lam, cfg)
+        x, iters, rnorm, fine, reason, minres_iters = _trial(ws, grid.analyze(initial.total), lam)
         trace.append((lam, iters, rnorm))
         return _finish(ws, phi, x, lam, fine, trace, minres_iters, reason or "converged", fine if reason else math.nan)
 
@@ -284,28 +279,28 @@ def solve_phi_system(
         lam_now, fine_now, minres_iters = start.lam, start.residual_fine, 0
         x = grid.analyze(start.u.total)
     else:
-        lam_now = min(cfg.lambda_init, lam)
-        x, iters, rnorm, fine_now, reason, minres_iters = _trial(ws, _initial_guess(ws, lam_now, cfg), lam_now, cfg)
+        lam_now = min(SolveConfig.lambda_init, lam)
+        x, iters, rnorm, fine_now, reason, minres_iters = _trial(ws, _initial_guess(ws, lam_now), lam_now)
         trace.append((lam_now, iters, rnorm))
         if reason is not None:
             return _finish(ws, phi, x, lam_now, fine_now, trace, minres_iters, "init", fine_now)
 
     # bracket [lam_now, lam_hi] around a filter crossing (lam_hi None without
     # one), margins g_now, g_hi, trials 2% inside; side: the end last moved
-    step, lam_hi, side, stop = cfg.continuation_step, None, 0, ("converged", math.nan)
+    step, lam_hi, side, stop = SolveConfig.continuation_step, None, 0, ("converged", math.nan)
     while lam_now < lam:
         if lam_hi is None:
             lam_try = min(lam_now + step, lam)
         else:
             t = g_now / (g_now - g_hi)
             lam_try = lam_now + (lam_hi - lam_now) * (0.5 if math.isnan(t) else min(max(t, 0.02), 0.98))
-        x_try, iters, rnorm, fine, reason, n = _trial(ws, x, lam_try, cfg)
+        x_try, iters, rnorm, fine, reason, n = _trial(ws, x, lam_try)
         minres_iters += n
         trace.append((lam_try, iters, rnorm if reason is None else float("nan")))
         if reason is None:
             x, lam_now, fine_now = x_try, lam_try, fine
             if lam_hi is None:
-                step = min(step * 1.5, cfg.continuation_step * 4)
+                step = min(step * 1.5, SolveConfig.continuation_step * 4)
             else:  # Illinois: the end kept twice in a row has its margin halved
                 g_now, g_hi, side = margin(fine, lam_try), g_hi / 2 if side > 0 else g_hi, 1
         elif reason == "filter":
@@ -313,7 +308,7 @@ def solve_phi_system(
             lam_hi, g_hi, side, stop = lam_try, margin(fine, lam_try), -1, (reason, fine)
         else:
             lam_hi, step, stop = None, 0.5 * (lam_try - lam_now), (reason, fine)
-        if (step if lam_hi is None else lam_hi - lam_now) < cfg.min_step:
+        if (step if lam_hi is None else lam_hi - lam_now) < SolveConfig.min_step:
             return _finish(ws, phi, x, lam_now, fine_now, trace, minres_iters, *stop)
     return _finish(ws, phi, x, lam_now, fine_now, trace, minres_iters, "converged", math.nan)
 
@@ -325,7 +320,7 @@ def _finish(ws: _Workspace, phi: HoloClass, x, lam, fine, trace, minres_iters, r
     return SolveResult(
         u=u,
         lam=float(lam),
-        residual_sup=float(np.abs(res.values).max()),
+        residual_sup=float(np.abs(res).max()),
         converged=reason == "converged",
         continuation_trace=trace,
         # NaN only where Newton failed, which left the refined grid unvisited
@@ -360,8 +355,8 @@ class RadialProfile:
     amp: float  # includes the 2*pi class normalization
 
     @classmethod
-    def from_class(cls, phi: HoloClass, tol: float = 1e-12) -> "RadialProfile":
-        a_idx = np.nonzero(np.abs(phi.a) > tol * np.abs(phi.a).max())[0]
+    def from_class(cls, phi: HoloClass) -> "RadialProfile":
+        a_idx = np.nonzero(np.abs(phi.a) > 1e-12 * np.abs(phi.a).max())[0]
         if len(a_idx) != 1:
             raise ValueError("radial reduction requires a monomial class (divisor on one axis)")
         a = int(a_idx[0])
@@ -418,17 +413,12 @@ def _shoot(profile: RadialProfile, lam: float, alpha: float, rtol: float = 1e-11
     return sol.y[1, -1], sol
 
 
-def solve_radial(
-    profile: RadialProfile | HoloClass,
-    lam: float,
-    cfg: SolveConfig,
-    alpha_range: tuple = (-9.0, 3.0),
-    n_sweep: int = 49,
-) -> RadialResult:
+def solve_radial(profile: RadialProfile | HoloClass, lam: float, cfg: SolveConfig) -> RadialResult:
     """Shooting sweep for the radially symmetric reduction.
 
-    Scans the free initial value, records the boundary-defect curve, refines
-    any sign change by bisection, and polishes a found root with the full
+    Scans the free initial value over 49 points of [-9, 3] about the
+    constant-balance value, records the boundary-defect curve, refines any
+    sign change by bisection, and polishes a found root with the full
     spectral Newton restricted by symmetry (warm start).  Without a sign
     change the minimum defect and an integration-error estimate are reported.
     """
@@ -437,9 +427,9 @@ def solve_radial(
     if lam <= 0:
         raise InvalidLambda(f"lambda must be positive, got {lam}")
 
-    # center the sweep near the constant-balance value
     center = 0.5 * math.log(lam / profile.total_mass())
-    alphas = np.linspace(alpha_range[0] + center, alpha_range[1] + center, n_sweep)
+    n_sweep = 49
+    alphas = np.linspace(-9.0 + center, 3.0 + center, n_sweep)
     values = np.array([_shoot(profile, lam, float(a))[0] for a in alphas])
     good = np.isfinite(values)
     if good.sum() < n_sweep // 2:

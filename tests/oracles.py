@@ -91,7 +91,7 @@ def norm_equivariance_profile(iso: IsometryAction, phi: HoloClass, u: ConformalF
     """
     phi_star = pullback_class(iso, phi)
     u_star = pullback_conformal(iso, u, grid)
-    denom = phi_norm_sq(phi_star, u_star, grid).values
+    denom = phi_norm_sq(phi_star, u_star, grid)
     TH, PH = np.meshgrid(grid.colat, grid.lon, indexing="ij")
     th2, ph2 = iso.apply_angles(TH, PH)
     numer = phi_norm_sq_at(phi, u, grid, th2, ph2)

@@ -168,18 +168,18 @@ def test_06_pde_correctness():
     rng = np.random.default_rng(105)
     grid = build_grid(16)
     phi = HoloClass(spec_k(4), rng.normal(size=3) + 1j * rng.normal(size=3))
-    k_vals = phi_norm_sq(phi, ConformalFactor.zero(grid), grid).values
+    k_vals = phi_norm_sq(phi, ConformalFactor.zero(grid), grid)
     ws = _Workspace(grid, k_vals)
     x = rng.normal(size=ws.n) * 0.1
-    op, _ = ws.jacobian_operator(x)
+    op, _ = ws.operator(ws.evaluate(x, 0.0)[2])
     d = rng.normal(size=ws.n)
     d /= np.linalg.norm(d)
     eps = 1e-6
-    fd = (ws.residual_packed(x + eps * d, 1.0) - ws.residual_packed(x - eps * d, 1.0)) / (2 * eps)
+    fd = (ws.evaluate(x + eps * d, 1.0)[1] - ws.evaluate(x - eps * d, 1.0)[1]) / (2 * eps)
     jac_rel = np.linalg.norm(op @ d - fd) / np.linalg.norm(fd)
 
     res2 = solve_phi_system(HoloClass(spec_k(4), np.array([0, 1.0, 0], dtype=complex)), 4 * np.pi, cfg)
-    mass = grid.integrate(2 * phi_norm_sq(HoloClass(spec_k(4), np.array([0, 1.0, 0], dtype=complex)), res2.u, grid).values)
+    mass = grid.integrate(2 * phi_norm_sq(HoloClass(spec_k(4), np.array([0, 1.0, 0], dtype=complex)), res2.u, grid))
     conservation = abs(float(np.real(mass)) - res2.lam)
     accepted = [r for _, _, r in res2.continuation_trace if np.isfinite(r)]
     trace_ok = bool(accepted) and max(accepted) < 1e-8

@@ -374,7 +374,7 @@ class TestDbarSolve:
         phi, sol, grid = solution_k3
         z = grid.z
         f_exact = -2 * np.pi * (1.0 / (2 * z)) * (1.0 - (1.0 + np.abs(z) ** 2) ** -2)
-        rel = np.abs(sol.f.values - f_exact).max() / np.abs(f_exact).max()
+        rel = np.abs(sol.f - f_exact).max() / np.abs(f_exact).max()
         assert rel < 1e-5
 
     def test_north_value(self, solution_k3):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -92,11 +93,19 @@ class TestConfig:
             ExperimentConfig.from_json(p)
 
     def test_unknown_keys_rejected(self, tmp_path):
-        # no driver reads a seed or an exact flag, so neither is a config key
+        # no driver reads a seed or an exact flag, so neither is a config key;
+        # l_max is the solver's only setting, its guards are constants
         p = tmp_path / "bad.json"
-        for key, value in (("bogus", 1), ("seed", 7), ("exact", True)):
-            p.write_text(json.dumps({"schema": 1, "experiment": "sweep", key: value}))
-            with pytest.raises(ValueError, match=key):
+        cases = [
+            ({"bogus": 1}, "bogus"),
+            ({"seed": 7}, "seed"),
+            ({"exact": True}, "exact"),
+            ({"solver": {"bogus": 1}}, "solver.bogus"),
+            ({"solver": {"l_max": 16, "spurious_tol": 0.1}}, "solver.spurious_tol"),
+        ]
+        for extra, name in cases:
+            p.write_text(json.dumps({"schema": 1, "experiment": "sweep", **extra}))
+            with pytest.raises(ValueError, match=re.escape(f"unknown config keys: ['{name}']")):
                 ExperimentConfig.from_json(p)
 
     def test_class_and_family_exclusive(self):
@@ -404,6 +413,15 @@ class TestCli:
             cli_main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_config_with_solver_constant_is_usage_error(self, tmp_path, capsys):
+        # an old config that sets a solver guard gets one line naming the key
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"schema": 1, "experiment": "solve", "solver": {"spurious_tol": 0.1}}))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["solve", "--config", str(p)])
+        assert exc.value.code == 2
+        assert "unknown config keys: ['solver.spurious_tol']" in capsys.readouterr().err
 
     def test_solve_exit_code(self, tmp_path, capsys):
         cfg = ExperimentConfig(

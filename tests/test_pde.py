@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
@@ -37,13 +38,13 @@ class TestResidual:
         phi = monomial(2, 0)
         u = ConformalFactor(np.zeros((grid16.n_lat, grid16.n_lon)), 0.5 * np.log(lam / (4 * np.pi)))
         r = residual(u, phi, lam, grid16)
-        assert np.abs(r.values).max() < 1e-10
+        assert np.abs(r).max() < 1e-10
 
     def test_round_sphere_zero(self, grid16):
         phi = monomial(2, 0)
         u = ConformalFactor.zero(grid16)
         r = residual(u, phi, 4 * np.pi, grid16)
-        assert np.abs(r.values).max() < 1e-10
+        assert np.abs(r).max() < 1e-10
 
     def test_mean_identity(self, grid16):
         rng = np.random.default_rng(60)
@@ -51,8 +52,8 @@ class TestResidual:
         u = ConformalFactor.from_values(0.3 * random_real_field(grid16, rng, l_hi=6), grid16)
         lam = 2.0
         r = residual(u, phi, lam, grid16)
-        mass = grid16.integrate(2 * phi_norm_sq(phi, u, grid16).values)
-        assert abs(grid16.integrate(r.values) - (mass - lam)) < 1e-9
+        mass = grid16.integrate(2 * phi_norm_sq(phi, u, grid16))
+        assert abs(grid16.integrate(r) - (mass - lam)) < 1e-9
 
     @pytest.mark.parametrize("l_max", [16, 33])
     def test_packed_residual_matches_pointwise(self, l_max):
@@ -61,37 +62,37 @@ class TestResidual:
         grid = build_grid(l_max)
         rng = np.random.default_rng(64 + l_max)
         phi = HoloClass(spec_k(4), rng.normal(size=3) + 1j * rng.normal(size=3))
-        ws = _Workspace(grid, phi_norm_sq(phi, ConformalFactor.zero(grid), grid).values)
+        ws = _Workspace(grid, phi_norm_sq(phi, ConformalFactor.zero(grid), grid))
         x = rng.normal(size=ws.n) / np.sqrt(ws.n)
         u = ConformalFactor(grid.synthesize(np.concatenate([[0.0], x[1:]])), x[0])
         lam = 3.0
-        expected = grid.analyze(residual(u, phi, lam, grid).values)
-        assert np.abs(ws.residual_packed(x, lam) - expected).max() < 1e-12 * np.abs(expected).max()
+        expected = grid.analyze(residual(u, phi, lam, grid))
+        assert np.abs(ws.evaluate(x, lam)[1] - expected).max() < 1e-12 * np.abs(expected).max()
 
 
 class TestJacobian:
     def test_matches_finite_differences(self, grid16):
         rng = np.random.default_rng(61)
         phi = HoloClass(spec_k(4), rng.normal(size=3) + 1j * rng.normal(size=3))
-        k_vals = phi_norm_sq(phi, ConformalFactor.zero(grid16), grid16).values
+        k_vals = phi_norm_sq(phi, ConformalFactor.zero(grid16), grid16)
         ws = _Workspace(grid16, k_vals)
         x = rng.normal(size=ws.n) * 0.1
         lam = 1.0
-        op, _ = ws.jacobian_operator(x)
+        op, _ = ws.operator(ws.evaluate(x, 0.0)[2])
         d = rng.normal(size=ws.n)
         d /= np.linalg.norm(d)
         eps = 1e-6
-        fd = (ws.residual_packed(x + eps * d, lam) - ws.residual_packed(x - eps * d, lam)) / (2 * eps)
+        fd = (ws.evaluate(x + eps * d, lam)[1] - ws.evaluate(x - eps * d, lam)[1]) / (2 * eps)
         rel = np.linalg.norm(op @ d - fd) / np.linalg.norm(fd)
         assert rel < 1e-6
 
     def test_symmetric_operator(self, grid16):
         rng = np.random.default_rng(62)
         phi = monomial(3, 1)
-        k_vals = phi_norm_sq(phi, ConformalFactor.zero(grid16), grid16).values
+        k_vals = phi_norm_sq(phi, ConformalFactor.zero(grid16), grid16)
         ws = _Workspace(grid16, k_vals)
         x = rng.normal(size=ws.n) * 0.1
-        op, _ = ws.jacobian_operator(x)
+        op, _ = ws.operator(ws.evaluate(x, 0.0)[2])
         a = rng.normal(size=ws.n)
         b = rng.normal(size=ws.n)
         assert abs(np.dot(a, op @ b) - np.dot(b, op @ a)) < 1e-8 * np.linalg.norm(a) * np.linalg.norm(b)
@@ -117,7 +118,7 @@ class TestSolve:
         cfg = SolveConfig(l_max=16)
         res = solve_phi_system(monomial(4, 1), 4 * np.pi, cfg)
         grid = build_grid(16)
-        mass = grid.integrate(2 * phi_norm_sq(monomial(4, 1), res.u, grid).values)
+        mass = grid.integrate(2 * phi_norm_sq(monomial(4, 1), res.u, grid))
         assert abs(mass - res.lam) < 1e-8
         # every accepted point met the L2 target, which bounds the mean defect
         accepted = [r for _, _, r in res.continuation_trace if np.isfinite(r)]
@@ -172,8 +173,27 @@ class TestSolve:
             solve_phi_system(monomial(2, 0), -1.0, SolveConfig(l_max=16))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        # the tolerances are constants, not arguments: setting one is an error
+        with pytest.raises(TypeError):
             SolveConfig(newton_tol=0.0)
+
+    def test_config_keeps_one_setting(self):
+        assert tuple(f.name for f in dataclasses.fields(SolveConfig)) == ("l_max",)
+        constants = dict(
+            newton_tol=1e-10,
+            max_newton=30,
+            continuation_step=2.0,
+            min_step=1e-4,
+            lambda_init=0.25,
+            blowup_sup=14.0,
+            minres_rtol=1e-12,
+            minres_maxiter=800,
+            forcing_cap=1e-3,
+            spurious_tol=1e-2,
+            refine_factor=1.5,
+        )
+        cfg = SolveConfig(l_max=16)
+        assert {name: getattr(cfg, name) for name in constants} == constants
 
     def test_high_coupling_needs_resolution(self):
         # near the top of the first existence band solutions concentrate: a
@@ -410,8 +430,8 @@ def counting_newton(monkeypatch, fail_above=None):
     calls = []
     newton = pde._newton
 
-    def wrapped(ws, x0, lam, cfg):
-        out = newton(ws, x0, lam, cfg)
+    def wrapped(ws, x0, lam):
+        out = newton(ws, x0, lam)
         if fail_above is not None and lam > fail_above:
             out = out[:3] + (False,) + out[4:]
         calls.append((lam, out[3]))
@@ -525,5 +545,5 @@ class TestRadial:
     def test_profile_mass_matches_grid(self, grid16):
         phi = monomial(4, 1, amp=1.3)
         prof = RadialProfile.from_class(phi)
-        grid_mass = grid16.integrate(2 * phi_norm_sq(phi, ConformalFactor.zero(grid16), grid16).values)
+        grid_mass = grid16.integrate(2 * phi_norm_sq(phi, ConformalFactor.zero(grid16), grid16))
         assert abs(prof.total_mass() - grid_mass) < 1e-10
