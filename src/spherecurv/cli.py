@@ -46,7 +46,7 @@ def _config_file(path: str) -> ExperimentConfig:
     """``--config`` type: a config that fails to load is a usage error (exit 2), not a traceback."""
     try:
         return ExperimentConfig.from_json(path)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise argparse.ArgumentTypeError(f"{path}: {exc}") from exc
 
 

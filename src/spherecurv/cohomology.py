@@ -37,7 +37,7 @@ from .bundles import (
     pair_weight_h0,
 )
 from .errors import SpecMismatch, ZeroClass
-from .geometry import GAUSS_CURVATURE, SphereGrid, _normalized_legendre
+from .geometry import GAUSS_CURVATURE, SphereGrid
 
 
 @dataclass(frozen=True)
@@ -270,8 +270,9 @@ class DbarSolution:
 def dbar_solve(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> DbarSolution:
     """Solve dbar_z f = rho = -2*pi * conj(g) * |zeta|^2_{H_u} with f(N) = 0.
 
-    One spectral Poisson solve.  On the unit-area sphere
-    lap = 4*pi (1+|z|^2)^2 d_z d_zbar, so
+    One spectral Poisson solve: the right-hand side is analyzed once and f's
+    coefficients are reused throughout; the pole table A[j, l] is the grid's.
+    On the unit-area sphere lap = 4*pi (1+|z|^2)^2 d_z d_zbar, so
     lap f = 4*pi (1+|z|^2)^2 d_z rho  fixes f up to a constant, and
     f(N) = 0 fixes the constant.  Then d_z(d_zbar f - rho) = 0, so
     (d_zbar f - rho) dzbar is an antiholomorphic (0,1)-form on P^1; since
@@ -287,7 +288,6 @@ def dbar_solve(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> DbarSolu
     reproduces b_coords(phi, u).
     """
     k = phi.spec.k
-    L = grid.l_max
     ones = np.zeros(k - 1, dtype=complex)
     ones[0] = 1.0
     # h = -2*pi * conj(g) (1+|z|^2)^{2-k} e^{2(u+c)}; smooth through both poles
@@ -296,25 +296,22 @@ def dbar_solve(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> DbarSolu
     rho = h / s**2
     # 4*pi s^2 d_z rho, expanded: forming d_z rho and multiplying by s^2
     # would amplify its spectral error by up to |z|^4 near N
-    rhs = GAUSS_CURVATURE * (grid.d_dz(h) - 2.0 * np.conj(grid.z) * h / s)
+    rhs = GAUSS_CURVATURE * (grid.d_dz(grid.analyze(h)) - 2.0 * np.conj(grid.z) * h / s)
     # exact data has mean zero; an under-resolved e^{2u} leaves a quadrature
     # mean, which is projected out and reported instead of failing the solve
-    rhs_mean = complex(grid.integrate(rhs))
-    f_vals = grid.solve_poisson(rhs - rhs_mean)
-    coeffs = grid.analyze(f_vals)
+    coeffs, rhs_mean = grid.poisson_coeffs(rhs)
     half = grid.half_spectrum(coeffs)
 
-    # lead[j, l] = A[j, l]; at N only the m = 0 cos entries are nonzero, and
-    # sqrt(2) * A[0, 0] = 1 makes the constant shift entry 0 alone
-    lead = _normalized_legendre(L, np.array(1.0), _unit_sin=True)
-    shift = np.sqrt(2.0) * (half[0, :, 0] @ lead[0])
+    # grid._pole[j, l] = A[j, l]; at N only the m = 0 cos entries are nonzero,
+    # and sqrt(2) * A[0, 0] = 1 makes the constant shift entry 0 alone
+    shift = np.sqrt(2.0) * (half[0, :, 0] @ grid._pole[0])
     coeffs[0] -= shift
-    f_vals = f_vals - shift
+    f_vals = grid.synthesize(coeffs)
     # the e^{-ij phi} coefficient of degree l is (cos + i sin entries of m = j) / sqrt(2)
     j = np.arange(1, k)
-    p_f = -(2.0**j) * np.einsum("jl,jl->j", half[j, :, 0] + 1j * half[j, :, 1], lead[j])
+    p_f = -(2.0**j) * np.einsum("jl,jl->j", half[j, :, 0] + 1j * half[j, :, 1], grid._pole[j])
 
-    resid = grid.d_dzbar(f_vals) - rho
+    resid = grid.d_dzbar(coeffs) - rho
     rel_l2 = float(np.sqrt(grid.integrate(np.abs(resid) ** 2).real / grid.integrate(np.abs(rho) ** 2).real))
 
     # f at N, and the remainder O = f + p_f on two circles: O ~ |w|^k
@@ -334,6 +331,6 @@ def dbar_solve(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> DbarSolu
         "remainder_slope": slope,
         "remainder_mags": o_mag,
         "f_north_abs": abs(f_north),
-        "rhs_mean": rhs_mean,
+        "rhs_mean": complex(rhs_mean),
     }
     return DbarSolution(f=f_vals, p_f=p_f, f_north=f_north, report=report)

@@ -26,6 +26,10 @@ imaginary part.  Both angular derivatives act on the packed vector: d/dphi
 swaps each cos entry with its sin partner scaled by +-m, and d/dtheta is
 synthesis against the differentiated Legendre table.
 
+The Legendre recurrence coefficients are cached per l_max, each grid keeps
+its node, derivative and north-pole tables, and ``evaluate`` builds its
+table and l-sum once per distinct colatitude of its points.
+
 Charts: ``z = cot(theta/2) * exp(i*phi)`` is the stereographic coordinate
 that is infinite at the north pole N and zero at the south pole S;
 ``w = 1/z``.  Grid nodes never touch the poles, so both charts are finite on
@@ -51,6 +55,19 @@ from .errors import NonZeroMean, SpecMismatch
 GAUSS_CURVATURE = 4.0 * np.pi
 
 
+@lru_cache(maxsize=16)
+def _recurrence(l_max: int):
+    """Legendre recurrence factors, which depend on l_max alone: sectoral and l = m+1 columns over m, a, b over (m, l)."""
+    m, l = np.ogrid[: l_max + 1, : l_max + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # entries with l < m + 2 are never read
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+    tables = (-np.sqrt((2 * m[1:] + 1) / (2.0 * m[1:])), np.sqrt(2 * m[:-1] + 3.0), a[..., None], b[..., None])
+    for t in tables:
+        t.flags.writeable = False  # one cached copy serves every caller
+    return tables
+
+
 def _normalized_legendre(l_max: int, mu: np.ndarray, _unit_sin: bool = False):
     """Associated Legendre functions, orthonormal on [-1, 1].
 
@@ -62,21 +79,19 @@ def _normalized_legendre(l_max: int, mu: np.ndarray, _unit_sin: bool = False):
     The recurrence is the standard stable one seeded at the sectoral term,
     so no factorials are formed and degrees of a few hundred are safe.
     """
-    mu = np.asarray(mu, dtype=float)
+    shape = np.shape(mu)
+    mu = np.asarray(mu, dtype=float).reshape(-1)
     s = 1.0 if _unit_sin else np.sqrt(np.maximum(1.0 - mu * mu, 0.0))  # sin(theta) > 0 off the poles
-    p = np.zeros((l_max + 1, l_max + 1) + mu.shape)
-    p[0, 0] = np.sqrt(0.5)
-    for m in range(1, l_max + 1):
-        p[m, m] = -np.sqrt((2 * m + 1) / (2.0 * m)) * s * p[m - 1, m - 1]
-    for m in range(l_max):
-        p[m, m + 1] = np.sqrt(2 * m + 3.0) * mu * p[m, m]
-    for l in range(2, l_max + 1):
-        # all orders m <= l - 2 at once; a, b broadcast over the trailing mu axes
-        m = np.arange(l - 1).reshape((-1,) + (1,) * mu.ndim)
-        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-        p[: l - 1, l] = a * (mu * p[: l - 1, l - 1] - b * p[: l - 1, l - 2])
-    return p
+    sectoral, next_diag, a, b = _recurrence(l_max)
+    p = np.zeros((l_max + 1, l_max + 1, mu.size))
+    diag = np.full((l_max + 1, mu.size), np.sqrt(0.5))
+    diag[1:] = sectoral * s  # the diagonal's cumulative product multiplies in the order of one step per m
+    idx = np.arange(l_max + 1)
+    p[idx, idx] = np.cumprod(diag, axis=0, out=diag)
+    p[idx[:-1], idx[1:]] = next_diag * mu * diag[:-1]
+    for l in range(2, l_max + 1):  # all orders m <= l - 2 at once
+        p[: l - 1, l] = a[: l - 1, l] * (mu * p[: l - 1, l - 1] - b[: l - 1, l] * p[: l - 1, l - 2])
+    return p.reshape((l_max + 1, l_max + 1) + shape)
 
 
 @dataclass(frozen=True)
@@ -163,6 +178,7 @@ class SphereGrid:
         self.w = (np.sin(theta / 2) / np.cos(theta / 2)) * np.conj(phase)
 
         self._plm = _normalized_legendre(L, self.mu)  # (m, l, n_lat), m >= 0
+        self._pole = _normalized_legendre(L, np.array(1.0), _unit_sin=True)  # A[m, l], Pbar_l^m ~ A sin^m t at N
         # d/dtheta Pbar_l^m = (l mu Pbar_l^m - c_lm Pbar_{l-1}^m) / sin(theta)
         mm, ll = np.ogrid[: L + 1, : L + 1]
         c_lm = np.sqrt(np.maximum((2 * ll + 1) * (ll * ll - mm * mm), 0) / np.abs(2 * ll - 1))
@@ -252,15 +268,16 @@ class SphereGrid:
         return out
 
     def evaluate(self, x, theta, phi) -> np.ndarray:
-        """Packed coefficients synthesized at arbitrary points (off-grid synthesis)."""
+        """Packed coefficients synthesized at arbitrary points; Legendre table and l-sum once per distinct colatitude."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         ang = np.multiply.outer(np.arange(self.l_max + 1), phi)
         trig = self._b[:, None, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)  # (m, cos|sin, point)
-        plm = _normalized_legendre(self.l_max, np.cos(theta))
+        mu, ring = np.unique(np.cos(theta), return_inverse=True)
+        plm = _normalized_legendre(self.l_max, mu)
         h = self.half_spectrum(x)
         parts = (h.real, h.imag) if h.dtype.kind == "c" else (h,)  # real parts: plm is never cast to complex
-        v = [(np.matmul(p.transpose(0, 2, 1), plm) * trig).sum(axis=(0, 1)) for p in parts]
+        v = [(np.matmul(p.transpose(0, 2, 1), plm)[..., ring] * trig).sum(axis=(0, 1)) for p in parts]
         return v[0] + 1j * v[1] if len(v) == 2 else v[0]
 
     def d_dphi(self, x) -> np.ndarray:
@@ -289,35 +306,38 @@ class SphereGrid:
         """Spectral Laplace-Beltrami operator; valid for band-limited fields."""
         return self.synthesize(self.packed_laplace * self.analyze(f))
 
+    def poisson_coeffs(self, rhs):
+        """Packed coefficients of the mean-zero u with laplacian(u) = rhs - mean, and that mean (rhs's entry 0)."""
+        x = self.analyze(rhs)
+        mean, x[0] = x[0], 0.0
+        x[1:] /= self.packed_laplace[1:]
+        return x, mean
+
     def solve_poisson(self, rhs) -> np.ndarray:
         """Unique mean-zero u with laplacian(u) = rhs; rhs must have zero mean (to 1e-8)."""
-        x = self.analyze(rhs)
-        mean = self.integrate(rhs)
+        x, mean = self.poisson_coeffs(rhs)
         if abs(mean) > 1e-8:
             raise NonZeroMean(abs(mean), 1e-8)
-        x[0] = 0.0
-        x[1:] /= self.packed_laplace[1:]
         return self.synthesize(x)
 
     # ------------------------------------------------------------------
     # chart derivatives
     # ------------------------------------------------------------------
 
-    def d_dz(self, f) -> np.ndarray:
-        """Chart derivative  d/dz  of a (smooth) field sampled on the nodes.
+    def d_dz(self, x) -> np.ndarray:
+        """Node values of the chart derivative  d/dz  of a (smooth) field, from its packed coefficients.
 
         Uses dz = R'(theta) e^{i phi} dtheta + i z dphi with R = cot(theta/2):
         d/dz = [ -(sin(theta)/2) d/dtheta - (i/2) d/dphi ] / z.
         """
-        x = self.analyze(f)
         f_theta = self.synthesize(x, table=self._dplm)
         f_phi = self.synthesize(self.d_dphi(x))
         sin_t = np.sin(self.colat)[:, None]
         return (-(sin_t / 2.0) * f_theta - 0.5j * f_phi) / self.z
 
-    def d_dzbar(self, f) -> np.ndarray:
-        """Chart derivative d/d(conj z); conjugate-of-derivative-of-conjugate."""
-        return np.conj(self.d_dz(np.conj(np.asarray(f, dtype=complex))))
+    def d_dzbar(self, x) -> np.ndarray:
+        """Chart derivative d/d(conj z) from packed coefficients; the basis is real, so conj f has conj(x)."""
+        return np.conj(self.d_dz(np.conj(x)))
 
 
 @lru_cache(maxsize=8)

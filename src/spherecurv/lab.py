@@ -55,6 +55,9 @@ class ExperimentConfig:
         unknown += sorted(f"solver.{key}" for key in set(data.get("solver") or {}) - solver_keys)
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
+        l_max = (data.get("solver") or {}).get("l_max", SolveConfig.l_max)
+        if isinstance(l_max, bool) or not isinstance(l_max, int) or l_max < 4:
+            raise ValueError(f"solver.l_max must be an integer >= 4, got {l_max!r}")
         return cls(**data)
 
     def spec(self) -> BundleSpec:

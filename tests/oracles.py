@@ -55,6 +55,30 @@ def laplacian_local(fn, theta, phi, h: float = 1e-3) -> np.ndarray:
     return GAUSS_CURVATURE * (f_tt + f_t / np.tan(theta) + f_pp / np.sin(theta) ** 2)
 
 
+def normalized_legendre_stepwise(l_max: int, mu: np.ndarray, _unit_sin: bool = False):
+    """The Legendre table one recurrence step at a time, each step forming its own coefficients.
+
+    Same contract as ``geometry._normalized_legendre``, which takes the
+    coefficients from a per-l_max cache and fills both diagonals at once; the
+    two must agree bit for bit.
+    """
+    mu = np.asarray(mu, dtype=float)
+    s = 1.0 if _unit_sin else np.sqrt(np.maximum(1.0 - mu * mu, 0.0))  # sin(theta) > 0 off the poles
+    p = np.zeros((l_max + 1, l_max + 1) + mu.shape)
+    p[0, 0] = np.sqrt(0.5)
+    for m in range(1, l_max + 1):
+        p[m, m] = -np.sqrt((2 * m + 1) / (2.0 * m)) * s * p[m - 1, m - 1]
+    for m in range(l_max):
+        p[m, m + 1] = np.sqrt(2 * m + 3.0) * mu * p[m, m]
+    for l in range(2, l_max + 1):
+        # all orders m <= l - 2 at once; a, b broadcast over the trailing mu axes
+        m = np.arange(l - 1).reshape((-1,) + (1,) * mu.ndim)
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+        p[: l - 1, l] = a * (mu * p[: l - 1, l - 1] - b * p[: l - 1, l - 2])
+    return p
+
+
 def log_norm_zeta_callable(u_coeffs, offset: float, spec: BundleSpec, grid: SphereGrid):
     """Closed-form-plus-synthesis callable for ln |zeta|_{H_u} at arbitrary points.
 

@@ -411,6 +411,32 @@ class TestDbarSolve:
         assert np.abs(sol.p_f - b).max() < 1e-4 * np.abs(b).max()
         assert sol.report["remainder_slope"] >= spec.k - 0.2
 
+    def test_two_analyses_and_one_table_per_solve(self, monkeypatch):
+        # per input only h and the Poisson right-hand side are analyzed; f's
+        # coefficients are reused, the pole table is the grid's, and evaluate
+        # builds the one Legendre table of its three colatitudes
+        from spherecurv import cohomology, geometry
+
+        grid = geometry.SphereGrid(24)
+        counts = {"analyze": 0, "legendre": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(grid, "analyze", counted("analyze", grid.analyze))
+        legendre = counted("legendre", geometry._normalized_legendre)
+        for module in (geometry, cohomology):  # a table built in dbar_solve itself counts too
+            monkeypatch.setattr(module, "_normalized_legendre", legendre, raising=False)
+        phi = HoloClass(spec_k(4), np.array([1.0, 0.5j, -0.25]))
+        sol = dbar_solve(phi, ConformalFactor.zero(grid), grid)
+        assert counts == {"analyze": 2, "legendre": 1}
+        b = b_coords(phi, ConformalFactor.zero(grid), grid).b
+        assert np.abs(sol.p_f - b).max() < 1e-4 * np.abs(b).max()
+
     def test_minimal_degree_bundle(self, grid24):
         # k=2: single coordinate, linear polynomial part
         spec = spec_k(2)

@@ -13,7 +13,7 @@ from spherecurv.geometry import (
 )
 
 from conftest import random_real_field
-from oracles import laplacian_local
+from oracles import laplacian_local, normalized_legendre_stepwise
 
 
 def packed_harmonic(grid, l, m):
@@ -108,6 +108,31 @@ class TestLegendreTable:
         p = _normalized_legendre(40, mu)
         ref = assoc_legendre_p_all(40, 40, mu, norm=True)[0][:, :41].transpose(1, 0, 2)
         assert np.abs(p - ref).max() < 1e-13 * np.abs(ref).max()
+
+    def test_cached_recurrence_is_bitwise_stepwise(self, grid48):
+        # the cached coefficients and the vectorized diagonals multiply in the
+        # order of one step per degree, so every table is the same to the bit
+        from spherecurv.geometry import _normalized_legendre
+
+        repeated = np.cos(np.array([0.3, 1.2, 0.3, 2.9, 1.2, 0.3]))
+        cases = [(grid48.mu, False), (np.array(1.0), True), (repeated, False), (np.array([[0.5, -0.25], [0.9, 0.5]]), False)]
+        for l_max in (0, 1, 5, 48):
+            for mu, unit_sin in cases:
+                p = _normalized_legendre(l_max, mu, _unit_sin=unit_sin)
+                assert np.array_equal(p, normalized_legendre_stepwise(l_max, mu, _unit_sin=unit_sin))
+        assert np.array_equal(grid48._plm, normalized_legendre_stepwise(48, grid48.mu))
+        assert np.array_equal(grid48._pole, normalized_legendre_stepwise(48, np.array(1.0), _unit_sin=True))
+
+    def test_evaluate_on_shared_colatitudes(self, grid48):
+        # dbar_solve's layout: many longitudes on a few colatitudes, one table per colatitude
+        rng = np.random.default_rng(48)
+        y = rng.normal(size=grid48.n_packed) + 1j * rng.normal(size=grid48.n_packed)
+        theta = np.concatenate([[0.0], np.repeat([0.39, 0.2], 64), rng.uniform(0, np.pi, 5)])
+        phi = rng.uniform(0, 2 * np.pi, theta.size)
+        together = grid48.evaluate(y, theta, phi)
+        alone = np.array([grid48.evaluate(y, t, p)[0] for t, p in zip(theta, phi)])
+        assert np.abs(together - alone).max() < 1e-14 * np.abs(alone).max()
+        assert np.array_equal(grid48.evaluate(y.real, theta, phi), together.real)
 
 
 class TestLaplacian:
@@ -255,8 +280,9 @@ class TestChartDerivatives:
         f, dz, dzbar, dphi = self.CLOSED_FORMS[name]
         z = grid16.z
         s = 1.0 + np.abs(z) ** 2
-        assert np.abs(grid16.d_dz(f(z, s)) - dz(z, s)).max() < 1e-12
-        assert np.abs(grid16.d_dzbar(f(z, s)) - dzbar(z, s)).max() < 1e-12
+        x = grid16.analyze(f(z, s))
+        assert np.abs(grid16.d_dz(x) - dz(z, s)).max() < 1e-12
+        assert np.abs(grid16.d_dzbar(x) - dzbar(z, s)).max() < 1e-12
         # packed d/dphi: each cos entry takes m times its sin partner and back
         assert np.abs(grid16.synthesize(grid16.d_dphi(grid16.analyze(f(z, s)))) - dphi(z, s)).max() < 1e-12
 

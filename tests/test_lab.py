@@ -423,6 +423,29 @@ class TestCli:
         assert exc.value.code == 2
         assert "unknown config keys: ['solver.spurious_tol']" in capsys.readouterr().err
 
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
+        # a missing file or broken JSON is one usage line, not a traceback
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        for path in (tmp_path / "missing.json", bad):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(["solve", "--config", str(path)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument --config: {path}:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("l_max", ["16", 16.0, True, None, 3])
+    def test_config_l_max_type_is_usage_error(self, tmp_path, capsys, l_max):
+        # a string l_max used to load, then crash in SphereGrid
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"schema": 1, "experiment": "solve", "solver": {"l_max": l_max}}))
+        with pytest.raises(ValueError, match=f"solver.l_max must be an integer >= 4, got {re.escape(repr(l_max))}"):
+            ExperimentConfig.from_json(p)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["solve", "--config", str(p)])
+        assert exc.value.code == 2
+        assert "solver.l_max must be an integer >= 4" in capsys.readouterr().err
+
     def test_solve_exit_code(self, tmp_path, capsys):
         cfg = ExperimentConfig(
             experiment="solve",
