@@ -1,11 +1,11 @@
-"""Exact complex-rational arithmetic and the little linear algebra it needs.
+"""Exact complex-rational arithmetic for the divisor classifier.
 
-The divisor classifier has an exact backend for rational inputs; numbers are
-pairs of ``fractions.Fraction`` (real and imaginary part), which keeps its
-Berlekamp-Massey profile and the Sylvester resultant of a candidate exact
-without pulling in a symbolic engine.  ``solve_exact`` is not used by the
-classifier: it is the tests' reference oracle, which checks the profile
-against one Hankel elimination per pole budget s and prefix length t.
+Numbers are pairs of ``fractions.Fraction`` (real and imaginary part); the
+classifier's Berlekamp-Massey profile and a candidate's generic-position test
+run over them exactly, without a symbolic engine.  ``solve_exact`` is not
+used by the classifier: it is the tests' reference oracle, which checks the
+profile against one Hankel elimination per pole budget s and prefix length t,
+and the benchmark tracer times it by name.
 """
 
 from __future__ import annotations
@@ -107,23 +107,3 @@ def solve_exact(rows, rhs):
         x[col] = aug[r][n]
     return True, x
 
-
-def determinant_exact(rows):
-    """Determinant over QQi by fraction elimination (small matrices only)."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    det = QQI_ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return QQI_ZERO
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det = det * a[col][col]
-        inv = QQI_ONE / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det

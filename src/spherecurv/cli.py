@@ -10,35 +10,28 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 import numpy as np
 
 from ._rational import QQi
 from .bundles import BundleSpec, divisor_of
 from .cohomology import b_coords, dual_map_H0, dualization_condition
+from .errors import SpecMismatch, ZeroClass
 from .geometry import build_grid
 from .lab import DRIVERS, ExperimentConfig, write_run
 from .strata import DEFAULT_TOL, div_classifier, existence_range
 
 
-def _parse_complex_list(text: str) -> np.ndarray:
-    """Parse 're,im;re,im;...' into a complex vector."""
-    parts = [p for p in text.split(";") if p.strip()]
+def _parse_coords(text: str, exact: bool) -> list:
+    """Parse 're,im;re,im;...' into complex entries, or exact 'p/q,p/q;...' into QQi."""
     out = []
-    for p in parts:
-        re, im = (float(x) for x in p.split(","))
-        out.append(complex(re, im))
-    return np.array(out, dtype=complex)
-
-
-def _parse_rational_list(text: str):
-    """Parse exact entries 'num/den,num/den;...' into QQi values."""
-    from fractions import Fraction
-
-    out = []
-    for p in (q for q in text.split(";") if q.strip()):
-        re, im = p.split(",")
-        out.append(QQi(Fraction(re), Fraction(im)))
+    for pair in (p for p in text.split(";") if p.strip()):
+        parts = pair.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"entry {pair!r} is not a 're,im' pair")
+        re, im = (Fraction(x) if exact else float(x) for x in parts)
+        out.append(QQi(re, im) if exact else complex(re, im))
     return out
 
 
@@ -86,12 +79,8 @@ def _cmd_grid_check(args) -> int:
 
 def _cmd_classify(args) -> int:
     spec = BundleSpec(args.deg_l1, args.deg_l2)
-    if args.exact:
-        b = _parse_rational_list(args.b)
-        rep = div_classifier(b, spec, exact=True)
-    else:
-        b = _parse_complex_list(args.b)
-        rep = div_classifier(b, spec, tol=_tol(args))
+    b = _parse_coords(args.b, args.exact)
+    rep = div_classifier(b, spec, tol=_tol(args), exact=args.exact)
     rng = existence_range(b, spec, tol=_tol(args), exact=args.exact)
     out = {
         "div_eta": rep.div_eta,
@@ -109,7 +98,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_dualize(args) -> int:
     spec = BundleSpec(args.deg_l1, args.deg_l2)
-    a = _parse_complex_list(args.a)
+    a = _parse_coords(args.a, exact=False)
     grid = build_grid(32 if args.lmax is None else args.lmax)
     from .bundles import HoloClass
 
@@ -231,10 +220,13 @@ def main(argv=None) -> int:
         parser.error(f"--lmax must be at least 4, got {args.lmax}")
     if args.verb == "grid-check":
         return _cmd_grid_check(args)
-    if args.verb == "classify":
-        return _cmd_classify(args)
-    if args.verb == "dualize":
-        return _cmd_dualize(args)
+    try:
+        if args.verb == "classify":
+            return _cmd_classify(args)
+        if args.verb == "dualize":
+            return _cmd_dualize(args)
+    except (ValueError, SpecMismatch, ZeroClass) as exc:  # malformed, wrong-length, zero or non-finite input
+        parser.error(str(exc))
     if args.verb == "solve":
         return _cmd_solve(args)
     if args.verb == "family":

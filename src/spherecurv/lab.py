@@ -47,15 +47,20 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"config root must be a JSON object, got {type(data).__name__}")
         schema = data.get("schema")
         if schema != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema {schema!r}; expected {SCHEMA_VERSION}")
+        solver = data.get("solver", {})
+        if not isinstance(solver, dict):
+            raise ValueError(f"config key 'solver' must be a JSON object, got {type(solver).__name__}")
         solver_keys = {f.name for f in fields(SolveConfig)}  # l_max alone: the other solver values are constants
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        unknown += sorted(f"solver.{key}" for key in set(data.get("solver") or {}) - solver_keys)
+        unknown += sorted(f"solver.{key}" for key in set(solver) - solver_keys)
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
-        l_max = (data.get("solver") or {}).get("l_max", SolveConfig.l_max)
+        l_max = solver.get("l_max", SolveConfig.l_max)
         if isinstance(l_max, bool) or not isinstance(l_max, int) or l_max < 4:
             raise ValueError(f"solver.l_max must be an integer >= 4, got {l_max!r}")
         return cls(**data)

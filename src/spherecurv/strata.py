@@ -13,23 +13,27 @@ The prefix condition is a linear recurrence of order s on b: a prefix of
 length t has such an h exactly when its linear complexity L(t) is at most s.
 One Berlekamp-Massey profile gives L(t) and a connection polynomial (the
 witness's 1 - v) for every t at once, so longest_prefix(s) + 1 is the first
-t > s with L(t) > s.  The profile runs exactly over Gaussian rationals
-(a discrepancy d is zero when d == 0) or in floating point (when
-|d| <= tol*||b||).  Floating-point reports carry a margin: the smallest
-||b||-normalized least-squares residual of the Hankel systems that would
-certify the next-lower stratum.  The stratum index m = deg_L2 - div drives
-the solvable coupling range (0, 4*pi*m).
+t > s with L(t) > s.  The same profile decides whether a candidate y/(1 - v)
+is in generic position: its series has linear complexity s_minus exactly
+when y and 1 - v share no zero.
+
+Every routine runs in the arithmetic of its inputs.  The only split is the
+zero test on a discrepancy d: exact over Gaussian rationals (d == 0), or in
+floating point |d| <= tol*||b||, where b must be finite.  Floating-point
+reports also carry a margin: the smallest ||b||-normalized least-squares
+residual of the Hankel systems that would certify the next-lower stratum.
+The stratum index m = deg_L2 - div drives the solvable coupling range
+(0, 4*pi*m).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from ._rational import QQI_ONE, QQI_ZERO, QQi, determinant_exact
+from ._rational import QQi
 from .bundles import BundleSpec
 from .errors import ZeroClass
 
@@ -48,7 +52,7 @@ class RationalCandidate:
     v: tuple
 
     def __post_init__(self):
-        if len(self.y) and _is_nonzero(self.y[0]) or len(self.v) and _is_nonzero(self.v[0]):
+        if len(self.y) and self.y[0] or len(self.v) and self.v[0]:
             raise ValueError("candidate requires y(0) = v(0) = 0")
 
     @property
@@ -57,8 +61,7 @@ class RationalCandidate:
 
     @property
     def deg_denominator(self) -> int:
-        dv = _degree(self.v)
-        return dv if dv > 0 else 0
+        return max(_degree(self.v), 0)
 
     @property
     def s_minus(self) -> int:
@@ -68,63 +71,28 @@ class RationalCandidate:
     def is_zero(self) -> bool:
         return self.deg_y < 0
 
-    def in_generic_position(self, tol: float = 1e-12) -> bool:
-        """No common zeros of y and 1 - v (resultant bounded away from zero)."""
-        if self.is_zero():
-            return _degree(self.v) < 0
-        exact = _is_exact(self.y) and _is_exact(self.v)
-        conv = QQi.of if exact else complex
-        y = [conv(c) for c in self.y]
-        q = [conv(c) for c in _one_minus(self.v)]
-        res = _resultant(y, q)
-        if exact:
-            return bool(res)
-        scale = max(map(abs, y + q)) ** (len(y) + len(q))
-        return abs(res) > tol * max(scale, 1e-300)
+    def in_generic_position(self) -> bool:
+        """No common zero of y and 1 - v.
+
+        With y = w*y' and 1 - v(0) = 1, the Taylor series of h has linear
+        complexity max(deg y, deg(1 - v)) = s_minus exactly when y' and 1 - v
+        are coprime; a common factor lowers it, and a zero y has complexity 0.
+        Berlekamp-Massey reads the complexity off 2*s_minus terms, exactly for
+        exact entries and at the classifier's tolerance for floating-point ones.
+        """
+        series = series_of_rational(self, 2 * self.s_minus)
+        exact = not isinstance(_zero(self.y + self.v), (float, complex, np.inexact))
+        lengths, _ = _profile(*_coords(series, exact, DEFAULT_TOL))
+        return lengths[-1] == self.s_minus
 
 
-def _is_exact(coeffs) -> bool:
-    return all(isinstance(c, (QQi, Fraction, int)) for c in coeffs)
-
-
-def _is_nonzero(c) -> bool:
-    if isinstance(c, QQi):
-        return bool(c)
-    return c != 0
+def _zero(coeffs):
+    """The zero of the coefficients' own arithmetic."""
+    return sum((0 * c for c in coeffs), 0)
 
 
 def _degree(coeffs) -> int:
-    deg = -1
-    for i, c in enumerate(coeffs):
-        if _is_nonzero(c):
-            deg = i
-    return deg
-
-
-def _one_minus(v) -> list:
-    if _is_exact(v):
-        out = [QQI_ONE] + [-QQi.of(c) for c in v[1:]]
-    else:
-        out = [1.0 + 0j] + [-complex(c) for c in v[1:]]
-    return out
-
-
-def _resultant(p, q):
-    """Resultant of two low-order-first polynomials: the Sylvester determinant.
-
-    Exact (``determinant_exact``) for QQi coefficients, ``np.linalg.det``
-    for complex ones.
-    """
-    dp, dq = _degree(p), _degree(q)
-    if dp < 0 or dq < 0:
-        return 0
-    zero = p[0] * 0
-    n = dp + dq
-    rows = [[zero] * i + p[dp::-1] + [zero] * (dq - 1 - i) for i in range(dq)]
-    rows += [[zero] * i + q[dq::-1] + [zero] * (dp - 1 - i) for i in range(dp)]
-    if isinstance(zero, QQi):
-        return determinant_exact(rows)
-    return np.linalg.det(np.array(rows, dtype=complex).reshape(n, n))
+    return max((i for i, c in enumerate(coeffs) if c), default=-1)
 
 
 @dataclass(frozen=True)
@@ -142,25 +110,22 @@ class DivisorReport:
 # ----------------------------------------------------------------------
 
 
-def series_of_rational(cand: RationalCandidate, order: int):
-    """Taylor coefficients c_1..c_order of y/(1-v) at w = 0.
+def series_of_rational(cand: RationalCandidate, order: int) -> list:
+    """Taylor coefficients c_1..c_order of y/(1-v) at w = 0, as a list.
 
-    Uses h = y + v*h, i.e. c_j = y_j + sum_{m>=1} v_m c_{j-m}; works for both
-    complex and exact coefficients.
+    Uses h = y + v*h, i.e. c_j = y_j + sum_{m>=1} v_m c_{j-m}, in the
+    candidate's own arithmetic (complex or QQi entries).
     """
-    exact = _is_exact(cand.y) and _is_exact(cand.v)
-    zero = QQI_ZERO if exact else 0j
-    y = [QQi.of(c) if exact else complex(c) for c in cand.y]
-    v = [QQi.of(c) if exact else complex(c) for c in cand.v]
+    y, v = cand.y, cand.v
+    zero = _zero(y + v)
     c = [zero] * (order + 1)
     for j in range(1, order + 1):
         acc = y[j] if j < len(y) else zero
         for m in range(1, min(j, len(v))):
-            if _is_nonzero(v[m]):
+            if v[m]:
                 acc = acc + v[m] * c[j - m]
         c[j] = acc
-    out = c[1:]
-    return out if exact else np.asarray(out, dtype=complex)
+    return c[1:]
 
 
 # ----------------------------------------------------------------------
@@ -169,10 +134,12 @@ def series_of_rational(cand: RationalCandidate, order: int):
 
 
 def _coords(b, exact: bool, tol: float):
-    """b as QQi or complex entries, and the zero test on a discrepancy."""
+    """b as QQi or finite complex entries, and the zero test on a discrepancy."""
     if exact:
         return [QQi.of(x) for x in b], lambda d: not d
     b = [complex(x) for x in b]
+    if not np.all(np.isfinite(b)):
+        raise ValueError("coordinates must be finite numbers")
     tol_abs = tol * float(np.linalg.norm(b))
     return b, lambda d: abs(d) <= tol_abs
 

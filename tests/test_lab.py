@@ -108,6 +108,24 @@ class TestConfig:
             with pytest.raises(ValueError, match=re.escape(f"unknown config keys: ['{name}']")):
                 ExperimentConfig.from_json(p)
 
+    @pytest.mark.parametrize(
+        "data,message",
+        [([1], "config root must be a JSON object, got list"),
+         ({"schema": 1, "experiment": "solve", "solver": ["l_max"]}, "config key 'solver' must be a JSON object, got list")],
+        ids=["root_list", "solver_list"],
+    )
+    def test_non_object_is_usage_error(self, tmp_path, capsys, data, message):
+        # a list where an object belongs is one usage line naming the field
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig.from_json(p)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["solve", "--config", str(p)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_class_and_family_exclusive(self):
         cfg = ExperimentConfig(experiment="sweep", family={"kind": 1, "a": 1}, class_coeffs=[[1, 0]])
         with pytest.raises(ValueError):
@@ -413,6 +431,24 @@ class TestCli:
             cli_main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["classify", "--b", "nan,0;1,0;0.5,0", "--deg-l2", "4"], "coordinates must be finite"),
+            (["classify", "--b", "1,0", "--deg-l2", "4"], "coordinate vector has length 1, expected 3"),
+            (["classify", "--b", "1;2", "--deg-l2", "4"], "entry '1' is not a 're,im' pair"),
+            (["classify", "--b", "1/2,0;x,0;1,0", "--deg-l2", "4", "--exact"], "Invalid literal for Fraction"),
+            (["dualize", "--a", "1,0", "--deg-l2", "4"], "coefficient vector has length (1,), expected 3"),
+        ],
+        ids=["nan", "wrong_length", "malformed", "malformed_exact", "dualize_wrong_length"],
+    )
+    def test_bad_coordinates_are_usage_errors(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_config_with_solver_constant_is_usage_error(self, tmp_path, capsys):
         # an old config that sets a solver guard gets one line naming the key

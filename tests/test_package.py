@@ -27,3 +27,5 @@ def test_tracer_targets_exist():
     assert [key for key in tracing.FUNCTIONS if not callable(getattr(getattr(spherecurv, key[0]), key[1], None))] == []
     grid_methods = vars(spherecurv.geometry.SphereGrid)
     assert [name for name in tracing.METHODS if name not in grid_methods] == []
+    # the tracer counts MINRES iterations by replacing pde.minres itself
+    assert callable(getattr(spherecurv.pde, "minres", None))

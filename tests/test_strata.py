@@ -92,6 +92,7 @@ class TestSeries:
         rho = 0.37 + 0.4j
         cand = RationalCandidate((0j, 1.0 + 0j), (0j, rho))
         c = series_of_rational(cand, 6)
+        assert isinstance(c, list)
         assert np.allclose(c, [rho ** j for j in range(6)])
 
     def test_zero_numerator(self):
@@ -111,6 +112,48 @@ class TestSeries:
         cand = RationalCandidate((zero, one), (zero, half))
         c = series_of_rational(cand, 4)
         assert [x.re for x in c] == [Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
+
+
+def _times_factor(cand, r):
+    """(1 - r*w)*y and (1 - r*w)*(1 - v) as a candidate: a planted common zero at w = 1/r."""
+    one = 0 * r + 1
+
+    def times(p):
+        p = list(p) + [0 * r]
+        return [p[0]] + [p[i] - r * p[i - 1] for i in range(1, len(p))]
+
+    q = times([one] + [-c for c in cand.v[1:]])
+    return RationalCandidate(tuple(times(cand.y)), tuple([0 * r] + [-c for c in q[1:]]))
+
+
+class TestGenericPosition:
+    def test_exact_planted_factor(self):
+        rng = np.random.default_rng(41)
+        for s in (1, 2, 3, 4):
+            for _ in range(5):
+                cand = random_exact_candidate(rng, s, 2 * s + 1)
+                assert cand.in_generic_position()
+                planted = _times_factor(cand, rand_qqi(rng, nonzero=True))
+                assert planted.s_minus == s + 1
+                assert not planted.in_generic_position()
+
+    def test_float_planted_factor(self):
+        rng = np.random.default_rng(42)
+        for s in (1, 2, 3, 4, 5):
+            for _ in range(5):
+                y, v = ([0j] + list(rng.normal(size=s) + 1j * rng.normal(size=s)) for _ in range(2))
+                cand = RationalCandidate(tuple(y), tuple(v))
+                assert cand.in_generic_position()
+                r = complex(rng.normal(), rng.normal())
+                assert not _times_factor(cand, r).in_generic_position()
+
+    def test_zero_numerator(self):
+        # h = 0 has linear complexity 0: generic only when 1 - v is constant
+        zero, half = QQi(Fraction(0)), QQi(Fraction(1, 2))
+        assert RationalCandidate((zero,), (zero,)).in_generic_position()
+        assert RationalCandidate((0j, 0j), (0j, 0j)).in_generic_position()
+        assert not RationalCandidate((zero,), (zero, half)).in_generic_position()
+        assert not RationalCandidate((0j,), (0j, 0.5 + 0j)).in_generic_position()
 
 
 class TestMatchingOrder:
@@ -232,6 +275,12 @@ class TestClassifier:
     def test_zero_class(self):
         with pytest.raises(ZeroClass):
             div_classifier(np.zeros(3, dtype=complex), spec_k(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_rejected(self, bad):
+        # a non-finite coordinate is refused by name before it reaches the witness
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            div_classifier([bad, 1.0, 0.5], spec_k(4))
 
     def test_margin_reported(self):
         rng = np.random.default_rng(28)
