@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 Verbs: grid-check, classify, dualize, solve, sweep, symmetry-audit, radial,
-family.  Each reads one JSON config (schema 1) plus flag overrides; the exit
-code is 0 only when every invariant check in the run passes.
+family; each takes only the flags it reads (``VERBS``), and the last five a
+JSON config (schema 1).  Exit code 0 means every invariant check in the run
+passed, 2 a usage error, including a config the verb cannot run.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from fractions import Fraction
 import numpy as np
 
 from ._rational import QQi
-from .bundles import BundleSpec, divisor_of
+from .bundles import BundleSpec, HoloClass, divisor_of, phi_norm_sq
 from .cohomology import b_coords, dual_map_H0, dualization_condition
-from .errors import SpecMismatch, ZeroClass
+from .errors import SpecMismatch, SphereCurvError, ZeroClass
 from .geometry import build_grid
-from .lab import DRIVERS, ExperimentConfig, write_run
-from .strata import DEFAULT_TOL, div_classifier, existence_range
+from .lab import DRIVERS, ExperimentConfig, ring_parameters, write_run
+from .pde import RadialProfile, solve_phi_system
+from .strata import DEFAULT_TOL, ExistenceRange, div_classifier
 
 
 def _parse_coords(text: str, exact: bool) -> list:
@@ -39,14 +41,14 @@ def _config_file(path: str) -> ExperimentConfig:
     """``--config`` type: a config that fails to load is a usage error (exit 2), not a traceback."""
     try:
         return ExperimentConfig.from_json(path)
-    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+    except (OSError, ValueError, SphereCurvError) as exc:  # json.JSONDecodeError is a ValueError
         raise argparse.ArgumentTypeError(f"{path}: {exc}") from exc
 
 
-def _load_config(args, default_experiment: str) -> ExperimentConfig:
-    cfg = args.config or ExperimentConfig(experiment=default_experiment)
-    cfg.experiment = default_experiment
-    if args.out:
+def _load_config(args) -> ExperimentConfig:
+    cfg = args.config
+    cfg.experiment = args.verb
+    if getattr(args, "out", None):  # solve writes no files, so it takes no --out
         cfg.out_dir = args.out
     if args.lmax is not None:
         cfg.solver = dict(cfg.solver, l_max=args.lmax)
@@ -55,13 +57,8 @@ def _load_config(args, default_experiment: str) -> ExperimentConfig:
     return cfg
 
 
-def _tol(args) -> float:
-    return DEFAULT_TOL if args.tol is None else args.tol
-
-
 def _cmd_grid_check(args) -> int:
-    l_max = 32 if args.lmax is None else args.lmax
-    grid = build_grid(l_max)
+    grid = build_grid(32 if args.lmax is None else args.lmax)
     checks = {}
     checks["weights_sum"] = abs(grid.weights.sum() - 1.0) < 1e-12
     ones = np.ones((grid.n_lat, grid.n_lon))
@@ -80,8 +77,8 @@ def _cmd_grid_check(args) -> int:
 def _cmd_classify(args) -> int:
     spec = BundleSpec(args.deg_l1, args.deg_l2)
     b = _parse_coords(args.b, args.exact)
-    rep = div_classifier(b, spec, tol=_tol(args), exact=args.exact)
-    rng = existence_range(b, spec, tol=_tol(args), exact=args.exact)
+    rep = div_classifier(b, spec, tol=args.tol or DEFAULT_TOL, exact=args.exact)
+    rng = ExistenceRange.of_report(rep, spec)
     out = {
         "div_eta": rep.div_eta,
         "j_star": rep.j_star,
@@ -100,11 +97,9 @@ def _cmd_dualize(args) -> int:
     spec = BundleSpec(args.deg_l1, args.deg_l2)
     a = _parse_coords(args.a, exact=False)
     grid = build_grid(32 if args.lmax is None else args.lmax)
-    from .bundles import HoloClass
-
     phi = HoloClass(spec, a)
     eta = dual_map_H0(phi, grid)
-    rep = div_classifier(eta.b, spec, tol=_tol(args))
+    rep = div_classifier(eta.b, spec, tol=args.tol or DEFAULT_TOL)
     out = {
         "b": [[x.real, x.imag] for x in eta.b],
         "stratum_m": rep.stratum_m,
@@ -116,8 +111,7 @@ def _cmd_dualize(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    cfg = _load_config(args, "family")
-    phi = cfg.the_class()
+    phi = args.config.the_class()
     div = divisor_of(phi)
     out = {
         "coefficients": [[x.real, x.imag] for x in phi.a],
@@ -132,12 +126,10 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _load_config(args, "solve")
+    cfg = _load_config(args)
     phi = cfg.the_class()
     scfg = cfg.solve_config()
     lam = float(cfg.lambda_grid[-1]) if args.lam is None else args.lam
-    from .pde import solve_phi_system
-
     res = solve_phi_system(phi, lam, scfg)
     grid = build_grid(scfg.l_max)
     report = {
@@ -153,8 +145,6 @@ def _cmd_solve(args) -> int:
     }
     if res.converged:
         # the conformal curvature actually realized by the solution
-        from .bundles import phi_norm_sq
-
         kfield = 2.0 * phi_norm_sq(phi, res.u, grid)
         report["curvature_min"] = float(kfield.min())
         report["curvature_max"] = float(kfield.max())
@@ -166,56 +156,52 @@ def _cmd_solve(args) -> int:
     return 0 if res.converged else 1
 
 
-def _cmd_driver(args, verb: str) -> int:
-    cfg = _load_config(args, verb)
-    record = DRIVERS[verb](cfg)
+def _cmd_driver(args) -> int:
+    cfg = _load_config(args)
+    record = DRIVERS[args.verb](cfg)
     paths = write_run(record, cfg)
     print(json.dumps({"summary": record.summary, "paths": paths}, indent=2, default=str))
     return 0 if record.ok() else 1
 
 
+FLAGS = {
+    "config": dict(type=_config_file, required=True, help="JSON experiment config (schema 1)"),
+    "out": dict(help="output directory override"),
+    "lmax": dict(type=int, help="spectral degree override"),
+    "tol": dict(type=float, help="classifier tolerance override"),
+    "b": dict(required=True, help="coordinates 're,im;re,im;...' (exact: 'p/q,p/q;...')"),
+    "a": dict(required=True, help="class coefficients 're,im;...'"),
+    "exact": dict(action="store_true", help="exact rational classifier mode"),
+    "deg-l1": dict(type=int, default=0),
+    "deg-l2": dict(type=int, required=True),
+    "lam": dict(type=float, help="coupling value (default: last grid point)"),
+}
+RUN = ["config", "out", "lmax", "tol"]
+# verb: (help, the flags it reads)
+VERBS = {
+    "grid-check": ("grid and transform invariant checks", ["lmax"]),
+    "classify": ("classify a coordinate vector", ["b", "exact", "deg-l1", "deg-l2", "tol"]),
+    "dualize": ("flat-metric dual coordinates of a class", ["a", "deg-l1", "deg-l2", "lmax", "tol"]),
+    "solve": ("solve the curvature system at one coupling", ["config", "lam", "lmax", "tol"]),
+    "sweep": ("existence sweep along the coupling grid", RUN),
+    "symmetry-audit": ("sparsity-pattern audit of a ring family", RUN),
+    "radial": ("radial shooting probe at 4*pi", RUN),
+    "family": ("print a family class and its divisor", ["config"]),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="spherecurv", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p):
-        p.add_argument("--config", type=_config_file, help="JSON experiment config (schema 1)")
-        p.add_argument("--out", help="output directory override")
-        p.add_argument("--lmax", type=int, help="spectral degree override")
-        p.add_argument("--tol", type=float, help="classifier tolerance override")
-
-    p = sub.add_parser("grid-check", help="grid and transform invariant checks")
-    common(p)
-
-    p = sub.add_parser("classify", help="classify a coordinate vector")
-    common(p)
-    p.add_argument("--b", required=True, help="coordinates 're,im;re,im;...' (exact: 'p/q,p/q;...')")
-    p.add_argument("--exact", action="store_true", help="exact rational classifier mode")
-    p.add_argument("--deg-l1", type=int, default=0)
-    p.add_argument("--deg-l2", type=int, required=True)
-
-    p = sub.add_parser("dualize", help="flat-metric dual coordinates of a class")
-    common(p)
-    p.add_argument("--a", required=True, help="class coefficients 're,im;...'")
-    p.add_argument("--deg-l1", type=int, default=0)
-    p.add_argument("--deg-l2", type=int, required=True)
-
-    p = sub.add_parser("solve", help="solve the curvature system at one coupling")
-    common(p)
-    p.add_argument("--lam", type=float, help="coupling value (default: last grid point)")
-
-    for verb in ("sweep", "symmetry-audit", "radial"):
-        p = sub.add_parser(verb)
-        common(p)
-
-    p = sub.add_parser("family", help="print a family class and its divisor")
-    common(p)
-
+    for verb, (help_text, flags) in VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
     args = parser.parse_args(argv)
     for flag in ("lmax", "tol", "lam"):
         value = getattr(args, flag, None)
-        if value is not None and value <= 0:
-            parser.error(f"--{flag} must be positive, got {value}")
+        if value is not None and not 0 < value < float("inf"):
+            parser.error(f"--{flag} must be positive and finite, got {value}")
     if getattr(args, "lmax", None) is not None and args.lmax < 4:
         parser.error(f"--lmax must be at least 4, got {args.lmax}")
     if args.verb == "grid-check":
@@ -225,13 +211,16 @@ def main(argv=None) -> int:
             return _cmd_classify(args)
         if args.verb == "dualize":
             return _cmd_dualize(args)
+        # a config the verb cannot run is a usage error too, found before the run
+        if args.verb == "solve" and args.lam is None and not args.config.lambda_grid:
+            raise ValueError("solve needs --lam or a non-empty lambda_grid")
+        if args.verb == "symmetry-audit":
+            ring_parameters(args.config)
+        if args.verb == "radial":
+            RadialProfile.from_class(args.config.the_class())
     except (ValueError, SpecMismatch, ZeroClass) as exc:  # malformed, wrong-length, zero or non-finite input
         parser.error(str(exc))
-    if args.verb == "solve":
-        return _cmd_solve(args)
-    if args.verb == "family":
-        return _cmd_family(args)
-    return _cmd_driver(args, args.verb)
+    return {"solve": _cmd_solve, "family": _cmd_family}.get(args.verb, _cmd_driver)(args)
 
 
 if __name__ == "__main__":

@@ -271,7 +271,7 @@ def dbar_solve(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> DbarSolu
     """Solve dbar_z f = rho = -2*pi * conj(g) * |zeta|^2_{H_u} with f(N) = 0.
 
     One spectral Poisson solve: the right-hand side is analyzed once and f's
-    coefficients are reused throughout; the pole table A[j, l] is the grid's.
+    coefficients are reused throughout.
     On the unit-area sphere lap = 4*pi (1+|z|^2)^2 d_z d_zbar, so
     lap f = 4*pi (1+|z|^2)^2 d_z rho  fixes f up to a constant, and
     f(N) = 0 fixes the constant.  Then d_z(d_zbar f - rho) = 0, so
@@ -279,13 +279,10 @@ def dbar_solve(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> DbarSolu
     H^{0,1}(P^1) = 0 it vanishes, and f solves the dbar problem exactly.
 
     In the w chart rho dzbar vanishes to order w^k at N, so below degree k
-    the Taylor expansion of f there is holomorphic.  The term w^j lives in
-    the e^{-ij phi} part of f's m = j entries alone, and
-    P_l^j(cos t) = sin^j t (A[j, l] + O(t^2))
-    with sin t = 2|w| / (1+|w|^2), so each coefficient of p_f is a finite
-    sum over f's coefficients; no fit is made.  The right-hand side carries
-    the 2*pi pairing normalization of the b-coordinate weights, so p_f
-    reproduces b_coords(phi, u).
+    the Taylor expansion of f there is holomorphic, and each coefficient of
+    p_f is a finite sum over f's coefficients (``north_taylor``); no fit is
+    made.  The right-hand side carries the 2*pi pairing normalization of the
+    b-coordinate weights, so p_f reproduces b_coords(phi, u).
     """
     k = phi.spec.k
     ones = np.zeros(k - 1, dtype=complex)
@@ -300,16 +297,12 @@ def dbar_solve(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> DbarSolu
     # exact data has mean zero; an under-resolved e^{2u} leaves a quadrature
     # mean, which is projected out and reported instead of failing the solve
     coeffs, rhs_mean = grid.poisson_coeffs(rhs)
-    half = grid.half_spectrum(coeffs)
-
-    # grid._pole[j, l] = A[j, l]; at N only the m = 0 cos entries are nonzero,
-    # and sqrt(2) * A[0, 0] = 1 makes the constant shift entry 0 alone
-    shift = np.sqrt(2.0) * (half[0, :, 0] @ grid._pole[0])
+    # f(N) and the w^1..w^{k-1} coefficients; the basis function of entry 0
+    # is the constant 1, so subtracting f(N) there alone makes f(N) = 0
+    shift, taylor = grid.north_taylor(coeffs, k - 1)
     coeffs[0] -= shift
     f_vals = grid.synthesize(coeffs)
-    # the e^{-ij phi} coefficient of degree l is (cos + i sin entries of m = j) / sqrt(2)
-    j = np.arange(1, k)
-    p_f = -(2.0**j) * np.einsum("jl,jl->j", half[j, :, 0] + 1j * half[j, :, 1], grid._pole[j])
+    p_f = -taylor
 
     resid = grid.d_dzbar(coeffs) - rho
     rel_l2 = float(np.sqrt(grid.integrate(np.abs(resid) ** 2).real / grid.integrate(np.abs(rho) ** 2).real))

@@ -236,7 +236,7 @@ class SphereGrid:
         np.matmul(table.transpose(0, 2, 1)[:, None], h, out=g.transpose(2, 0, 1, 3))
         return g.reshape(h.shape[1], self.n_lat, -1) @ self._lon_syn
 
-    def half_spectrum(self, x) -> np.ndarray:
+    def _half_spectrum(self, x) -> np.ndarray:
         """Packed coefficients laid out as h[m, l, cos|sin], zero for l < m and for the m = 0 sin part."""
         x = np.asarray(x)
         h = np.zeros(2 * (self.l_max + 1) ** 2, dtype=complex if x.dtype.kind == "c" else float)
@@ -255,11 +255,23 @@ class SphereGrid:
     def synthesize(self, x, table=None) -> np.ndarray:
         """Node values of packed coefficients; ``table=self._dplm`` gives the colatitude derivative."""
         table = self._plm if table is None else table
-        h = self.half_spectrum(x)
+        h = self._half_spectrum(x)
         if h.dtype.kind == "c":
             re, im = self._synthesize_half(np.stack([h.real, h.imag], axis=1), table)
             return re + 1j * im
         return self._synthesize_half(h[:, None], table)[0]
+
+    def north_taylor(self, x, order: int):
+        """f(N) and the w^1..w^order coefficients of f at N, for f with packed coefficients x.
+
+        Pbar_l^m(cos t) = sin^m t (A[m, l] + O(t^2)), A the table ``_pole``: at N
+        only the m = 0 cos entries (scale b_0 = sqrt(2)) are nonzero, and with
+        sin t ~ 2|w| the w^j coefficient is 2^j sum_l (cos + i sin entry of m = j) A[j, l].
+        """
+        half = self._half_spectrum(x)
+        f_north = np.sqrt(2.0) * (half[0, :, 0] @ self._pole[0])
+        j = np.arange(1, order + 1)
+        return f_north, (2.0**j) * np.einsum("jl,jl->j", half[j, :, 0] + 1j * half[j, :, 1], self._pole[j])
 
     def embed_packed(self, x) -> np.ndarray:
         """Zero-pad the packed coefficients of a coarser grid onto this grid's packed basis."""
@@ -275,7 +287,7 @@ class SphereGrid:
         trig = self._b[:, None, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)  # (m, cos|sin, point)
         mu, ring = np.unique(np.cos(theta), return_inverse=True)
         plm = _normalized_legendre(self.l_max, mu)
-        h = self.half_spectrum(x)
+        h = self._half_spectrum(x)
         parts = (h.real, h.imag) if h.dtype.kind == "c" else (h,)  # real parts: plm is never cast to complex
         v = [(np.matmul(p.transpose(0, 2, 1), plm)[..., ring] * trig).sum(axis=(0, 1)) for p in parts]
         return v[0] + 1j * v[1] if len(v) == 2 else v[0]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -22,7 +23,7 @@ from .bundles import BundleSpec, HoloClass
 from .cohomology import IsometryAction, b_coords, dual_map_H0, pullback_class
 from .errors import HypothesisViolation
 from .geometry import build_grid
-from .pde import RadialProfile, SolveConfig, solve_phi_system, solve_radial
+from .pde import SolveConfig, solve_phi_system, solve_radial
 from .strata import DEFAULT_TOL, div_classifier
 
 SCHEMA_VERSION = 1
@@ -63,7 +64,20 @@ class ExperimentConfig:
         l_max = solver.get("l_max", SolveConfig.l_max)
         if isinstance(l_max, bool) or not isinstance(l_max, int) or l_max < 4:
             raise ValueError(f"solver.l_max must be an integer >= 4, got {l_max!r}")
-        return cls(**data)
+
+        def positive(x) -> bool:
+            return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) and x > 0
+
+        lambdas = data.get("lambda_grid", [])
+        if not isinstance(lambdas, list) or not all(map(positive, lambdas)):
+            raise ValueError(f"lambda_grid must be a list of positive finite numbers, got {lambdas!r}")
+        if not positive(data.get("tol", DEFAULT_TOL)):
+            raise ValueError(f"tol must be a positive finite number, got {data['tol']!r}")
+        if "experiment" not in data:
+            raise ValueError("config needs the key 'experiment'")
+        cfg = cls(**data)
+        cfg.the_class()  # family hypotheses, coefficient length and zero class fail here, not mid-run
+        return cfg
 
     def spec(self) -> BundleSpec:
         return BundleSpec(self.deg_L1, self.deg_L2)
@@ -76,7 +90,7 @@ class ExperimentConfig:
             raise ValueError("config must carry exactly one of 'family' or 'class_coeffs'")
         if self.family is not None:
             fam = dict(self.family)
-            return gen_family(fam.pop("kind"), fam, self.spec())
+            return gen_family(fam.pop("kind", None), fam, self.spec())
         a = np.array([complex(re, im) for re, im in self.class_coeffs])
         return HoloClass(self.spec(), a)
 
@@ -172,6 +186,13 @@ def gen_family(kind: int, params: dict, spec: BundleSpec) -> HoloClass:
 # ----------------------------------------------------------------------
 # drivers
 # ----------------------------------------------------------------------
+
+
+def ring_parameters(cfg: ExperimentConfig) -> tuple[int, int]:
+    """(a, n) of a ring family (kind 2 or 3); raises ValueError for any other class."""
+    if cfg.family is None or cfg.family.get("kind") not in (2, 3):
+        raise ValueError("symmetry audit requires a family of kind 2 or 3")
+    return int(cfg.family["a"]), int(cfg.family["n"])
 
 
 def random_class(spec: BundleSpec, seed: int) -> HoloClass:
@@ -282,10 +303,7 @@ def run_symmetry_audit(cfg: ExperimentConfig) -> RunRecord:
     coupling grid, plus identity- and reflection-isometry consistency.
     """
     t0 = time.time()
-    if cfg.family is None or cfg.family.get("kind") not in (2, 3):
-        raise ValueError("symmetry audit requires a family of kind 2 or 3")
-    a = int(cfg.family["a"])
-    n = int(cfg.family["n"])
+    a, n = ring_parameters(cfg)
     phi = cfg.the_class()
     grid = build_grid(cfg.solve_config().l_max)
     k = phi.spec.k
@@ -334,8 +352,7 @@ def run_radial_nonexistence(cfg: ExperimentConfig) -> RunRecord:
     grid = build_grid(scfg.l_max)
     lam = 4.0 * np.pi
 
-    profile = RadialProfile.from_class(phi)
-    rad = solve_radial(profile, lam, scfg)
+    rad = solve_radial(phi, lam, scfg)
 
     b0 = dual_map_H0(phi, grid)
     rep = div_classifier(b0.b, phi.spec, tol=cfg.tol)
@@ -384,10 +401,10 @@ def run_radial_nonexistence(cfg: ExperimentConfig) -> RunRecord:
 # ----------------------------------------------------------------------
 
 
-def write_run(record: RunRecord, cfg: ExperimentConfig, out_dir=None) -> dict:
-    """One JSON (config echo + summary) and one CSV per run; extra long-format
-    CSVs for any curves.  Returns the paths written."""
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+def write_run(record: RunRecord, cfg: ExperimentConfig) -> dict:
+    """One JSON (config echo + summary) and one CSV per run in ``cfg.out_dir``;
+    extra long-format CSVs for any curves.  Returns the paths written."""
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{cfg.experiment}-{record.config_hash}"
     paths = {}

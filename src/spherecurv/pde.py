@@ -38,7 +38,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.sparse.linalg import LinearOperator, minres
 
-from .bundles import BundleSpec, ConformalFactor, HoloClass, phi_norm_sq
+from .bundles import ConformalFactor, HoloClass, phi_norm_sq
 from .cohomology import DualCoords, b_coords
 from .errors import InvalidLambda, NonConvergence, SweepInconclusive
 from .geometry import SphereGrid, build_grid
@@ -109,22 +109,18 @@ def residual(u: ConformalFactor, phi: HoloClass, lam: float, grid: SphereGrid) -
 
 
 class _Workspace:
-    """Residual and Jacobian for one (grid, K) pair on the grid's packed real coefficients."""
+    """Residual and Jacobian of one class, K = |phi|^2_{H_0}, on the grid's packed real coefficients."""
 
-    def __init__(self, grid: SphereGrid, k_vals: np.ndarray, phi: HoloClass | None = None):
+    def __init__(self, phi: HoloClass, grid: SphereGrid):
         self.grid = grid
-        self.k_vals = k_vals
+        self.k_vals = phi_norm_sq(phi, ConformalFactor.zero(grid), grid)
         self.diag = grid.packed_laplace
         self.n = grid.n_packed
-        self.fine_grid = None
-        if phi is not None:
-            self.fine_grid = build_grid(int(SolveConfig.refine_factor * grid.l_max))
-            self.k_fine = phi_norm_sq(phi, ConformalFactor.zero(self.fine_grid), self.fine_grid)
+        self.fine_grid = build_grid(int(SolveConfig.refine_factor * grid.l_max))
+        self.k_fine = phi_norm_sq(phi, ConformalFactor.zero(self.fine_grid), self.fine_grid)
 
     def fine_residual_sup(self, x: np.ndarray, lam: float) -> float:
         """Sup residual with the solution re-evaluated on a refined grid."""
-        if self.fine_grid is None:
-            return float("nan")
         gf = self.fine_grid
         xf = gf.embed_packed(x)
         u_vals = gf.synthesize(xf)
@@ -247,43 +243,39 @@ def solve_phi_system(
 ) -> SolveResult:
     """Continuation-in-lambda Newton solve of the curvature system.
 
-    Starts from the small-coupling asymptotic initializer and ramps lambda to
-    the target with adaptive steps; a stalled ramp (step or filter bracket below
-    ``min_step``) returns converged=False with the trace instead of raising,
-    since that is the expected signature of leaving the solvable range; its
-    ``lam`` is the last coupling the ramp accepted.  ``start``, a converged
-    result on the same grid at a coupling ``start.lam <= lam``, begins the ramp
-    there with the full step instead; ``initial`` runs one Newton solve at the
-    target, no ramp.
+    The opening is one Newton solve, at min(lambda_init, lam) from the
+    small-coupling initializer or at lam from ``initial``; if a guard rejects
+    it the stop_reason is "init", or for ``initial`` the guard's own.  Lambda
+    then ramps to the target with adaptive steps.  ``start``, a converged
+    result on the same grid at ``start.lam <= lam``, replaces the opening and
+    the ramp begins there with the full step.  A stalled ramp (step or filter
+    bracket below ``min_step``) returns converged=False with the trace, the
+    signature of leaving the solvable range; ``lam`` is the last accepted coupling.
     """
-    if lam <= 0:
+    if not lam > 0:  # NaN too
         raise InvalidLambda(f"lambda must be positive, got {lam}")
     if initial is not None and start is not None:
         raise ValueError("pass at most one of initial and start")
     if start is not None and not (start.converged and start.lam <= lam):
         raise ValueError(f"start must be converged at a coupling <= {lam}, got {start.lam} ({start.converged=})")
     grid = build_grid(cfg.l_max)
-    k_vals = phi_norm_sq(phi, ConformalFactor.zero(grid), grid)
-    ws = _Workspace(grid, k_vals, phi)
+    ws = _Workspace(phi, grid)
     trace = []
 
     def margin(fine, lam_at):  # log(residual_fine / filter bound), > 0 where the filter rejects
         return math.log(max(fine, 1e-300) / (SolveConfig.spurious_tol * max(1.0, lam_at)))
 
-    if initial is not None:
-        x, iters, rnorm, fine, reason, minres_iters = _trial(ws, grid.analyze(initial.total), lam)
-        trace.append((lam, iters, rnorm))
-        return _finish(ws, phi, x, lam, fine, trace, minres_iters, reason or "converged", fine if reason else math.nan)
-
     if start is not None:
         lam_now, fine_now, minres_iters = start.lam, start.residual_fine, 0
         x = grid.analyze(start.u.total)
     else:
-        lam_now = min(SolveConfig.lambda_init, lam)
-        x, iters, rnorm, fine_now, reason, minres_iters = _trial(ws, _initial_guess(ws, lam_now), lam_now)
+        lam_now = min(SolveConfig.lambda_init, lam) if initial is None else lam
+        x0 = _initial_guess(ws, lam_now) if initial is None else grid.analyze(initial.total)
+        x, iters, rnorm, fine_now, reason, minres_iters = _trial(ws, x0, lam_now)
         trace.append((lam_now, iters, rnorm))
         if reason is not None:
-            return _finish(ws, phi, x, lam_now, fine_now, trace, minres_iters, "init", fine_now)
+            reason = "init" if initial is None else reason
+            return _finish(ws, phi, x, lam_now, fine_now, trace, minres_iters, reason, fine_now)
 
     # bracket [lam_now, lam_hi] around a filter crossing (lam_hi None without
     # one), margins g_now, g_hi, trials 2% inside; side: the end last moved
@@ -331,14 +323,13 @@ def _finish(ws: _Workspace, phi: HoloClass, x, lam, fine, trace, minres_iters, r
     )
 
 
-def forward_F(phi: HoloClass, lam: float, cfg: SolveConfig, grid: SphereGrid | None = None) -> DualCoords:
+def forward_F(phi: HoloClass, lam: float, cfg: SolveConfig) -> DualCoords:
     """Coordinates of the extension class whose image under the coupling-lam
     dualization map is the given holomorphic class."""
     result = solve_phi_system(phi, lam, cfg)
     if not result.converged:
         raise NonConvergence(f"continuation stalled at lambda={result.lam:.6f}", result.continuation_trace)
-    grid = build_grid(cfg.l_max) if grid is None else grid
-    return b_coords(phi, result.u, grid)
+    return b_coords(phi, result.u, build_grid(cfg.l_max))
 
 
 # ----------------------------------------------------------------------
@@ -367,11 +358,9 @@ class RadialProfile:
         return self.amp * np.cos(theta / 2.0) ** (2 * self.a) * np.sin(theta / 2.0) ** (2 * b)
 
     def total_mass(self) -> float:
-        # integral of 2K over the sphere
-        from scipy.integrate import quad
-
-        val, _ = quad(lambda t: 2.0 * self(t) * 0.5 * np.sin(t), 0.0, np.pi)
-        return val
+        """Integral of 2K over the sphere: 2 amp a! b! / (k-1)!, from x = sin^2(t/2) (a Beta integral)."""
+        b = self.k - 2 - self.a
+        return 2.0 * self.amp * math.factorial(self.a) * math.factorial(b) / math.factorial(self.k - 1)
 
 
 @dataclass
@@ -413,18 +402,18 @@ def _shoot(profile: RadialProfile, lam: float, alpha: float, rtol: float = 1e-11
     return sol.y[1, -1], sol
 
 
-def solve_radial(profile: RadialProfile | HoloClass, lam: float, cfg: SolveConfig) -> RadialResult:
-    """Shooting sweep for the radially symmetric reduction.
+def solve_radial(phi: HoloClass, lam: float, cfg: SolveConfig) -> RadialResult:
+    """Shooting sweep for the radially symmetric reduction of a monomial class.
 
     Scans the free initial value over 49 points of [-9, 3] about the
-    constant-balance value, records the boundary-defect curve, refines any
-    sign change by bisection, and polishes a found root with the full
-    spectral Newton restricted by symmetry (warm start).  Without a sign
+    constant-balance value, records the boundary-defect curve, and refines
+    any sign change by bisection.  Each candidate root in turn starts one
+    spectral Newton solve of phi at ``lam`` (``initial``); the first converged
+    polish is the result, else the first polish, unconverged.  Without a sign
     change the minimum defect and an integration-error estimate are reported.
     """
-    if isinstance(profile, HoloClass):
-        profile = RadialProfile.from_class(profile)
-    if lam <= 0:
+    profile = RadialProfile.from_class(phi)
+    if not lam > 0:
         raise InvalidLambda(f"lambda must be positive, got {lam}")
 
     center = 0.5 * math.log(lam / profile.total_mass())
@@ -467,11 +456,8 @@ def solve_radial(profile: RadialProfile | HoloClass, lam: float, cfg: SolveConfi
             )
         return RadialResult(converged=False, root_alpha=None, residual_sup=None, **sweep)
 
-    # polish each candidate on the spectral grid, keep the best residual
+    # polish each candidate on the spectral grid; the first converged polish wins
     grid = build_grid(cfg.l_max)
-    a_vec = np.zeros(profile.k - 1, dtype=complex)
-    a_vec[profile.a] = math.sqrt(profile.amp / (2.0 * np.pi))
-    phi = HoloClass(BundleSpec(0, profile.k), a_vec)
     best = None
     for root in roots:
         _, sol = _shoot(profile, lam, float(root))
@@ -481,7 +467,7 @@ def solve_radial(profile: RadialProfile | HoloClass, lam: float, cfg: SolveConfi
             np.repeat(sol.sol(grid.colat)[0][:, None], grid.n_lon, axis=1), grid
         )
         polish = solve_phi_system(phi, lam, cfg, initial=u_init)
-        if best is None or (polish.converged and polish.residual_sup < best[1].residual_sup):
+        if best is None or polish.converged:
             best = (float(root), polish)
         if polish.converged:
             break

@@ -291,6 +291,12 @@ class ExistenceRange:
     def __contains__(self, lam: float) -> bool:
         return self.lo < lam < self.hi
 
+    @classmethod
+    def of_report(cls, report: DivisorReport, spec: BundleSpec) -> "ExistenceRange":
+        """The range of a classified class: (0, 4*pi*m), m its stratum index."""
+        hi = 4.0 * np.pi * report.stratum_m
+        return cls(m=report.stratum_m, lo=0.0, hi=hi, no_solution_band=(hi, 2.0 * np.pi * spec.k))
+
 
 def existence_range(b, spec: BundleSpec, *, tol: float = DEFAULT_TOL, exact: bool = False) -> ExistenceRange:
     """Solvable couplings (0, 4*pi*m) for the extension class with coordinates b.
@@ -299,7 +305,4 @@ def existence_range(b, spec: BundleSpec, *, tol: float = DEFAULT_TOL, exact: boo
     class, is open at 4*pi*m, and promises nothing for a fixed holomorphic
     class continued in lambda (see ExistenceRange).
     """
-    report = div_classifier(b, spec, tol=tol, exact=exact)
-    m = report.stratum_m
-    hi = 4.0 * np.pi * m
-    return ExistenceRange(m=m, lo=0.0, hi=hi, no_solution_band=(hi, 2.0 * np.pi * spec.k))
+    return ExistenceRange.of_report(div_classifier(b, spec, tol=tol, exact=exact), spec)

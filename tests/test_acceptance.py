@@ -168,8 +168,7 @@ def test_06_pde_correctness():
     rng = np.random.default_rng(105)
     grid = build_grid(16)
     phi = HoloClass(spec_k(4), rng.normal(size=3) + 1j * rng.normal(size=3))
-    k_vals = phi_norm_sq(phi, ConformalFactor.zero(grid), grid)
-    ws = _Workspace(grid, k_vals)
+    ws = _Workspace(phi, grid)
     x = rng.normal(size=ws.n) * 0.1
     op, _ = ws.operator(ws.evaluate(x, 0.0)[2])
     d = rng.normal(size=ws.n)
@@ -233,7 +232,7 @@ def test_09_small_coupling_limit():
     for _ in range(5):
         phi = HoloClass(spec_k(4), rng.normal(size=3) + 1j * rng.normal(size=3))
         b0 = dual_map_H0(phi, grid)
-        angles = [projective_angle(forward_F(phi, lam, cfg, grid).b, b0.b) for lam in (0.5, 0.1, 0.01)]
+        angles = [projective_angle(forward_F(phi, lam, cfg).b, b0.b) for lam in (0.5, 0.1, 0.01)]
         ok &= angles[0] > angles[1] > angles[2] and angles[2] < 1e-2
         worst_final = max(worst_final, angles[2])
     _report(9, ok, f"worst angle at lambda=1e-2: {worst_final:.1e}, monotone decreasing")
@@ -254,8 +253,8 @@ def test_10_equivariance():
 
     phi = HoloClass(spec_k(4), rng.normal(size=3) + 1j * rng.normal(size=3))
     lam = 2 * np.pi
-    lhs = forward_F(pullback_class(iso, phi), lam, cfg, grid)
-    rhs = pullback_dual(iso, forward_F(phi, lam, cfg, grid), grid)
+    lhs = forward_F(pullback_class(iso, phi), lam, cfg)
+    rhs = pullback_dual(iso, forward_F(phi, lam, cfg), grid)
     angle = projective_angle(lhs.b, rhs.b)
     ok = worst_dev < 1e-8 and angle < 1e-5
     _report(10, ok, f"norm-equivariance dev {worst_dev:.1e}, forward map angle {angle:.1e}")

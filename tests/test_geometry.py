@@ -286,6 +286,17 @@ class TestChartDerivatives:
         # packed d/dphi: each cos entry takes m times its sin partner and back
         assert np.abs(grid16.synthesize(grid16.d_dphi(grid16.analyze(f(z, s)))) - dphi(z, s)).max() < 1e-12
 
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_north_taylor(self, grid16, j):
+        # conj(z)/s = w/(1+|w|^2) = w + O(|w|^3): (conj(z)/s)^j contributes
+        # w^j alone; z/s = conj(w)/(1+|w|^2) is antiholomorphic at N and
+        # contributes nothing, and the constant is f(N)
+        z = grid16.z
+        s = 1.0 + np.abs(z) ** 2
+        f_north, taylor = grid16.north_taylor(grid16.analyze(3.0 + 0.5 * z / s + (np.conj(z) / s) ** j), 4)
+        assert abs(f_north - 3.0) < 1e-12
+        assert np.abs(taylor - np.eye(4)[j - 1]).max() < 1e-10  # 2^j A[j, l] amplifies roundoff
+
 
 class TestRealCore:
     # packed real coefficients of random band-limited fields, l_max 4..24,

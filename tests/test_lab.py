@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from spherecurv import lab
+from spherecurv import cli, lab, strata
 from spherecurv.bundles import BundleSpec, divisor_of
 from spherecurv.cli import main as cli_main
 from spherecurv.errors import HypothesisViolation
@@ -220,9 +220,10 @@ class TestSweep:
         assert rec.summary["minres_iters"] > 0
 
     def test_reproducible_csv(self, tmp_path):
-        cfg = small_sweep_config(tmp_path)
-        p1 = write_run(run_existence_sweep(cfg), cfg, out_dir=tmp_path / "a")
-        p2 = write_run(run_existence_sweep(cfg), cfg, out_dir=tmp_path / "b")
+        cfg = small_sweep_config(tmp_path / "a")
+        p1 = write_run(run_existence_sweep(cfg), cfg)
+        cfg.out_dir = str(tmp_path / "b")
+        p2 = write_run(run_existence_sweep(cfg), cfg)
         assert open(p1["csv"], "rb").read() == open(p2["csv"], "rb").read()
 
     def test_p1_class_reports_failure_and_bound(self, tmp_path):
@@ -356,6 +357,91 @@ class TestSymmetryAudit:
             run_symmetry_audit(cfg)
 
 
+def config_file(tmp_path, verb, **data):
+    """A schema-1 config for ``verb`` at l_max 16; keys set to None are left out."""
+    data = {"schema": 1, "experiment": verb, "solver": {"l_max": 16}, **data}
+    p = tmp_path / f"{verb}.json"
+    p.write_text(json.dumps({key: value for key, value in data.items() if value is not None}))
+    return str(p)
+
+
+RING = {"deg_L2": 7, "family": {"kind": 2, "a": 1, "n": 4}}
+TWO_POLE = {"deg_L2": 4, "class_coeffs": [[0, 0], [1, 0], [0, 0]]}
+# the flags each verb reads; every other one of the four is an unknown argument
+READS = {
+    "grid-check": ("lmax",),
+    "classify": ("tol",),
+    "dualize": ("lmax", "tol"),
+    "family": ("config",),
+    "solve": ("config", "lmax", "tol"),
+    "sweep": ("config", "out", "lmax", "tol"),
+    "symmetry-audit": ("config", "out", "lmax", "tol"),
+    "radial": ("config", "out", "lmax", "tol"),
+}
+CONFIG_VERBS = [verb for verb, flags in READS.items() if "config" in flags]
+
+
+class TestCliFlags:
+    @pytest.mark.parametrize("verb,flag", [(v, f) for v in READS for f in ("config", "out", "lmax", "tol")])
+    def test_verb_takes_only_the_flags_it_reads(self, tmp_path, monkeypatch, capsys, verb, flag):
+        seen = []
+        for name in ("_cmd_grid_check", "_cmd_classify", "_cmd_dualize", "_cmd_family", "_cmd_solve", "_cmd_driver"):
+            monkeypatch.setattr(cli, name, lambda args, *rest: seen.append(args) or 0)
+        cfg = config_file(tmp_path, verb, **(TWO_POLE if verb == "radial" else RING))
+        argv = {
+            "classify": ["classify", "--b", "1,0;0.5,0;0.25,0", "--deg-l2", "4"],
+            "dualize": ["dualize", "--a", "0,0;1,0;0,0", "--deg-l2", "4"],
+        }.get(verb, [verb] + (["--config", cfg] if verb in CONFIG_VERBS else []))
+        value = {"out": str(tmp_path / "out"), "lmax": "16", "tol": "1e-6"}.get(flag)
+        if flag in READS[verb]:
+            if flag != "config":  # config verbs already carry it
+                argv += [f"--{flag}", value]
+            assert cli_main(argv) == 0
+            parsed = getattr(seen[0], flag)
+            if flag == "config":
+                assert parsed.experiment == verb
+            else:
+                assert parsed == type(parsed)(value)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                cli_main(argv + [f"--{flag}", value or cfg])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+            assert not seen
+
+    @pytest.mark.parametrize("verb", CONFIG_VERBS)
+    def test_config_is_required(self, verb, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([verb])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --config" in capsys.readouterr().err
+
+    UNRUNNABLE = {
+        "family_hypothesis": ("sweep", {"deg_L2": 4, "family": {"kind": 1, "a": 5}}, "kind 1 requires 0 < a < k-2, got a=5, k=4"),
+        "family_without_kind": ("family", {"deg_L2": 4, "family": {"a": 1}}, "unknown family kind None"),
+        "coeffs_wrong_length": ("solve", {"deg_L2": 4, "class_coeffs": [[1, 0]]}, "coefficient vector has length (1,), expected 3"),
+        "coeffs_zero": ("solve", {"deg_L2": 4, "class_coeffs": [[0, 0]] * 3}, "must have a nonzero coefficient vector"),
+        "lambda_negative": ("sweep", {**TWO_POLE, "lambda_grid": [1.0, -1]}, "lambda_grid must be a list of positive finite numbers"),
+        "lambda_string": ("sweep", {**TWO_POLE, "lambda_grid": ["x"]}, "lambda_grid must be a list of positive finite numbers"),
+        "tol_string": ("sweep", {**TWO_POLE, "tol": "big"}, "tol must be a positive finite number, got 'big'"),
+        "no_experiment": ("sweep", {**TWO_POLE, "experiment": None}, "config needs the key 'experiment'"),
+        "solve_empty_lambda_grid": ("solve", {**TWO_POLE, "lambda_grid": []}, "solve needs --lam or a non-empty lambda_grid"),
+        "audit_kind1": ("symmetry-audit", {"deg_L2": 4, "family": {"kind": 1, "a": 1}}, "symmetry audit requires a family of kind 2 or 3"),
+        "radial_not_monomial": ("radial", RING, "radial reduction requires a monomial class"),
+    }
+
+    @pytest.mark.parametrize("case", UNRUNNABLE)
+    def test_config_that_cannot_run_is_usage_error(self, tmp_path, capsys, case):
+        # exit 2 with one error line, before any solve, instead of a traceback mid-run
+        verb, data, message = self.UNRUNNABLE[case]
+        with pytest.raises(SystemExit) as exc:
+            cli_main([verb, "--config", config_file(tmp_path, verb, **data)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0] and "Traceback" not in err
+
+
 class TestCli:
     def test_grid_check(self, capsys):
         assert cli_main(["grid-check", "--lmax", "16"]) == 0
@@ -409,6 +495,16 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["total_multiplicity"] == 5
 
+    def test_classify_profiles_once(self, monkeypatch, capsys):
+        # the existence range comes from the one classifier report
+        calls = []
+        profile = strata._profile
+        monkeypatch.setattr(strata, "_profile", lambda *args: calls.append(1) or profile(*args))
+        assert cli_main(["classify", "--b", "1,0;0.5,0;0.25,0", "--deg-l2", "4"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert data["existence_range"] == [0.0, 4 * np.pi * data["stratum_m"]]
+
     def test_dualize_verb(self, capsys):
         assert cli_main(["dualize", "--a", "0,0;1,0;0,0", "--deg-l2", "4", "--lmax", "16"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -419,16 +515,20 @@ class TestCli:
         [
             (["grid-check", "--lmax", "0"], "must be positive"),
             (["classify", "--b", "1,0", "--deg-l2", "2", "--tol", "0"], "must be positive"),
-            (["solve", "--lam", "0"], "must be positive"),
+            (["solve", "--config", "{cfg}", "--lam", "0"], "must be positive"),
+            (["solve", "--config", "{cfg}", "--lam", "nan"], "--lam must be positive and finite, got nan"),
+            (["classify", "--b", "1,0", "--deg-l2", "2", "--tol", "inf"], "--tol must be positive and finite, got inf"),
             (["grid-check", "--lmax", "2"], "--lmax must be at least 4, got 2"),
         ],
-        ids=["lmax", "tol", "lam", "lmax_below_grid_minimum"],
+        ids=["lmax", "tol", "lam", "lam_nan", "tol_inf", "lmax_below_grid_minimum"],
     )
-    def test_zero_override_rejected(self, argv, message, capsys):
+    def test_zero_override_rejected(self, argv, message, capsys, tmp_path):
         # a zero or too small override is a usage error, not a fall back to
         # the default or a traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(small_sweep_config(tmp_path).canonical_dict()))
         with pytest.raises(SystemExit) as exc:
-            cli_main(argv)
+            cli_main([arg.format(cfg=cfg) for arg in argv])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 

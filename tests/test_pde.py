@@ -62,7 +62,7 @@ class TestResidual:
         grid = build_grid(l_max)
         rng = np.random.default_rng(64 + l_max)
         phi = HoloClass(spec_k(4), rng.normal(size=3) + 1j * rng.normal(size=3))
-        ws = _Workspace(grid, phi_norm_sq(phi, ConformalFactor.zero(grid), grid))
+        ws = _Workspace(phi, grid)
         x = rng.normal(size=ws.n) / np.sqrt(ws.n)
         u = ConformalFactor(grid.synthesize(np.concatenate([[0.0], x[1:]])), x[0])
         lam = 3.0
@@ -74,8 +74,7 @@ class TestJacobian:
     def test_matches_finite_differences(self, grid16):
         rng = np.random.default_rng(61)
         phi = HoloClass(spec_k(4), rng.normal(size=3) + 1j * rng.normal(size=3))
-        k_vals = phi_norm_sq(phi, ConformalFactor.zero(grid16), grid16)
-        ws = _Workspace(grid16, k_vals)
+        ws = _Workspace(phi, grid16)
         x = rng.normal(size=ws.n) * 0.1
         lam = 1.0
         op, _ = ws.operator(ws.evaluate(x, 0.0)[2])
@@ -89,8 +88,7 @@ class TestJacobian:
     def test_symmetric_operator(self, grid16):
         rng = np.random.default_rng(62)
         phi = monomial(3, 1)
-        k_vals = phi_norm_sq(phi, ConformalFactor.zero(grid16), grid16)
-        ws = _Workspace(grid16, k_vals)
+        ws = _Workspace(phi, grid16)
         x = rng.normal(size=ws.n) * 0.1
         op, _ = ws.operator(ws.evaluate(x, 0.0)[2])
         a = rng.normal(size=ws.n)
@@ -169,8 +167,10 @@ class TestSolve:
             solve_phi_system(monomial(4, 1), 3 * np.pi, cfg, above.u, start=above)
 
     def test_invalid_lambda(self):
-        with pytest.raises(InvalidLambda):
-            solve_phi_system(monomial(2, 0), -1.0, SolveConfig(l_max=16))
+        # a NaN target used to end the ramp at once: converged at lambda_init
+        for lam in (-1.0, np.nan):
+            with pytest.raises(InvalidLambda):
+                solve_phi_system(monomial(2, 0), lam, SolveConfig(l_max=16))
 
     def test_config_validation(self):
         # the tolerances are constants, not arguments: setting one is an error
@@ -330,7 +330,7 @@ class TestForwardF:
         b0 = dual_map_H0(phi, grid16)
         angles = []
         for lam in (0.5, 0.25, 0.1, 0.01):
-            b = forward_F(phi, lam, cfg, grid16)
+            b = forward_F(phi, lam, cfg)
             angles.append(projective_angle(b.b, b0.b))
         assert angles[-1] < 1e-2
         assert all(a > b for a, b in zip(angles, angles[1:]))
@@ -339,7 +339,7 @@ class TestForwardF:
         cfg = SolveConfig(l_max=16)
         for a in (0, 1, 2):
             phi = monomial(4, a)
-            b = forward_F(phi, 2.0, cfg, grid16).b
+            b = forward_F(phi, 2.0, cfg).b
             others = np.delete(np.abs(b), a)
             assert abs(b[a]) > 0
             assert others.max() < 1e-9 * abs(b[a]), a
@@ -351,8 +351,8 @@ class TestForwardF:
         phi = HoloClass(spec_k(4), rng.normal(size=3) + 1j * rng.normal(size=3))
         iso = IsometryAction.random_rotation(rng)
         lam = 2 * np.pi
-        lhs = forward_F(pullback_class(iso, phi), lam, cfg, grid)
-        rhs = pullback_dual(iso, forward_F(phi, lam, cfg, grid), grid)
+        lhs = forward_F(pullback_class(iso, phi), lam, cfg)
+        rhs = pullback_dual(iso, forward_F(phi, lam, cfg), grid)
         assert projective_angle(lhs.b, rhs.b) < 1e-5
 
     def test_equivariance_under_reversing_isometry(self):
@@ -365,8 +365,8 @@ class TestForwardF:
         iso = IsometryAction.random_rotation(rng).compose(IsometryAction.reflection())
         assert iso.reverses
         lam = 2 * np.pi
-        lhs = forward_F(pullback_class(iso, phi), lam, cfg, grid)
-        rhs = pullback_dual(iso, forward_F(phi, lam, cfg, grid), grid)
+        lhs = forward_F(pullback_class(iso, phi), lam, cfg)
+        rhs = pullback_dual(iso, forward_F(phi, lam, cfg), grid)
         assert projective_angle(lhs.b, rhs.b) < 1e-5
 
     def test_raises_on_stall(self):
@@ -537,6 +537,25 @@ class TestRadial:
         assert r.root_alpha is None and r.residual_sup is None and r.u is None
         assert r.mismatch_values.shape == r.mismatch_alphas.shape
         assert np.isfinite(r.mismatch_min)
+
+    def test_converged_polish_wins_over_earlier_filter_stall(self, monkeypatch):
+        # k=2 at 4*pi leaves 9 candidate roots.  The first polish is made a
+        # filter stall: Newton converged, so its residual_sup is tiny (0 here).
+        # A later converged polish must be the result, however its residual compares
+        import spherecurv.pde as pde
+
+        polishes = []
+
+        def first_is_filter_stall(*args, **kw):
+            res = solve_phi_system(*args, **kw)
+            polishes.append(res)
+            return dataclasses.replace(res, converged=False, stop_reason="filter") if len(polishes) == 1 else res
+
+        monkeypatch.setattr(pde, "solve_phi_system", first_is_filter_stall)
+        r = solve_radial(monomial(2, 0), 4 * np.pi, SolveConfig(l_max=16))
+        assert len(polishes) >= 2 and polishes[-1].converged
+        assert r.converged
+        assert r.u is polishes[-1].u and r.residual_sup == polishes[-1].residual_sup
 
     def test_profile_requires_monomial(self):
         with pytest.raises(ValueError):
