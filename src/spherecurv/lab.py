@@ -65,18 +65,35 @@ class ExperimentConfig:
         if isinstance(l_max, bool) or not isinstance(l_max, int) or l_max < 4:
             raise ValueError(f"solver.l_max must be an integer >= 4, got {l_max!r}")
 
+        def number(x) -> bool:
+            return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
         def positive(x) -> bool:
-            return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) and x > 0
+            return number(x) and x > 0
+
+        def pair(c) -> bool:
+            return isinstance(c, list) and len(c) == 2 and all(map(number, c))
 
         lambdas = data.get("lambda_grid", [])
         if not isinstance(lambdas, list) or not all(map(positive, lambdas)):
             raise ValueError(f"lambda_grid must be a list of positive finite numbers, got {lambdas!r}")
         if not positive(data.get("tol", DEFAULT_TOL)):
             raise ValueError(f"tol must be a positive finite number, got {data['tol']!r}")
+        for key in ("deg_L1", "deg_L2"):
+            if key in data and (isinstance(data[key], bool) or not isinstance(data[key], int)):
+                raise ValueError(f"config key {key!r} must be an integer, got {data[key]!r}")
+        family, coeffs = data.get("family"), data.get("class_coeffs")
+        if family is not None and not isinstance(family, dict):
+            raise ValueError(f"config key 'family' must be a JSON object, got {family!r}")
+        if coeffs is not None and not (isinstance(coeffs, list) and all(map(pair, coeffs))):
+            raise ValueError(f"config key 'class_coeffs' must be a list of [re, im] number pairs, got {coeffs!r}")
         if "experiment" not in data:
             raise ValueError("config needs the key 'experiment'")
         cfg = cls(**data)
-        cfg.the_class()  # family hypotheses, coefficient length and zero class fail here, not mid-run
+        try:
+            cfg.the_class()  # family hypotheses, coefficient length and zero class fail here, not mid-run
+        except TypeError as exc:  # of the keys the class reads, only family's values are unchecked above
+            raise ValueError(f"config key 'family' holds a value of the wrong type: {exc}") from exc
         return cfg
 
     def spec(self) -> BundleSpec:

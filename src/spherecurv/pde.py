@@ -5,16 +5,20 @@ with K the flat-metric squared norm of a holomorphic class.  Galerkin
 collocation on the packed real coefficients of every grid transform
 (``SphereGrid.analyze``/``synthesize``; entry 0 is the constant);
 the Jacobian lap + 4 K e^{2u} is symmetric in that orthonormal basis and is
-inverted matrix-free with MINRES preconditioned by (sigma - lap)^{-1}.
+inverted matrix-free by the package's own MINRES loop (``minres``),
+preconditioned by the diagonal (sigma - lap)^{-1}; no scipy Krylov solver or
+linear-operator wrapper is involved.
 
 Newton is inexact (Eisenstat & Walker 1996, SIAM J. Sci. Comput. 17): each
 correction is solved only as tightly as the outer residual needs, with the
 forcing term  rtol_k = min(1e-3, max(minres_rtol, 0.9 (|r_k|/|r_{k-1}|)^2,
-0.25 newton_tol/|r_k|))  and 1e-3 on the first step.  MINRES stops on the
-preconditioned residual while the line search measures the Euclidean one, so
-a loose correction can fail to decrease |r| at any step size; a correction
-that fails its residual check or the line search is solved again once at
-minres_rtol from the same point.  Only |r| < newton_tol on the exact packed
+0.25 newton_tol/|r_k|))  and 1e-3 on the first step.  MINRES stops on
+scipy's test |r|/(|A| |x|) <= rtol, with |r| the preconditioned residual and
+|A| its running estimate of the preconditioned operator's norm, so the forcing
+term bounds that ratio, not |r|/|b|.  The line search measures the Euclidean
+residual, so a loose correction can fail to decrease |r| at any step size; a
+correction that fails its residual check or the line search is solved again
+once at minres_rtol from the same point.  Only |r| < newton_tol on the exact packed
 residual accepts a solve.
 Continuation ramps lambda from a small value (where the constant-mode
 asymptotics give the initializer), or from a start state (a converged
@@ -36,7 +40,6 @@ from typing import ClassVar
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
-from scipy.sparse.linalg import LinearOperator, minres
 
 from .bundles import ConformalFactor, HoloClass, phi_norm_sq
 from .cohomology import DualCoords, b_coords
@@ -145,17 +148,89 @@ class _Workspace:
         return sup, r, 2.0 * ke
 
     def operator(self, weight: np.ndarray):
-        """Jacobian lap + weight and its preconditioner (sigma - lap)^{-1}, sigma the mean weight."""
+        """Matvec of the Jacobian lap + weight, and the diagonal (sigma - lap)^{-1} of its preconditioner.
+
+        sigma is the mean weight.
+        """
 
         def matvec(y):
             return self.grid.analyze(weight * self.grid.synthesize(y)) + self.diag * y
 
         sigma = max(float(weight.mean()), 1e-8)
-        m_diag = 1.0 / (sigma - self.diag)
+        return matvec, 1.0 / (sigma - self.diag)
 
-        op = LinearOperator((self.n, self.n), matvec=matvec, dtype=float)
-        pre = LinearOperator((self.n, self.n), matvec=lambda y: m_diag * y, dtype=float)
-        return op, pre
+
+def minres(matvec, b, m_diag, *, rtol, maxiter, callback=None):
+    """MINRES (Paige & Saunders 1975, SIAM J. Numer. Anal. 12) for symmetric A x = b from x = 0.
+
+    ``m_diag`` is a positive diagonal preconditioner approximating A^{-1}.
+    The recurrences and stopping tests are scipy's ``minres``, in the
+    preconditioned norm with |A| and cond(A) the running Lanczos estimates:
+    it stops when test1 = |r|/(|A| |x|) or test2 = |A r|/(|A| |r|) falls to
+    rtol or to roundoff, when cond(A) >= 0.1/eps, when |A| |x| eps >= |b|,
+    or on iteration 1 when the next Lanczos vector vanishes.  ``callback(x)``
+    runs after each iteration.  Returns (x, info): info is ``maxiter`` when
+    the iteration limit stopped it and no other test held, else 0.
+    """
+    eps = np.finfo(float).eps
+    x = w = w2 = np.zeros_like(b)  # no vector is written in place
+    y = m_diag * b
+    beta1 = float(b @ y)
+    if beta1 < 0:
+        raise ValueError("indefinite preconditioner")
+    if beta1 == 0:
+        return x, 0
+    beta1 = math.sqrt(beta1)
+    oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
+    tnorm2, gmax, gmin, cs, sn = 0.0, 0.0, math.inf, -1.0, 0.0
+    r1 = r2 = b
+    for itn in range(1, maxiter + 1):
+        v = (1.0 / beta) * y
+        y = matvec(v)
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = float(v @ y)
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = m_diag * r2
+        oldb, beta = beta, float(r2 @ y)
+        if beta < 0:
+            raise ValueError("non-symmetric matrix")
+        beta = math.sqrt(beta)
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        vanished = itn == 1 and beta / beta1 <= 10 * eps
+        # previous rotation, then the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = math.hypot(gbar, dbar)
+        gamma = max(math.hypot(gbar, beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
+        x = x + phi * w
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        anorm = math.sqrt(tnorm2)
+        ynorm = math.sqrt(x @ x)
+        test1 = math.inf if ynorm == 0 else phibar / (anorm * ynorm)
+        test2 = root / anorm
+        done = (
+            vanished
+            or test1 <= rtol
+            or test2 <= rtol
+            or anorm * ynorm * eps >= beta1
+            or gmax / gmin >= 0.1 / eps
+            or 1 + test1 <= 1
+            or 1 + test2 <= 1
+        )
+        if callback is not None:
+            callback(x)
+        if done:
+            return x, 0
+    return x, maxiter
 
 
 def _damped_step(ws: _Workspace, op, pre, x, r, rnorm, lam, rtol):
@@ -170,8 +245,8 @@ def _damped_step(ws: _Workspace, op, pre, x, r, rnorm, lam, rtol):
         nonlocal iters
         iters += 1
 
-    delta, info = minres(op, -r, M=pre, rtol=rtol, maxiter=SolveConfig.minres_maxiter, callback=count)
-    if info != 0 and np.linalg.norm(op @ delta + r) > 0.1 * rnorm:
+    delta, info = minres(op, -r, pre, rtol=rtol, maxiter=SolveConfig.minres_maxiter, callback=count)
+    if info != 0 and np.linalg.norm(op(delta) + r) > 0.1 * rnorm:
         return None, iters
     step = 1.0
     for _ in range(10):

@@ -175,7 +175,7 @@ def test_06_pde_correctness():
     d /= np.linalg.norm(d)
     eps = 1e-6
     fd = (ws.evaluate(x + eps * d, 1.0)[1] - ws.evaluate(x - eps * d, 1.0)[1]) / (2 * eps)
-    jac_rel = np.linalg.norm(op @ d - fd) / np.linalg.norm(fd)
+    jac_rel = np.linalg.norm(op(d) - fd) / np.linalg.norm(fd)
 
     res2 = solve_phi_system(HoloClass(spec_k(4), np.array([0, 1.0, 0], dtype=complex)), 4 * np.pi, cfg)
     mass = grid.integrate(2 * phi_norm_sq(HoloClass(spec_k(4), np.array([0, 1.0, 0], dtype=complex)), res2.u, grid))

@@ -428,6 +428,11 @@ class TestCliFlags:
         "solve_empty_lambda_grid": ("solve", {**TWO_POLE, "lambda_grid": []}, "solve needs --lam or a non-empty lambda_grid"),
         "audit_kind1": ("symmetry-audit", {"deg_L2": 4, "family": {"kind": 1, "a": 1}}, "symmetry audit requires a family of kind 2 or 3"),
         "radial_not_monomial": ("radial", RING, "radial reduction requires a monomial class"),
+        # a JSON value of the wrong type names its key instead of argparse's "invalid _config_file value"
+        "coeffs_wrong_type": ("solve", {"deg_L2": 4, "class_coeffs": [["a", 0], [1, 0], [1, 0]]}, "config key 'class_coeffs' must be a list of [re, im] number pairs"),
+        "family_not_object": ("family", {"deg_L2": 4, "family": [1]}, "config key 'family' must be a JSON object, got [1]"),
+        "family_value_wrong_type": ("family", {"deg_L2": 4, "family": {"kind": 2, "a": 1, "n": [1]}}, "config key 'family' holds a value of the wrong type"),
+        "degree_wrong_type": ("family", {"deg_L2": "4", "family": {"kind": 1, "a": 1}}, "config key 'deg_L2' must be an integer, got '4'"),
     }
 
     @pytest.mark.parametrize("case", UNRUNNABLE)

@@ -12,7 +12,9 @@ from spherecurv.pde import (
     RadialProfile,
     SolveConfig,
     _Workspace,
+    _initial_guess,
     forward_F,
+    minres,
     residual,
     solve_phi_system,
     solve_radial,
@@ -82,7 +84,7 @@ class TestJacobian:
         d /= np.linalg.norm(d)
         eps = 1e-6
         fd = (ws.evaluate(x + eps * d, lam)[1] - ws.evaluate(x - eps * d, lam)[1]) / (2 * eps)
-        rel = np.linalg.norm(op @ d - fd) / np.linalg.norm(fd)
+        rel = np.linalg.norm(op(d) - fd) / np.linalg.norm(fd)
         assert rel < 1e-6
 
     def test_symmetric_operator(self, grid16):
@@ -93,7 +95,87 @@ class TestJacobian:
         op, _ = ws.operator(ws.evaluate(x, 0.0)[2])
         a = rng.normal(size=ws.n)
         b = rng.normal(size=ws.n)
-        assert abs(np.dot(a, op @ b) - np.dot(b, op @ a)) < 1e-8 * np.linalg.norm(a) * np.linalg.norm(b)
+        assert abs(np.dot(a, op(b)) - np.dot(b, op(a))) < 1e-8 * np.linalg.norm(a) * np.linalg.norm(b)
+
+
+class TestMinres:
+    # the package's MINRES against scipy's, which it reproduces recurrence for recurrence
+    @staticmethod
+    def scipy_solve(matvec, b, m_diag, rtol, maxiter=800):
+        from scipy.sparse.linalg import LinearOperator
+        from scipy.sparse.linalg import minres as scipy_minres
+
+        n = len(b)
+        iters = []
+        x, info = scipy_minres(
+            LinearOperator((n, n), matvec=matvec, dtype=float),
+            b,
+            M=LinearOperator((n, n), matvec=lambda y: m_diag * y, dtype=float),
+            rtol=rtol,
+            maxiter=maxiter,
+            callback=iters.append,
+        )
+        return x, info, len(iters)
+
+    @staticmethod
+    def own_solve(matvec, b, m_diag, rtol, maxiter=800):
+        iters = []
+        x, info = minres(matvec, b, m_diag, rtol=rtol, maxiter=maxiter, callback=iters.append)
+        return x, info, len(iters)
+
+    @staticmethod
+    def indefinite_system(n=120, negative=15):
+        rng = np.random.default_rng(71)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        ev = np.concatenate([rng.uniform(1.0, 20.0, n - negative), -rng.uniform(0.5, 5.0, negative)])
+        a = (q * ev) @ q.T
+        return (lambda v: a @ v), rng.normal(size=n), rng.uniform(0.2, 3.0, n)
+
+    def test_indefinite_system_matches_scipy(self):
+        matvec, b, m_diag = self.indefinite_system()
+        for rtol in (1e-3, 1e-8, 1e-12):
+            x_ref, info_ref, n_ref = self.scipy_solve(matvec, b, m_diag, rtol)
+            x, info, n = self.own_solve(matvec, b, m_diag, rtol)
+            assert info == info_ref == 0
+            assert n == n_ref > 0
+            assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+    def test_iteration_limit(self):
+        matvec, b, m_diag = self.indefinite_system()
+        x, info, n = self.own_solve(matvec, b, m_diag, 1e-12, maxiter=5)
+        x_ref, info_ref, _ = self.scipy_solve(matvec, b, m_diag, 1e-12, maxiter=5)
+        assert info == info_ref == 5 and n == 5
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+    def test_zero_rhs(self):
+        matvec, b, m_diag = self.indefinite_system()
+        x, info, n = self.own_solve(matvec, np.zeros_like(b), m_diag, 1e-8)
+        assert info == 0 and n == 0
+        assert not x.any()
+
+    def test_callback_counts_iterations(self):
+        # the callback sees each iterate once; with rtol 0 only maxiter stops it
+        matvec, b, m_diag = self.indefinite_system(n=40, negative=5)
+        seen = []
+        x, info = minres(matvec, b, m_diag, rtol=0.0, maxiter=12, callback=lambda xk: seen.append(xk.copy()))
+        assert info == 12 and len(seen) == 12
+        assert np.array_equal(seen[-1], x)
+
+    def test_jacobian_matches_scipy(self):
+        grid = build_grid(16)
+        rng = np.random.default_rng(72)
+        phi = HoloClass(spec_k(5), rng.normal(size=4) + 1j * rng.normal(size=4))
+        ws = _Workspace(phi, grid)
+        # a Newton start at 2*pi: the small-coupling guess plus a smooth perturbation
+        x = _initial_guess(ws, 2 * np.pi) + 0.05 * rng.normal(size=ws.n) / np.arange(1, ws.n + 1)
+        _, r, weight = ws.evaluate(x, 2 * np.pi)
+        matvec, m_diag = ws.operator(weight)
+        for rtol in (1e-3, 1e-8, 1e-12):
+            x_ref, info_ref, n_ref = self.scipy_solve(matvec, -r, m_diag, rtol)
+            delta, info, n = self.own_solve(matvec, -r, m_diag, rtol)
+            assert info == info_ref == 0
+            assert n == n_ref > 0
+            assert np.linalg.norm(delta - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
 
 class TestSolve:
