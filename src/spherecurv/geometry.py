@@ -36,8 +36,7 @@ that is infinite at the north pole N and zero at the south pole S;
 every node.
 
 Determinism: the transforms are BLAS matmuls and are deterministic for a
-fixed BLAS; ``integrate(..., sequential=True)`` bypasses BLAS reductions
-entirely (math.fsum) for golden tests.
+fixed BLAS.
 """
 
 from __future__ import annotations
@@ -300,19 +299,9 @@ class SphereGrid:
     # quadrature and calculus
     # ------------------------------------------------------------------
 
-    def integrate(self, f, sequential: bool = False):
-        """Integral against the normalized measure (total mass 1).
-
-        ``sequential=True`` reduces with math.fsum in a fixed order, which is
-        bitwise reproducible regardless of BLAS threading.
-        """
-        v = self._field(f)
-        if sequential:
-            prod = (self.weights * v).ravel()
-            if np.iscomplexobj(prod):
-                return complex(math.fsum(prod.real), math.fsum(prod.imag))
-            return math.fsum(prod)
-        return (self.weights * v).sum()
+    def integrate(self, f):
+        """Integral against the normalized measure (total mass 1)."""
+        return (self.weights * self._field(f)).sum()
 
     def laplacian(self, f) -> np.ndarray:
         """Spectral Laplace-Beltrami operator; valid for band-limited fields."""

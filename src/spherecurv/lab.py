@@ -1,10 +1,14 @@
 """Experiment drivers: curvature families, sweeps, audits, flat-file output.
 
 Each driver consumes an :class:`ExperimentConfig` (JSON schema version 1) and
-produces a :class:`RunRecord` holding per-coupling rows plus a summary; rows
-go to CSV (one fixed header, diffable), the config echo and summary to JSON.
-Summaries report where continuation stopped and cite the classifier bound;
-they never claim non-existence.
+produces a :class:`RunRecord` holding per-coupling rows plus a summary.  The
+sweep and the symmetry audit solve one warm-started ladder of couplings; the
+radial probe writes one row at 4*pi and a shooting curve.  ``write_run``
+names every file of a run ``<experiment>-<config_hash>``: a JSON with the
+config echo, hash, summary and wall time, a CSV of the rows (one fixed
+header, diffable) and, for the radial probe, ``-shooting.csv``.  Summaries
+report where continuation stopped and cite the classifier bound; they never
+claim non-existence.
 """
 
 from __future__ import annotations
@@ -23,13 +27,21 @@ from .bundles import BundleSpec, HoloClass
 from .cohomology import IsometryAction, b_coords, dual_map_H0, pullback_class
 from .errors import HypothesisViolation
 from .geometry import build_grid
-from .pde import SolveConfig, solve_phi_system, solve_radial
+from .pde import SolveConfig, SolveResult, solve_phi_system, solve_radial
 from .strata import DEFAULT_TOL, div_classifier
 
 SCHEMA_VERSION = 1
 
 CSV_HEADER_PREFIX = ["lambda", "converged", "stall_lambda", "residual_sup", "offset"]
 CSV_HEADER_SUFFIX = ["stratum", "margin"]
+
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _pair(c) -> bool:
+    return isinstance(c, list) and len(c) == 2 and all(map(_number, c))
 
 
 @dataclass
@@ -65,14 +77,8 @@ class ExperimentConfig:
         if isinstance(l_max, bool) or not isinstance(l_max, int) or l_max < 4:
             raise ValueError(f"solver.l_max must be an integer >= 4, got {l_max!r}")
 
-        def number(x) -> bool:
-            return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
         def positive(x) -> bool:
-            return number(x) and x > 0
-
-        def pair(c) -> bool:
-            return isinstance(c, list) and len(c) == 2 and all(map(number, c))
+            return _number(x) and x > 0
 
         lambdas = data.get("lambda_grid", [])
         if not isinstance(lambdas, list) or not all(map(positive, lambdas)):
@@ -85,15 +91,12 @@ class ExperimentConfig:
         family, coeffs = data.get("family"), data.get("class_coeffs")
         if family is not None and not isinstance(family, dict):
             raise ValueError(f"config key 'family' must be a JSON object, got {family!r}")
-        if coeffs is not None and not (isinstance(coeffs, list) and all(map(pair, coeffs))):
+        if coeffs is not None and not (isinstance(coeffs, list) and all(map(_pair, coeffs))):
             raise ValueError(f"config key 'class_coeffs' must be a list of [re, im] number pairs, got {coeffs!r}")
         if "experiment" not in data:
             raise ValueError("config needs the key 'experiment'")
         cfg = cls(**data)
-        try:
-            cfg.the_class()  # family hypotheses, coefficient length and zero class fail here, not mid-run
-        except TypeError as exc:  # of the keys the class reads, only family's values are unchecked above
-            raise ValueError(f"config key 'family' holds a value of the wrong type: {exc}") from exc
+        cfg.the_class()  # family values and hypotheses, coefficient length and zero class fail here, not mid-run
         return cfg
 
     def spec(self) -> BundleSpec:
@@ -146,18 +149,34 @@ def gen_family(kind: int, params: dict, spec: BundleSpec) -> HoloClass:
             only the pole-balanced variant is promised a solve at 4*pi)
     kind 3: g = z^a prod_i (z^n - q_i)   (rings at prescribed moduli)
 
+    ``kind``, ``a`` and ``n`` are integers and ``q`` a list of numbers or
+    [re, im] pairs; any other value raises ValueError naming ``family.<key>``.
     Raises HypothesisViolation naming the failed inequality.
     """
+
+    def wrong_type(key, want, value):
+        return ValueError(
+            f"config key 'family' holds a value of the wrong type: family.{key} must be {want}, got {value!r}"
+        )
+
+    def integer(key):
+        value = params.get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise wrong_type(key, "an integer", value)
+        return value
+
+    if isinstance(kind, bool) or not isinstance(kind, int) or kind not in (1, 2, 3):
+        raise ValueError(f"unknown family kind {kind!r}: family.kind must be 1, 2 or 3")
     k = spec.k
-    a = int(params.get("a", 0))
+    a = integer("a")
+    coeffs = np.zeros(k - 1, dtype=complex)
     if kind == 1:
         if not 0 < a < k - 2:
             raise HypothesisViolation(f"kind 1 requires 0 < a < k-2, got a={a}, k={k}")
-        coeffs = np.zeros(k - 1, dtype=complex)
         coeffs[a] = 1.0
         return HoloClass(spec, coeffs)
+    n = integer("n")
     if kind == 2:
-        n = int(params.get("n", 0))
         if not (n > 2 * a > 0):
             raise HypothesisViolation(f"kind 2 requires n > 2a > 0, got a={a}, n={n}")
         # pole-balanced (2a+n = k-2, multiplicity a at each pole) or pole-free
@@ -169,35 +188,31 @@ def gen_family(kind: int, params: dict, spec: BundleSpec) -> HoloClass:
             raise HypothesisViolation(
                 f"kind 2 requires 2a + n = k-2 or a + n = k-2, got a={a}, n={n}, k={k}"
             )
-        coeffs = np.zeros(k - 1, dtype=complex)
         coeffs[a + n] = 1.0
         coeffs[a] = -1.0
         return HoloClass(spec, coeffs)
-    if kind == 3:
-        n = int(params.get("n", 0))
-        q = [complex(x) if not isinstance(x, (list, tuple)) else complex(*x) for x in params.get("q", [])]
-        m = len(q)
-        if not (n > a > 0):
-            raise HypothesisViolation(f"kind 3 requires n > a > 0, got a={a}, n={n}")
-        if not a + m * n < k - 2:
-            raise HypothesisViolation(f"kind 3 requires a + m*n < k-2, got {a}+{m}*{n} >= {k - 2}")
-        # the pole multiplicity b = k-2-a-mn must be a proper remainder mod n
-        b = k - 2 - a - m * n
-        if not 0 < b < n:
-            raise HypothesisViolation(
-                f"kind 3 requires 0 < (k-2-a) mod n and k-2-a-mn < n, got b={b}, n={n}"
-            )
-        poly = np.zeros(1, dtype=complex)
-        poly[0] = 1.0
-        for qi in q:
-            factor = np.zeros(n + 1, dtype=complex)
-            factor[0] = -qi
-            factor[n] = 1.0
-            poly = np.convolve(poly, factor)
-        coeffs = np.zeros(k - 1, dtype=complex)
-        coeffs[a : a + len(poly)] = poly
-        return HoloClass(spec, coeffs)
-    raise ValueError(f"unknown family kind {kind}")
+    q = params.get("q", [])
+    if not isinstance(q, list) or not all(_number(x) or _pair(x) for x in q):
+        raise wrong_type("q", "a list of numbers or [re, im] pairs", q)
+    m = len(q)
+    if not (n > a > 0):
+        raise HypothesisViolation(f"kind 3 requires n > a > 0, got a={a}, n={n}")
+    if not a + m * n < k - 2:
+        raise HypothesisViolation(f"kind 3 requires a + m*n < k-2, got {a}+{m}*{n} >= {k - 2}")
+    # the pole multiplicity b = k-2-a-mn must be a proper remainder mod n
+    b = k - 2 - a - m * n
+    if not 0 < b < n:
+        raise HypothesisViolation(
+            f"kind 3 requires 0 < (k-2-a) mod n and k-2-a-mn < n, got b={b}, n={n}"
+        )
+    poly = np.ones(1, dtype=complex)
+    for qi in q:
+        factor = np.zeros(n + 1, dtype=complex)
+        factor[0] = -(complex(*qi) if isinstance(qi, list) else qi)
+        factor[n] = 1.0
+        poly = np.convolve(poly, factor)
+    coeffs[a : a + len(poly)] = poly
+    return HoloClass(spec, coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -209,74 +224,67 @@ def ring_parameters(cfg: ExperimentConfig) -> tuple[int, int]:
     """(a, n) of a ring family (kind 2 or 3); raises ValueError for any other class."""
     if cfg.family is None or cfg.family.get("kind") not in (2, 3):
         raise ValueError("symmetry audit requires a family of kind 2 or 3")
-    return int(cfg.family["a"]), int(cfg.family["n"])
+    return cfg.family["a"], cfg.family["n"]
 
 
-def random_class(spec: BundleSpec, seed: int) -> HoloClass:
-    """Seedable random test class; the seed belongs in every emitted artifact."""
-    rng = np.random.default_rng(seed)
-    k = spec.k
-    return HoloClass(spec, rng.normal(size=k - 1) + 1j * rng.normal(size=k - 1))
+NO_COORDINATES = {"b": None, "stratum": None, "margin": None, "boundary_flag": False}
 
 
-def _row(lam, result, b, stratum, margin, tol):
+def _coordinates(b, rep, tol) -> dict:
+    """A row's coordinate cells: b, its stratum and margin, and whether the margin is under 10*tol."""
+    return {
+        "b": [complex(x) for x in b],
+        "stratum": rep.stratum_m,
+        "margin": rep.margin,
+        "boundary_flag": rep.margin < 10 * tol,
+    }
+
+
+def _row(lam, result: SolveResult) -> dict:
     # an unconverged row's residual_sup and offset belong to stall_lambda,
     # the last coupling the solver reached, not to the target lambda
-    row = {
+    return {
         "lambda": float(lam),
-        "converged": bool(result.converged) if result is not None else False,
-        "stall_lambda": None if result is None or result.converged else float(result.lam),
-        "residual_sup": float(result.residual_sup) if result is not None else float("nan"),
-        "offset": float(result.offset) if result is not None else float("nan"),
-        "stop_reason": None if result is None else result.stop_reason,
-        "stop_residual_fine": float("nan") if result is None else float(result.stop_residual_fine),
+        "converged": bool(result.converged),
+        "stall_lambda": None if result.converged else float(result.lam),
+        "residual_sup": float(result.residual_sup),
+        "offset": float(result.offset),
+        "stop_reason": result.stop_reason,
+        "stop_residual_fine": float(result.stop_residual_fine),
     }
-    row["b"] = None if b is None else [complex(x) for x in b]
-    row["stratum"] = stratum
-    row["margin"] = margin
-    row["boundary_flag"] = margin is not None and margin < 10 * tol
-    return row
 
 
-def _solve_point(phi, lam, scfg, grid, tol, start):
-    result = solve_phi_system(phi, lam, scfg, start=start)
-    if result.converged:
-        b = b_coords(phi, result.u, grid).b
-        rep = div_classifier(b, phi.spec, tol=tol)
-        return _row(lam, result, b, rep.stratum_m, rep.margin, tol), result
-    return _row(lam, result, None, None, None, tol), result
-
-
-def _warm_ladder(phi, cfg: ExperimentConfig, grid) -> tuple[list, int]:
+def _ladder(phi, cfg: ExperimentConfig, grid) -> tuple[list, dict]:
     """Ascending rows, each continued from the last converged point (so stall_lambda is the branch's).
 
     Once a solve stalls, every higher coupling reuses that stalled result and
     solves nothing: its ramp would only repeat the stalled one from the same
-    converged point.  Returns the rows and the MINRES iterations of all solves.
+    converged point.  Returns the rows and the summary fields of the stop:
+    the stalled result's reason and fine residual (null, not NaN) and the
+    MINRES iterations of all solves.
     """
     scfg = cfg.solve_config()
-    rows = []
-    last = stalled = None
-    minres_iters = 0
+    rows, result, minres_iters = [], None, 0
     for lam in sorted(float(x) for x in cfg.lambda_grid):
-        if stalled is not None:
-            rows.append(_row(lam, stalled, None, None, None, cfg.tol))
-            continue
-        row, result = _solve_point(phi, lam, scfg, grid, cfg.tol, start=last)
-        rows.append(row)
-        minres_iters += result.minres_iters
+        if result is None or result.converged:
+            result = solve_phi_system(phi, lam, scfg, start=result)
+            minres_iters += result.minres_iters
+        coords = NO_COORDINATES
         if result.converged:
-            last = result
-        else:
-            stalled = result
-    return rows, minres_iters
+            b = b_coords(phi, result.u, grid).b
+            coords = _coordinates(b, div_classifier(b, phi.spec, tol=cfg.tol), cfg.tol)
+        rows.append({**_row(lam, result), **coords})
+    reason, fine = ("converged", math.nan) if result is None else (result.stop_reason, result.stop_residual_fine)
+    fine = None if math.isnan(fine) else fine  # null, not NaN
+    return rows, {"stop_reason": reason, "stop_residual_fine": fine, "minres_iters": minres_iters}
 
 
-def _stop(rows) -> dict:
-    """Why the branch stopped: the first unconverged row's stop fields, or "converged"."""
-    row = next((r for r in rows if not r["converged"]), {"stop_reason": "converged", "stop_residual_fine": np.nan})
-    fine = row["stop_residual_fine"]
-    return {"stop_reason": row["stop_reason"], "stop_residual_fine": None if np.isnan(fine) else fine}  # null, not NaN
+def _run(cfg: ExperimentConfig, body) -> RunRecord:
+    """Every driver's clock, class, grid and record around ``body(cfg, phi, grid) -> (rows, summary, curves)``."""
+    t0 = time.time()
+    phi = cfg.the_class()
+    rows, summary, curves = body(cfg, phi, build_grid(cfg.solve_config().l_max))
+    return RunRecord(cfg.config_hash(), rows, summary, time.time() - t0, curves)
 
 
 def run_existence_sweep(cfg: ExperimentConfig) -> RunRecord:
@@ -285,13 +293,12 @@ def run_existence_sweep(cfg: ExperimentConfig) -> RunRecord:
     Each point continues the branch from the last converged point below it;
     points above the first stall reuse the stalled result.
     """
-    t0 = time.time()
-    phi = cfg.the_class()
-    grid = build_grid(cfg.solve_config().l_max)
-    rows, minres_iters = _warm_ladder(phi, cfg, grid)
+    return _run(cfg, _sweep)
 
-    b0 = dual_map_H0(phi, grid)
-    rep0 = div_classifier(b0.b, phi.spec, tol=cfg.tol)
+
+def _sweep(cfg, phi, grid):
+    rows, stop = _ladder(phi, cfg, grid)
+    rep0 = div_classifier(dual_map_H0(phi, grid).b, phi.spec, tol=cfg.tol)
     bound = 4.0 * np.pi * rep0.stratum_m
     failed = [r["lambda"] for r in rows if not r["converged"]]
     summary = {
@@ -305,11 +312,10 @@ def run_existence_sweep(cfg: ExperimentConfig) -> RunRecord:
             if failed
             else f"all sweep points converged; classifier bound 4*pi*m={bound:.6f}"
         ),
-        **_stop(rows),
-        "minres_iters": minres_iters,
+        **stop,
         "checks_passed": True,
     }
-    return RunRecord(cfg.config_hash(), rows, summary, time.time() - t0)
+    return rows, summary, {}
 
 
 def run_symmetry_audit(cfg: ExperimentConfig) -> RunRecord:
@@ -319,41 +325,35 @@ def run_symmetry_audit(cfg: ExperimentConfig) -> RunRecord:
     j - 1 = a (mod n); the audit reports the worst off-pattern mass over the
     coupling grid, plus identity- and reflection-isometry consistency.
     """
-    t0 = time.time()
-    a, n = ring_parameters(cfg)
-    phi = cfg.the_class()
-    grid = build_grid(cfg.solve_config().l_max)
-    k = phi.spec.k
+    return _run(cfg, _audit)
 
+
+def _audit(cfg, phi, grid):
+    a, n = ring_parameters(cfg)
+    k = phi.spec.k
     pattern = np.array([(j - 1 - a) % n == 0 for j in range(1, k)])
-    rows, minres_iters = _warm_ladder(phi, cfg, grid)
+    rows, stop = _ladder(phi, cfg, grid)
     worst = 0.0
     for row in rows:
         if row["converged"]:
             b = np.array(row["b"])
-            off = float(np.linalg.norm(b[~pattern]) / np.linalg.norm(b))
-            row["off_pattern"] = off
-            worst = max(worst, off)
+            row["off_pattern"] = float(np.linalg.norm(b[~pattern]) / np.linalg.norm(b))
+            worst = max(worst, row["off_pattern"])
 
     # identity audit is exact; reflection conjugates coefficients
-    ident = pullback_class(IsometryAction.identity(), phi)
-    ident_err = float(np.abs(ident.a - phi.a).max())
-    refl = pullback_class(IsometryAction.reflection(), phi)
-    refl_err = float(np.abs(refl.a - np.conj(phi.a)).max())
-
-    converged_rows = [r for r in rows if r["converged"]]
+    ident_err = float(np.abs(pullback_class(IsometryAction.identity(), phi).a - phi.a).max())
+    refl_err = float(np.abs(pullback_class(IsometryAction.reflection(), phi).a - np.conj(phi.a)).max())
     summary = {
         "experiment": "symmetry-audit",
-        "pattern_indices": [int(j) for j in range(1, k) if pattern[j - 1]],
+        "pattern_indices": [j for j in range(1, k) if pattern[j - 1]],
         "max_off_pattern": worst,
         "identity_pullback_error": ident_err,
         "reflection_conjugation_error": refl_err,
-        "all_converged": len(converged_rows) == len(rows),
-        **_stop(rows),
-        "minres_iters": minres_iters,
+        "all_converged": all(r["converged"] for r in rows),
+        **stop,
         "checks_passed": bool(worst < 1e-6 and ident_err < 1e-12 and refl_err < 1e-12),
     }
-    return RunRecord(cfg.config_hash(), rows, summary, time.time() - t0)
+    return rows, summary, {}
 
 
 def run_radial_nonexistence(cfg: ExperimentConfig) -> RunRecord:
@@ -363,35 +363,31 @@ def run_radial_nonexistence(cfg: ExperimentConfig) -> RunRecord:
     argument (flat-dual coordinates sit in the bottom stratum, capping the
     solvable range at 4*pi).
     """
-    t0 = time.time()
-    phi = cfg.the_class()
-    scfg = cfg.solve_config()
-    grid = build_grid(scfg.l_max)
+    return _run(cfg, _radial)
+
+
+def _radial(cfg, phi, grid):
     lam = 4.0 * np.pi
-
-    rad = solve_radial(phi, lam, scfg)
-
-    b0 = dual_map_H0(phi, grid)
-    rep = div_classifier(b0.b, phi.spec, tol=cfg.tol)
-    bvec = b0.b
-    hankel_ok = True
-    for j in range(len(bvec) - 2):
-        lhs = bvec[j] * bvec[j + 2]
-        rhs = bvec[j + 1] ** 2
-        if abs(lhs - rhs) > 1e-8 * max(abs(rhs), np.abs(bvec).max() ** 2):
-            hankel_ok = False
-
+    rad = solve_radial(phi, lam, cfg.solve_config())
+    b = dual_map_H0(phi, grid).b
+    rep = div_classifier(b, phi.spec, tol=cfg.tol)
+    # a rank-one Hankel matrix: b_j b_{j+2} = b_{j+1}^2 up to 1e-8 max|b|^2
+    hankel_ok = not np.any(np.abs(b[:-2] * b[2:] - b[1:-1] ** 2) > 1e-8 * np.abs(b).max() ** 2)
+    row = {
+        "lambda": lam,
+        "converged": rad.converged,
+        "stall_lambda": None if rad.converged else lam,
+        "residual_sup": math.nan if rad.residual_sup is None else rad.residual_sup,
+        "offset": math.nan if rad.u is None else float(rad.u.offset),
+        "stop_reason": None,
+        "stop_residual_fine": math.nan,
+        **_coordinates(b, rep, cfg.tol),
+    }
     curve = [
         {"alpha": float(a_), "mismatch": float(v)}
         for a_, v in zip(rad.mismatch_alphas, rad.mismatch_values)
         if np.isfinite(v)
     ]
-    row = _row(lam, None, bvec, rep.stratum_m, rep.margin, cfg.tol)
-    row["converged"] = rad.converged
-    row["stall_lambda"] = None if rad.converged else lam
-    row["residual_sup"] = rad.residual_sup if rad.residual_sup is not None else float("nan")
-    row["offset"] = float(rad.u.offset) if rad.u is not None else float("nan")
-    rows = [row]
     summary = {
         "experiment": "radial",
         "radial_root_found": rad.converged,
@@ -410,7 +406,7 @@ def run_radial_nonexistence(cfg: ExperimentConfig) -> RunRecord:
         ),
         "checks_passed": True,
     }
-    return RunRecord(cfg.config_hash(), rows, summary, time.time() - t0, curves={"shooting": curve})
+    return [row], summary, {"shooting": curve}
 
 
 # ----------------------------------------------------------------------
@@ -418,68 +414,54 @@ def run_radial_nonexistence(cfg: ExperimentConfig) -> RunRecord:
 # ----------------------------------------------------------------------
 
 
+def _cell(x):
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return int(x)
+    return f"{x:.17g}" if isinstance(x, float) else x
+
+
+def _write_csv(path: str, header: list, rows) -> str:
+    """One CSV, UTF-8 with ``\\n`` endings: cells None -> blank, bool -> 0/1, float -> .17g.
+    Without a header (an empty curve) the file is empty."""
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if header:
+            writer.writerow(header)
+        writer.writerows([_cell(x) for x in row] for row in rows)
+    return path
+
+
 def write_run(record: RunRecord, cfg: ExperimentConfig) -> dict:
-    """One JSON (config echo + summary) and one CSV per run in ``cfg.out_dir``;
-    extra long-format CSVs for any curves.  Returns the paths written."""
+    """Write ``<experiment>-<config_hash>`` files in ``cfg.out_dir``: the rows'
+    ``.csv``, one ``-<name>.csv`` per curve and the ``.json`` (config echo,
+    hash, summary, wall time).  Returns the paths written."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stem = f"{cfg.experiment}-{record.config_hash}"
-    paths = {}
+    stem = out / f"{cfg.experiment}-{record.config_hash}"
 
     k = cfg.spec().k
-    header = (
-        CSV_HEADER_PREFIX
-        + [f"b_{j}_{p}" for j in range(1, k) for p in ("re", "im")]
-        + CSV_HEADER_SUFFIX
+    b_header = [f"b_{j}_{p}" for j in range(1, k) for p in ("re", "im")]
+    rows = (
+        [row[key] for key in CSV_HEADER_PREFIX]
+        + ([None] * len(b_header) if row["b"] is None else [part for x in row["b"] for part in (x.real, x.imag)])
+        + [row[key] for key in CSV_HEADER_SUFFIX]
+        for row in record.rows
     )
-    csv_path = out / f"{stem}.csv"
-    with open(csv_path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in record.rows:
-            b = row.get("b")
-            bcols = []
-            for j in range(k - 1):
-                if b is None:
-                    bcols.extend(["", ""])
-                else:
-                    bcols.extend([f"{b[j].real:.17g}", f"{b[j].imag:.17g}"])
-            writer.writerow(
-                [
-                    f"{row['lambda']:.17g}",
-                    int(row["converged"]),
-                    "" if row["stall_lambda"] is None else f"{row['stall_lambda']:.17g}",
-                    f"{row['residual_sup']:.17g}",
-                    f"{row['offset']:.17g}",
-                ]
-                + bcols
-                + [
-                    "" if row["stratum"] is None else row["stratum"],
-                    "" if row["margin"] is None else f"{row['margin']:.17g}",
-                ]
-            )
-    paths["csv"] = str(csv_path)
-
+    paths = {"csv": _write_csv(f"{stem}.csv", CSV_HEADER_PREFIX + b_header + CSV_HEADER_SUFFIX, rows)}
     for name, curve in record.curves.items():
-        cpath = out / f"{stem}-{name}.csv"
-        with open(cpath, "w", newline="\n", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            if curve:
-                keys = list(curve[0])
-                writer.writerow(keys)
-                for point in curve:
-                    writer.writerow([f"{point[key]:.17g}" for key in keys])
-        paths[name] = str(cpath)
+        keys = list(curve[0]) if curve else []
+        paths[name] = _write_csv(f"{stem}-{name}.csv", keys, ([point[key] for key in keys] for point in curve))
 
-    json_path = out / f"{stem}.json"
     payload = {
         "config": cfg.canonical_dict(),
         "config_hash": record.config_hash,
         "summary": record.summary,
         "wall_time_s": record.wall_time,
     }
-    json_path.write_text(json.dumps(payload, indent=2, default=_json_default) + "\n", encoding="utf-8")
-    paths["json"] = str(json_path)
+    paths["json"] = f"{stem}.json"
+    Path(paths["json"]).write_text(json.dumps(payload, indent=2, default=_json_default) + "\n", encoding="utf-8")
     return paths
 
 

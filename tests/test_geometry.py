@@ -77,13 +77,6 @@ class TestIntegrate:
             y = unit_harmonic_ext(grid16, l, m)
             assert abs(grid16.integrate(y)) < 1e-12, (l, m)
 
-    def test_sequential_matches_blas(self, grid16):
-        rng = np.random.default_rng(7)
-        f = random_real_field(grid16, rng)
-        a = grid16.integrate(f)
-        b = grid16.integrate(f, sequential=True)
-        assert abs(a - b) < 1e-14
-
     def test_shape_mismatch(self, grid16):
         with pytest.raises(SpecMismatch):
             grid16.integrate(np.ones((3, 3)))

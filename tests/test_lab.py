@@ -47,6 +47,12 @@ class TestGenFamily:
         d = divisor_of(phi)
         assert d.total == 8 and d.at_pole() == 1
 
+    def test_kind3_q_numbers_or_pairs(self):
+        # a real q_i may be a bare number; a pair is [re, im]
+        mixed = gen_family(3, {"a": 1, "n": 3, "q": [1, [0.0, 2.0]]}, spec_k(10))
+        pairs = gen_family(3, {"a": 1, "n": 3, "q": [[1.0, 0.0], [0.0, 2.0]]}, spec_k(10))
+        assert np.array_equal(mixed.a, pairs.a)
+
     def test_kind1_violation(self):
         with pytest.raises(HypothesisViolation):
             gen_family(1, {"a": 3}, spec_k(4))
@@ -58,17 +64,6 @@ class TestGenFamily:
     def test_kind3_violation_names_inequality(self):
         with pytest.raises(HypothesisViolation, match="mod n"):
             gen_family(3, {"a": 2, "n": 3, "q": [[1.0, 0.0]]}, spec_k(10))
-
-
-class TestRandomClass:
-    def test_seed_reproducible(self):
-        from spherecurv.lab import random_class
-
-        a = random_class(spec_k(5), 42)
-        b = random_class(spec_k(5), 42)
-        c = random_class(spec_k(5), 43)
-        assert np.array_equal(a.a, b.a)
-        assert not np.array_equal(a.a, c.a)
 
 
 class TestConfig:
@@ -156,6 +151,12 @@ def pole_free_ring_config(tmp_path, experiment, lambdas):
 
 
 LADDER = [np.pi, 2 * np.pi, 3 * np.pi, 4 * np.pi]
+# one small run of each driver, at l_max 16
+SMALL_RUNS = {
+    "sweep": dict(deg_L2=4, family={"kind": 1, "a": 1}, lambda_grid=[2.0, 4.0]),
+    "symmetry-audit": dict(deg_L2=7, family={"kind": 2, "a": 1, "n": 4}, lambda_grid=[float(np.pi)]),
+    "radial": dict(deg_L2=4, class_coeffs=[[0, 0], [0, 0], [1, 0]]),
+}
 
 
 class TestSweep:
@@ -219,12 +220,18 @@ class TestSweep:
         assert rec.summary["stop_residual_fine"] > 0.01 * stalled[0]["stall_lambda"]
         assert rec.summary["minres_iters"] > 0
 
-    def test_reproducible_csv(self, tmp_path):
-        cfg = small_sweep_config(tmp_path / "a")
-        p1 = write_run(run_existence_sweep(cfg), cfg)
-        cfg.out_dir = str(tmp_path / "b")
-        p2 = write_run(run_existence_sweep(cfg), cfg)
-        assert open(p1["csv"], "rb").read() == open(p2["csv"], "rb").read()
+    @pytest.mark.parametrize("experiment", ["sweep", "symmetry-audit", "radial"])
+    def test_reproducible_csv(self, tmp_path, experiment):
+        # a rerun rewrites every file byte for byte, the JSON apart from its wall time
+        cfg = ExperimentConfig(experiment, solver={"l_max": 16}, out_dir=str(tmp_path), **SMALL_RUNS[experiment])
+        runs = []
+        for _ in range(2):
+            paths = write_run(lab.DRIVERS[experiment](cfg), cfg)
+            runs.append({key: open(path, "rb").read() for key, path in paths.items()})
+        assert set(runs[0]) == {"csv", "json"} | ({"shooting"} if experiment == "radial" else set())
+        for run in runs:
+            run["json"] = {**json.loads(run["json"]), "wall_time_s": None}
+        assert runs[0] == runs[1]
 
     def test_p1_class_reports_failure_and_bound(self, tmp_path):
         cfg = ExperimentConfig(
@@ -282,6 +289,74 @@ class TestSweep:
         assert cells[1] == "0"  # not converged
         assert 0 < float(cells[2]) < 4 * np.pi  # stall_lambda
         assert cells[5] == "" and cells[-1] == ""  # b and margin blank
+
+
+class TestCsvCells:
+    """Every cell of a written CSV reads back as the row or curve point it came from."""
+
+    @staticmethod
+    def read(path):
+        lines = open(path, encoding="utf-8").read().splitlines()
+        return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+    @staticmethod
+    def same(cell, value):
+        # blank <-> None, floats through float(); NaN reads back as nan
+        if value is None:
+            return cell == ""
+        return float(cell) == value or (np.isnan(value) and cell == "nan")
+
+    def check_rows(self, rec, cfg, path):
+        k = cfg.spec().k
+        cells = self.read(path)
+        assert len(cells) == len(rec.rows)
+        for cell, row in zip(cells, rec.rows):
+            assert cell["converged"] == str(int(row["converged"]))
+            for key in ("lambda", "stall_lambda", "residual_sup", "offset", "margin"):
+                assert self.same(cell[key], row[key]), key
+            assert cell["stratum"] == ("" if row["stratum"] is None else str(row["stratum"]))
+            for j in range(1, k):
+                x = None if row["b"] is None else row["b"][j - 1]
+                assert self.same(cell[f"b_{j}_re"], None if x is None else x.real)
+                assert self.same(cell[f"b_{j}_im"], None if x is None else x.imag)
+
+    def test_sweep_with_stalled_row(self, tmp_path):
+        cfg = ExperimentConfig(
+            experiment="sweep",
+            deg_L2=4,
+            class_coeffs=[[0, 0], [0, 0], [1, 0]],
+            lambda_grid=[2.0, float(4 * np.pi)],
+            solver={"l_max": 16},
+            out_dir=str(tmp_path),
+        )
+        rec = run_existence_sweep(cfg)
+        assert [r["converged"] for r in rec.rows] == [True, False]
+        self.check_rows(rec, cfg, write_run(rec, cfg)["csv"])
+
+    def test_radial_row_and_curve(self, tmp_path):
+        cfg = ExperimentConfig(
+            experiment="radial",
+            deg_L2=4,
+            class_coeffs=[[0, 0], [0, 0], [1, 0]],
+            solver={"l_max": 16},
+            out_dir=str(tmp_path),
+        )
+        rec = run_radial_nonexistence(cfg)
+        paths = write_run(rec, cfg)
+        self.check_rows(rec, cfg, paths["csv"])
+        curve = rec.curves["shooting"]
+        cells = self.read(paths["shooting"])
+        assert len(cells) == len(curve) > 10
+        for cell, point in zip(cells, curve):
+            assert cell.keys() == point.keys() == {"alpha", "mismatch"}
+            assert all(float(cell[key]) == point[key] for key in point)
+
+    def test_empty_curve_writes_empty_file(self, tmp_path):
+        cfg = small_sweep_config(tmp_path)
+        rec = lab.RunRecord(cfg.config_hash(), [], {}, 0.0, curves={"shooting": []})
+        paths = write_run(rec, cfg)
+        assert open(paths["shooting"], "rb").read() == b""
+        assert len(open(paths["csv"]).read().splitlines()) == 1  # the header alone
 
 
 class TestRadialDriver:
@@ -432,6 +507,13 @@ class TestCliFlags:
         "coeffs_wrong_type": ("solve", {"deg_L2": 4, "class_coeffs": [["a", 0], [1, 0], [1, 0]]}, "config key 'class_coeffs' must be a list of [re, im] number pairs"),
         "family_not_object": ("family", {"deg_L2": 4, "family": [1]}, "config key 'family' must be a JSON object, got [1]"),
         "family_value_wrong_type": ("family", {"deg_L2": 4, "family": {"kind": 2, "a": 1, "n": [1]}}, "config key 'family' holds a value of the wrong type"),
+        # family values are taken as given, never converted: a = 1.7 used to run as a = 1
+        "family_a_float": ("family", {"deg_L2": 4, "family": {"kind": 1, "a": 1.7}}, "family.a must be an integer, got 1.7"),
+        "family_n_string": ("sweep", {"deg_L2": 7, "family": {"kind": 2, "a": 1, "n": "4"}}, "family.n must be an integer, got '4'"),
+        "family_kind_bool": ("family", {"deg_L2": 4, "family": {"kind": True, "a": 1}}, "unknown family kind True: family.kind must be 1, 2 or 3"),
+        "family_kind_float": ("family", {"deg_L2": 4, "family": {"kind": 1.0, "a": 1}}, "unknown family kind 1.0: family.kind must be 1, 2 or 3"),
+        "family_q_string": ("family", {"deg_L2": 10, "family": {"kind": 3, "a": 1, "n": 3, "q": ["abc"]}}, "family.q must be a list of numbers or [re, im] pairs, got ['abc']"),
+        "family_q_not_list": ("family", {"deg_L2": 10, "family": {"kind": 3, "a": 1, "n": 3, "q": 2}}, "family.q must be a list of numbers or [re, im] pairs, got 2"),
         "degree_wrong_type": ("family", {"deg_L2": "4", "family": {"kind": 1, "a": 1}}, "config key 'deg_L2' must be an integer, got '4'"),
     }
 
