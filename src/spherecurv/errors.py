@@ -34,9 +34,5 @@ class NonConvergence(SphereCurvError):
         super().__init__(message)
 
 
-class SweepInconclusive(SphereCurvError):
-    """Shooting sweep could not resolve the sign pattern of the mismatch."""
-
-
 class HypothesisViolation(SphereCurvError):
     """Family parameters violate the inequality they are required to satisfy."""

@@ -150,8 +150,9 @@ def gen_family(kind: int, params: dict, spec: BundleSpec) -> HoloClass:
     kind 3: g = z^a prod_i (z^n - q_i)   (rings at prescribed moduli)
 
     ``kind``, ``a`` and ``n`` are integers and ``q`` a list of numbers or
-    [re, im] pairs; any other value raises ValueError naming ``family.<key>``.
-    Raises HypothesisViolation naming the failed inequality.
+    [re, im] pairs; any other value, or a key the kind does not read, raises
+    ValueError naming ``family.<key>``.  Raises HypothesisViolation naming the
+    failed inequality.
     """
 
     def wrong_type(key, want, value):
@@ -167,6 +168,13 @@ def gen_family(kind: int, params: dict, spec: BundleSpec) -> HoloClass:
 
     if isinstance(kind, bool) or not isinstance(kind, int) or kind not in (1, 2, 3):
         raise ValueError(f"unknown family kind {kind!r}: family.kind must be 1, 2 or 3")
+    reads = ("a", "n", "q")[:kind]
+    unread = sorted(set(params) - set(reads))
+    if unread:
+        raise ValueError(
+            f"config key 'family' holds a key its kind does not read: family kind {kind} reads "
+            f"{', '.join(reads)}, got {', '.join(f'family.{key}' for key in unread)}"
+        )
     k = spec.k
     a = integer("a")
     coeffs = np.zeros(k - 1, dtype=complex)
@@ -398,12 +406,16 @@ def _radial(cfg, phi, grid):
         "flat_dual_stratum": rep.stratum_m,
         "hankel_rank_one": hankel_ok,
         "existence_range_hi": 4.0 * np.pi * rep.stratum_m,
-        "statement": (
-            "radial root found"
-            if rad.converged
-            else f"no shooting root; min |defect| = {rad.mismatch_min:.3e} "
-            f"(noise {rad.error_estimate:.1e}); classifier caps the range at 4*pi"
-        ),
+        "reason": rad.reason,
+        "statement": {
+            "converged": "radial root found",
+            "no_root": f"no shooting root; min |defect| = {rad.mismatch_min:.3e} "
+            f"(noise {rad.error_estimate:.1e}); classifier caps the range at 4*pi",
+            "polish": "shooting root found; spectral polish unconverged",
+            "shots_failed": "inconclusive: shooting integrations failed across most of the sweep",
+            "within_noise": f"inconclusive: no sign change, min |defect| = {rad.mismatch_min:.3e} "
+            f"within noise {rad.error_estimate:.1e}",
+        }[rad.reason],
         "checks_passed": True,
     }
     return [row], summary, {"shooting": curve}

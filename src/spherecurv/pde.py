@@ -24,6 +24,13 @@ Continuation ramps lambda from a small value (where the constant-mode
 asymptotics give the initializer), or from a start state (a converged
 result at a lower coupling), with step halving on Newton failure and Illinois
 regula falsi (Dowell & Jarratt 1971, BIT 11) on a refined-grid filter crossing.
+A cold solve at l_max >= 48 is nested (Allgower, Boehmer, Potra &
+Rheinboldt 1986, SIAM J. Numer. Anal. 23; Deuflhard 2004, ch. 8): its ramp
+runs at l_max // 2, recursively, and one Newton solve from the zero-padded
+coarse result opens the ramp on the solve grid, which alone decides where
+it ends; a failed coarse opening or rejected handover falls back to the
+single-grid opening.  ``initial``/``start`` solves and l_max < 48 use one
+grid.  The trace and MINRES count include the coarse-grid work.
 
 A radially symmetric reduction (two-point boundary value problem in the
 colatitude) is solved by shooting on the regularized momentum
@@ -43,7 +50,7 @@ from scipy.optimize import brentq
 
 from .bundles import ConformalFactor, HoloClass, phi_norm_sq
 from .cohomology import DualCoords, b_coords
-from .errors import InvalidLambda, NonConvergence, SweepInconclusive
+from .errors import InvalidLambda, NonConvergence
 from .geometry import SphereGrid, build_grid
 
 
@@ -75,6 +82,10 @@ class SolveConfig:
     # crosses the 0.01*lambda bound at about 0.1, which is where it stalls.
     spurious_tol: ClassVar[float] = 1e-2
     refine_factor: ClassVar[float] = 1.5
+
+
+# a cold solve at this l_max or above ramps on the l_max // 2 grid first
+NESTED_MIN_LMAX = 48
 
 
 @dataclass
@@ -326,6 +337,15 @@ def solve_phi_system(
     the ramp begins there with the full step.  A stalled ramp (step or filter
     bracket below ``min_step``) returns converged=False with the trace, the
     signature of leaving the solvable range; ``lam`` is the last accepted coupling.
+
+    Nested iteration: a cold solve (neither ``initial`` nor ``start``) at
+    l_max >= 48 first runs the whole ramp at l_max // 2, recursively, and opens
+    with one Newton solve at that ramp's last coupling from its zero-padded
+    result.  From a coarse stall the ramp continues with the full step, and
+    this grid's filter, guards and bracket alone decide the outcome.  If the
+    coarse opening failed or a guard rejects the handover, the solve opens as
+    above.  ``continuation_trace`` and ``minres_iters`` count the coarse-grid
+    work and a discarded handover too.
     """
     if not lam > 0:  # NaN too
         raise InvalidLambda(f"lambda must be positive, got {lam}")
@@ -333,20 +353,38 @@ def solve_phi_system(
         raise ValueError("pass at most one of initial and start")
     if start is not None and not (start.converged and start.lam <= lam):
         raise ValueError(f"start must be converged at a coupling <= {lam}, got {start.lam} ({start.converged=})")
-    grid = build_grid(cfg.l_max)
+    return _solve(phi, lam, cfg.l_max, initial, start)
+
+
+def _solve(
+    phi: HoloClass, lam: float, l_max: int, initial: ConformalFactor | None, start: SolveResult | None
+) -> SolveResult:
+    """Body of ``solve_phi_system`` on the l_max grid; the coarse stage calls it, not the public name."""
+    grid = build_grid(l_max)
     ws = _Workspace(phi, grid)
-    trace = []
+    trace, minres_iters, opened = [], 0, False
 
     def margin(fine, lam_at):  # log(residual_fine / filter bound), > 0 where the filter rejects
         return math.log(max(fine, 1e-300) / (SolveConfig.spurious_tol * max(1.0, lam_at)))
 
+    if initial is None and start is None and l_max >= NESTED_MIN_LMAX:
+        coarse = _solve(phi, lam, l_max // 2, None, None)
+        trace, minres_iters = coarse.continuation_trace, coarse.minres_iters
+        if coarse.stop_reason != "init":
+            x0 = grid.embed_packed(build_grid(l_max // 2).analyze(coarse.u.total))
+            x, iters, rnorm, fine_now, reason, n = _trial(ws, x0, coarse.lam)
+            minres_iters += n
+            trace.append((coarse.lam, iters, rnorm if reason is None else float("nan")))
+            opened, lam_now = reason is None, coarse.lam
+
     if start is not None:
-        lam_now, fine_now, minres_iters = start.lam, start.residual_fine, 0
+        lam_now, fine_now = start.lam, start.residual_fine
         x = grid.analyze(start.u.total)
-    else:
+    elif not opened:
         lam_now = min(SolveConfig.lambda_init, lam) if initial is None else lam
         x0 = _initial_guess(ws, lam_now) if initial is None else grid.analyze(initial.total)
-        x, iters, rnorm, fine_now, reason, minres_iters = _trial(ws, x0, lam_now)
+        x, iters, rnorm, fine_now, reason, n = _trial(ws, x0, lam_now)
+        minres_iters += n
         trace.append((lam_now, iters, rnorm))
         if reason is not None:
             reason = "init" if initial is None else reason
@@ -452,6 +490,11 @@ class RadialResult:
     # whole sweep at noise level: every start is a root (dilation family at
     # the Gauss-Bonnet coupling); the balanced start is reported
     degenerate_family: bool = False
+    # "converged"; "no_root" (no sign change, minimum defect above noise);
+    # "polish" (a root, but no spectral polish converged or none re-integrated);
+    # or an inconclusive sweep: "shots_failed" (most integrations failed) or
+    # "within_noise" (no sign change, minimum defect within the noise)
+    reason: str = "converged"
 
 
 def _shoot(profile: RadialProfile, lam: float, alpha: float, rtol: float = 1e-11):
@@ -486,6 +529,7 @@ def solve_radial(phi: HoloClass, lam: float, cfg: SolveConfig) -> RadialResult:
     spectral Newton solve of phi at ``lam`` (``initial``); the first converged
     polish is the result, else the first polish, unconverged.  Without a sign
     change the minimum defect and an integration-error estimate are reported.
+    An inconclusive sweep returns an unconverged result; ``reason`` says why.
     """
     profile = RadialProfile.from_class(phi)
     if not lam > 0:
@@ -497,7 +541,11 @@ def solve_radial(phi: HoloClass, lam: float, cfg: SolveConfig) -> RadialResult:
     values = np.array([_shoot(profile, lam, float(a))[0] for a in alphas])
     good = np.isfinite(values)
     if good.sum() < n_sweep // 2:
-        raise SweepInconclusive("shooting integrations failed across most of the sweep")
+        return RadialResult(
+            converged=False, lam=lam, root_alpha=None, residual_sup=None, mismatch_alphas=alphas,
+            mismatch_values=values, mismatch_min=float(np.abs(values[good]).min(initial=math.inf)),
+            error_estimate=math.nan, reason="shots_failed",
+        )
 
     # integration-error scale from refinement comparisons across the sweep
     err_est = 1e-13
@@ -525,11 +573,8 @@ def solve_radial(phi: HoloClass, lam: float, cfg: SolveConfig) -> RadialResult:
         lam=lam, mismatch_alphas=alphas, mismatch_values=values, mismatch_min=mism_min, error_estimate=err_est
     )
     if not roots:
-        if mism_min < 10.0 * err_est:
-            raise SweepInconclusive(
-                f"no sign change but minimum defect {mism_min:.2e} is within noise {err_est:.2e}"
-            )
-        return RadialResult(converged=False, root_alpha=None, residual_sup=None, **sweep)
+        reason = "within_noise" if mism_min < 10.0 * err_est else "no_root"
+        return RadialResult(converged=False, root_alpha=None, residual_sup=None, reason=reason, **sweep)
 
     # polish each candidate on the spectral grid; the first converged polish wins
     grid = build_grid(cfg.l_max)
@@ -548,7 +593,7 @@ def solve_radial(phi: HoloClass, lam: float, cfg: SolveConfig) -> RadialResult:
             break
     if best is None:
         # no candidate root could be integrated again to start the polish
-        return RadialResult(converged=False, root_alpha=None, residual_sup=None, **sweep)
+        return RadialResult(converged=False, root_alpha=None, residual_sup=None, reason="polish", **sweep)
     root, polish = best
     noise_fraction = float(np.mean(np.abs(values[good]) < 1e-6 * max(1.0, lam)))
     return RadialResult(
@@ -557,5 +602,6 @@ def solve_radial(phi: HoloClass, lam: float, cfg: SolveConfig) -> RadialResult:
         residual_sup=polish.residual_sup,
         u=polish.u,
         degenerate_family=noise_fraction > 0.75,
+        reason="converged" if polish.converged else "polish",
         **sweep,
     )

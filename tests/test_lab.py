@@ -374,6 +374,7 @@ class TestRadialDriver:
         assert rec.summary["hankel_rank_one"]
         assert rec.summary["mismatch_min"] > 10 * rec.summary["error_estimate"]
         assert "never" not in rec.summary["statement"]  # no non-existence claim
+        assert rec.summary["reason"] == "no_root"
         paths = write_run(rec, cfg)
         lines = open(paths["shooting"]).read().splitlines()
         assert lines[0] == "alpha,mismatch"
@@ -389,6 +390,24 @@ class TestRadialDriver:
         )
         rec = run_radial_nonexistence(cfg)
         assert rec.summary["radial_root_found"]
+        assert rec.summary["reason"] == "converged" and rec.summary["statement"] == "radial root found"
+
+    def test_inconclusive_sweep_is_reported(self, tmp_path, monkeypatch):
+        from spherecurv import pde
+
+        monkeypatch.setattr(pde, "_shoot", lambda *args, **kw: (np.nan, None))
+        cfg = ExperimentConfig(
+            experiment="radial",
+            deg_L2=4,
+            class_coeffs=[[0, 0], [0, 0], [1, 0]],
+            solver={"l_max": 16},
+            out_dir=str(tmp_path),
+        )
+        rec = run_radial_nonexistence(cfg)
+        assert not rec.summary["radial_root_found"]
+        assert rec.summary["reason"] == "shots_failed"
+        assert rec.summary["statement"].startswith("inconclusive")
+        assert rec.curves["shooting"] == []
 
 
 class TestSymmetryAudit:
@@ -515,6 +534,9 @@ class TestCliFlags:
         "family_q_string": ("family", {"deg_L2": 10, "family": {"kind": 3, "a": 1, "n": 3, "q": ["abc"]}}, "family.q must be a list of numbers or [re, im] pairs, got ['abc']"),
         "family_q_not_list": ("family", {"deg_L2": 10, "family": {"kind": 3, "a": 1, "n": 3, "q": 2}}, "family.q must be a list of numbers or [re, im] pairs, got 2"),
         "degree_wrong_type": ("family", {"deg_L2": "4", "family": {"kind": 1, "a": 1}}, "config key 'deg_L2' must be an integer, got '4'"),
+        # a key the kind does not read, misspelled or not, used to be ignored: this ran as z without its ring
+        "family_key_misspelled": ("family", {"deg_L2": 5, "family": {"kind": 3, "a": 1, "n": 3, "qs": [[2, 0]]}}, "family kind 3 reads a, n, q, got family.qs"),
+        "family_keys_unread": ("family", {"deg_L2": 4, "family": {"kind": 1, "a": 1, "n": 99, "q": "x"}}, "family kind 1 reads a, got family.n, family.q"),
     }
 
     @pytest.mark.parametrize("case", UNRUNNABLE)

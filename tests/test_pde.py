@@ -579,6 +579,80 @@ class TestCrossingSearch:
         assert 0.5 * (prev - last_ok) < cfg.min_step
 
 
+class TestNestedIteration:
+    # a cold solve at l_max >= 48 ramps on the l_max // 2 grid, then finishes on its own
+
+    @staticmethod
+    def single_grid(monkeypatch, phi, lam, l_max):
+        import spherecurv.pde as pde
+
+        with monkeypatch.context() as m:
+            m.setattr(pde, "NESTED_MIN_LMAX", np.inf)
+            return solve_phi_system(phi, lam, SolveConfig(l_max=l_max))
+
+    @staticmethod
+    def newton_grids(monkeypatch, fail_on=None):
+        """l_max of every pde._newton call's grid; optionally fail every call on one grid."""
+        import spherecurv.pde as pde
+
+        grids = []
+        newton = pde._newton
+
+        def wrapped(ws, x0, lam):
+            grids.append(ws.grid.l_max)
+            out = newton(ws, x0, lam)
+            return out[:3] + (False,) + out[4:] if ws.grid.l_max == fail_on else out
+
+        monkeypatch.setattr(pde, "_newton", wrapped)
+        return grids
+
+    def test_converged_solve_keeps_b(self, monkeypatch):
+        phi, grid = monomial(6, 1), build_grid(48)
+        single = self.single_grid(monkeypatch, phi, 4 * np.pi, 48)
+        grids = self.newton_grids(monkeypatch)
+        nested = solve_phi_system(phi, 4 * np.pi, SolveConfig(l_max=48))
+        assert single.converged and nested.converged
+        assert grids.count(48) == 1  # the handover solve alone
+        b, b_ref = b_coords(phi, nested.u, grid).b, b_coords(phi, single.u, grid).b
+        assert np.linalg.norm(b - b_ref) < 1e-10 * np.linalg.norm(b_ref)
+
+    def test_coarse_stall_does_not_end_the_fine_solve(self, monkeypatch):
+        import spherecurv.pde as pde
+
+        single = self.single_grid(monkeypatch, pole_free_ring(), 4 * np.pi, 48)
+        coarse = pde._solve(pole_free_ring(), 4 * np.pi, 24, None, None)
+        grids = self.newton_grids(monkeypatch)
+        nested = solve_phi_system(pole_free_ring(), 4 * np.pi, SolveConfig(l_max=48))
+        assert set(grids) == {24, 48}
+        assert coarse.stop_reason == "filter" and coarse.lam < nested.lam
+        assert not nested.converged and nested.stop_reason == "filter"
+        # the stall is the filter crossing, which either bracket locates to within min_step
+        assert abs(nested.lam - single.lam) < SolveConfig.min_step
+        assert len(nested.continuation_trace) > len(coarse.continuation_trace)
+
+    def test_failed_coarse_opening_falls_back_to_the_single_grid(self, monkeypatch):
+        phi = monomial(4, 1)
+        single = self.single_grid(monkeypatch, phi, 2 * np.pi, 48)
+        grids = self.newton_grids(monkeypatch, fail_on=24)
+        nested = solve_phi_system(phi, 2 * np.pi, SolveConfig(l_max=48))
+        assert grids[0] == 24 and grids.count(24) == 1  # the coarse opening, then nothing more on 24
+        assert nested.converged
+        assert np.array_equal(nested.u.total, single.u.total)
+        # the discarded coarse opening is counted
+        assert nested.minres_iters > single.minres_iters
+        assert nested.continuation_trace[1:] == single.continuation_trace
+
+    def test_seeded_solves_stay_on_one_grid(self, monkeypatch):
+        phi = monomial(4, 1)
+        cfg = SolveConfig(l_max=48)
+        start = solve_phi_system(phi, np.pi, cfg)
+        grids = self.newton_grids(monkeypatch)
+        warm = solve_phi_system(phi, 2 * np.pi, cfg, start=start)
+        polish = solve_phi_system(phi, 2 * np.pi, cfg, warm.u)
+        assert warm.converged and polish.converged
+        assert set(grids) == {48}
+
+
 class TestRadial:
     def test_k2_constant(self):
         r = solve_radial(monomial(2, 0), 4 * np.pi, SolveConfig(l_max=16))
@@ -619,6 +693,27 @@ class TestRadial:
         assert r.root_alpha is None and r.residual_sup is None and r.u is None
         assert r.mismatch_values.shape == r.mismatch_alphas.shape
         assert np.isfinite(r.mismatch_min)
+
+    def test_failed_shots_are_an_unconverged_result(self, monkeypatch):
+        # most integrations of the sweep fail: an inconclusive record, not an exception
+        import spherecurv.pde as pde
+
+        monkeypatch.setattr(pde, "_shoot", lambda *args, **kw: (np.nan, None))
+        r = solve_radial(monomial(4, 1), 2 * np.pi, SolveConfig(l_max=16))
+        assert not r.converged and r.reason == "shots_failed"
+        assert r.root_alpha is None and r.residual_sup is None and r.u is None
+        assert r.mismatch_values.shape == r.mismatch_alphas.shape
+
+    def test_defect_within_noise_is_an_unconverged_result(self, monkeypatch):
+        # a defect of 0.01 everywhere that moves by 0.005 with the tolerance:
+        # no sign change, and the minimum sits within the integration noise
+        import spherecurv.pde as pde
+
+        monkeypatch.setattr(pde, "_shoot", lambda profile, lam, alpha, rtol=1e-11: (0.01 if rtol < 1e-9 else 0.015, None))
+        r = solve_radial(monomial(4, 1), 2 * np.pi, SolveConfig(l_max=16))
+        assert not r.converged and r.reason == "within_noise"
+        assert r.root_alpha is None and r.u is None
+        assert r.mismatch_min == pytest.approx(0.01) and r.error_estimate == pytest.approx(0.005)
 
     def test_converged_polish_wins_over_earlier_filter_stall(self, monkeypatch):
         # k=2 at 4*pi leaves 9 candidate roots.  The first polish is made a

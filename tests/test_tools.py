@@ -41,3 +41,11 @@ class TestBenchCollect:
         assert all(e["minres_iters"] > 0 for e in fp["edge"])
         assert len(fp["classify"]) == 50 and all(len(r) == 10 for r in fp["classify"])
         assert json.loads(json.dumps(fp)) == fp
+
+    def test_fingerprint_only_writes_nothing(self, monkeypatch, capsys):
+        old = json.loads((ROOT / "BENCH_1.json").read_text())
+        monkeypatch.setattr(bench_collect, "fingerprint", lambda seed: old["fingerprint"][str(seed)])
+        before = sorted(p.relative_to(ROOT) for p in ROOT.rglob("*") if ".git" not in p.parts)
+        assert bench_collect.main(["--fingerprint-only", "--against", str(ROOT / "BENCH_1.json")]) == 0
+        assert sorted(p.relative_to(ROOT) for p in ROOT.rglob("*") if ".git" not in p.parts) == before
+        assert capsys.readouterr().out.splitlines() == ["against BENCH_1.json:", "fingerprint: identical"]

@@ -2,6 +2,7 @@
 
     python3 tools/bench_collect.py                       # writes BENCH_<n+1>.json
     python3 tools/bench_collect.py --against other/BENCH_3.json
+    python3 tools/bench_collect.py --fingerprint-only    # writes nothing
 
 It measures the checkout it sits in.  For every workload of BENCHMARK.json it
 runs ``bench/run.py --trace 0`` at seeds 101-110 and ``--trace 1`` once at
@@ -19,6 +20,10 @@ each at seeds 101 and 104, recording
 b is rounded to 1e-10.  The file then prints a table of median deltas and
 fingerprint differences against ``--against``, by default the newest
 earlier ``BENCH_*.json`` in the root.  A run takes about 20 minutes.
+
+``--fingerprint-only`` computes the fingerprint alone and prints its
+differences against that file, so a change can show unchanged b before a
+full collection.  It writes no file, exits 0, and takes a few seconds.
 """
 
 from __future__ import annotations
@@ -197,19 +202,31 @@ def report(old: dict, new: dict, old_name: str) -> str:
             continue
         ratio = y / x if x else math.nan
         out.append(f"  {key[0]:9s} {key[1]:38s} {x:12.6g} -> {y:12.6g}  {ratio:7.3f}")
-    diffs = fingerprint_diffs(old.get("fingerprint", {}), new["fingerprint"])
-    out.append("fingerprint differences:" if diffs else "fingerprint: identical")
-    return "\n".join(out + diffs)
+    return "\n".join(out + fingerprint_report(old, new["fingerprint"]))
+
+
+def fingerprint_report(old: dict, prints: dict) -> list:
+    diffs = fingerprint_diffs(old.get("fingerprint", {}), prints)
+    return ["fingerprint differences:" if diffs else "fingerprint: identical"] + diffs
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--against", help="earlier result file to compare with (default: the newest BENCH_*.json)")
+    parser.add_argument("--fingerprint-only", action="store_true",
+                        help="print the fingerprint's differences only; run no benchmark and write no file")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     earlier = sorted(ROOT.glob("BENCH_*.json"), key=bench_index)
     out = ROOT / f"BENCH_{bench_index(earlier[-1]) + 1 if earlier else 1}.json"
     against = Path(args.against) if args.against else (earlier[-1] if earlier else None)
+    if args.fingerprint_only:
+        prints = {str(s): fingerprint(s) for s in FINGERPRINT_SEEDS}
+        if against is None:
+            print("no earlier BENCH_*.json to compare with")
+        else:
+            print("\n".join([f"against {against.name}:"] + fingerprint_report(json.loads(against.read_text()), prints)))
+        return 0
 
     workloads = [w["name"] for w in spec["workloads"]]
     plan = [(w, s, 0) for w in workloads for s in SEEDS] + [(w, TRACE_SEED, 1) for w in workloads]
