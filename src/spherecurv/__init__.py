@@ -19,7 +19,6 @@ from .bundles import (
     curvature_scalar,
     degree_by_integration,
     divisor_of,
-    h0_norm_zeta,
     phi_norm_sq,
 )
 from .cohomology import (
@@ -42,10 +41,8 @@ from .strata import (
     DivisorReport,
     ExistenceRange,
     RationalCandidate,
-    alpha_stable,
     div_classifier,
     existence_range,
-    max_matching_order,
     series_of_rational,
 )
 
@@ -64,7 +61,6 @@ __all__ = [
     "curvature_scalar",
     "degree_by_integration",
     "divisor_of",
-    "h0_norm_zeta",
     "phi_norm_sq",
     "DbarSolution",
     "DualCoords",
@@ -96,9 +92,7 @@ __all__ = [
     "DivisorReport",
     "ExistenceRange",
     "RationalCandidate",
-    "alpha_stable",
     "div_classifier",
     "existence_range",
-    "max_matching_order",
     "series_of_rational",
 ]

@@ -1,15 +1,15 @@
-"""Exact complex-rational arithmetic for the divisor classifier.
+"""Exact arithmetic for the divisor classifier.
 
-Numbers are pairs of ``fractions.Fraction`` (real and imaginary part); the
-classifier's Berlekamp-Massey profile and a candidate's generic-position test
-run over them exactly, without a symbolic engine.  ``solve_exact`` is not
-used by the classifier: it is the tests' reference oracle, which checks the
-profile against one Hankel elimination per pole budget s and prefix length t,
-and the benchmark tracer times it by name.
+Exact inputs and witnesses are ``QQi``, pairs of ``fractions.Fraction``; the
+Berlekamp-Massey profile runs over ``GaussInt``, pairs of ints, and so runs
+no gcd per operation.  ``solve_exact`` is the tests' reference oracle, which
+checks the profile against one Hankel elimination per pole budget s and
+prefix length t, and the benchmark tracer times it by name.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,9 +59,6 @@ class QQi:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def conj(self) -> "QQi":
-        return QQi(self.re, -self.im)
-
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 
@@ -71,6 +68,45 @@ class QQi:
 
 QQI_ZERO = QQi(Fraction(0))
 QQI_ONE = QQi(Fraction(1))
+
+
+class GaussInt:
+    """Gaussian integer real + imag*i; ints have the same attributes, so they mix in."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: int, imag: int = 0):
+        self.real, self.imag = real, imag
+
+    def __add__(self, o):
+        return GaussInt(self.real + o.real, self.imag + o.imag)
+
+    def __sub__(self, o):
+        return GaussInt(self.real - o.real, self.imag - o.imag)
+
+    def __neg__(self):
+        return GaussInt(-self.real, -self.imag)
+
+    def __mul__(self, o):
+        return GaussInt(self.real * o.real - self.imag * o.imag, self.real * o.imag + self.imag * o.real)
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return bool(self.real or self.imag)
+
+
+def primitive(poly: list) -> list:
+    """poly over the gcd of its entries' parts; with poly[0] > 0, the least integer multiple of poly/poly[0]."""
+    g = 0
+    for x in poly:  # pairwise: faster than one call on every part, and it builds no argument tuple
+        g = math.gcd(g, x.real, x.imag)
+    return [GaussInt(x.real // g, x.imag // g) for x in poly] if g > 1 else poly
+
+
+def to_qqi(x, den: int) -> QQi:
+    """The GaussInt or int x over the nonzero integer den."""
+    return QQi(Fraction(x.real, den), Fraction(x.imag, den))
 
 
 def solve_exact(rows, rhs):

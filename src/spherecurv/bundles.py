@@ -107,10 +107,6 @@ class Divisor:
     def total(self) -> int:
         return sum(m for _, m in self.points)
 
-    def at_pole(self) -> int:
-        """Multiplicity carried by the chart pole (w = 0)."""
-        return sum(m for p, m in self.points if p.w == 0)
-
 
 # ----------------------------------------------------------------------
 # pointwise weights
@@ -153,11 +149,6 @@ def pair_weight_h0(avec, bvec, spec: BundleSpec, grid: SphereGrid) -> np.ndarray
 # ----------------------------------------------------------------------
 # operations
 # ----------------------------------------------------------------------
-
-
-def h0_norm_zeta(z, k: int):
-    """Squared norm of the canonical section in the constant-curvature metric."""
-    return (1.0 + np.abs(z) ** 2) ** (-k)
 
 
 def phi_norm_sq(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> np.ndarray:

@@ -227,19 +227,6 @@ def pullback_dual(iso: IsometryAction, eta: DualCoords, grid: SphereGrid) -> Dua
     return dual_map_H0(pullback_class(iso, phi), grid)
 
 
-def pullback_conformal(iso: IsometryAction, u: ConformalFactor, grid: SphereGrid) -> ConformalFactor:
-    """Samples of u on the pulled-back metric: (iso* u)(x) = u(iso(x)).
-
-    The pushed mean vanishes analytically (rotation-invariant measure); the
-    numerical remainder is folded into the offset.
-    """
-    TH, PH = np.meshgrid(grid.colat, grid.lon, indexing="ij")
-    th2, ph2 = iso.apply_angles(TH.ravel(), PH.ravel())
-    vals = grid.evaluate(grid.analyze(u.u), th2, ph2).reshape(TH.shape)
-    mean = float(np.real(grid.integrate(vals)))
-    return ConformalFactor(vals - mean, u.offset + mean)
-
-
 # ----------------------------------------------------------------------
 # dbar solver
 # ----------------------------------------------------------------------

@@ -398,7 +398,8 @@ def _radial(cfg, phi, grid):
     ]
     summary = {
         "experiment": "radial",
-        "radial_root_found": rad.converged,
+        "radial_root_found": rad.root_alpha is not None,
+        "polish_converged": rad.converged,
         "root_alpha": rad.root_alpha,
         "mismatch_min": rad.mismatch_min,
         "error_estimate": rad.error_estimate,

@@ -17,13 +17,14 @@ t > s with L(t) > s.  The same profile decides whether a candidate y/(1 - v)
 is in generic position: its series has linear complexity s_minus exactly
 when y and 1 - v share no zero.
 
-Every routine runs in the arithmetic of its inputs.  The only split is the
-zero test on a discrepancy d: exact over Gaussian rationals (d == 0), or in
-floating point |d| <= tol*||b||, where b must be finite.  Floating-point
-reports also carry a margin: the smallest ||b||-normalized least-squares
-residual of the Hankel systems that would certify the next-lower stratum.
-The stratum index m = deg_L2 - div drives the solvable coupling range
-(0, 4*pi*m).
+One profile loop serves both arithmetics; ``_coords`` supplies its zero
+test on a discrepancy d, its update factors and its reduction step.  Exact
+inputs (Gaussian rationals) run fraction-free over the Gaussian integers and
+test d == 0; floating-point inputs must be finite and test |d| <= tol*||b||.
+Floating-point reports also carry a margin: the smallest ||b||-normalized
+least-squares residual of the Hankel systems that would certify the
+next-lower stratum.  The stratum index m = deg_L2 - div drives the solvable
+coupling range (0, 4*pi*m).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rational import QQi
+from ._rational import GaussInt, QQi, primitive, to_qqi
 from .bundles import BundleSpec
 from .errors import ZeroClass
 
@@ -133,45 +134,53 @@ def series_of_rational(cand: RationalCandidate, order: int) -> list:
 # ----------------------------------------------------------------------
 
 
-def _coords(b, exact: bool, tol: float):
-    """b as QQi or finite complex entries, and the zero test on a discrepancy."""
+def _coords(b, exact: bool, tol: float) -> tuple:
+    """(b, D, zero test, update factors, reduction) for the profile; exact b becomes D*b, D its lcm denominator."""
     if exact:
-        return [QQi.of(x) for x in b], lambda d: not d
+        q, den = [QQi.of(x) for x in b], 1
+        for x in q:
+            den = math.lcm(den, x.re.denominator, x.im.denominator)
+        return [GaussInt(int(x.re * den), int(x.im * den)) for x in q], den, lambda d: not d, _fraction_free, primitive
     b = [complex(x) for x in b]
     if not np.all(np.isfinite(b)):
         raise ValueError("coordinates must be finite numbers")
     tol_abs = tol * float(np.linalg.norm(b))
-    return b, lambda d: abs(d) <= tol_abs
+    return b, 1, lambda d: abs(d) <= tol_abs, lambda c, d, prev_d: (c, d / prev_d), lambda c: c
 
 
-def _profile(b, negligible):
+def _fraction_free(c, d, p):
+    """(|p|^2*c, d*conj p): the conjugate keeps new[0] = |p|^2*c[0] a positive integer."""
+    norm = p.real * p.real + p.imag * p.imag
+    return [norm * x for x in c], d * GaussInt(p.real, -p.imag)
+
+
+def _profile(b, den, negligible, factors, reduce):
     """Berlekamp-Massey over b_1..b_n (Massey 1969) for every prefix t = 0..n.
 
-    Returns (L, C): L[t] is the linear complexity of b_1..b_t and C[t] a
-    connection polynomial for it, low-order-first with C[t][0] = 1 and
-    degree <= L[t], so that b_j + sum_i C[t][i] b_{j-i} = 0 for L[t] < j <= t.
-    Only ``negligible``, the zero test on the discrepancy, depends on the
-    arithmetic.
+    Returns (L, C): L[t] is the linear complexity of b_1..b_t and C[t] a connection polynomial for it,
+    low-order-first with C[t][0] a positive integer (1 in floating point) and degree <= L[t], so that
+    sum_i C[t][i] b_{j-i} = 0 for L[t] < j <= t.  Each update is reduce(a*c - f*w^shift*prev) with
+    (a*c, f) = factors(c, d, prev_d); prev_d starts at den.
     """
     c, prev = [1], [1]  # current polynomial, and the one before the last length change
-    length, shift, prev_d = 0, 1, 1
+    length, shift, prev_d = 0, 1, den
     lengths, polys = [0], [c]
     for n in range(len(b)):
-        d = b[n]
+        d = c[0] * b[n]
         for i in range(1, len(c)):
             d = d + c[i] * b[n - i]
         if negligible(d):
             shift += 1
         else:
-            f = d / prev_d
-            new = c + [0 * f] * (shift + len(prev) - len(c))
+            new, f = factors(c, d, prev_d)
+            new = new + [0 * f] * (shift + len(prev) - len(c))
             for i, p in enumerate(prev):
                 new[i + shift] = new[i + shift] - f * p
             if 2 * length <= n:
                 length, prev, prev_d, shift = n + 1 - length, c, d, 1
             else:
                 shift += 1
-            c = new
+            c = reduce(new)
         lengths.append(length)
         polys.append(c)
     return lengths, polys
@@ -183,25 +192,14 @@ def _matching_orders(lengths) -> list:
     return [next((t for t in range(s + 1, k) if lengths[t] > s), k) for s in range(k)]
 
 
-def max_matching_order(b, s: int, *, tol: float = DEFAULT_TOL, exact: bool = False) -> int:
-    """Largest j* achievable over candidates with at most s poles.
-
-    The first j*-1 coordinates of b are matched; j* = k means the whole
-    vector is the Taylor prefix of an admissible rational function.
-    """
-    k = len(b) + 1
-    if not 0 <= s <= k - 1:
-        raise ValueError(f"pole budget s={s} outside [0, {k - 1}]")
-    lengths, _ = _profile(*_coords(b, exact, tol))
-    return _matching_orders(lengths)[s]
-
-
-def _witness(b, s: int, c):
-    """(y, v) from a connection polynomial c: 1 - v = c, y = c*B mod w^{s+1}."""
+def _witness(b, s: int, c, den: int | None):
+    """(y, v) with 1 - v = c/c[0] and y = (c*b mod w^{s+1})/(c[0]*den), as QQi; as is when den is None."""
     zero = b[0] * 0
     c = (list(c) + [zero] * s)[: s + 1]
     y = [zero] + [sum((c[i] * b[j - i - 1] for i in range(j)), zero) for j in range(1, s + 1)]
     v = [zero] + [-x for x in c[1:]]
+    if den is not None:
+        y, v = [to_qqi(x, c[0].real * den) for x in y], [to_qqi(x, c[0].real) for x in v]
     cand = RationalCandidate(tuple(y), tuple(v))
     return "zero-h" if cand.is_zero() else cand
 
@@ -236,11 +234,11 @@ def div_classifier(b, spec: BundleSpec, *, tol: float = DEFAULT_TOL, exact: bool
     k = spec.k
     if len(b_seq) != k - 1:
         raise ValueError(f"coordinate vector has length {len(b_seq)}, expected {k - 1}")
-    coords, negligible = _coords(b_seq, exact, tol)
+    coords, den, *steps = _coords(b_seq, exact, tol)
     if not any(coords):
         raise ZeroClass("zero coordinate vector")
 
-    lengths, polys = _profile(coords, negligible)
+    lengths, polys = _profile(coords, den, *steps)
     orders = _matching_orders(lengths)
     s = max(range(k), key=lambda budget: orders[budget] - budget)  # the first best budget
     j_star = orders[s]
@@ -250,26 +248,15 @@ def div_classifier(b, spec: BundleSpec, *, tol: float = DEFAULT_TOL, exact: bool
         div_eta=div_eta,
         j_star=j_star,
         s_minus=s,
-        witness=_witness(coords, s, polys[j_star - 1]),
+        witness=_witness(coords, s, polys[j_star - 1], den if exact else None),
         stratum_m=spec.deg_L2 - div_eta,
         margin=None if exact else _margin(coords, score),
     )
 
 
 # ----------------------------------------------------------------------
-# stability and coupling ranges
+# coupling ranges
 # ----------------------------------------------------------------------
-
-
-def alpha_stable(spec: BundleSpec, div_eta: int, alpha: float) -> bool:
-    """Stability of the extension at slope parameter alpha.
-
-    Equivalent chain: deg_L1 - deg_L2 < alpha < deg_L1 + deg_L2 - 2*div, with
-    alpha < 0 required on top (necessary for the metric problem).
-    """
-    lower = spec.deg_L1 - spec.deg_L2
-    upper = spec.deg_L1 + spec.deg_L2 - 2 * div_eta
-    return (lower < alpha < upper) and alpha < 0
 
 
 @dataclass(frozen=True)

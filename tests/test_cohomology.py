@@ -18,13 +18,12 @@ from spherecurv.cohomology import (
     gram,
     projective_angle,
     pullback_class,
-    pullback_conformal,
     pullback_dual,
 )
 from spherecurv.errors import SpecMismatch, ZeroClass
 
 from conftest import random_real_field
-from oracles import norm_equivariance_profile
+from oracles import norm_equivariance_profile, pullback_conformal
 
 
 def spec_k(k, deg_L1=0):

@@ -18,6 +18,8 @@ from spherecurv.lab import (
 )
 from spherecurv.pde import solve_phi_system
 
+from oracles import at_pole
+
 
 def spec_k(k):
     return BundleSpec(0, k)
@@ -28,24 +30,24 @@ class TestGenFamily:
         phi = gen_family(1, {"a": 1}, spec_k(4))
         assert np.allclose(phi.a, [0, 1, 0])
         d = divisor_of(phi)
-        assert d.total == 2 and d.at_pole() == 1
+        assert d.total == 2 and at_pole(d) == 1
 
     def test_kind2_pole_free(self):
         phi = gen_family(2, {"a": 1, "n": 4}, spec_k(7))
         d = divisor_of(phi)
-        assert d.total == 5 and d.at_pole() == 0
+        assert d.total == 5 and at_pole(d) == 0
         ring = [p for p, m in d.points if abs(abs(p.z) - 1.0) < 1e-8]
         assert len(ring) == 4
 
     def test_kind2_pole_balanced(self):
         phi = gen_family(2, {"a": 1, "n": 4}, spec_k(8))
         d = divisor_of(phi)
-        assert d.total == 6 and d.at_pole() == 1
+        assert d.total == 6 and at_pole(d) == 1
 
     def test_kind3(self):
         phi = gen_family(3, {"a": 1, "n": 3, "q": [[1.0, 0.0], [0.0, 2.0]]}, spec_k(10))
         d = divisor_of(phi)
-        assert d.total == 8 and d.at_pole() == 1
+        assert d.total == 8 and at_pole(d) == 1
 
     def test_kind3_q_numbers_or_pairs(self):
         # a real q_i may be a bare number; a pair is [re, im]
@@ -391,6 +393,18 @@ class TestRadialDriver:
         rec = run_radial_nonexistence(cfg)
         assert rec.summary["radial_root_found"]
         assert rec.summary["reason"] == "converged" and rec.summary["statement"] == "radial root found"
+
+    def test_root_found_polish_unconverged(self, tmp_path):
+        # at l_max 8 the shooting root of z, k=5 at 4*pi is found but its
+        # spectral polish fails: the two outcomes are two fields
+        cfg = ExperimentConfig(
+            experiment="radial", deg_L2=6, family={"kind": 1, "a": 1}, solver={"l_max": 8}, out_dir=str(tmp_path)
+        )
+        rec = run_radial_nonexistence(cfg)
+        assert rec.summary["reason"] == "polish" and rec.summary["root_alpha"] is not None
+        assert rec.summary["radial_root_found"] is True
+        assert rec.summary["polish_converged"] is False
+        assert rec.summary["statement"] == "shooting root found; spectral polish unconverged"
 
     def test_inconclusive_sweep_is_reported(self, tmp_path, monkeypatch):
         from spherecurv import pde

@@ -4,21 +4,27 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spherecurv._rational import QQi, solve_exact
+from spherecurv import strata
+from spherecurv._rational import QQi, solve_exact, to_qqi
 from spherecurv.bundles import BundleSpec, HoloClass
 from spherecurv.cohomology import dual_map_H0
 from spherecurv.errors import ZeroClass
 from spherecurv.strata import (
     DEFAULT_TOL,
     RationalCandidate,
-    alpha_stable,
     div_classifier,
     existence_range,
-    max_matching_order,
     series_of_rational,
 )
 
-from oracles import alpha_stable_slope_form
+from oracles import (
+    alpha_stable,
+    alpha_stable_slope_form,
+    div_classifier_field,
+    field_coords,
+    field_profile,
+    max_matching_order,
+)
 
 
 def spec_k(k, deg_L1=0):
@@ -331,6 +337,39 @@ class TestBerlekampMasseyProfile:
         else:
             assert rep.witness.s_minus <= s
             assert series_of_rational(rep.witness, rep.j_star - 1) == matched
+
+    @settings(max_examples=200)
+    @given(b=gaussian_rational_vectors())
+    def test_matches_field_profile(self, b):
+        # the Gaussian-integer profile and the field one agree in lengths, in
+        # every monic connection polynomial and in the report, exact and float
+        spec = spec_k(len(b) + 1, deg_L1=1)
+        for exact, coords in ((True, b), (False, [complex(x) for x in b])):
+            lengths, polys = strata._profile(*strata._coords(coords, exact, DEFAULT_TOL))
+            ref_lengths, ref_polys = field_profile(*field_coords(coords, exact))
+            assert lengths == ref_lengths
+            for c, ref in zip(polys, ref_polys, strict=True):
+                if exact:
+                    assert [to_qqi(x, c[0].real) for x in c] == [QQi.of(x) for x in ref]
+                else:
+                    assert c == ref
+            assert div_classifier(coords, spec, exact=exact) == div_classifier_field(coords, spec, exact=exact)
+
+    def test_integer_profile_stays_small(self):
+        # the content division keeps each polynomial the smallest integer
+        # multiple of its monic form; without it the update's factors compound
+        rng = np.random.default_rng(32)
+        k = 32
+        units = [QQi(Fraction(1)), QQi(Fraction(-1)), QQi(Fraction(0), Fraction(1)), QQi(Fraction(0), Fraction(-1))]
+        sparse = [units[i] if i < 4 else QQI_ZERO for i in rng.integers(0, 7, size=k - 1)]
+        for j in rng.choice(k - 1, size=4, replace=False):
+            sparse[j] = QQi(rand_fraction(rng), rand_fraction(rng))
+        prefix = series_of_rational(random_exact_candidate(rng, k // 2, k), k - 1)
+        for b in (sparse, prefix):
+            lengths, polys = strata._profile(*strata._coords(b, True, DEFAULT_TOL))
+            assert lengths == field_profile(*field_coords(b, True))[0]
+            bits = max(abs(part).bit_length() for c in polys for x in c for part in (x.real, x.imag))
+            assert bits < 4096, bits
 
     def test_float_never_confidently_wrong(self):
         # acceptance 04's construction at the lengths where the float path is

@@ -29,8 +29,10 @@ class TestBenchCollect:
         assert bench_collect.fingerprint_diffs(old, new) == []
         new["101"]["converge"][0]["residual_sup"] = 1.5e-9
         new["101"]["edge"][0]["stop_reason"] = "newton"
+        new["101"]["classify_reports"] = [[{"j_star": 4}, {"j_star": 5}]]
         lines = bench_collect.fingerprint_diffs(old, new)
         assert "  101.edge[0].stop_reason: 'filter' -> 'newton'" in lines
+        assert "  only in one file: 101.classify_reports[][].j_star (2)" in lines
         assert "  101.converge[].residual_sup: 1 differ, max abs 5.00e-10, max rel 3.33e-01" in lines
 
     def test_fingerprint_covers_every_workload(self):
@@ -40,6 +42,11 @@ class TestBenchCollect:
         assert [len(e["rows"]) for e in fp["edge"]] == [4, 4, 4]
         assert all(e["minres_iters"] > 0 for e in fp["edge"])
         assert len(fp["classify"]) == 50 and all(len(r) == 10 for r in fp["classify"])
+        reports = [v for r in fp["classify_reports"] for v in r]
+        assert len(fp["classify_reports"]) == 50 and len(reports) == 500
+        assert all(set(v) == {"exact", "float"} for v in reports)
+        assert all(set(rep) == {"j_star", "s_minus", "witness"} for v in reports for rep in v.values())
+        assert all(len(rep["witness"]) == 12 for v in reports for rep in v.values())
         assert json.loads(json.dumps(fp)) == fp
 
     def test_fingerprint_only_writes_nothing(self, monkeypatch, capsys):

@@ -15,7 +15,9 @@ each at seeds 101 and 104, recording
 - ``residual_sup``, ``residual_fine``, b and MINRES iterations of every
   ``converge`` input and of every solve behind a ``dbar`` input;
 - the stall coupling, ``stop_reason`` and stratum of every ``edge`` row;
-- ``div_eta`` of every ``classify`` vector (exact and float).
+- ``div_eta`` of every ``classify`` vector (exact and float), and in
+  ``classify_reports`` its ``j_star``, ``s_minus`` and a 12-digit sha256 of
+  the witness repr, for both reports.
 
 b is rounded to 1e-10.  The file then prints a table of median deltas and
 fingerprint differences against ``--against``, by default the newest
@@ -38,6 +40,7 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -141,8 +144,15 @@ def fingerprint(seed: int) -> dict:
         })
 
     ops, _ = workloads.prepare_classify(sc, seed)
-    out["classify"] = [[[e.div_eta, f.div_eta] for e, f in op.run()] for op in ops]
+    outs = [op.run() for op in ops]
+    out["classify"] = [[[e.div_eta, f.div_eta] for e, f in reports] for reports in outs]
+    out["classify_reports"] = [[{"exact": _report(e), "float": _report(f)} for e, f in reports] for reports in outs]
     return out
+
+
+def _report(rep) -> dict:
+    witness = hashlib.sha256(repr(rep.witness).encode()).hexdigest()[:12]
+    return {"j_star": rep.j_star, "s_minus": rep.s_minus, "witness": witness}
 
 
 # ----------------------------------------------------------------------
@@ -174,9 +184,11 @@ def _flat(obj, path=""):
 
 
 def fingerprint_diffs(old: dict, new: dict) -> list:
-    """One line per differing non-number leaf; per number field, the count and largest change."""
+    """One line per differing non-number leaf; per number field, the count and largest change;
+    per key found in one file only, with its indices blanked, the count."""
     a, b = dict(_flat(old)), dict(_flat(new))
-    lines = [f"  only in one file: {k}" for k in sorted(set(a) ^ set(b))]
+    only = Counter(re.sub(r"\[\d+\]", "[]", k) for k in set(a) ^ set(b))  # counted per index-free key
+    lines = [f"  only in one file: {k} ({n})" for k, n in sorted(only.items())]
     worst = {}  # field name -> [leaves differing, max abs change, max relative change]
     for k in sorted(set(a) & set(b)):
         x, y = a[k], b[k]
