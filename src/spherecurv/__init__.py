@@ -5,7 +5,7 @@ Modules
 geometry    spectral grid, transforms, Laplacian, Poisson solves
 bundles     degrees, canonical-section metrics, norms, divisors
 cohomology  dual pairing, coordinate maps, isometry actions, dbar solver
-strata      divisor classification of extension classes, stability, ranges
+strata      divisor classification of extension classes, existence ranges
 pde         Newton-continuation curvature solver and the radial reduction
 lab         experiment drivers, curvature families, CSV/JSON emission
 """

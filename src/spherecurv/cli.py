@@ -22,7 +22,7 @@ from .errors import SpecMismatch, SphereCurvError, ZeroClass
 from .geometry import build_grid
 from .lab import DRIVERS, ExperimentConfig, ring_parameters, write_run
 from .pde import RadialProfile, solve_phi_system
-from .strata import DEFAULT_TOL, ExistenceRange, div_classifier
+from .strata import ExistenceRange, div_classifier
 
 
 def _parse_coords(text: str, exact: bool) -> list:
@@ -52,8 +52,6 @@ def _load_config(args) -> ExperimentConfig:
         cfg.out_dir = args.out
     if args.lmax is not None:
         cfg.solver = dict(cfg.solver, l_max=args.lmax)
-    if args.tol is not None:
-        cfg.tol = args.tol
     return cfg
 
 
@@ -77,7 +75,7 @@ def _cmd_grid_check(args) -> int:
 def _cmd_classify(args) -> int:
     spec = BundleSpec(args.deg_l1, args.deg_l2)
     b = _parse_coords(args.b, args.exact)
-    rep = div_classifier(b, spec, tol=args.tol or DEFAULT_TOL, exact=args.exact)
+    rep = div_classifier(b, spec, exact=args.exact)
     rng = ExistenceRange.of_report(rep, spec)
     out = {
         "div_eta": rep.div_eta,
@@ -99,7 +97,7 @@ def _cmd_dualize(args) -> int:
     grid = build_grid(32 if args.lmax is None else args.lmax)
     phi = HoloClass(spec, a)
     eta = dual_map_H0(phi, grid)
-    rep = div_classifier(eta.b, spec, tol=args.tol or DEFAULT_TOL)
+    rep = div_classifier(eta.b, spec)
     out = {
         "b": [[x.real, x.imag] for x in eta.b],
         "stratum_m": rep.stratum_m,
@@ -149,7 +147,7 @@ def _cmd_solve(args) -> int:
         report["curvature_min"] = float(kfield.min())
         report["curvature_max"] = float(kfield.max())
         b = b_coords(phi, res.u, grid)
-        rep = div_classifier(b.b, phi.spec, tol=cfg.tol)
+        rep = div_classifier(b.b, phi.spec)
         report["stratum_m"] = rep.stratum_m
         report["margin"] = rep.margin
     print(json.dumps(report, indent=2))
@@ -168,7 +166,6 @@ FLAGS = {
     "config": dict(type=_config_file, required=True, help="JSON experiment config (schema 1)"),
     "out": dict(help="output directory override"),
     "lmax": dict(type=int, help="spectral degree override"),
-    "tol": dict(type=float, help="classifier tolerance override"),
     "b": dict(required=True, help="coordinates 're,im;re,im;...' (exact: 'p/q,p/q;...')"),
     "a": dict(required=True, help="class coefficients 're,im;...'"),
     "exact": dict(action="store_true", help="exact rational classifier mode"),
@@ -176,13 +173,13 @@ FLAGS = {
     "deg-l2": dict(type=int, required=True),
     "lam": dict(type=float, help="coupling value (default: last grid point)"),
 }
-RUN = ["config", "out", "lmax", "tol"]
+RUN = ["config", "out", "lmax"]
 # verb: (help, the flags it reads)
 VERBS = {
     "grid-check": ("grid and transform invariant checks", ["lmax"]),
-    "classify": ("classify a coordinate vector", ["b", "exact", "deg-l1", "deg-l2", "tol"]),
-    "dualize": ("flat-metric dual coordinates of a class", ["a", "deg-l1", "deg-l2", "lmax", "tol"]),
-    "solve": ("solve the curvature system at one coupling", ["config", "lam", "lmax", "tol"]),
+    "classify": ("classify a coordinate vector", ["b", "exact", "deg-l1", "deg-l2"]),
+    "dualize": ("flat-metric dual coordinates of a class", ["a", "deg-l1", "deg-l2", "lmax"]),
+    "solve": ("solve the curvature system at one coupling", ["config", "lam", "lmax"]),
     "sweep": ("existence sweep along the coupling grid", RUN),
     "symmetry-audit": ("sparsity-pattern audit of a ring family", RUN),
     "radial": ("radial shooting probe at 4*pi", RUN),
@@ -198,7 +195,7 @@ def main(argv=None) -> int:
         for flag in flags:
             p.add_argument(f"--{flag}", **FLAGS[flag])
     args = parser.parse_args(argv)
-    for flag in ("lmax", "tol", "lam"):
+    for flag in ("lmax", "lam"):
         value = getattr(args, flag, None)
         if value is not None and not 0 < value < float("inf"):
             parser.error(f"--{flag} must be positive and finite, got {value}")

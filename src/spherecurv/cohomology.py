@@ -23,7 +23,6 @@ orientation-reversing maps conjugate coefficients.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,11 +139,6 @@ class IsometryAction:
         return cls(1.0 + 0j, 0j)
 
     @classmethod
-    def rotation_about_axis(cls, angle: float) -> "IsometryAction":
-        """Rotation about the polar axis: z -> e^{i angle} z."""
-        return cls(cmath.exp(0.5j * angle), 0j)
-
-    @classmethod
     def random_rotation(cls, rng) -> "IsometryAction":
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
@@ -154,32 +148,6 @@ class IsometryAction:
     def reflection(cls) -> "IsometryAction":
         """Reflection through the plane of the real meridian: z -> conj(z)."""
         return cls(1.0 + 0j, 0j, reverses=True)
-
-    def apply_z(self, z):
-        z = np.conj(z) if self.reverses else np.asarray(z, dtype=complex)
-        return (self.alpha * z + self.beta) / (-np.conj(self.beta) * z + np.conj(self.alpha))
-
-    def apply_angles(self, theta, phi):
-        """Image of points given in (colatitude, longitude); pole-safe."""
-        theta = np.asarray(theta, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        z = (np.cos(theta / 2) / np.sin(theta / 2)) * np.exp(1j * phi)
-        if self.reverses:
-            z = np.conj(z)
-        num = self.alpha * z + self.beta
-        den = -np.conj(self.beta) * z + np.conj(self.alpha)
-        theta_new = 2.0 * np.arctan2(np.abs(den), np.abs(num))
-        phi_new = np.angle(num * np.conj(den)) % (2.0 * np.pi)
-        return theta_new, phi_new
-
-    def compose(self, other: "IsometryAction") -> "IsometryAction":
-        """Point map x -> self(other(x))."""
-        a2, b2 = other.alpha, other.beta
-        if self.reverses:
-            a2, b2 = np.conj(a2), np.conj(b2)
-        alpha = self.alpha * a2 - self.beta * np.conj(b2)
-        beta = self.alpha * b2 + self.beta * np.conj(a2)
-        return IsometryAction(complex(alpha), complex(beta), self.reverses ^ other.reverses)
 
 
 def _poly_mul(a, b):

@@ -5,15 +5,6 @@ class SphereCurvError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonZeroMean(SphereCurvError):
-    """Poisson right-hand side has a mean beyond the solvability tolerance."""
-
-    def __init__(self, mean, tol):
-        self.mean = mean
-        self.tol = tol
-        super().__init__(f"rhs mean {mean:.3e} exceeds solvability tolerance {tol:.1e}")
-
-
 class ZeroClass(SphereCurvError):
     """A projective class was represented by the zero vector."""
 

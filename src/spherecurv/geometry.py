@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_legendre
 
-from .errors import NonZeroMean, SpecMismatch
+from .errors import SpecMismatch
 
 # Curvature of the unit-area sphere; single source of the Laplacian scale.
 GAUSS_CURVATURE = 4.0 * np.pi
@@ -117,14 +117,6 @@ class ChartPoint:
         if np.isinf(abs(w)):
             return cls(0j, complex(np.inf))
         return cls(1.0 / w, w)
-
-    @classmethod
-    def from_angles(cls, theta: float, phi: float) -> "ChartPoint":
-        half = 0.5 * theta
-        if half == 0.0:
-            return cls(complex(np.inf), 0j)
-        z = (math.cos(half) / math.sin(half)) * complex(math.cos(phi), math.sin(phi))
-        return cls.from_z(z)
 
     @property
     def theta(self) -> float:
@@ -313,13 +305,6 @@ class SphereGrid:
         mean, x[0] = x[0], 0.0
         x[1:] /= self.packed_laplace[1:]
         return x, mean
-
-    def solve_poisson(self, rhs) -> np.ndarray:
-        """Unique mean-zero u with laplacian(u) = rhs; rhs must have zero mean (to 1e-8)."""
-        x, mean = self.poisson_coeffs(rhs)
-        if abs(mean) > 1e-8:
-            raise NonZeroMean(abs(mean), 1e-8)
-        return self.synthesize(x)
 
     # ------------------------------------------------------------------
     # chart derivatives

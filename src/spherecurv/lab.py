@@ -54,7 +54,6 @@ class ExperimentConfig:
     lambda_grid: list = field(default_factory=lambda: [np.pi, 2 * np.pi, 3 * np.pi, 4 * np.pi])
     solver: dict = field(default_factory=dict)
     out_dir: str = "runs"
-    tol: float = DEFAULT_TOL
     schema: int = SCHEMA_VERSION
 
     @classmethod
@@ -76,15 +75,9 @@ class ExperimentConfig:
         l_max = solver.get("l_max", SolveConfig.l_max)
         if isinstance(l_max, bool) or not isinstance(l_max, int) or l_max < 4:
             raise ValueError(f"solver.l_max must be an integer >= 4, got {l_max!r}")
-
-        def positive(x) -> bool:
-            return _number(x) and x > 0
-
         lambdas = data.get("lambda_grid", [])
-        if not isinstance(lambdas, list) or not all(map(positive, lambdas)):
+        if not isinstance(lambdas, list) or not all(_number(x) and x > 0 for x in lambdas):
             raise ValueError(f"lambda_grid must be a list of positive finite numbers, got {lambdas!r}")
-        if not positive(data.get("tol", DEFAULT_TOL)):
-            raise ValueError(f"tol must be a positive finite number, got {data['tol']!r}")
         for key in ("deg_L1", "deg_L2"):
             if key in data and (isinstance(data[key], bool) or not isinstance(data[key], int)):
                 raise ValueError(f"config key {key!r} must be an integer, got {data[key]!r}")
@@ -238,13 +231,13 @@ def ring_parameters(cfg: ExperimentConfig) -> tuple[int, int]:
 NO_COORDINATES = {"b": None, "stratum": None, "margin": None, "boundary_flag": False}
 
 
-def _coordinates(b, rep, tol) -> dict:
-    """A row's coordinate cells: b, its stratum and margin, and whether the margin is under 10*tol."""
+def _coordinates(b, rep) -> dict:
+    """A row's coordinate cells: b, its stratum and margin, and whether the margin is under 10*DEFAULT_TOL."""
     return {
         "b": [complex(x) for x in b],
         "stratum": rep.stratum_m,
         "margin": rep.margin,
-        "boundary_flag": rep.margin < 10 * tol,
+        "boundary_flag": rep.margin < 10 * DEFAULT_TOL,
     }
 
 
@@ -280,7 +273,7 @@ def _ladder(phi, cfg: ExperimentConfig, grid) -> tuple[list, dict]:
         coords = NO_COORDINATES
         if result.converged:
             b = b_coords(phi, result.u, grid).b
-            coords = _coordinates(b, div_classifier(b, phi.spec, tol=cfg.tol), cfg.tol)
+            coords = _coordinates(b, div_classifier(b, phi.spec))
         rows.append({**_row(lam, result), **coords})
     reason, fine = ("converged", math.nan) if result is None else (result.stop_reason, result.stop_residual_fine)
     fine = None if math.isnan(fine) else fine  # null, not NaN
@@ -306,7 +299,7 @@ def run_existence_sweep(cfg: ExperimentConfig) -> RunRecord:
 
 def _sweep(cfg, phi, grid):
     rows, stop = _ladder(phi, cfg, grid)
-    rep0 = div_classifier(dual_map_H0(phi, grid).b, phi.spec, tol=cfg.tol)
+    rep0 = div_classifier(dual_map_H0(phi, grid).b, phi.spec)
     bound = 4.0 * np.pi * rep0.stratum_m
     failed = [r["lambda"] for r in rows if not r["converged"]]
     summary = {
@@ -378,7 +371,7 @@ def _radial(cfg, phi, grid):
     lam = 4.0 * np.pi
     rad = solve_radial(phi, lam, cfg.solve_config())
     b = dual_map_H0(phi, grid).b
-    rep = div_classifier(b, phi.spec, tol=cfg.tol)
+    rep = div_classifier(b, phi.spec)
     # a rank-one Hankel matrix: b_j b_{j+2} = b_{j+1}^2 up to 1e-8 max|b|^2
     hankel_ok = not np.any(np.abs(b[:-2] * b[2:] - b[1:-1] ** 2) > 1e-8 * np.abs(b).max() ** 2)
     row = {
@@ -389,7 +382,7 @@ def _radial(cfg, phi, grid):
         "offset": math.nan if rad.u is None else float(rad.u.offset),
         "stop_reason": None,
         "stop_residual_fine": math.nan,
-        **_coordinates(b, rep, cfg.tol),
+        **_coordinates(b, rep),
     }
     curve = [
         {"alpha": float(a_), "mismatch": float(v)}

@@ -94,6 +94,7 @@ class SolveResult:
     lam: float
     residual_sup: float
     converged: bool
+    # one entry per Newton solve: (lambda, Newton iterations, |r| or NaN if a guard rejected it)
     continuation_trace: list = field(default_factory=list)
     residual_fine: float = float("nan")
     # MINRES iterations over every Newton step, rejected ramp steps and
@@ -385,7 +386,7 @@ def _solve(
         x0 = _initial_guess(ws, lam_now) if initial is None else grid.analyze(initial.total)
         x, iters, rnorm, fine_now, reason, n = _trial(ws, x0, lam_now)
         minres_iters += n
-        trace.append((lam_now, iters, rnorm))
+        trace.append((lam_now, iters, rnorm if reason is None else float("nan")))
         if reason is not None:
             reason = "init" if initial is None else reason
             return _finish(ws, phi, x, lam_now, fine_now, trace, minres_iters, reason, fine_now)
@@ -527,9 +528,11 @@ def solve_radial(phi: HoloClass, lam: float, cfg: SolveConfig) -> RadialResult:
     constant-balance value, records the boundary-defect curve, and refines
     any sign change by bisection.  Each candidate root in turn starts one
     spectral Newton solve of phi at ``lam`` (``initial``); the first converged
-    polish is the result, else the first polish, unconverged.  Without a sign
-    change the minimum defect and an integration-error estimate are reported.
-    An inconclusive sweep returns an unconverged result; ``reason`` says why.
+    polish is the result, else the first polish, unconverged.  If no candidate
+    integrates again, the first candidate is root_alpha, unpolished and
+    unconverged.  Without a sign change the minimum defect and an
+    integration-error estimate are reported.  An inconclusive sweep returns
+    an unconverged result; ``reason`` says why.
     """
     profile = RadialProfile.from_class(phi)
     if not lam > 0:
@@ -592,8 +595,8 @@ def solve_radial(phi: HoloClass, lam: float, cfg: SolveConfig) -> RadialResult:
         if polish.converged:
             break
     if best is None:
-        # no candidate root could be integrated again to start the polish
-        return RadialResult(converged=False, root_alpha=None, residual_sup=None, reason="polish", **sweep)
+        # no candidate root could be integrated again to start the polish; the first is still a root
+        return RadialResult(converged=False, root_alpha=roots[0], residual_sup=None, reason="polish", **sweep)
     root, polish = best
     noise_fraction = float(np.mean(np.abs(values[good]) < 1e-6 * max(1.0, lam)))
     return RadialResult(

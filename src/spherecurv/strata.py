@@ -20,11 +20,11 @@ when y and 1 - v share no zero.
 One profile loop serves both arithmetics; ``_coords`` supplies its zero
 test on a discrepancy d, its update factors and its reduction step.  Exact
 inputs (Gaussian rationals) run fraction-free over the Gaussian integers and
-test d == 0; floating-point inputs must be finite and test |d| <= tol*||b||.
-Floating-point reports also carry a margin: the smallest ||b||-normalized
-least-squares residual of the Hankel systems that would certify the
-next-lower stratum.  The stratum index m = deg_L2 - div drives the solvable
-coupling range (0, 4*pi*m).
+test d == 0; floating-point inputs must be finite and test
+|d| <= DEFAULT_TOL*||b||, a constant (1e-8).  Floating-point reports also
+carry a margin: the smallest ||b||-normalized least-squares residual of the
+Hankel systems that would certify the next-lower stratum.  The stratum index
+m = deg_L2 - div drives the solvable coupling range (0, 4*pi*m).
 """
 
 from __future__ import annotations
@@ -79,11 +79,11 @@ class RationalCandidate:
         complexity max(deg y, deg(1 - v)) = s_minus exactly when y' and 1 - v
         are coprime; a common factor lowers it, and a zero y has complexity 0.
         Berlekamp-Massey reads the complexity off 2*s_minus terms, exactly for
-        exact entries and at the classifier's tolerance for floating-point ones.
+        exact entries and at DEFAULT_TOL for floating-point ones.
         """
         series = series_of_rational(self, 2 * self.s_minus)
         exact = not isinstance(_zero(self.y + self.v), (float, complex, np.inexact))
-        lengths, _ = _profile(*_coords(series, exact, DEFAULT_TOL))
+        lengths, _ = _profile(*_coords(series, exact))
         return lengths[-1] == self.s_minus
 
 
@@ -134,7 +134,7 @@ def series_of_rational(cand: RationalCandidate, order: int) -> list:
 # ----------------------------------------------------------------------
 
 
-def _coords(b, exact: bool, tol: float) -> tuple:
+def _coords(b, exact: bool) -> tuple:
     """(b, D, zero test, update factors, reduction) for the profile; exact b becomes D*b, D its lcm denominator."""
     if exact:
         q, den = [QQi.of(x) for x in b], 1
@@ -144,7 +144,7 @@ def _coords(b, exact: bool, tol: float) -> tuple:
     b = [complex(x) for x in b]
     if not np.all(np.isfinite(b)):
         raise ValueError("coordinates must be finite numbers")
-    tol_abs = tol * float(np.linalg.norm(b))
+    tol_abs = DEFAULT_TOL * float(np.linalg.norm(b))
     return b, 1, lambda d: abs(d) <= tol_abs, lambda c, d, prev_d: (c, d / prev_d), lambda c: c
 
 
@@ -219,22 +219,22 @@ def _margin(b, score: int) -> float:
     return resid / float(np.linalg.norm(b))
 
 
-def div_classifier(b, spec: BundleSpec, *, tol: float = DEFAULT_TOL, exact: bool = False) -> DivisorReport:
+def div_classifier(b, spec: BundleSpec, *, exact: bool = False) -> DivisorReport:
     """Maximal line-subbundle degree of the extension with coordinates b.
 
     One Berlekamp-Massey profile of b gives j*(s) for every pole budget
     s = 0..k-1; each budget scores j*(s) - s, the first best budget is kept,
     and the result is floored at deg_L1 (the budget-free subbundle).  Exact
     inputs (QQi) test discrepancies against zero, floating-point inputs
-    against tol*||b||.  Floating-point inputs also get a margin: the smallest
-    ||b||-normalized least-squares residual among the Hankel systems that
-    would certify one score higher, i.e. the next-lower stratum.
+    against DEFAULT_TOL*||b||.  Floating-point inputs also get a margin: the
+    smallest ||b||-normalized least-squares residual among the Hankel systems
+    that would certify one score higher, i.e. the next-lower stratum.
     """
     b_seq = list(b)
     k = spec.k
     if len(b_seq) != k - 1:
         raise ValueError(f"coordinate vector has length {len(b_seq)}, expected {k - 1}")
-    coords, den, *steps = _coords(b_seq, exact, tol)
+    coords, den, *steps = _coords(b_seq, exact)
     if not any(coords):
         raise ZeroClass("zero coordinate vector")
 
@@ -285,11 +285,11 @@ class ExistenceRange:
         return cls(m=report.stratum_m, lo=0.0, hi=hi, no_solution_band=(hi, 2.0 * np.pi * spec.k))
 
 
-def existence_range(b, spec: BundleSpec, *, tol: float = DEFAULT_TOL, exact: bool = False) -> ExistenceRange:
+def existence_range(b, spec: BundleSpec, *, exact: bool = False) -> ExistenceRange:
     """Solvable couplings (0, 4*pi*m) for the extension class with coordinates b.
 
     m is the classifier's stratum index.  The range belongs to the extension
     class, is open at 4*pi*m, and promises nothing for a fixed holomorphic
     class continued in lambda (see ExistenceRange).
     """
-    return ExistenceRange.of_report(div_classifier(b, spec, tol=tol, exact=exact), spec)
+    return ExistenceRange.of_report(div_classifier(b, spec, exact=exact), spec)

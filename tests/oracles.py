@@ -6,8 +6,12 @@ direct slope inequality instead of its restated chain, or Berlekamp-Massey
 over the coordinates' own field instead of over the Gaussian integers.  The
 helpers after them (pullback of a conformal factor, the canonical-section
 norm, the pole multiplicity of a divisor, j*(s) for one budget, the
-stability chain) are quantities no program path uses.
+stability chain, isometries and chart points built or applied pointwise) are
+quantities no program path uses.
 """
+
+import cmath
+import math
 
 import numpy as np
 
@@ -23,7 +27,7 @@ from spherecurv.bundles import (
     phi_norm_sq,
 )
 from spherecurv.cohomology import IsometryAction, pullback_class
-from spherecurv.geometry import GAUSS_CURVATURE, SphereGrid
+from spherecurv.geometry import GAUSS_CURVATURE, ChartPoint, SphereGrid
 
 
 def laplacian_local(fn, theta, phi, h: float = 1e-3) -> np.ndarray:
@@ -124,7 +128,7 @@ def norm_equivariance_profile(iso: IsometryAction, phi: HoloClass, u: ConformalF
     u_star = pullback_conformal(iso, u, grid)
     denom = phi_norm_sq(phi_star, u_star, grid)
     TH, PH = np.meshgrid(grid.colat, grid.lon, indexing="ij")
-    th2, ph2 = iso.apply_angles(TH, PH)
+    th2, ph2 = apply_angles(iso, TH, PH)
     numer = phi_norm_sq_at(phi, u, grid, th2, ph2)
     keep = denom > 1e-6 * denom.max()
     ratio = numer[keep] / denom[keep]
@@ -144,12 +148,12 @@ def alpha_stable_slope_form(spec: BundleSpec, div_eta: int, alpha: float) -> boo
 # ----------------------------------------------------------------------
 
 
-def field_coords(b, exact: bool, tol: float = strata.DEFAULT_TOL):
+def field_coords(b, exact: bool):
     """b as QQi or complex entries, and the zero test on a discrepancy."""
     if exact:
         return [QQi.of(x) for x in b], lambda d: not d
     b = [complex(x) for x in b]
-    tol_abs = tol * float(np.linalg.norm(b))
+    tol_abs = strata.DEFAULT_TOL * float(np.linalg.norm(b))
     return b, lambda d: abs(d) <= tol_abs
 
 
@@ -185,9 +189,9 @@ def field_profile(b, negligible):
     return lengths, polys
 
 
-def div_classifier_field(b, spec: BundleSpec, *, tol: float = strata.DEFAULT_TOL, exact: bool = False):
+def div_classifier_field(b, spec: BundleSpec, *, exact: bool = False):
     """strata.div_classifier with the profile and the witness in the coordinates' own field."""
-    coords, negligible = field_coords(b, exact, tol)
+    coords, negligible = field_coords(b, exact)
     lengths, polys = field_profile(coords, negligible)
     orders = strata._matching_orders(lengths)
     s = max(range(spec.k), key=lambda budget: orders[budget] - budget)
@@ -208,7 +212,7 @@ def div_classifier_field(b, spec: BundleSpec, *, tol: float = strata.DEFAULT_TOL
     )
 
 
-def max_matching_order(b, s: int, *, tol: float = strata.DEFAULT_TOL, exact: bool = False) -> int:
+def max_matching_order(b, s: int, *, exact: bool = False) -> int:
     """Largest j* over candidates with at most s poles, from the field profile.
 
     The first j*-1 coordinates of b are matched; j* = k means the whole
@@ -217,7 +221,7 @@ def max_matching_order(b, s: int, *, tol: float = strata.DEFAULT_TOL, exact: boo
     k = len(b) + 1
     if not 0 <= s <= k - 1:
         raise ValueError(f"pole budget s={s} outside [0, {k - 1}]")
-    lengths, _ = field_profile(*field_coords(b, exact, tol))
+    lengths, _ = field_profile(*field_coords(b, exact))
     return strata._matching_orders(lengths)[s]
 
 
@@ -233,7 +237,7 @@ def pullback_conformal(iso: IsometryAction, u: ConformalFactor, grid: SphereGrid
     numerical remainder is folded into the offset.
     """
     TH, PH = np.meshgrid(grid.colat, grid.lon, indexing="ij")
-    th2, ph2 = iso.apply_angles(TH.ravel(), PH.ravel())
+    th2, ph2 = apply_angles(iso, TH.ravel(), PH.ravel())
     vals = grid.evaluate(grid.analyze(u.u), th2, ph2).reshape(TH.shape)
     mean = float(np.real(grid.integrate(vals)))
     return ConformalFactor(vals - mean, u.offset + mean)
@@ -258,3 +262,45 @@ def alpha_stable(spec: BundleSpec, div_eta: int, alpha: float) -> bool:
     lower = spec.deg_L1 - spec.deg_L2
     upper = spec.deg_L1 + spec.deg_L2 - 2 * div_eta
     return (lower < alpha < upper) and alpha < 0
+
+
+def rotation_about_axis(angle: float) -> IsometryAction:
+    """Rotation about the polar axis: z -> e^{i angle} z."""
+    return IsometryAction(cmath.exp(0.5j * angle), 0j)
+
+
+def apply_z(iso: IsometryAction, z):
+    z = np.conj(z) if iso.reverses else np.asarray(z, dtype=complex)
+    return (iso.alpha * z + iso.beta) / (-np.conj(iso.beta) * z + np.conj(iso.alpha))
+
+
+def apply_angles(iso: IsometryAction, theta, phi):
+    """Image of points given in (colatitude, longitude); pole-safe."""
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    z = (np.cos(theta / 2) / np.sin(theta / 2)) * np.exp(1j * phi)
+    if iso.reverses:
+        z = np.conj(z)
+    num = iso.alpha * z + iso.beta
+    den = -np.conj(iso.beta) * z + np.conj(iso.alpha)
+    theta_new = 2.0 * np.arctan2(np.abs(den), np.abs(num))
+    phi_new = np.angle(num * np.conj(den)) % (2.0 * np.pi)
+    return theta_new, phi_new
+
+
+def compose(outer: IsometryAction, inner: IsometryAction) -> IsometryAction:
+    """Point map x -> outer(inner(x))."""
+    a2, b2 = inner.alpha, inner.beta
+    if outer.reverses:
+        a2, b2 = np.conj(a2), np.conj(b2)
+    alpha = outer.alpha * a2 - outer.beta * np.conj(b2)
+    beta = outer.alpha * b2 + outer.beta * np.conj(a2)
+    return IsometryAction(complex(alpha), complex(beta), outer.reverses ^ inner.reverses)
+
+
+def chart_point_from_angles(theta: float, phi: float) -> ChartPoint:
+    half = 0.5 * theta
+    if half == 0.0:
+        return ChartPoint(complex(np.inf), 0j)
+    z = (math.cos(half) / math.sin(half)) * complex(math.cos(phi), math.sin(phi))
+    return ChartPoint.from_z(z)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from spherecurv.errors import NonZeroMean, SpecMismatch
+from spherecurv.errors import SpecMismatch
 from spherecurv.geometry import (
     GAUSS_CURVATURE,
     ChartPoint,
@@ -13,7 +13,7 @@ from spherecurv.geometry import (
 )
 
 from conftest import random_real_field
-from oracles import laplacian_local, normalized_legendre_stepwise
+from oracles import chart_point_from_angles, laplacian_local, normalized_legendre_stepwise
 
 
 def packed_harmonic(grid, l, m):
@@ -170,21 +170,30 @@ class TestLaplacian:
             assert_allclose(lap, -GAUSS_CURVATURE * l * (l + 1) * y, atol=1e-9)
 
 
+def solve_poisson(grid, rhs):
+    """The mean-zero u with laplacian(u) = rhs - mean, on the grid, and that mean."""
+    x, mean = grid.poisson_coeffs(rhs)
+    return grid.synthesize(x), mean
+
+
 class TestPoisson:
     def test_zero_rhs(self, grid16):
-        u = grid16.solve_poisson(np.zeros((grid16.n_lat, grid16.n_lon)))
-        assert np.abs(u).max() == 0.0
+        u, mean = solve_poisson(grid16, np.zeros((grid16.n_lat, grid16.n_lon)))
+        assert np.abs(u).max() == 0.0 and mean == 0.0
 
     def test_inverse_property(self, grid16):
         rng = np.random.default_rng(3)
         g = random_real_field(grid16, rng)
         g = g - grid16.integrate(g)
-        u = grid16.solve_poisson(grid16.laplacian(g))
+        u, mean = solve_poisson(grid16, grid16.laplacian(g))
         assert np.abs(u - g).max() < 1e-9
+        assert abs(mean) < 1e-8
 
-    def test_nonzero_mean_rejected(self, grid16):
-        with pytest.raises(NonZeroMean):
-            grid16.solve_poisson(np.ones((grid16.n_lat, grid16.n_lon)))
+    def test_constant_rhs_is_all_mean(self, grid16):
+        # a constant has no mean-zero part: mean 1, every coefficient zero
+        x, mean = grid16.poisson_coeffs(np.ones((grid16.n_lat, grid16.n_lon)))
+        assert mean == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(x).max() < 1e-12
 
     def test_log_potential_coefficients(self, grid24):
         # Solve with the band-limited part of 2*pi*k*(1 - delta_N); the zonal
@@ -197,7 +206,8 @@ class TestPoisson:
         rhs_x = np.zeros(grid24.n_packed)
         rhs_x[1 : L + 1] = -2 * np.pi * k * np.sqrt(2.0 * np.arange(1, L + 1) + 1.0)
         rhs = grid24.synthesize(rhs_x)
-        u = grid24.solve_poisson(rhs)
+        u, mean = solve_poisson(grid24, rhs)
+        assert abs(mean) < 1e-8
         got = grid24.analyze(u)
 
         for l in (1, 2, 5, 11, 24):
@@ -384,6 +394,6 @@ class TestChartPoint:
         assert south.theta == pytest.approx(np.pi)
 
     def test_angles_roundtrip(self):
-        p = ChartPoint.from_angles(1.1, 2.2)
+        p = chart_point_from_angles(1.1, 2.2)
         assert p.theta == pytest.approx(1.1, abs=1e-12)
         assert p.phi == pytest.approx(2.2, abs=1e-12)

@@ -406,6 +406,22 @@ class TestRadialDriver:
         assert rec.summary["polish_converged"] is False
         assert rec.summary["statement"] == "shooting root found; spectral polish unconverged"
 
+    def test_root_found_without_integration(self, tmp_path, monkeypatch):
+        # the sweep brackets a root but no candidate integrates again to
+        # start a polish: the root is still found, the polish is not run
+        from spherecurv import pde
+
+        shoot = pde._shoot
+        monkeypatch.setattr(pde, "_shoot", lambda *args, **kw: (shoot(*args, **kw)[0], None))
+        cfg = ExperimentConfig(
+            experiment="radial", deg_L2=4, class_coeffs=[[0, 0], [1, 0], [0, 0]], solver={"l_max": 16}, out_dir=str(tmp_path)
+        )
+        rec = run_radial_nonexistence(cfg)
+        assert rec.summary["reason"] == "polish" and rec.summary["root_alpha"] is not None
+        assert rec.summary["radial_root_found"] is True
+        assert rec.summary["polish_converged"] is False
+        assert rec.summary["statement"] == "shooting root found; spectral polish unconverged"
+
     def test_inconclusive_sweep_is_reported(self, tmp_path, monkeypatch):
         from spherecurv import pde
 
@@ -475,16 +491,17 @@ def config_file(tmp_path, verb, **data):
 
 RING = {"deg_L2": 7, "family": {"kind": 2, "a": 1, "n": 4}}
 TWO_POLE = {"deg_L2": 4, "class_coeffs": [[0, 0], [1, 0], [0, 0]]}
-# the flags each verb reads; every other one of the four is an unknown argument
+# the flags each verb reads; every other one of the four is an unknown
+# argument, --tol on every verb (the classifier's zero test is a constant)
 READS = {
     "grid-check": ("lmax",),
-    "classify": ("tol",),
-    "dualize": ("lmax", "tol"),
+    "classify": (),
+    "dualize": ("lmax",),
     "family": ("config",),
-    "solve": ("config", "lmax", "tol"),
-    "sweep": ("config", "out", "lmax", "tol"),
-    "symmetry-audit": ("config", "out", "lmax", "tol"),
-    "radial": ("config", "out", "lmax", "tol"),
+    "solve": ("config", "lmax"),
+    "sweep": ("config", "out", "lmax"),
+    "symmetry-audit": ("config", "out", "lmax"),
+    "radial": ("config", "out", "lmax"),
 }
 CONFIG_VERBS = [verb for verb, flags in READS.items() if "config" in flags]
 
@@ -517,6 +534,10 @@ class TestCliFlags:
             assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
             assert not seen
 
+    def test_every_flag_is_read_by_some_verb(self):
+        # a flag that no verb reads is a knob nothing sets
+        assert set(cli.FLAGS) == {flag for _, flags in cli.VERBS.values() for flag in flags}
+
     @pytest.mark.parametrize("verb", CONFIG_VERBS)
     def test_config_is_required(self, verb, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -531,7 +552,9 @@ class TestCliFlags:
         "coeffs_zero": ("solve", {"deg_L2": 4, "class_coeffs": [[0, 0]] * 3}, "must have a nonzero coefficient vector"),
         "lambda_negative": ("sweep", {**TWO_POLE, "lambda_grid": [1.0, -1]}, "lambda_grid must be a list of positive finite numbers"),
         "lambda_string": ("sweep", {**TWO_POLE, "lambda_grid": ["x"]}, "lambda_grid must be a list of positive finite numbers"),
-        "tol_string": ("sweep", {**TWO_POLE, "tol": "big"}, "tol must be a positive finite number, got 'big'"),
+        # the classifier tolerance is a constant, not a config key
+        "tol_string": ("sweep", {**TWO_POLE, "tol": "big"}, "unknown config keys: ['tol']"),
+        "tol_number": ("sweep", {**TWO_POLE, "tol": 1e-8}, "unknown config keys: ['tol']"),
         "no_experiment": ("sweep", {**TWO_POLE, "experiment": None}, "config needs the key 'experiment'"),
         "solve_empty_lambda_grid": ("solve", {**TWO_POLE, "lambda_grid": []}, "solve needs --lam or a non-empty lambda_grid"),
         "audit_kind1": ("symmetry-audit", {"deg_L2": 4, "family": {"kind": 1, "a": 1}}, "symmetry audit requires a family of kind 2 or 3"),
@@ -637,13 +660,11 @@ class TestCli:
         "argv,message",
         [
             (["grid-check", "--lmax", "0"], "must be positive"),
-            (["classify", "--b", "1,0", "--deg-l2", "2", "--tol", "0"], "must be positive"),
             (["solve", "--config", "{cfg}", "--lam", "0"], "must be positive"),
             (["solve", "--config", "{cfg}", "--lam", "nan"], "--lam must be positive and finite, got nan"),
-            (["classify", "--b", "1,0", "--deg-l2", "2", "--tol", "inf"], "--tol must be positive and finite, got inf"),
             (["grid-check", "--lmax", "2"], "--lmax must be at least 4, got 2"),
         ],
-        ids=["lmax", "tol", "lam", "lam_nan", "tol_inf", "lmax_below_grid_minimum"],
+        ids=["lmax", "lam", "lam_nan", "lmax_below_grid_minimum"],
     )
     def test_zero_override_rejected(self, argv, message, capsys, tmp_path):
         # a zero or too small override is a usage error, not a fall back to

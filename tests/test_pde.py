@@ -21,6 +21,7 @@ from spherecurv.pde import (
 )
 
 from conftest import random_real_field
+from oracles import compose
 
 
 def spec_k(k):
@@ -444,7 +445,7 @@ class TestForwardF:
         grid = build_grid(24)
         rng = np.random.default_rng(66)
         phi = HoloClass(spec_k(4), rng.normal(size=3) + 1j * rng.normal(size=3))
-        iso = IsometryAction.random_rotation(rng).compose(IsometryAction.reflection())
+        iso = compose(IsometryAction.random_rotation(rng), IsometryAction.reflection())
         assert iso.reverses
         lam = 2 * np.pi
         lhs = forward_F(pullback_class(iso, phi), lam, cfg)
@@ -579,6 +580,19 @@ class TestCrossingSearch:
         assert 0.5 * (prev - last_ok) < cfg.min_step
 
 
+class TestFailedOpening:
+    # a guard that rejects the opening solve of a cold solve ends it there:
+    # stop_reason "init", and every Newton solve is traced as rejected
+    @pytest.mark.parametrize("l_max", [16, 48], ids=["single_grid", "nested"])
+    def test_rejected_opening_is_traced_as_rejected(self, monkeypatch, l_max):
+        calls = counting_newton(monkeypatch, fail_above=0.0)
+        res = solve_phi_system(monomial(4, 1), 2 * np.pi, SolveConfig(l_max=l_max))
+        assert res.stop_reason == "init" and not res.converged
+        assert res.lam == 0.25
+        assert len(res.continuation_trace) == len(calls) == (2 if l_max >= 48 else 1)
+        assert all(np.isnan(rnorm) for _, _, rnorm in res.continuation_trace)
+
+
 class TestNestedIteration:
     # a cold solve at l_max >= 48 ramps on the l_max // 2 grid, then finishes on its own
 
@@ -689,8 +703,10 @@ class TestRadial:
         shoot = pde._shoot
         monkeypatch.setattr(pde, "_shoot", lambda *args, **kw: (shoot(*args, **kw)[0], None))
         r = solve_radial(monomial(4, 1), 2 * np.pi, SolveConfig(l_max=16))
-        assert not r.converged
-        assert r.root_alpha is None and r.residual_sup is None and r.u is None
+        assert not r.converged and r.reason == "polish"
+        # the bracketed root is still reported, inside the sweep
+        assert r.mismatch_alphas[0] < r.root_alpha < r.mismatch_alphas[-1]
+        assert r.residual_sup is None and r.u is None
         assert r.mismatch_values.shape == r.mismatch_alphas.shape
         assert np.isfinite(r.mismatch_min)
 

@@ -345,7 +345,7 @@ class TestBerlekampMasseyProfile:
         # every monic connection polynomial and in the report, exact and float
         spec = spec_k(len(b) + 1, deg_L1=1)
         for exact, coords in ((True, b), (False, [complex(x) for x in b])):
-            lengths, polys = strata._profile(*strata._coords(coords, exact, DEFAULT_TOL))
+            lengths, polys = strata._profile(*strata._coords(coords, exact))
             ref_lengths, ref_polys = field_profile(*field_coords(coords, exact))
             assert lengths == ref_lengths
             for c, ref in zip(polys, ref_polys, strict=True):
@@ -366,14 +366,14 @@ class TestBerlekampMasseyProfile:
             sparse[j] = QQi(rand_fraction(rng), rand_fraction(rng))
         prefix = series_of_rational(random_exact_candidate(rng, k // 2, k), k - 1)
         for b in (sparse, prefix):
-            lengths, polys = strata._profile(*strata._coords(b, True, DEFAULT_TOL))
+            lengths, polys = strata._profile(*strata._coords(b, True))
             assert lengths == field_profile(*field_coords(b, True))[0]
             bits = max(abs(part).bit_length() for c in polys for x in c for part in (x.real, x.imag))
             assert bits < 4096, bits
 
     def test_float_never_confidently_wrong(self):
         # acceptance 04's construction at the lengths where the float path is
-        # most fragile: a report with margin > 10*tol must agree with exact
+        # most fragile: a report with margin > 10*DEFAULT_TOL must agree with exact
         rng = np.random.default_rng(2015)
         wrong = []
         for k in (10, 11, 12):
@@ -388,7 +388,7 @@ class TestBerlekampMasseyProfile:
         assert not wrong
 
     def test_flat_dual_stratum_survives_normwise_noise(self, grid16):
-        # discrepancies are judged against tol*||b||, so noise at 1e-10*||b||
+        # discrepancies are judged against DEFAULT_TOL*||b||, so noise at 1e-10*||b||
         # must not move the flat duals of z^a off their stratum
         rng = np.random.default_rng(31)
         for k in range(3, 9):
