@@ -128,7 +128,9 @@ def chart_monomials(k: int, z, w) -> np.ndarray:
     v[..., 0] = (1.0 + np.abs(x) ** 2) ** (1.0 - k / 2.0)
     for j in range(1, k - 1):  # powers by recurrence: complex ** is several times slower
         v[..., j] = v[..., j - 1] * x
-    return np.where(south[..., None], v, v[..., ::-1])
+    north = ~south
+    v[north] = v[north][..., ::-1]  # the w-chart columns run k-2-j
+    return v
 
 
 def pair_weight_values(avec, bvec, k: int, z, w) -> np.ndarray:

@@ -24,6 +24,15 @@ Continuation ramps lambda from a small value (where the constant-mode
 asymptotics give the initializer), or from a start state (a converged
 result at a lower coupling), with step halving on Newton failure and Illinois
 regula falsi (Dowell & Jarratt 1971, BIT 11) on a refined-grid filter crossing.
+It is a predictor-corrector (Allgower & Georg 2003, SIAM, ch. 2): lambda
+enters the packed residual only as -lambda e_0, so the path tangent at an
+accepted point is t = J^{-1} e_0, solved once by MINRES at ``forcing_cap``
+when the first trial leaves that point, with the Jacobian weight Newton
+already holds there.  Every trial from it, a growth step or a bracket
+trial, starts Newton at x + lambda log(lambda_try/lambda) t: the tangent
+step in log(lambda), not in lambda.  The constant mode grows like
+(1/2) log(lambda), for which that step is exact, and the ramp multiplies
+lambda by up to 9 in one step, where a step linear in lambda overshoots.
 A cold solve at l_max >= 48 is nested (Allgower, Boehmer, Potra &
 Rheinboldt 1986, SIAM J. Numer. Anal. 23; Deuflhard 2004, ch. 8): its ramp
 runs at l_max // 2, recursively, and one Newton solve from the zero-padded
@@ -40,6 +49,7 @@ axis-concentrated curvature data.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -159,17 +169,17 @@ class _Workspace:
         r[0] -= lam  # entry 0's basis function is the constant 1
         return sup, r, 2.0 * ke
 
+    def jacobian_matvec(self, weight: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The Jacobian lap + weight applied to packed y: one synthesis and one analysis, a fresh array."""
+        return self.grid.analyze(weight * self.grid.synthesize(y)) + self.diag * y
+
     def operator(self, weight: np.ndarray):
         """Matvec of the Jacobian lap + weight, and the diagonal (sigma - lap)^{-1} of its preconditioner.
 
         sigma is the mean weight.
         """
-
-        def matvec(y):
-            return self.grid.analyze(weight * self.grid.synthesize(y)) + self.diag * y
-
         sigma = max(float(weight.mean()), 1e-8)
-        return matvec, 1.0 / (sigma - self.diag)
+        return functools.partial(self.jacobian_matvec, weight), 1.0 / (sigma - self.diag)
 
 
 def minres(matvec, b, m_diag, *, rtol, maxiter, callback=None):
@@ -181,31 +191,40 @@ def minres(matvec, b, m_diag, *, rtol, maxiter, callback=None):
     it stops when test1 = |r|/(|A| |x|) or test2 = |A r|/(|A| |r|) falls to
     rtol or to roundoff, when cond(A) >= 0.1/eps, when |A| |x| eps >= |b|,
     or on iteration 1 when the next Lanczos vector vanishes.  ``callback(x)``
-    runs after each iteration.  Returns (x, info): info is ``maxiter`` when
-    the iteration limit stopped it and no other test held, else 0.
+    runs after each iteration on the live iterate.  Returns (x, info), x a
+    fresh array: info is ``maxiter`` when the iteration limit stopped it and
+    no other test held, else 0.
+
+    Only ``matvec`` allocates per iteration, and its result must be fresh (r1
+    and r2 keep it for two iterations); the other vectors are preallocated,
+    rotated by reference and updated in place in the allocating loop's
+    operation order, so the result is bitwise the same.
     """
     eps = np.finfo(float).eps
-    x = w = w2 = np.zeros_like(b)  # no vector is written in place
-    y = m_diag * b
-    beta1 = float(b @ y)
+    x = np.zeros_like(b)
+    z = m_diag * b  # the preconditioned Lanczos vector, scaled in place into v
+    beta1 = float(b @ z)
     if beta1 < 0:
         raise ValueError("indefinite preconditioner")
     if beta1 == 0:
         return x, 0
     beta1 = math.sqrt(beta1)
+    w, w1, w2 = np.zeros_like(b), np.zeros_like(b), np.zeros_like(b)
+    v, tmp = np.empty_like(b), np.empty_like(b)
     oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
     tnorm2, gmax, gmin, cs, sn = 0.0, 0.0, math.inf, -1.0, 0.0
     r1 = r2 = b
     for itn in range(1, maxiter + 1):
-        v = (1.0 / beta) * y
+        v, z = z, v
+        v *= 1.0 / beta
         y = matvec(v)
         if itn >= 2:
-            y = y - (beta / oldb) * r1
+            y -= np.multiply(r1, beta / oldb, out=tmp)
         alfa = float(v @ y)
-        y = y - (alfa / beta) * r2
+        y -= np.multiply(r2, alfa / beta, out=tmp)
         r1, r2 = r2, y
-        y = m_diag * r2
-        oldb, beta = beta, float(r2 @ y)
+        np.multiply(m_diag, r2, out=z)
+        oldb, beta = beta, float(r2 @ z)
         if beta < 0:
             raise ValueError("non-symmetric matrix")
         beta = math.sqrt(beta)
@@ -221,9 +240,11 @@ def minres(matvec, b, m_diag, *, rtol, maxiter, callback=None):
         gamma = max(math.hypot(gbar, beta), eps)
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
-        w1, w2 = w2, w
-        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
-        x = x + phi * w
+        w1, w2, w = w2, w, w1  # the oldest w's buffer takes the new one
+        np.subtract(v, np.multiply(w1, oldeps, out=tmp), out=w)
+        w -= np.multiply(w2, delta, out=tmp)
+        w *= 1.0 / gamma
+        x += np.multiply(w, phi, out=tmp)
         gmax, gmin = max(gmax, gamma), min(gmin, gamma)
         anorm = math.sqrt(tnorm2)
         ynorm = math.sqrt(x @ x)
@@ -245,19 +266,25 @@ def minres(matvec, b, m_diag, *, rtol, maxiter, callback=None):
     return x, maxiter
 
 
-def _damped_step(ws: _Workspace, op, pre, x, r, rnorm, lam, rtol):
-    """One MINRES correction at ``rtol`` and its halving line search.
-
-    Each trial costs one synthesis and, below ``blowup_sup``, one analysis.
-    Returns ((x, r, |r|, sup|u - c|, Jacobian weight) or None on failure, MINRES iterations).
-    """
+def _counted_minres(op, rhs, pre, rtol):
+    """``minres`` at ``rtol`` and the solver's iteration limit: (x, info, iterations)."""
     iters = 0
 
     def count(_):
         nonlocal iters
         iters += 1
 
-    delta, info = minres(op, -r, pre, rtol=rtol, maxiter=SolveConfig.minres_maxiter, callback=count)
+    x, info = minres(op, rhs, pre, rtol=rtol, maxiter=SolveConfig.minres_maxiter, callback=count)
+    return x, info, iters
+
+
+def _damped_step(ws: _Workspace, op, pre, x, r, rnorm, lam, rtol):
+    """One MINRES correction at ``rtol`` and its halving line search.
+
+    Each trial costs one synthesis and, below ``blowup_sup``, one analysis.
+    Returns ((x, r, |r|, sup|u - c|, Jacobian weight) or None on failure, MINRES iterations).
+    """
+    delta, info, iters = _counted_minres(op, -r, pre, rtol)
     if info != 0 and np.linalg.norm(op(delta) + r) > 0.1 * rnorm:
         return None, iters
     step = 1.0
@@ -273,7 +300,10 @@ def _damped_step(ws: _Workspace, op, pre, x, r, rnorm, lam, rtol):
 
 
 def _newton(ws: _Workspace, x0: np.ndarray, lam: float):
-    """Inexact damped Newton at fixed lambda; returns (x, iterations, |r|, ok, MINRES iterations, sup|u - c|)."""
+    """Inexact damped Newton at fixed lambda.
+
+    Returns (x, iterations, |r|, ok, MINRES iterations, sup|u - c|, Jacobian weight at x).
+    """
     x = x0.copy()
     sup, r, weight = ws.evaluate(x, lam)
     rnorm = np.linalg.norm(r)
@@ -281,7 +311,7 @@ def _newton(ws: _Workspace, x0: np.ndarray, lam: float):
     minres_iters = 0
     for it in range(1, SolveConfig.max_newton + 1):
         if rnorm < SolveConfig.newton_tol:
-            return x, it - 1, rnorm, True, minres_iters, sup
+            return x, it - 1, rnorm, True, minres_iters, sup, weight
         rtol = SolveConfig.forcing_cap
         if rprev is not None:
             forcing = max(SolveConfig.minres_rtol, 0.9 * (rnorm / rprev) ** 2, 0.25 * SolveConfig.newton_tol / rnorm)
@@ -293,10 +323,10 @@ def _newton(ws: _Workspace, x0: np.ndarray, lam: float):
             new, n = _damped_step(ws, op, pre, x, r, rnorm, lam, SolveConfig.minres_rtol)
             minres_iters += n
         if new is None:
-            return x, it, rnorm, False, minres_iters, sup
+            return x, it, rnorm, False, minres_iters, sup, weight
         rprev = rnorm
         x, r, rnorm, sup, weight = new
-    return x, SolveConfig.max_newton, rnorm, rnorm < SolveConfig.newton_tol, minres_iters, sup
+    return x, SolveConfig.max_newton, rnorm, rnorm < SolveConfig.newton_tol, minres_iters, sup, weight
 
 
 def _initial_guess(ws: _Workspace, lam: float) -> np.ndarray:
@@ -310,14 +340,30 @@ def _initial_guess(ws: _Workspace, lam: float) -> np.ndarray:
 
 
 def _trial(ws: _Workspace, x0: np.ndarray, lam: float):
-    """Newton at ``lam`` from ``x0``: (x, iterations, |r|, residual_fine, failed guard or None, MINRES iterations)."""
-    x, iters, rnorm, ok, n, sup = _newton(ws, x0, lam)
+    """Newton at ``lam`` from ``x0``.
+
+    Returns (x, iterations, |r|, residual_fine, failed guard or None, MINRES iterations, Jacobian weight at x).
+    """
+    x, iters, rnorm, ok, n, sup, weight = _newton(ws, x0, lam)
     if not ok:
-        return x, iters, rnorm, math.nan, "newton", n
+        return x, iters, rnorm, math.nan, "newton", n, weight
     fine = ws.fine_residual_sup(x, lam)
     if sup > SolveConfig.blowup_sup:  # a zero-step Newton run from ``initial`` can still start past the bound
-        return x, iters, rnorm, fine, "blowup", n
-    return x, iters, rnorm, fine, None if fine <= SolveConfig.spurious_tol * max(1.0, lam) else "filter", n
+        return x, iters, rnorm, fine, "blowup", n, weight
+    return x, iters, rnorm, fine, None if fine <= SolveConfig.spurious_tol * max(1.0, lam) else "filter", n, weight
+
+
+def _tangent(ws: _Workspace, weight: np.ndarray):
+    """Path tangent dx/dlambda = J^{-1} e_0 at an accepted point, at ``forcing_cap``, and its MINRES iterations.
+
+    The packed residual depends on lambda only through entry 0 (the
+    constant), so dF/dlambda = -e_0; J is the Jacobian of ``weight``.
+    """
+    e0 = np.zeros(ws.n)
+    e0[0] = 1.0
+    op, pre = ws.operator(weight)
+    t, _, iters = _counted_minres(op, e0, pre, SolveConfig.forcing_cap)
+    return t, iters
 
 
 def solve_phi_system(
@@ -373,7 +419,7 @@ def _solve(
         trace, minres_iters = coarse.continuation_trace, coarse.minres_iters
         if coarse.stop_reason != "init":
             x0 = grid.embed_packed(build_grid(l_max // 2).analyze(coarse.u.total))
-            x, iters, rnorm, fine_now, reason, n = _trial(ws, x0, coarse.lam)
+            x, iters, rnorm, fine_now, reason, n, weight = _trial(ws, x0, coarse.lam)
             minres_iters += n
             trace.append((coarse.lam, iters, rnorm if reason is None else float("nan")))
             opened, lam_now = reason is None, coarse.lam
@@ -381,30 +427,38 @@ def _solve(
     if start is not None:
         lam_now, fine_now = start.lam, start.residual_fine
         x = grid.analyze(start.u.total)
+        weight = ws.evaluate(x, lam_now)[2]
     elif not opened:
         lam_now = min(SolveConfig.lambda_init, lam) if initial is None else lam
         x0 = _initial_guess(ws, lam_now) if initial is None else grid.analyze(initial.total)
-        x, iters, rnorm, fine_now, reason, n = _trial(ws, x0, lam_now)
+        x, iters, rnorm, fine_now, reason, n, weight = _trial(ws, x0, lam_now)
         minres_iters += n
         trace.append((lam_now, iters, rnorm if reason is None else float("nan")))
         if reason is not None:
             reason = "init" if initial is None else reason
-            return _finish(ws, phi, x, lam_now, fine_now, trace, minres_iters, reason, fine_now)
+            return _finish(ws, x, lam_now, fine_now, trace, minres_iters, reason, fine_now)
 
     # bracket [lam_now, lam_hi] around a filter crossing (lam_hi None without
-    # one), margins g_now, g_hi, trials 2% inside; side: the end last moved
+    # one), margins g_now, g_hi, trials 2% inside; side: the end last moved;
+    # tangent: dx/dlambda at the accepted x, solved at its first trial
     step, lam_hi, side, stop = SolveConfig.continuation_step, None, 0, ("converged", math.nan)
+    tangent = None
     while lam_now < lam:
         if lam_hi is None:
             lam_try = min(lam_now + step, lam)
         else:
             t = g_now / (g_now - g_hi)
             lam_try = lam_now + (lam_hi - lam_now) * (0.5 if math.isnan(t) else min(max(t, 0.02), 0.98))
-        x_try, iters, rnorm, fine, reason, n = _trial(ws, x, lam_try)
+        if tangent is None:
+            tangent, n = _tangent(ws, weight)
+            minres_iters += n
+        # predictor: the tangent step in log(lambda), exact for the constant mode's (1/2) log(lambda)
+        x0 = x + (lam_now * math.log(lam_try / lam_now)) * tangent
+        x_try, iters, rnorm, fine, reason, n, w_try = _trial(ws, x0, lam_try)
         minres_iters += n
         trace.append((lam_try, iters, rnorm if reason is None else float("nan")))
         if reason is None:
-            x, lam_now, fine_now = x_try, lam_try, fine
+            x, lam_now, fine_now, weight, tangent = x_try, lam_try, fine, w_try, None
             if lam_hi is None:
                 step = min(step * 1.5, SolveConfig.continuation_step * 4)
             else:  # Illinois: the end kept twice in a row has its margin halved
@@ -415,14 +469,15 @@ def _solve(
         else:
             lam_hi, step, stop = None, 0.5 * (lam_try - lam_now), (reason, fine)
         if (step if lam_hi is None else lam_hi - lam_now) < SolveConfig.min_step:
-            return _finish(ws, phi, x, lam_now, fine_now, trace, minres_iters, *stop)
-    return _finish(ws, phi, x, lam_now, fine_now, trace, minres_iters, "converged", math.nan)
+            return _finish(ws, x, lam_now, fine_now, trace, minres_iters, *stop)
+    return _finish(ws, x, lam_now, fine_now, trace, minres_iters, "converged", math.nan)
 
 
-def _finish(ws: _Workspace, phi: HoloClass, x, lam, fine, trace, minres_iters, reason, stop_fine) -> SolveResult:
+def _finish(ws: _Workspace, x, lam, fine, trace, minres_iters, reason, stop_fine) -> SolveResult:
     grid = ws.grid
     u = ConformalFactor(grid.synthesize(np.concatenate([[0.0], x[1:]])), float(x[0]))
-    res = residual(u, phi, lam, grid)
+    # ``residual`` with the solve's own K: k_vals * e^{2u} is bitwise phi_norm_sq(phi, u, grid)
+    res = grid.laplacian(u.u) + 2.0 * (ws.k_vals * np.exp(2.0 * u.total)) - lam
     return SolveResult(
         u=u,
         lam=float(lam),

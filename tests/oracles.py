@@ -2,8 +2,9 @@
 
 Each oracle takes a route the package does not: finite differences instead
 of the spectral operator, off-grid synthesis instead of grid samples, the
-direct slope inequality instead of its restated chain, or Berlekamp-Massey
-over the coordinates' own field instead of over the Gaussian integers.  The
+direct slope inequality instead of its restated chain, Berlekamp-Massey
+over the coordinates' own field instead of over the Gaussian integers, or a
+MINRES loop that allocates every vector instead of updating in place.  The
 helpers after them (pullback of a conformal factor, the canonical-section
 norm, the pole multiplicity of a divisor, j*(s) for one budget, the
 stability chain, isometries and chart points built or applied pointwise) are
@@ -223,6 +224,72 @@ def max_matching_order(b, s: int, *, exact: bool = False) -> int:
         raise ValueError(f"pole budget s={s} outside [0, {k - 1}]")
     lengths, _ = field_profile(*field_coords(b, exact))
     return strata._matching_orders(lengths)[s]
+
+
+def minres_allocating(matvec, b, m_diag, *, rtol, maxiter, callback=None):
+    """``pde.minres`` as a loop that allocates every vector afresh and writes none in place.
+
+    Same recurrences, stopping tests and operation order, so the package's
+    in-place loop must match it bit for bit.
+    """
+    eps = np.finfo(float).eps
+    x = w = w2 = np.zeros_like(b)
+    y = m_diag * b
+    beta1 = float(b @ y)
+    if beta1 < 0:
+        raise ValueError("indefinite preconditioner")
+    if beta1 == 0:
+        return x, 0
+    beta1 = math.sqrt(beta1)
+    oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
+    tnorm2, gmax, gmin, cs, sn = 0.0, 0.0, math.inf, -1.0, 0.0
+    r1 = r2 = b
+    for itn in range(1, maxiter + 1):
+        v = (1.0 / beta) * y
+        y = matvec(v)
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = float(v @ y)
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = m_diag * r2
+        oldb, beta = beta, float(r2 @ y)
+        if beta < 0:
+            raise ValueError("non-symmetric matrix")
+        beta = math.sqrt(beta)
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        vanished = itn == 1 and beta / beta1 <= 10 * eps
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = math.hypot(gbar, dbar)
+        gamma = max(math.hypot(gbar, beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
+        x = x + phi * w
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        anorm = math.sqrt(tnorm2)
+        ynorm = math.sqrt(x @ x)
+        test1 = math.inf if ynorm == 0 else phibar / (anorm * ynorm)
+        test2 = root / anorm
+        done = (
+            vanished
+            or test1 <= rtol
+            or test2 <= rtol
+            or anorm * ynorm * eps >= beta1
+            or gmax / gmin >= 0.1 / eps
+            or 1 + test1 <= 1
+            or 1 + test2 <= 1
+        )
+        if callback is not None:
+            callback(x)
+        if done:
+            return x, 0
+    return x, maxiter
 
 
 # ----------------------------------------------------------------------

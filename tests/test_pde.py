@@ -21,7 +21,7 @@ from spherecurv.pde import (
 )
 
 from conftest import random_real_field
-from oracles import compose
+from oracles import compose, minres_allocating
 
 
 def spec_k(k):
@@ -162,7 +162,8 @@ class TestMinres:
         assert info == 12 and len(seen) == 12
         assert np.array_equal(seen[-1], x)
 
-    def test_jacobian_matches_scipy(self):
+    @staticmethod
+    def jacobian_system():
         grid = build_grid(16)
         rng = np.random.default_rng(72)
         phi = HoloClass(spec_k(5), rng.normal(size=4) + 1j * rng.normal(size=4))
@@ -171,9 +172,37 @@ class TestMinres:
         x = _initial_guess(ws, 2 * np.pi) + 0.05 * rng.normal(size=ws.n) / np.arange(1, ws.n + 1)
         _, r, weight = ws.evaluate(x, 2 * np.pi)
         matvec, m_diag = ws.operator(weight)
+        return matvec, -r, m_diag
+
+    @pytest.mark.parametrize("system", ["indefinite_system", "jacobian_system"])
+    def test_bitwise_equal_to_the_allocating_loop(self, system):
+        # the in-place loop keeps the allocating loop's operation order; the
+        # callback sees the same iterates, and maxiter=7 stops it early
+        matvec, b, m_diag = getattr(self, system)()
+        for rtol, maxiter in ((1e-3, 800), (1e-8, 800), (1e-12, 800), (0.0, 7)):
+            seen, seen_ref = [], []
+            x, info = minres(matvec, b, m_diag, rtol=rtol, maxiter=maxiter, callback=lambda xk: seen.append(xk.copy()))
+            x_ref, info_ref = minres_allocating(
+                matvec, b, m_diag, rtol=rtol, maxiter=maxiter, callback=lambda xk: seen_ref.append(xk.copy())
+            )
+            assert info == info_ref and len(seen) == len(seen_ref) > 0
+            assert x.tobytes() == x_ref.tobytes()
+            assert all(a.tobytes() == c.tobytes() for a, c in zip(seen, seen_ref))
+
+    def test_returns_a_fresh_array(self):
+        matvec, b, m_diag = self.indefinite_system(n=40, negative=5)
+        b_copy = b.copy()
+        x1, _ = minres(matvec, b, m_diag, rtol=1e-8, maxiter=100)
+        x2, _ = minres(matvec, b, m_diag, rtol=1e-8, maxiter=100)
+        assert x1 is not x2 and not np.shares_memory(x1, x2)
+        assert not np.shares_memory(x1, b) and not np.shares_memory(x2, b)
+        assert np.array_equal(b, b_copy) and np.array_equal(x1, x2)
+
+    def test_jacobian_matches_scipy(self):
+        matvec, rhs, m_diag = self.jacobian_system()
         for rtol in (1e-3, 1e-8, 1e-12):
-            x_ref, info_ref, n_ref = self.scipy_solve(matvec, -r, m_diag, rtol)
-            delta, info, n = self.own_solve(matvec, -r, m_diag, rtol)
+            x_ref, info_ref, n_ref = self.scipy_solve(matvec, rhs, m_diag, rtol)
+            delta, info, n = self.own_solve(matvec, rhs, m_diag, rtol)
             assert info == info_ref == 0
             assert n == n_ref > 0
             assert np.linalg.norm(delta - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
@@ -186,6 +215,13 @@ class TestSolve:
         assert res.converged
         assert np.abs(res.u.total).max() < 1e-10
         assert res.residual_sup < 1e-10
+
+    def test_residual_sup_is_the_pointwise_residual(self):
+        # the solve computes it from its own K; the public residual must agree exactly
+        phi = edge_random_class(4)
+        for l_max, lam in ((16, 2 * np.pi), (24, 4 * np.pi)):
+            res = solve_phi_system(phi, lam, SolveConfig(l_max=l_max))
+            assert res.residual_sup == np.abs(residual(res.u, phi, res.lam, build_grid(l_max))).max()
 
     def test_opposite_poles_4pi(self):
         cfg = SolveConfig(l_max=24)
@@ -308,6 +344,60 @@ class TestSolve:
             sols.append(res.u.total)
         for s in sols[1:]:
             assert np.abs(s - sols[0]).max() < 1e-6
+
+
+class TestPredictor:
+    # every ramp trial starts from the accepted point plus its log-lambda
+    # tangent step, the tangent J^{-1} e_0 solved once per accepted point
+
+    def test_ramp_points_take_few_newton_steps(self):
+        # from the unchanged accepted point each ramp step took 5 Newton steps
+        res = solve_phi_system(monomial(4, 1), 4 * np.pi, SolveConfig(l_max=16))
+        assert res.converged
+        ramp = res.continuation_trace[1:]
+        assert len(ramp) >= 3 and all(np.isfinite(r) for _, _, r in ramp)
+        assert max(iters for _, iters, _ in ramp) <= 3
+
+    def test_minres_iters_include_the_tangent_solves(self, monkeypatch):
+        import spherecurv.pde as pde
+
+        calls = []  # (tangent solve?, iterations)
+        exact = pde.minres
+
+        def counting(op, rhs, *args, **kwargs):
+            iters = [0]
+            inner = kwargs.pop("callback")
+
+            def callback(xk):
+                iters[0] += 1
+                inner(xk)
+
+            out = exact(op, rhs, *args, callback=callback, **kwargs)
+            tangent = rhs[0] == 1.0 and not rhs[1:].any()
+            calls.append((tangent, iters[0]))
+            return out
+
+        monkeypatch.setattr(pde, "minres", counting)
+        res = solve_phi_system(monomial(4, 1), 4 * np.pi, SolveConfig(l_max=16))
+        assert res.converged
+        tangents = [n for tangent, n in calls if tangent]
+        # one tangent per accepted point a trial started from: all but the last
+        assert len(tangents) == len(res.continuation_trace) - 1 and min(tangents) > 0
+        assert res.minres_iters == sum(n for _, n in calls)
+
+    def test_solve_at_its_opening_computes_no_tangent(self, monkeypatch):
+        import spherecurv.pde as pde
+
+        cfg = SolveConfig(l_max=16)
+        base = solve_phi_system(monomial(4, 1), 2 * np.pi, cfg)
+        tangents = []
+        tangent = pde._tangent
+        monkeypatch.setattr(pde, "_tangent", lambda *args: tangents.append(args) or tangent(*args))
+        polish = solve_phi_system(monomial(4, 1), 2 * np.pi, cfg, base.u)
+        same = solve_phi_system(monomial(4, 1), 2 * np.pi, cfg, start=base)
+        assert polish.converged and same.converged and not tangents
+        warm = solve_phi_system(monomial(4, 1), 3 * np.pi, cfg, start=base)
+        assert warm.converged and len(tangents) == len(warm.continuation_trace)
 
 
 class TestInexactNewton:

@@ -12,8 +12,9 @@ the runs logged, the OpenBLAS build, and a correctness fingerprint: the
 workloads' inputs (bench/workloads.py, imported and used as is) run once
 each at seeds 101 and 104, recording
 
-- ``residual_sup``, ``residual_fine``, b and MINRES iterations of every
-  ``converge`` input and of every solve behind a ``dbar`` input;
+- ``residual_sup``, ``residual_fine``, b, MINRES iterations and Newton
+  steps (the trace's iterations summed) of every ``converge`` input and of
+  every solve behind a ``dbar`` input;
 - the stall coupling, ``stop_reason`` and stratum of every ``edge`` row;
 - ``div_eta`` of every ``classify`` vector (exact and float), and in
   ``classify_reports`` its ``j_star``, ``s_minus`` and a 12-digit sha256 of
@@ -88,6 +89,7 @@ def _solve(res) -> dict:
         "residual_sup": float(res.residual_sup),
         "residual_fine": float(res.residual_fine),
         "minres_iters": int(res.minres_iters),
+        "newton_steps": sum(int(iters) for _, iters, _ in res.continuation_trace),
     }
 
 
