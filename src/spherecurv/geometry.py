@@ -23,12 +23,12 @@ b_0 = sqrt(2), b_m = 2; it has (l_max+1)^2 entries, entry 0 is the constant
 1, and its Euclidean inner product is the L2 pairing.  A complex field's
 coefficients are those of its real part plus 1j times those of its
 imaginary part.  Both angular derivatives act on the packed vector: d/dphi
-swaps each cos entry with its sin partner scaled by +-m, and d/dtheta is
-synthesis against the differentiated Legendre table.
+swaps each cos entry with its sin partner scaled by +-m, and by the Legendre
+recurrence sin(theta) d/dtheta is a packed-vector shift and a factor mu.
 
 The Legendre recurrence coefficients are cached per l_max, each grid keeps
-its node, derivative and north-pole tables, and ``evaluate`` builds its
-table and l-sum once per distinct colatitude of its points.
+one node table and the north-pole table, and ``evaluate`` builds its table
+and l-sum once per distinct colatitude of its points.
 
 Charts: ``z = cot(theta/2) * exp(i*phi)`` is the stereographic coordinate
 that is infinite at the north pole N and zero at the south pole S;
@@ -170,12 +170,6 @@ class SphereGrid:
 
         self._plm = _normalized_legendre(L, self.mu)  # (m, l, n_lat), m >= 0
         self._pole = _normalized_legendre(L, np.array(1.0), _unit_sin=True)  # A[m, l], Pbar_l^m ~ A sin^m t at N
-        # d/dtheta Pbar_l^m = (l mu Pbar_l^m - c_lm Pbar_{l-1}^m) / sin(theta)
-        mm, ll = np.ogrid[: L + 1, : L + 1]
-        c_lm = np.sqrt(np.maximum((2 * ll + 1) * (ll * ll - mm * mm), 0) / np.abs(2 * ll - 1))
-        prev = np.zeros_like(self._plm)
-        prev[:, 1:] = self._plm[:, :-1]
-        self._dplm = (ll[..., None] * self.mu * self._plm - c_lm[..., None] * prev) / np.sin(self.colat)
 
         # packed real basis b_m Pbar_l^m(mu) {cos, sin}(m phi), b_0 = sqrt(2),
         # b_m = 2: entry (m, part, l) for l >= m, part 0 = cos, 1 = sin (m >= 1
@@ -187,6 +181,8 @@ class SphereGrid:
         self._flat = (m * (L + 1) + l) * 2 + p
         self.n_packed = l.size
         self.packed_laplace = -GAUSS_CURVATURE * l * (l + 1.0)
+        # sin(theta) d/dtheta Pbar_l^m = l mu Pbar_l^m - c_lm Pbar_{l-1}^m, c_mm = 0
+        self._c_lm = np.sqrt((2 * l + 1) * (l * l - m * m) / np.abs(2 * l - 1))
         # d/dphi swaps each entry with its cos|sin partner (same m, l; flat index ^ 1),
         # scaled by m for cos and -m for sin; the m = 0 cos entries map to zero
         pos = np.zeros(2 * (L + 1) ** 2, dtype=int)
@@ -221,10 +217,10 @@ class SphereGrid:
         g = g.reshape(v.shape[0], self.n_lat, self.l_max + 1, 2).transpose(2, 0, 1, 3)  # (m, r, lat, part)
         return np.matmul(self._plm[:, None], g)
 
-    def _synthesize_half(self, h: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """Real fields v[r, lat, lon] from half spectra h[m, r, l, cos|sin]; ``table`` is _plm or _dplm."""
+    def _synthesize_half(self, h: np.ndarray) -> np.ndarray:
+        """Real fields v[r, lat, lon] from half spectra h[m, r, l, cos|sin]."""
         g = np.empty((h.shape[1], self.n_lat, self.l_max + 1, 2))
-        np.matmul(table.transpose(0, 2, 1)[:, None], h, out=g.transpose(2, 0, 1, 3))
+        np.matmul(self._plm.transpose(0, 2, 1)[:, None], h, out=g.transpose(2, 0, 1, 3))
         return g.reshape(h.shape[1], self.n_lat, -1) @ self._lon_syn
 
     def _half_spectrum(self, x) -> np.ndarray:
@@ -243,14 +239,13 @@ class SphereGrid:
             return re + 1j * im
         return self._analyze_half(v[None]).reshape(-1)[self._flat]
 
-    def synthesize(self, x, table=None) -> np.ndarray:
-        """Node values of packed coefficients; ``table=self._dplm`` gives the colatitude derivative."""
-        table = self._plm if table is None else table
+    def synthesize(self, x) -> np.ndarray:
+        """Node values of packed coefficients."""
         h = self._half_spectrum(x)
         if h.dtype.kind == "c":
-            re, im = self._synthesize_half(np.stack([h.real, h.imag], axis=1), table)
+            re, im = self._synthesize_half(np.stack([h.real, h.imag], axis=1))
             return re + 1j * im
-        return self._synthesize_half(h[:, None], table)[0]
+        return self._synthesize_half(h[:, None])[0]
 
     def north_taylor(self, x, order: int):
         """f(N) and the w^1..w^order coefficients of f at N, for f with packed coefficients x.
@@ -314,12 +309,13 @@ class SphereGrid:
         """Node values of the chart derivative  d/dz  of a (smooth) field, from its packed coefficients.
 
         Uses dz = R'(theta) e^{i phi} dtheta + i z dphi with R = cot(theta/2):
-        d/dz = [ -(sin(theta)/2) d/dtheta - (i/2) d/dphi ] / z.
+        d/dz = [ -(sin(theta)/2) d/dtheta - (i/2) d/dphi ] / z, where
+        sin(theta) d/dtheta f = mu synth(l x) - synth(down): (m, part, l-1) precedes
+        (m, part, l) in the packed order, and down is c_lm x moved one entry down.
         """
-        f_theta = self.synthesize(x, table=self._dplm)
-        f_phi = self.synthesize(self.d_dphi(x))
-        sin_t = np.sin(self.colat)[:, None]
-        return (-(sin_t / 2.0) * f_theta - 0.5j * f_phi) / self.z
+        down = np.append((self._c_lm * x)[1:], 0.0)
+        f = self.synthesize(0.5 * down - 0.5j * self.d_dphi(x))
+        return (f - 0.5 * self.mu[:, None] * self.synthesize(self.packed_entries[:, 2] * x)) / self.z
 
     def d_dzbar(self, x) -> np.ndarray:
         """Chart derivative d/d(conj z) from packed coefficients; the basis is real, so conj f has conj(x)."""

@@ -39,7 +39,8 @@ runs at l_max // 2, recursively, and one Newton solve from the zero-padded
 coarse result opens the ramp on the solve grid, which alone decides where
 it ends; a failed coarse opening or rejected handover falls back to the
 single-grid opening.  ``initial``/``start`` solves and l_max < 48 use one
-grid.  The trace and MINRES count include the coarse-grid work.
+grid.  The workspace holds the one tally of trace and MINRES count; a nested
+solve's starts from the coarse result's, so it includes the coarse-grid work.
 
 A radially symmetric reduction (two-point boundary value problem in the
 colatitude) is solved by shooting on the regularized momentum
@@ -134,9 +135,14 @@ def residual(u: ConformalFactor, phi: HoloClass, lam: float, grid: SphereGrid) -
 
 
 class _Workspace:
-    """Residual and Jacobian of one class, K = |phi|^2_{H_0}, on the grid's packed real coefficients."""
+    """Residual and Jacobian of one class, K = |phi|^2_{H_0}, on the grid's packed real coefficients.
+
+    It holds the solve's tally: ``trace``, one entry per Newton solve written by
+    ``_trial``, and ``minres_iters``, counted by ``correction``, the one MINRES call.
+    """
 
     def __init__(self, phi: HoloClass, grid: SphereGrid):
+        self.trace, self.minres_iters = [], 0
         self.grid = grid
         self.k_vals = phi_norm_sq(phi, ConformalFactor.zero(grid), grid)
         self.diag = grid.packed_laplace
@@ -180,6 +186,15 @@ class _Workspace:
         """
         sigma = max(float(weight.mean()), 1e-8)
         return functools.partial(self.jacobian_matvec, weight), 1.0 / (sigma - self.diag)
+
+    def correction(self, weight: np.ndarray, rhs: np.ndarray, rtol: float):
+        """``minres`` on the Jacobian of ``weight`` at ``rtol``, its iterations counted: (d, info, matvec)."""
+        matvec, pre = self.operator(weight)
+        d, info = minres(matvec, rhs, pre, rtol=rtol, maxiter=SolveConfig.minres_maxiter, callback=self._count)
+        return d, info, matvec
+
+    def _count(self, _x):
+        self.minres_iters += 1
 
 
 def minres(matvec, b, m_diag, *, rtol, maxiter, callback=None):
@@ -266,104 +281,88 @@ def minres(matvec, b, m_diag, *, rtol, maxiter, callback=None):
     return x, maxiter
 
 
-def _counted_minres(op, rhs, pre, rtol):
-    """``minres`` at ``rtol`` and the solver's iteration limit: (x, info, iterations)."""
-    iters = 0
-
-    def count(_):
-        nonlocal iters
-        iters += 1
-
-    x, info = minres(op, rhs, pre, rtol=rtol, maxiter=SolveConfig.minres_maxiter, callback=count)
-    return x, info, iters
-
-
-def _damped_step(ws: _Workspace, op, pre, x, r, rnorm, lam, rtol):
-    """One MINRES correction at ``rtol`` and its halving line search.
+def _damped_step(ws: _Workspace, weight, x, r, rnorm, lam, rtol):
+    """One MINRES correction at ``rtol`` on the Jacobian of ``weight`` and its halving line search.
 
     Each trial costs one synthesis and, below ``blowup_sup``, one analysis.
-    Returns ((x, r, |r|, sup|u - c|, Jacobian weight) or None on failure, MINRES iterations).
+    Returns (x, r, |r|, sup|u - c|, Jacobian weight), or None on failure.
     """
-    delta, info, iters = _counted_minres(op, -r, pre, rtol)
-    if info != 0 and np.linalg.norm(op(delta) + r) > 0.1 * rnorm:
-        return None, iters
+    delta, info, matvec = ws.correction(weight, -r, rtol)
+    if info != 0 and np.linalg.norm(matvec(delta) + r) > 0.1 * rnorm:
+        return None
     step = 1.0
     for _ in range(10):
         x_try = x + step * delta
-        sup, r_try, weight = ws.evaluate(x_try, lam, SolveConfig.blowup_sup)
+        sup, r_try, w_try = ws.evaluate(x_try, lam, SolveConfig.blowup_sup)
         if r_try is not None:
             n_try = np.linalg.norm(r_try)
             if n_try < rnorm or n_try < SolveConfig.newton_tol:
-                return (x_try, r_try, n_try, sup, weight), iters
+                return x_try, r_try, n_try, sup, w_try
         step *= 0.5
-    return None, iters
+    return None
 
 
 def _newton(ws: _Workspace, x0: np.ndarray, lam: float):
     """Inexact damped Newton at fixed lambda.
 
-    Returns (x, iterations, |r|, ok, MINRES iterations, sup|u - c|, Jacobian weight at x).
+    Returns (x, iterations, |r|, ok, sup|u - c|, Jacobian weight at x).
     """
     x = x0.copy()
     sup, r, weight = ws.evaluate(x, lam)
     rnorm = np.linalg.norm(r)
     rprev = None
-    minres_iters = 0
     for it in range(1, SolveConfig.max_newton + 1):
         if rnorm < SolveConfig.newton_tol:
-            return x, it - 1, rnorm, True, minres_iters, sup, weight
+            return x, it - 1, rnorm, True, sup, weight
         rtol = SolveConfig.forcing_cap
         if rprev is not None:
             forcing = max(SolveConfig.minres_rtol, 0.9 * (rnorm / rprev) ** 2, 0.25 * SolveConfig.newton_tol / rnorm)
             rtol = min(SolveConfig.forcing_cap, forcing)
-        op, pre = ws.operator(weight)
-        new, n = _damped_step(ws, op, pre, x, r, rnorm, lam, rtol)
-        minres_iters += n
+        new = _damped_step(ws, weight, x, r, rnorm, lam, rtol)
         if new is None and rtol > SolveConfig.minres_rtol:
-            new, n = _damped_step(ws, op, pre, x, r, rnorm, lam, SolveConfig.minres_rtol)
-            minres_iters += n
+            new = _damped_step(ws, weight, x, r, rnorm, lam, SolveConfig.minres_rtol)
         if new is None:
-            return x, it, rnorm, False, minres_iters, sup, weight
+            return x, it, rnorm, False, sup, weight
         rprev = rnorm
         x, r, rnorm, sup, weight = new
-    return x, SolveConfig.max_newton, rnorm, rnorm < SolveConfig.newton_tol, minres_iters, sup, weight
+    return x, SolveConfig.max_newton, rnorm, rnorm < SolveConfig.newton_tol, sup, weight
 
 
 def _initial_guess(ws: _Workspace, lam: float) -> np.ndarray:
     """Constant balance plus one Poisson correction, valid for small lambda."""
     mass = float(np.real(ws.grid.integrate(2.0 * ws.k_vals)))
     c0 = 0.5 * math.log(lam / mass)
-    x = ws.grid.analyze(lam - 2.0 * ws.k_vals * math.exp(2.0 * c0))
-    x[1:] /= ws.diag[1:]
+    x, _ = ws.grid.poisson_coeffs(lam - 2.0 * ws.k_vals * math.exp(2.0 * c0))
     x[0] = c0
     return x
 
 
 def _trial(ws: _Workspace, x0: np.ndarray, lam: float):
-    """Newton at ``lam`` from ``x0``.
+    """Newton at ``lam`` from ``x0``, traced as (lam, iterations, |r| or NaN if a guard rejected it).
 
-    Returns (x, iterations, |r|, residual_fine, failed guard or None, MINRES iterations, Jacobian weight at x).
+    Returns (x, residual_fine, failed guard or None, Jacobian weight at x).
     """
-    x, iters, rnorm, ok, n, sup, weight = _newton(ws, x0, lam)
+    x, iters, rnorm, ok, sup, weight = _newton(ws, x0, lam)
+    fine = ws.fine_residual_sup(x, lam) if ok else math.nan
     if not ok:
-        return x, iters, rnorm, math.nan, "newton", n, weight
-    fine = ws.fine_residual_sup(x, lam)
-    if sup > SolveConfig.blowup_sup:  # a zero-step Newton run from ``initial`` can still start past the bound
-        return x, iters, rnorm, fine, "blowup", n, weight
-    return x, iters, rnorm, fine, None if fine <= SolveConfig.spurious_tol * max(1.0, lam) else "filter", n, weight
+        reason = "newton"
+    elif sup > SolveConfig.blowup_sup:  # a zero-step Newton run from ``initial`` can still start past the bound
+        reason = "blowup"
+    else:
+        reason = None if fine <= SolveConfig.spurious_tol * max(1.0, lam) else "filter"
+    ws.trace.append((lam, iters, rnorm if reason is None else float("nan")))
+    return x, fine, reason, weight
 
 
 def _tangent(ws: _Workspace, weight: np.ndarray):
-    """Path tangent dx/dlambda = J^{-1} e_0 at an accepted point, at ``forcing_cap``, and its MINRES iterations.
+    """Path tangent dx/dlambda = J^{-1} e_0 at an accepted point, at ``forcing_cap``.
 
     The packed residual depends on lambda only through entry 0 (the
     constant), so dF/dlambda = -e_0; J is the Jacobian of ``weight``.
     """
     e0 = np.zeros(ws.n)
     e0[0] = 1.0
-    op, pre = ws.operator(weight)
-    t, _, iters = _counted_minres(op, e0, pre, SolveConfig.forcing_cap)
-    return t, iters
+    return ws.correction(weight, e0, SolveConfig.forcing_cap)[0]
 
 
 def solve_phi_system(
@@ -409,19 +408,17 @@ def _solve(
     """Body of ``solve_phi_system`` on the l_max grid; the coarse stage calls it, not the public name."""
     grid = build_grid(l_max)
     ws = _Workspace(phi, grid)
-    trace, minres_iters, opened = [], 0, False
+    opened = False
 
     def margin(fine, lam_at):  # log(residual_fine / filter bound), > 0 where the filter rejects
         return math.log(max(fine, 1e-300) / (SolveConfig.spurious_tol * max(1.0, lam_at)))
 
     if initial is None and start is None and l_max >= NESTED_MIN_LMAX:
         coarse = _solve(phi, lam, l_max // 2, None, None)
-        trace, minres_iters = coarse.continuation_trace, coarse.minres_iters
+        ws.trace, ws.minres_iters = coarse.continuation_trace, coarse.minres_iters
         if coarse.stop_reason != "init":
             x0 = grid.embed_packed(build_grid(l_max // 2).analyze(coarse.u.total))
-            x, iters, rnorm, fine_now, reason, n, weight = _trial(ws, x0, coarse.lam)
-            minres_iters += n
-            trace.append((coarse.lam, iters, rnorm if reason is None else float("nan")))
+            x, fine_now, reason, weight = _trial(ws, x0, coarse.lam)
             opened, lam_now = reason is None, coarse.lam
 
     if start is not None:
@@ -431,12 +428,9 @@ def _solve(
     elif not opened:
         lam_now = min(SolveConfig.lambda_init, lam) if initial is None else lam
         x0 = _initial_guess(ws, lam_now) if initial is None else grid.analyze(initial.total)
-        x, iters, rnorm, fine_now, reason, n, weight = _trial(ws, x0, lam_now)
-        minres_iters += n
-        trace.append((lam_now, iters, rnorm if reason is None else float("nan")))
+        x, fine_now, reason, weight = _trial(ws, x0, lam_now)
         if reason is not None:
-            reason = "init" if initial is None else reason
-            return _finish(ws, x, lam_now, fine_now, trace, minres_iters, reason, fine_now)
+            return _finish(ws, x, lam_now, fine_now, "init" if initial is None else reason, fine_now)
 
     # bracket [lam_now, lam_hi] around a filter crossing (lam_hi None without
     # one), margins g_now, g_hi, trials 2% inside; side: the end last moved;
@@ -450,13 +444,10 @@ def _solve(
             t = g_now / (g_now - g_hi)
             lam_try = lam_now + (lam_hi - lam_now) * (0.5 if math.isnan(t) else min(max(t, 0.02), 0.98))
         if tangent is None:
-            tangent, n = _tangent(ws, weight)
-            minres_iters += n
+            tangent = _tangent(ws, weight)
         # predictor: the tangent step in log(lambda), exact for the constant mode's (1/2) log(lambda)
         x0 = x + (lam_now * math.log(lam_try / lam_now)) * tangent
-        x_try, iters, rnorm, fine, reason, n, w_try = _trial(ws, x0, lam_try)
-        minres_iters += n
-        trace.append((lam_try, iters, rnorm if reason is None else float("nan")))
+        x_try, fine, reason, w_try = _trial(ws, x0, lam_try)
         if reason is None:
             x, lam_now, fine_now, weight, tangent = x_try, lam_try, fine, w_try, None
             if lam_hi is None:
@@ -469,11 +460,11 @@ def _solve(
         else:
             lam_hi, step, stop = None, 0.5 * (lam_try - lam_now), (reason, fine)
         if (step if lam_hi is None else lam_hi - lam_now) < SolveConfig.min_step:
-            return _finish(ws, x, lam_now, fine_now, trace, minres_iters, *stop)
-    return _finish(ws, x, lam_now, fine_now, trace, minres_iters, "converged", math.nan)
+            return _finish(ws, x, lam_now, fine_now, *stop)
+    return _finish(ws, x, lam_now, fine_now, "converged", math.nan)
 
 
-def _finish(ws: _Workspace, x, lam, fine, trace, minres_iters, reason, stop_fine) -> SolveResult:
+def _finish(ws: _Workspace, x, lam, fine, reason, stop_fine) -> SolveResult:
     grid = ws.grid
     u = ConformalFactor(grid.synthesize(np.concatenate([[0.0], x[1:]])), float(x[0]))
     # ``residual`` with the solve's own K: k_vals * e^{2u} is bitwise phi_norm_sq(phi, u, grid)
@@ -483,10 +474,10 @@ def _finish(ws: _Workspace, x, lam, fine, trace, minres_iters, reason, stop_fine
         lam=float(lam),
         residual_sup=float(np.abs(res).max()),
         converged=reason == "converged",
-        continuation_trace=trace,
+        continuation_trace=ws.trace,
         # NaN only where Newton failed, which left the refined grid unvisited
         residual_fine=ws.fine_residual_sup(x, lam) if math.isnan(fine) else fine,
-        minres_iters=int(minres_iters),
+        minres_iters=ws.minres_iters,
         stop_reason=reason,
         stop_residual_fine=float(stop_fine),
     )
@@ -605,13 +596,12 @@ def solve_radial(phi: HoloClass, lam: float, cfg: SolveConfig) -> RadialResult:
             error_estimate=math.nan, reason="shots_failed",
         )
 
-    # integration-error scale from refinement comparisons across the sweep
+    # integration-error scale: three sweep points shot again at rtol 1e-8
     err_est = 1e-13
-    for probe in (alphas[0], alphas[n_sweep // 2], alphas[-1]):
-        coarse, _ = _shoot(profile, lam, float(probe), rtol=1e-8)
-        fine, _ = _shoot(profile, lam, float(probe), rtol=1e-11)
-        if math.isfinite(coarse) and math.isfinite(fine):
-            err_est = max(err_est, abs(coarse - fine))
+    for i in (0, n_sweep // 2, n_sweep - 1):
+        coarse, _ = _shoot(profile, lam, float(alphas[i]), rtol=1e-8)
+        if math.isfinite(coarse) and math.isfinite(values[i]):
+            err_est = max(err_est, abs(coarse - values[i]))
 
     mism_min = float(np.abs(values[good]).min())
     sign_changes = [

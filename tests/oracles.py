@@ -3,12 +3,13 @@
 Each oracle takes a route the package does not: finite differences instead
 of the spectral operator, off-grid synthesis instead of grid samples, the
 direct slope inequality instead of its restated chain, Berlekamp-Massey
-over the coordinates' own field instead of over the Gaussian integers, or a
-MINRES loop that allocates every vector instead of updating in place.  The
-helpers after them (pullback of a conformal factor, the canonical-section
-norm, the pole multiplicity of a divisor, j*(s) for one budget, the
-stability chain, isometries and chart points built or applied pointwise) are
-quantities no program path uses.
+over the coordinates' own field instead of over the Gaussian integers, a
+MINRES loop that allocates every vector instead of updating in place, or
+synthesis against a differentiated Legendre table instead of the packed
+recurrence shift.  The helpers after them (pullback of a conformal factor,
+the canonical-section norm, the pole multiplicity of a divisor, j*(s) for
+one budget, the stability chain, isometries and chart points built or
+applied pointwise) are quantities no program path uses.
 """
 
 import cmath
@@ -89,6 +90,37 @@ def normalized_legendre_stepwise(l_max: int, mu: np.ndarray, _unit_sin: bool = F
         b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
         p[: l - 1, l] = a * (mu * p[: l - 1, l - 1] - b * p[: l - 1, l - 2])
     return p
+
+
+def dtheta_legendre(l_max: int, mu: np.ndarray) -> np.ndarray:
+    """d/dtheta of the orthonormal Legendre table p[m, l, :] at mu = cos(theta), off the poles.
+
+    d/dtheta Pbar_l^m = (l mu Pbar_l^m - c_lm Pbar_{l-1}^m) / sin(theta),
+    c_lm = sqrt((2l + 1)(l^2 - m^2) / (2l - 1)).
+    """
+    mu = np.asarray(mu, dtype=float)
+    p = normalized_legendre_stepwise(l_max, mu)
+    mm, ll = np.ogrid[: l_max + 1, : l_max + 1]
+    c_lm = np.sqrt(np.maximum((2 * ll + 1) * (ll * ll - mm * mm), 0) / np.abs(2 * ll - 1))
+    prev = np.zeros_like(p)
+    prev[:, 1:] = p[:, :-1]
+    return (ll[..., None] * mu * p - c_lm[..., None] * prev) / np.sqrt(1.0 - mu * mu)
+
+
+def d_dz_from_dtheta_table(grid: SphereGrid, x) -> np.ndarray:
+    """d/dz = [-(sin(theta)/2) d/dtheta - (i/2) d/dphi] / z on the nodes, each term summed over the packed basis.
+
+    d/dtheta differentiates the Legendre factor (``dtheta_legendre``) and
+    d/dphi the longitude factor of every basis function b_m Pbar_l^m {cos, sin}(m phi).
+    """
+    m, part, l = grid.packed_entries.T
+    b = np.where(m == 0, np.sqrt(2.0), 2.0)[:, None]
+    ang = np.outer(m, grid.lon)
+    trig = b * np.where(part[:, None] == 0, np.cos(ang), np.sin(ang))
+    dtrig = b * m[:, None] * np.where(part[:, None] == 0, -np.sin(ang), np.cos(ang))
+    f_theta = (x[:, None] * dtheta_legendre(grid.l_max, grid.mu)[m, l]).T @ trig
+    f_phi = (x[:, None] * normalized_legendre_stepwise(grid.l_max, grid.mu)[m, l]).T @ dtrig
+    return (-(np.sin(grid.colat)[:, None] / 2.0) * f_theta - 0.5j * f_phi) / grid.z
 
 
 def log_norm_zeta_callable(u_coeffs, offset: float, spec: BundleSpec, grid: SphereGrid):

@@ -13,7 +13,7 @@ from spherecurv.geometry import (
 )
 
 from conftest import random_real_field
-from oracles import chart_point_from_angles, laplacian_local, normalized_legendre_stepwise
+from oracles import chart_point_from_angles, d_dz_from_dtheta_table, laplacian_local, normalized_legendre_stepwise
 
 
 def packed_harmonic(grid, l, m):
@@ -288,6 +288,23 @@ class TestChartDerivatives:
         assert np.abs(grid16.d_dzbar(x) - dzbar(z, s)).max() < 1e-12
         # packed d/dphi: each cos entry takes m times its sin partner and back
         assert np.abs(grid16.synthesize(grid16.d_dphi(grid16.analyze(f(z, s)))) - dphi(z, s)).max() < 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_dtheta_table_at_48(self, seed):
+        # the dbar grid: the recurrence shift against synthesis with d/dtheta Pbar_l^m
+        grid = build_grid(48)
+        rng = np.random.default_rng(seed)
+        x = (rng.normal(size=grid.n_packed) + 1j * rng.normal(size=grid.n_packed)) / (1.0 + grid.packed_entries[:, 2])
+        for got, ref in ((grid.d_dz(x), d_dz_from_dtheta_table(grid, x)),
+                         (grid.d_dzbar(x), np.conj(d_dz_from_dtheta_table(grid, np.conj(x))))):
+            assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("l_max", [16, 48])
+    def test_grid_holds_one_legendre_node_table(self, l_max):
+        grid = build_grid(l_max)
+        shape = (l_max + 1, l_max + 1, grid.n_lat)
+        tables = [v for v in vars(grid).values() if isinstance(v, np.ndarray) and v.shape == shape]
+        assert len(tables) == 1
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_north_taylor(self, grid16, j):

@@ -39,6 +39,8 @@ class TestBenchCollect:
         fp = bench_collect.fingerprint(101)
         assert len(fp["converge"]) == 12 and all(len(c["b"]) >= 2 for c in fp["converge"])
         assert len(fp["dbar"]["inputs"]) == 6 and len(fp["dbar"]["fixture_solves"]) == 2
+        for c in fp["dbar"]["inputs"]:
+            assert len(c["p_f"]) == len(c["b"]) and 0 < c["dbar_rel_l2"] < 1e-4
         solves = fp["converge"] + fp["dbar"]["fixture_solves"]
         assert all(isinstance(s["newton_steps"], int) and s["newton_steps"] > 0 for s in solves)
         assert [len(e["rows"]) for e in fp["edge"]] == [4, 4, 4]

@@ -15,14 +15,15 @@ each at seeds 101 and 104, recording
 - ``residual_sup``, ``residual_fine``, b, MINRES iterations and Newton
   steps (the trace's iterations summed) of every ``converge`` input and of
   every solve behind a ``dbar`` input;
+- b, ``p_f`` and ``dbar_rel_l2`` of every ``dbar`` input;
 - the stall coupling, ``stop_reason`` and stratum of every ``edge`` row;
 - ``div_eta`` of every ``classify`` vector (exact and float), and in
   ``classify_reports`` its ``j_star``, ``s_minus`` and a 12-digit sha256 of
   the witness repr, for both reports.
 
-b is rounded to 1e-10.  The file then prints a table of median deltas and
-fingerprint differences against ``--against``, by default the newest
-earlier ``BENCH_*.json`` in the root.  A run takes about 20 minutes.
+b and ``p_f`` are rounded to 1e-10.  The file then prints a table of median
+deltas and fingerprint differences against ``--against``, by default the
+newest earlier ``BENCH_*.json`` in the root.  A run takes about 20 minutes.
 
 ``--fingerprint-only`` computes the fingerprint alone and prints its
 differences against that file, so a change can show unchanged b before a
@@ -48,7 +49,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(101, 111)
 TRACE_SEED = 104
 FINGERPRINT_SEEDS = (101, 104)
-ROUND = 10  # decimals kept of b
+ROUND = 10  # decimals kept of b and p_f
 
 
 def bench_index(path: Path) -> int:
@@ -121,10 +122,11 @@ def fingerprint(seed: int) -> dict:
         dbar_ops, _ = workloads.prepare_dbar(sc, seed)
     finally:
         sc.pde.solve_phi_system, sc.cohomology.b_coords = solve, b_coords
-    out["dbar"] = {
-        "fixture_solves": [_solve(r) for r in solves],
-        "inputs": [{"label": op.label, "b": _b(c.b)} for op, c in zip(dbar_ops, coords)],
-    }
+    inputs = []
+    for op, c in zip(dbar_ops, coords):
+        sol = op.run()
+        inputs.append({"label": op.label, "b": _b(c.b), "p_f": _b(sol.p_f), "dbar_rel_l2": sol.report["dbar_rel_l2"]})
+    out["dbar"] = {"fixture_solves": [_solve(r) for r in solves], "inputs": inputs}
 
     ops, _ = workloads.prepare_converge(sc, seed)
     out["converge"] = []
