@@ -14,8 +14,9 @@ One real spectral core does every transform, as two real matmuls: a
 longitude table of b_m cos(m phi) and b_m sin(m phi), columns (m, cos|sin),
 then one batched matmul against the m >= 0 Legendre table (analysis weights
 the small latitude-by-column product by the Gauss weights in between).  The
-longitude tables are n_lon x 2(l_max+1), the size of one Legendre slice; at
+longitude tables are n_lon x 2(m_max+1), the size of one Legendre slice; at
 l_max 32..72 a matmul against them costs less than an FFT's per-call overhead.
+A grid may cap the order at m_max < l_max (m_max = 0: zonal fields on 4 longitudes).
 Every coefficient vector is in one layout, the packed orthonormal real basis
 (``analyze``/``synthesize``): entries (m, cos|sin, l) for l >= m, the sin
 part only for m >= 1, basis functions b_m Pbar_l^m {cos, sin}(m phi) with
@@ -67,8 +68,8 @@ def _recurrence(l_max: int):
     return tables
 
 
-def _normalized_legendre(l_max: int, mu: np.ndarray, _unit_sin: bool = False):
-    """Associated Legendre functions, orthonormal on [-1, 1].
+def _normalized_legendre(l_max: int, mu: np.ndarray, m_max: int | None = None, _unit_sin: bool = False):
+    """Associated Legendre functions, orthonormal on [-1, 1], for orders m <= m_max (default l_max).
 
     Returns ``p[m, l, :]`` with ``int P[m,l] P[m,l'] dmu = delta_{ll'}``
     (zero for l < m).  ``_unit_sin=True`` sets the sin(theta) factor to 1,
@@ -76,21 +77,25 @@ def _normalized_legendre(l_max: int, mu: np.ndarray, _unit_sin: bool = False):
     coefficients of P[m,l] at the north pole.
 
     The recurrence is the standard stable one seeded at the sectoral term,
-    so no factorials are formed and degrees of a few hundred are safe.
+    so no factorials are formed and degrees of a few hundred are safe.  Each
+    order recurs alone: the m_max table is bitwise the full one's leading rows.
     """
     shape = np.shape(mu)
     mu = np.asarray(mu, dtype=float).reshape(-1)
     s = 1.0 if _unit_sin else np.sqrt(np.maximum(1.0 - mu * mu, 0.0))  # sin(theta) > 0 off the poles
+    M = l_max if m_max is None else m_max
     sectoral, next_diag, a, b = _recurrence(l_max)
-    p = np.zeros((l_max + 1, l_max + 1, mu.size))
-    diag = np.full((l_max + 1, mu.size), np.sqrt(0.5))
-    diag[1:] = sectoral * s  # the diagonal's cumulative product multiplies in the order of one step per m
-    idx = np.arange(l_max + 1)
+    p = np.zeros((M + 1, l_max + 1, mu.size))
+    diag = np.full((M + 1, mu.size), np.sqrt(0.5))
+    diag[1:] = sectoral[:M] * s  # the diagonal's cumulative product multiplies in the order of one step per m
+    idx = np.arange(M + 1)
     p[idx, idx] = np.cumprod(diag, axis=0, out=diag)
-    p[idx[:-1], idx[1:]] = next_diag * mu * diag[:-1]
-    for l in range(2, l_max + 1):  # all orders m <= l - 2 at once
-        p[: l - 1, l] = a[: l - 1, l] * (mu * p[: l - 1, l - 1] - b[: l - 1, l] * p[: l - 1, l - 2])
-    return p.reshape((l_max + 1, l_max + 1) + shape)
+    n = min(M + 1, l_max)  # orders with an l = m + 1 term
+    p[idx[:n], idx[:n] + 1] = next_diag[:n] * mu * diag[:n]
+    for l in range(2, l_max + 1):  # all orders m <= min(l - 2, M) at once
+        n = min(l - 1, M + 1)
+        p[:n, l] = a[:n, l] * (mu * p[:n, l - 1] - b[:n, l] * p[:n, l - 2])
+    return p.reshape((M + 1, l_max + 1) + shape)
 
 
 @dataclass(frozen=True)
@@ -138,6 +143,9 @@ class SphereGrid:
     ----------
     l_max : int
         Spectral truncation degree, at least 4.
+    m_max : int, optional
+        Order cap (default l_max): only packed entries with m <= m_max, on
+        ``longitudes(m_max)`` longitudes, so products of chart monomials alias.
 
     Attributes
     ----------
@@ -146,14 +154,13 @@ class SphereGrid:
     z, w : (n_lat, n_lon) complex chart coordinates of the nodes.
     """
 
-    def __init__(self, l_max: int):
+    def __init__(self, l_max: int, m_max: int | None = None):
         if l_max < 4:
             raise ValueError(f"l_max must be >= 4, got {l_max}")
         self.l_max = L = int(l_max)
+        self.m_max = M = L if m_max is None else int(m_max)
         self.n_lat = L + 1
-        # Multiple of 4 keeps the longitude circle invariant under the
-        # quarter-turn isometries used in the symmetry experiments.
-        self.n_lon = 4 * ((2 * L + 2 + 3) // 4)
+        self.n_lon = longitudes(M)
 
         mu, glw = roots_legendre(self.n_lat)
         order = np.argsort(-mu)  # north to south
@@ -168,24 +175,25 @@ class SphereGrid:
         self.z = (np.cos(theta / 2) / np.sin(theta / 2)) * phase
         self.w = (np.sin(theta / 2) / np.cos(theta / 2)) * np.conj(phase)
 
-        self._plm = _normalized_legendre(L, self.mu)  # (m, l, n_lat), m >= 0
-        self._pole = _normalized_legendre(L, np.array(1.0), _unit_sin=True)  # A[m, l], Pbar_l^m ~ A sin^m t at N
+        self._plm = _normalized_legendre(L, self.mu, M)  # (m, l, n_lat), 0 <= m <= M
+        self._pole = _normalized_legendre(L, np.array(1.0), M, _unit_sin=True)  # A[m, l], Pbar_l^m ~ A sin^m t at N
 
         # packed real basis b_m Pbar_l^m(mu) {cos, sin}(m phi), b_0 = sqrt(2),
         # b_m = 2: entry (m, part, l) for l >= m, part 0 = cos, 1 = sin (m >= 1
         # only), listed in packed_entries; _flat is the entry's position in a
         # half spectrum h[m, l, part]
-        packed = [(m, p, l) for m in range(L + 1) for p in ((0, 1) if m else (0,)) for l in range(m, L + 1)]
+        packed = [(m, p, l) for m in range(M + 1) for p in ((0, 1) if m else (0,)) for l in range(m, L + 1)]
         self.packed_entries = np.array(packed)
         m, p, l = self.packed_entries.T
         self._flat = (m * (L + 1) + l) * 2 + p
         self.n_packed = l.size
         self.packed_laplace = -GAUSS_CURVATURE * l * (l + 1.0)
+        self._n_upto = np.cumsum(np.bincount(l))  # packed entries of degree <= l, over l
         # sin(theta) d/dtheta Pbar_l^m = l mu Pbar_l^m - c_lm Pbar_{l-1}^m, c_mm = 0
         self._c_lm = np.sqrt((2 * l + 1) * (l * l - m * m) / np.abs(2 * l - 1))
         # d/dphi swaps each entry with its cos|sin partner (same m, l; flat index ^ 1),
         # scaled by m for cos and -m for sin; the m = 0 cos entries map to zero
-        pos = np.zeros(2 * (L + 1) ** 2, dtype=int)
+        pos = np.zeros(2 * (M + 1) * (L + 1), dtype=int)
         pos[self._flat] = np.arange(self.n_packed)
         self._partner = pos[self._flat ^ 1]
         self._dphi_scale = np.where(p == 0, m, -m)
@@ -193,10 +201,10 @@ class SphereGrid:
         # analysis _lon_an its contiguous transpose over n_lon; the Legendre
         # step reads the (m, part) columns of lat-by-(m, part) products in place
         # m*lon reduced to [0, 2pi) before cos/sin: the raw product loses 1e-14 at l_max 48
-        ang = 2.0 * np.pi / self.n_lon * (np.multiply.outer(np.arange(L + 1), np.arange(self.n_lon)) % self.n_lon)
+        ang = 2.0 * np.pi / self.n_lon * (np.multiply.outer(np.arange(M + 1), np.arange(self.n_lon)) % self.n_lon)
         trig = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        self._b = np.where(np.arange(L + 1) == 0, np.sqrt(2.0), 2.0)
-        self._lon_syn = (self._b[:, None, None] * trig).reshape(2 * L + 2, self.n_lon)
+        self._b = np.where(np.arange(M + 1) == 0, np.sqrt(2.0), 2.0)
+        self._lon_syn = (self._b[:, None, None] * trig).reshape(2 * M + 2, self.n_lon)
         self._lon_an = np.ascontiguousarray(self._lon_syn.T) / self.n_lon
         self._wq = self.glw / 2.0  # latitude quadrature weight
 
@@ -214,21 +222,21 @@ class SphereGrid:
         """Half spectra h[m, r, l, cos|sin] in the packed scaling of real fields v[r, lat, lon]."""
         g = v @ self._lon_an
         g *= self._wq[:, None]
-        g = g.reshape(v.shape[0], self.n_lat, self.l_max + 1, 2).transpose(2, 0, 1, 3)  # (m, r, lat, part)
+        g = g.reshape(v.shape[0], self.n_lat, self.m_max + 1, 2).transpose(2, 0, 1, 3)  # (m, r, lat, part)
         return np.matmul(self._plm[:, None], g)
 
     def _synthesize_half(self, h: np.ndarray) -> np.ndarray:
         """Real fields v[r, lat, lon] from half spectra h[m, r, l, cos|sin]."""
-        g = np.empty((h.shape[1], self.n_lat, self.l_max + 1, 2))
+        g = np.empty((h.shape[1], self.n_lat, self.m_max + 1, 2))
         np.matmul(self._plm.transpose(0, 2, 1)[:, None], h, out=g.transpose(2, 0, 1, 3))
         return g.reshape(h.shape[1], self.n_lat, -1) @ self._lon_syn
 
     def _half_spectrum(self, x) -> np.ndarray:
         """Packed coefficients laid out as h[m, l, cos|sin], zero for l < m and for the m = 0 sin part."""
         x = np.asarray(x)
-        h = np.zeros(2 * (self.l_max + 1) ** 2, dtype=complex if x.dtype.kind == "c" else float)
+        h = np.zeros(2 * (self.m_max + 1) * (self.l_max + 1), dtype=complex if x.dtype.kind == "c" else float)
         h[self._flat] = x
-        return h.reshape(self.l_max + 1, self.l_max + 1, 2)
+        return h.reshape(self.m_max + 1, self.l_max + 1, 2)
 
     def analyze(self, values) -> np.ndarray:
         """Packed coefficients of a field; a complex field's are analyze(re) + 1j*analyze(im)."""
@@ -260,19 +268,19 @@ class SphereGrid:
         return f_north, (2.0**j) * np.einsum("jl,jl->j", half[j, :, 0] + 1j * half[j, :, 1], self._pole[j])
 
     def embed_packed(self, x) -> np.ndarray:
-        """Zero-pad the packed coefficients of a coarser grid onto this grid's packed basis."""
+        """Zero-pad the packed coefficients of a coarser grid onto this one; both uncapped, or both capped at m_max."""
         out = np.zeros(self.n_packed)
-        out[self.packed_entries[:, 2] < math.isqrt(len(x))] = x
+        out[self.packed_entries[:, 2] <= np.searchsorted(self._n_upto, len(x))] = x
         return out
 
     def evaluate(self, x, theta, phi) -> np.ndarray:
         """Packed coefficients synthesized at arbitrary points; Legendre table and l-sum once per distinct colatitude."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        ang = np.multiply.outer(np.arange(self.l_max + 1), phi)
+        ang = np.multiply.outer(np.arange(self.m_max + 1), phi)
         trig = self._b[:, None, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)  # (m, cos|sin, point)
         mu, ring = np.unique(np.cos(theta), return_inverse=True)
-        plm = _normalized_legendre(self.l_max, mu)
+        plm = _normalized_legendre(self.l_max, mu, self.m_max)
         h = self._half_spectrum(x)
         parts = (h.real, h.imag) if h.dtype.kind == "c" else (h,)  # real parts: plm is never cast to complex
         v = [(np.matmul(p.transpose(0, 2, 1), plm)[..., ring] * trig).sum(axis=(0, 1)) for p in parts]
@@ -322,8 +330,17 @@ class SphereGrid:
         return np.conj(self.d_dz(np.conj(x)))
 
 
-@lru_cache(maxsize=8)
-def build_grid(l_max: int) -> SphereGrid:
-    """Grid for spectral degree l_max (>= 4); cached since construction is pure."""
-    return SphereGrid(l_max)
+def longitudes(m_max: int) -> int:
+    """Longitudes of a grid with order cap m_max: a multiple of 4 (quarter-turn invariant) above 2 m_max + 1."""
+    return 4 * ((2 * m_max + 2 + 3) // 4)
+
+
+def build_grid(l_max: int, m_max: int | None = None) -> SphereGrid:
+    """Grid for degree l_max (>= 4) and order cap m_max (default l_max), cached once whichever way m_max is spelled."""
+    return _cached_grid(int(l_max), int(l_max) if m_max is None else int(m_max))
+
+
+# cold l_max-48 solves of monomial and other classes use 8 grids: 24, 36, 48 and 72, full and m = 0
+_cached_grid = lru_cache(maxsize=16)(SphereGrid)
+build_grid.cache_clear = _cached_grid.cache_clear
 

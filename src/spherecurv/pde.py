@@ -42,6 +42,10 @@ single-grid opening.  ``initial``/``start`` solves and l_max < 48 use one
 grid.  The workspace holds the one tally of trace and MINRES count; a nested
 solve's starts from the coarse result's, so it includes the coarse-grid work.
 
+- A monomial class's K and lambda-branch depend on colatitude alone: its
+  solve, filter and coarse stages run on m = 0 grids, fields enter through
+  their longitude mean, and u returns tiled over the full grid's longitudes.
+
 A radially symmetric reduction (two-point boundary value problem in the
 colatitude) is solved by shooting on the regularized momentum
 p = sin(theta) u'; its boundary defect doubles as the existence probe for
@@ -62,7 +66,7 @@ from scipy.optimize import brentq
 from .bundles import ConformalFactor, HoloClass, phi_norm_sq
 from .cohomology import DualCoords, b_coords
 from .errors import InvalidLambda, NonConvergence
-from .geometry import SphereGrid, build_grid
+from .geometry import SphereGrid, build_grid, longitudes
 
 
 @dataclass
@@ -147,11 +151,16 @@ class _Workspace:
         self.k_vals = phi_norm_sq(phi, ConformalFactor.zero(grid), grid)
         self.diag = grid.packed_laplace
         self.n = grid.n_packed
-        self.fine_grid = build_grid(int(SolveConfig.refine_factor * grid.l_max))
+        cap = grid.m_max if grid.m_max < grid.l_max else None  # a capped grid refines to a capped grid
+        self.fine_grid = build_grid(int(SolveConfig.refine_factor * grid.l_max), cap)
         self.k_fine = phi_norm_sq(phi, ConformalFactor.zero(self.fine_grid), self.fine_grid)
 
     def fine_residual_sup(self, x: np.ndarray, lam: float) -> float:
-        """Sup residual with the solution re-evaluated on a refined grid."""
+        """Sup residual with the solution re-evaluated on a refined grid.
+
+        On an m = 0 grid it is the full filter: a theta-only residual's sup
+        over 2-D nodes is its sup over the latitudes, which both grids share.
+        """
         gf = self.fine_grid
         xf = gf.embed_packed(x)
         u_vals = gf.synthesize(xf)
@@ -406,7 +415,8 @@ def _solve(
     phi: HoloClass, lam: float, l_max: int, initial: ConformalFactor | None, start: SolveResult | None
 ) -> SolveResult:
     """Body of ``solve_phi_system`` on the l_max grid; the coarse stage calls it, not the public name."""
-    grid = build_grid(l_max)
+    m_max = 0 if _monomial(phi) else None
+    grid = build_grid(l_max, m_max)
     ws = _Workspace(phi, grid)
     opened = False
 
@@ -417,17 +427,17 @@ def _solve(
         coarse = _solve(phi, lam, l_max // 2, None, None)
         ws.trace, ws.minres_iters = coarse.continuation_trace, coarse.minres_iters
         if coarse.stop_reason != "init":
-            x0 = grid.embed_packed(build_grid(l_max // 2).analyze(coarse.u.total))
+            x0 = grid.embed_packed(_analyze(build_grid(l_max // 2, m_max), coarse.u.total))
             x, fine_now, reason, weight = _trial(ws, x0, coarse.lam)
             opened, lam_now = reason is None, coarse.lam
 
     if start is not None:
         lam_now, fine_now = start.lam, start.residual_fine
-        x = grid.analyze(start.u.total)
+        x = _analyze(grid, start.u.total)
         weight = ws.evaluate(x, lam_now)[2]
     elif not opened:
         lam_now = min(SolveConfig.lambda_init, lam) if initial is None else lam
-        x0 = _initial_guess(ws, lam_now) if initial is None else grid.analyze(initial.total)
+        x0 = _initial_guess(ws, lam_now) if initial is None else _analyze(grid, initial.total)
         x, fine_now, reason, weight = _trial(ws, x0, lam_now)
         if reason is not None:
             return _finish(ws, x, lam_now, fine_now, "init" if initial is None else reason, fine_now)
@@ -464,13 +474,26 @@ def _solve(
     return _finish(ws, x, lam_now, fine_now, "converged", math.nan)
 
 
+def _monomial(phi: HoloClass) -> bool:
+    """One nonzero coefficient: K and the lambda-branch from small coupling depend on colatitude alone."""
+    return np.count_nonzero(np.abs(phi.a) > 1e-12 * np.abs(phi.a).max()) == 1
+
+
+def _analyze(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
+    """Packed coefficients of node values on the grid's latitudes; an m = 0 grid takes their longitude mean."""
+    if grid.m_max == 0:
+        values = np.repeat(values.mean(axis=1, keepdims=True), grid.n_lon, axis=1)
+    return grid.analyze(values)
+
+
 def _finish(ws: _Workspace, x, lam, fine, reason, stop_fine) -> SolveResult:
     grid = ws.grid
     u = ConformalFactor(grid.synthesize(np.concatenate([[0.0], x[1:]])), float(x[0]))
     # ``residual`` with the solve's own K: k_vals * e^{2u} is bitwise phi_norm_sq(phi, u, grid)
     res = grid.laplacian(u.u) + 2.0 * (ws.k_vals * np.exp(2.0 * u.total)) - lam
     return SolveResult(
-        u=u,
+        # an m = 0 grid's longitudes hold equal values: tiled, they fill the full grid's
+        u=ConformalFactor(np.tile(u.u, (1, longitudes(grid.l_max) // grid.n_lon)), u.offset),
         lam=float(lam),
         residual_sup=float(np.abs(res).max()),
         converged=reason == "converged",
@@ -507,10 +530,9 @@ class RadialProfile:
 
     @classmethod
     def from_class(cls, phi: HoloClass) -> "RadialProfile":
-        a_idx = np.nonzero(np.abs(phi.a) > 1e-12 * np.abs(phi.a).max())[0]
-        if len(a_idx) != 1:
+        if not _monomial(phi):
             raise ValueError("radial reduction requires a monomial class (divisor on one axis)")
-        a = int(a_idx[0])
+        a = int(np.argmax(np.abs(phi.a)))
         return cls(k=phi.spec.k, a=a, amp=2.0 * np.pi * float(np.abs(phi.a[a]) ** 2))
 
     def __call__(self, theta):
@@ -624,8 +646,8 @@ def solve_radial(phi: HoloClass, lam: float, cfg: SolveConfig) -> RadialResult:
         reason = "within_noise" if mism_min < 10.0 * err_est else "no_root"
         return RadialResult(converged=False, root_alpha=None, residual_sup=None, reason=reason, **sweep)
 
-    # polish each candidate on the spectral grid; the first converged polish wins
-    grid = build_grid(cfg.l_max)
+    # polish each candidate on the spectral grid (an m = 0 solve); the first converged polish wins
+    grid = build_grid(cfg.l_max, 0)
     best = None
     for root in roots:
         _, sol = _shoot(profile, lam, float(root))

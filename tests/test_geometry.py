@@ -301,10 +301,11 @@ class TestChartDerivatives:
 
     @pytest.mark.parametrize("l_max", [16, 48])
     def test_grid_holds_one_legendre_node_table(self, l_max):
-        grid = build_grid(l_max)
-        shape = (l_max + 1, l_max + 1, grid.n_lat)
-        tables = [v for v in vars(grid).values() if isinstance(v, np.ndarray) and v.shape == shape]
-        assert len(tables) == 1
+        for m_max in (l_max, 0):
+            grid = build_grid(l_max, m_max)
+            shape = (m_max + 1, l_max + 1, grid.n_lat)
+            tables = [v for v in vars(grid).values() if isinstance(v, np.ndarray) and v.shape == shape]
+            assert len(tables) == 1
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_north_taylor(self, grid16, j):
@@ -374,6 +375,63 @@ class TestRealCore:
         w = v + 1j * grid.synthesize(rng.normal(size=grid.n_packed))
         real_path = sum(f * grid.synthesize(grid.analyze(part)) for f, part in ((1, w.real), (1j, w.imag)))
         assert np.abs(grid.synthesize(grid.analyze(w)) - real_path).max() < 1e-13 * np.abs(w).max()
+
+
+class TestOrderCap:
+    # a grid with m_max < l_max keeps the packed entries of order m <= m_max
+
+    @pytest.mark.parametrize("l_max", [16, 48])
+    def test_capped_table_is_the_leading_rows(self, l_max):
+        from spherecurv.geometry import _normalized_legendre
+
+        for mu, unit_sin in ((build_grid(l_max).mu, False), (np.array(1.0), True)):
+            full = _normalized_legendre(l_max, mu, _unit_sin=unit_sin)
+            for m_max in (0, 3, l_max):
+                capped = _normalized_legendre(l_max, mu, m_max=m_max, _unit_sin=unit_sin)
+                assert np.array_equal(capped, full[: m_max + 1])
+
+    @pytest.mark.parametrize("l_max", [16, 48])
+    def test_uncapped_grid_is_the_full_grid(self, l_max):
+        from spherecurv.geometry import SphereGrid
+
+        grid = build_grid(l_max)
+        assert build_grid(l_max, None) is grid and build_grid(l_max, l_max) is grid
+        capped = SphereGrid(l_max, m_max=l_max)
+        rng = np.random.default_rng(l_max)
+        x = rng.normal(size=grid.n_packed)
+        v = grid.synthesize(x) + 1j * random_real_field(grid, rng)
+        assert np.array_equal(capped.synthesize(x), grid.synthesize(x))
+        assert np.array_equal(capped.analyze(v), grid.analyze(v))
+        assert np.array_equal(capped.packed_entries, grid.packed_entries) and capped.n_lon == grid.n_lon
+
+    @pytest.mark.parametrize("m_max", [0, 3])
+    def test_capped_transforms(self, m_max):
+        grid, capped = build_grid(24), build_grid(24, m_max)
+        assert capped.n_lon == (4 if m_max == 0 else 8) and np.array_equal(capped.colat, grid.colat)
+        kept = grid.packed_entries[:, 0] <= m_max
+        assert np.array_equal(capped.packed_entries, grid.packed_entries[kept])
+        rng = np.random.default_rng(m_max)
+        x = rng.normal(size=capped.n_packed)
+        full_x = np.zeros(grid.n_packed)
+        full_x[kept] = x
+        v = capped.synthesize(x)
+        theta, phi = np.meshgrid(capped.colat, capped.lon, indexing="ij")
+        assert np.abs(v - grid.evaluate(full_x, theta.ravel(), phi.ravel()).reshape(v.shape)).max() < 1e-13 * np.abs(v).max()
+        assert np.abs(capped.analyze(v) - x).max() < 1e-12 * np.abs(x).max()
+        # zero-padding keeps the cap: the l_max 16 entries are the degree <= 16 ones
+        coarse = build_grid(16, m_max)
+        y = rng.normal(size=coarse.n_packed)
+        padded = capped.embed_packed(y)
+        assert np.array_equal(padded[capped.packed_entries[:, 2] <= 16], y)
+        assert not padded[capped.packed_entries[:, 2] > 16].any()
+
+    def test_zonal_analysis_is_the_longitude_mean(self):
+        # the m = 0 entries of a full-grid field are the 4-longitude grid's analysis of its longitude mean
+        grid, zonal = build_grid(24), build_grid(24, 0)
+        v = random_real_field(grid, np.random.default_rng(5))
+        mean = np.repeat(v.mean(axis=1, keepdims=True), zonal.n_lon, axis=1)
+        ref = grid.analyze(v)[grid.packed_entries[:, 0] == 0]
+        assert np.abs(zonal.analyze(mean) - ref).max() < 1e-14 * np.abs(ref).max()
 
 
 class TestBasisOracle:

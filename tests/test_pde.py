@@ -440,6 +440,14 @@ class TestInexactNewton:
 
 class TestTransformCount:
     def test_one_synthesis_and_analysis_per_line_search_trial(self, monkeypatch):
+        # a monomial class solves on the m = 0 grid
+        self.count_on_the_solve_grid(monkeypatch, monomial(4, 1), 4 * np.pi, 0)
+
+    def test_a_non_monomial_class_solves_on_the_full_grid(self, monkeypatch):
+        self.count_on_the_solve_grid(monkeypatch, pole_free_ring(), 2 * np.pi, None)
+
+    @staticmethod
+    def count_on_the_solve_grid(monkeypatch, phi, lam, m_max):
         # On the solve grid and outside MINRES's matvecs, each line-search
         # trial and each Newton start costs one synthesis and one analysis
         # (one evaluated point); the Jacobian reuses the accepted trial's
@@ -479,9 +487,10 @@ class TestTransformCount:
         monkeypatch.setattr(pde, "_damped_step", within("line search", pde._damped_step))
         monkeypatch.setattr(pde, "minres", within("minres", pde.minres))
 
-        res = solve_phi_system(monomial(4, 1), 4 * np.pi, SolveConfig(l_max=16))
+        res = solve_phi_system(phi, lam, SolveConfig(l_max=16))
         assert res.converged
-        grid = build_grid(16)
+        grid = build_grid(16, m_max)
+        assert {g for g, _, _ in transforms} == {grid, build_grid(24, m_max)}  # and its 1.5x filter grid
         trace = res.continuation_trace
         assert points["solve"] == len(trace)  # one Newton start per coupling tried
         assert points["line search"] >= sum(iters for _, iters, _ in trace)  # each Newton step accepts one trial
@@ -755,6 +764,71 @@ class TestNestedIteration:
         polish = solve_phi_system(phi, 2 * np.pi, cfg, warm.u)
         assert warm.converged and polish.converged
         assert set(grids) == {48}
+
+
+def requested_grids(monkeypatch):
+    """(l_max, m_max) of every grid asked of ``build_grid``, cached or not."""
+    from spherecurv import geometry
+
+    keys = []
+    cached = geometry._cached_grid
+    monkeypatch.setattr(geometry, "_cached_grid", lambda *key: keys.append(key) or cached(*key))
+    return keys
+
+
+class TestAxisymmetric:
+    # a monomial class solves on the m = 0 grid; u comes back on the full grid's nodes
+
+    def test_filter_is_the_full_filter(self):
+        import spherecurv.pde as pde
+
+        phi = monomial(5, 1)
+        grid, zonal = build_grid(24), build_grid(24, 0)
+        for target in (4 * np.pi, 2.4 * 4 * np.pi):  # converged, then the stall near 1.89 * 4 pi
+            res = solve_phi_system(phi, target, SolveConfig(l_max=24))
+            assert res.stop_reason == ("converged" if target == 4 * np.pi else "filter")
+            assert res.u.u.shape == (grid.n_lat, grid.n_lon)
+            lam = res.lam
+            # the same coefficients on the 2-D and the latitude-only 1.5x grids
+            x = pde._analyze(zonal, res.u.total)
+            full_x = np.zeros(grid.n_packed)
+            full_x[grid.packed_entries[:, 0] == 0] = x
+            fine = pde._Workspace(phi, zonal).fine_residual_sup(x, lam)
+            assert abs(pde._Workspace(phi, grid).fine_residual_sup(full_x, lam) - fine) <= 1e-12 * fine
+            # the returned u on the full grids: residual_fine moves by the
+            # round trip through u, which the Laplacian on the 1.5x grid
+            # amplifies to 6e-11 * lam here (as on a full-grid solve)
+            full_fine = pde._Workspace(phi, grid).fine_residual_sup(grid.analyze(res.u.total), lam)
+            assert abs(full_fine - res.residual_fine) <= 1e-9 * lam
+            assert abs(np.abs(residual(res.u, phi, lam, grid)).max() - res.residual_sup) <= 1e-12 * lam
+
+    @pytest.mark.parametrize("k, a, l_max, stall", [(5, 1, 32, 1.9324019), (5, 1, 48, 1.9573194),
+                                                    (7, 2, 32, 2.8619430), (7, 2, 48, 2.9375344)])
+    def test_stall_matches_the_full_grid(self, monkeypatch, k, a, l_max, stall):
+        # the stalls of the full-grid solve, in units of 4 pi
+        keys = requested_grids(monkeypatch)
+        res = solve_phi_system(monomial(k, a), 1.2 * 4 * np.pi * (k // 2), SolveConfig(l_max=l_max))
+        assert res.stop_reason == "filter"
+        assert abs(res.lam - 4 * np.pi * stall) <= SolveConfig.min_step
+        assert {m for _, m in keys} == {0}
+
+    def test_resolution_at_l_max_256(self, monkeypatch):
+        # z on k=5: the radial branch ends at 2 * 4 pi (a dense axisymmetric solve read 1.9974 at 256).
+        # Newton, not the filter, stops it: past 1.997 * 4 pi the solution
+        # concentrates at the order-1 zero and the trials from the tangent
+        # predictor need all 30 Newton steps
+        keys = requested_grids(monkeypatch)
+        res = solve_phi_system(monomial(5, 1), 2.4 * 4 * np.pi, SolveConfig(l_max=256))
+        assert 1.99 < res.lam / (4 * np.pi) < 2.0
+        assert res.stop_reason == "newton"
+        assert res.u.u.shape == (257, 516)
+        assert not [key for key in keys if key[1] == key[0] > 72]
+
+    def test_radial_polish_builds_no_full_grid(self, monkeypatch):
+        keys = requested_grids(monkeypatch)
+        r = solve_radial(monomial(4, 1), 4 * np.pi, SolveConfig(l_max=24))
+        assert r.converged and r.u.u.shape == (25, 52)
+        assert set(keys) == {(24, 0), (36, 0)}
 
 
 class TestRadial:
