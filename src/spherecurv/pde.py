@@ -4,32 +4,32 @@ The unknown is the dilation exponent in  lap(u) + 2 K e^{2u} - lambda = 0
 with K the flat-metric squared norm of a holomorphic class.  Galerkin
 collocation on the packed real coefficients of every grid transform
 (``SphereGrid.analyze``/``synthesize``; entry 0 is the constant);
-the Jacobian lap + 4 K e^{2u} is symmetric in that orthonormal basis and is
-inverted matrix-free by the package's own MINRES loop (``minres``),
-preconditioned by the diagonal (sigma - lap)^{-1}; no scipy Krylov solver or
-linear-operator wrapper is involved.
+the Jacobian lap + 4 K e^{2u} is symmetric in that orthonormal basis.  On a
+full grid it is inverted matrix-free by the package's own MINRES loop
+(``minres``), preconditioned by the diagonal (sigma - lap)^{-1}; no scipy
+Krylov solver or linear-operator wrapper is involved.
 
-Newton is inexact (Eisenstat & Walker 1996, SIAM J. Sci. Comput. 17): each
-correction is solved only as tightly as the outer residual needs, with the
-forcing term  rtol_k = min(1e-3, max(minres_rtol, 0.9 (|r_k|/|r_{k-1}|)^2,
-0.25 newton_tol/|r_k|))  and 1e-3 on the first step.  MINRES stops on
-scipy's test |r|/(|A| |x|) <= rtol, with |r| the preconditioned residual and
-|A| its running estimate of the preconditioned operator's norm, so the forcing
-term bounds that ratio, not |r|/|b|.  The line search measures the Euclidean
-residual, so a loose correction can fail to decrease |r| at any step size; a
-correction that fails its residual check or the line search is solved again
-once at minres_rtol from the same point.  Only |r| < newton_tol on the exact packed
-residual accepts a solve.
+On a full grid Newton is inexact (Eisenstat & Walker 1996, SIAM J. Sci.
+Comput. 17): each correction is solved only as tightly as the outer residual
+needs, with the forcing term  rtol_k = min(1e-3, max(minres_rtol,
+0.9 (|r_k|/|r_{k-1}|)^2, 0.25 newton_tol/|r_k|))  and 1e-3 on the first
+step.  MINRES stops on scipy's test |r|/(|A| |x|) <= rtol, with |r| the
+preconditioned residual and |A| its running estimate of the preconditioned
+operator's norm, so the forcing term bounds that ratio, not |r|/|b|.  The
+line search measures the Euclidean residual, so a loose correction can fail
+to decrease |r| at any step size; a correction that fails its residual check
+or the line search is solved again once at minres_rtol from the same point.
+Only |r| < newton_tol on the exact packed residual accepts a solve.
 Continuation ramps lambda from a small value (where the constant-mode
 asymptotics give the initializer), or from a start state (a converged
 result at a lower coupling), with step halving on Newton failure and Illinois
 regula falsi (Dowell & Jarratt 1971, BIT 11) on a refined-grid filter crossing.
 It is a predictor-corrector (Allgower & Georg 2003, SIAM, ch. 2): lambda
 enters the packed residual only as -lambda e_0, so the path tangent at an
-accepted point is t = J^{-1} e_0, solved once by MINRES at ``forcing_cap``
-when the first trial leaves that point, with the Jacobian weight Newton
-already holds there.  Every trial from it, a growth step or a bracket
-trial, starts Newton at x + lambda log(lambda_try/lambda) t: the tangent
+accepted point is t = J^{-1} e_0, solved once (on a full grid by MINRES at
+``forcing_cap``) when the first trial leaves that point, with the Jacobian
+weight Newton already holds there.  Every trial from it, a growth step or a
+bracket trial, starts Newton at x + lambda log(lambda_try/lambda) t: the tangent
 step in log(lambda), not in lambda.  The constant mode grows like
 (1/2) log(lambda), for which that step is exact, and the ramp multiplies
 lambda by up to 9 in one step, where a step linear in lambda overshoots.
@@ -45,6 +45,8 @@ solve's starts from the coarse result's, so it includes the coarse-grid work.
 - A monomial class's K and lambda-branch depend on colatitude alone: its
   solve, filter and coarse stages run on m = 0 grids, fields enter through
   their longitude mean, and u returns tiled over the full grid's longitudes.
+  There every correction and tangent is one exact dense LAPACK solve of the
+  (l_max+1)-square Jacobian: no MINRES, no forcing term, no re-solve.
 
 A radially symmetric reduction (two-point boundary value problem in the
 colatitude) is solved by shooting on the regularized momentum
@@ -113,7 +115,7 @@ class SolveResult:
     continuation_trace: list = field(default_factory=list)
     residual_fine: float = float("nan")
     # MINRES iterations over every Newton step, rejected ramp steps and
-    # fallback re-solves included
+    # fallback re-solves included; 0 on m = 0 grids, whose solves are dense
     minres_iters: int = 0
     # "converged", or the guard that rejected the step a stall ended on:
     # "init" (the lambda_init solve failed), "newton", "blowup"
@@ -196,11 +198,30 @@ class _Workspace:
         sigma = max(float(weight.mean()), 1e-8)
         return functools.partial(self.jacobian_matvec, weight), 1.0 / (sigma - self.diag)
 
+    def zonal_jacobian(self, weight: np.ndarray) -> np.ndarray:
+        """The m = 0 grid's Jacobian of ``weight``, dense: lap + B^T diag(w_lat mean_lon(weight)) B.
+
+        B = sqrt(2) Pbar_l^0 at the latitudes synthesizes; B^T diag(w_lat) analyzes.
+        """
+        b = math.sqrt(2.0) * self.grid._plm[0].T
+        return (b.T * (weight.mean(axis=1) * self.grid._wq)) @ b + np.diag(self.diag)
+
     def correction(self, weight: np.ndarray, rhs: np.ndarray, rtol: float):
-        """``minres`` on the Jacobian of ``weight`` at ``rtol``, its iterations counted: (d, info, matvec)."""
+        """Solve J d = rhs for the Jacobian of ``weight``: (d, failed).
+
+        On an m = 0 grid one exact LAPACK solve of ``zonal_jacobian`` (``rtol``
+        unused) that fails only on a singular block, with d = 0.  Elsewhere
+        ``minres`` at ``rtol``, its iterations counted, which fails when it hit
+        its iteration limit with |J d - rhs| > 0.1 |rhs|.
+        """
+        if self.grid.m_max == 0:
+            try:
+                return np.linalg.solve(self.zonal_jacobian(weight), rhs), False
+            except np.linalg.LinAlgError:
+                return np.zeros_like(rhs), True
         matvec, pre = self.operator(weight)
         d, info = minres(matvec, rhs, pre, rtol=rtol, maxiter=SolveConfig.minres_maxiter, callback=self._count)
-        return d, info, matvec
+        return d, info != 0 and np.linalg.norm(matvec(d) - rhs) > 0.1 * np.linalg.norm(rhs)
 
     def _count(self, _x):
         self.minres_iters += 1
@@ -291,13 +312,13 @@ def minres(matvec, b, m_diag, *, rtol, maxiter, callback=None):
 
 
 def _damped_step(ws: _Workspace, weight, x, r, rnorm, lam, rtol):
-    """One MINRES correction at ``rtol`` on the Jacobian of ``weight`` and its halving line search.
+    """One ``correction`` at ``rtol`` on the Jacobian of ``weight`` and its halving line search.
 
     Each trial costs one synthesis and, below ``blowup_sup``, one analysis.
     Returns (x, r, |r|, sup|u - c|, Jacobian weight), or None on failure.
     """
-    delta, info, matvec = ws.correction(weight, -r, rtol)
-    if info != 0 and np.linalg.norm(matvec(delta) + r) > 0.1 * rnorm:
+    delta, failed = ws.correction(weight, -r, rtol)
+    if failed:
         return None
     step = 1.0
     for _ in range(10):
@@ -312,7 +333,7 @@ def _damped_step(ws: _Workspace, weight, x, r, rnorm, lam, rtol):
 
 
 def _newton(ws: _Workspace, x0: np.ndarray, lam: float):
-    """Inexact damped Newton at fixed lambda.
+    """Damped Newton at fixed lambda, inexact on a full grid.
 
     Returns (x, iterations, |r|, ok, sup|u - c|, Jacobian weight at x).
     """
@@ -328,7 +349,7 @@ def _newton(ws: _Workspace, x0: np.ndarray, lam: float):
             forcing = max(SolveConfig.minres_rtol, 0.9 * (rnorm / rprev) ** 2, 0.25 * SolveConfig.newton_tol / rnorm)
             rtol = min(SolveConfig.forcing_cap, forcing)
         new = _damped_step(ws, weight, x, r, rnorm, lam, rtol)
-        if new is None and rtol > SolveConfig.minres_rtol:
+        if new is None and rtol > SolveConfig.minres_rtol and ws.grid.m_max > 0:  # an exact correction stands
             new = _damped_step(ws, weight, x, r, rnorm, lam, SolveConfig.minres_rtol)
         if new is None:
             return x, it, rnorm, False, sup, weight
@@ -364,7 +385,7 @@ def _trial(ws: _Workspace, x0: np.ndarray, lam: float):
 
 
 def _tangent(ws: _Workspace, weight: np.ndarray):
-    """Path tangent dx/dlambda = J^{-1} e_0 at an accepted point, at ``forcing_cap``.
+    """Path tangent dx/dlambda = J^{-1} e_0 at an accepted point, at ``forcing_cap`` on a full grid.
 
     The packed residual depends on lambda only through entry 0 (the
     constant), so dF/dlambda = -e_0; J is the Jacobian of ``weight``.

@@ -359,6 +359,7 @@ class TestPredictor:
         assert max(iters for _, iters, _ in ramp) <= 3
 
     def test_minres_iters_include_the_tangent_solves(self, monkeypatch):
+        # a full-grid solve: MINRES makes every correction and every tangent
         import spherecurv.pde as pde
 
         calls = []  # (tangent solve?, iterations)
@@ -378,12 +379,24 @@ class TestPredictor:
             return out
 
         monkeypatch.setattr(pde, "minres", counting)
-        res = solve_phi_system(monomial(4, 1), 4 * np.pi, SolveConfig(l_max=16))
+        res = solve_phi_system(pole_balanced_ring(), 4 * np.pi, SolveConfig(l_max=16))
         assert res.converged
         tangents = [n for tangent, n in calls if tangent]
         # one tangent per accepted point a trial started from: all but the last
         assert len(tangents) == len(res.continuation_trace) - 1 and min(tangents) > 0
         assert res.minres_iters == sum(n for _, n in calls)
+
+    def test_axisymmetric_tangents_are_dense_solves(self, monkeypatch):
+        # on the m = 0 grid the tangent, like every correction, is one dense solve
+        import spherecurv.pde as pde
+
+        calls, tangents = [], []
+        monkeypatch.setattr(pde, "minres", lambda *args, **kwargs: calls.append(args))
+        tangent = pde._tangent
+        monkeypatch.setattr(pde, "_tangent", lambda *args: tangents.append(args) or tangent(*args))
+        res = solve_phi_system(monomial(4, 1), 4 * np.pi, SolveConfig(l_max=16))
+        assert res.converged and res.minres_iters == 0 and not calls
+        assert len(tangents) == len(res.continuation_trace) - 1
 
     def test_solve_at_its_opening_computes_no_tangent(self, monkeypatch):
         import spherecurv.pde as pde
@@ -401,18 +414,33 @@ class TestPredictor:
 
 
 class TestInexactNewton:
-    # b at 4*pi of z on k=4, l_max 32, as the exact-MINRES Newton (every
-    # correction at rtol 1e-12) computed it; the coupling identity makes it 2*pi
+    # b at 4*pi, l_max 32, as the exact-MINRES Newton (every correction at
+    # rtol 1e-12) computed it, of z on k=4 and of the pole-balanced ring
+    # z (z^4 - 1) on k=8; the coupling identity makes them 2*pi and +-pi
     B_EXACT_NEWTON = np.array([0.0, 6.283185307179687, 0.0])
+    B_EXACT_NEWTON_RING = np.array([0.0, -3.1415926535902363, 0.0, 0.0, 0.0, 3.1415926535902359, 0.0])
 
-    def b_at_4pi(self, res, l_max):
-        return b_coords(monomial(4, 1), res.u, build_grid(l_max)).b
+    @staticmethod
+    def b_at_4pi(phi, res, l_max):
+        return b_coords(phi, res.u, build_grid(l_max)).b
 
     def test_forcing_terms_cut_minres_work(self):
-        res = solve_phi_system(monomial(4, 1), 4 * np.pi, SolveConfig(l_max=32))
+        phi = pole_balanced_ring()
+        res = solve_phi_system(phi, 4 * np.pi, SolveConfig(l_max=32))
         assert res.converged
-        assert 0 < res.minres_iters <= 100  # 150 with every correction at 1e-12
-        b = self.b_at_4pi(res, 32)
+        assert 0 < res.minres_iters <= 100  # 110 with every correction at 1e-12
+        b = self.b_at_4pi(phi, res, 32)
+        assert np.linalg.norm(b - self.B_EXACT_NEWTON_RING) < 1e-9 * np.linalg.norm(self.B_EXACT_NEWTON_RING)
+
+    def test_axisymmetric_corrections_are_exact(self, monkeypatch):
+        # on the m = 0 grid every correction is one dense solve: no MINRES call
+        import spherecurv.pde as pde
+
+        calls = []
+        monkeypatch.setattr(pde, "minres", lambda *args, **kwargs: calls.append(args))
+        res = solve_phi_system(monomial(4, 1), 4 * np.pi, SolveConfig(l_max=32))
+        assert res.converged and res.minres_iters == 0 and not calls
+        b = self.b_at_4pi(monomial(4, 1), res, 32)
         assert np.linalg.norm(b - self.B_EXACT_NEWTON) < 1e-9 * np.linalg.norm(self.B_EXACT_NEWTON)
 
     def test_failed_loose_correction_is_resolved_tight(self, monkeypatch):
@@ -421,7 +449,8 @@ class TestInexactNewton:
         import spherecurv.pde as pde
 
         cfg = SolveConfig(l_max=16)
-        reference = solve_phi_system(monomial(4, 1), 4 * np.pi, cfg)
+        phi = pole_balanced_ring()
+        reference = solve_phi_system(phi, 4 * np.pi, cfg)
         exact = pde.minres
         loose = []
 
@@ -432,15 +461,51 @@ class TestInexactNewton:
             return exact(op, rhs, *args, rtol=rtol, **kwargs)
 
         monkeypatch.setattr(pde, "minres", zero_when_loose)
-        res = solve_phi_system(monomial(4, 1), 4 * np.pi, cfg)
+        res = solve_phi_system(phi, 4 * np.pi, cfg)
         assert loose and res.converged
-        b, b_ref = self.b_at_4pi(res, 16), self.b_at_4pi(reference, 16)
+        b, b_ref = self.b_at_4pi(phi, res, 16), self.b_at_4pi(phi, reference, 16)
         assert np.linalg.norm(b - b_ref) < 1e-9 * np.linalg.norm(b_ref)
+
+    def test_singular_block_fails_the_step(self, monkeypatch):
+        # weight 0 leaves the constant mode's row of the m = 0 block zero: the
+        # LinAlgError of the dense solve is a failed correction, never raised
+        import spherecurv.pde as pde
+
+        ws = _Workspace(monomial(4, 1), build_grid(16, 0))
+        x = _initial_guess(ws, 1.0)
+        _, r, weight = ws.evaluate(x, 1.0)
+        zero = np.zeros_like(weight)
+        assert ws.correction(zero, -r, SolveConfig.forcing_cap)[1]
+        assert pde._damped_step(ws, zero, x, r, np.linalg.norm(r), 1.0, SolveConfig.forcing_cap) is None
+
+        # above 2 pi every weight is 0: each trial there fails its first
+        # correction, which is not solved again, and the ramp stops on "newton"
+        fail_above = 2 * np.pi
+        evaluate, correction = pde._Workspace.evaluate, pde._Workspace.correction
+        failed = []
+
+        def zero_weight_above(ws, x, lam, sup_max=np.inf):
+            sup, r, weight = evaluate(ws, x, lam, sup_max)
+            return sup, r, 0.0 * weight if lam > fail_above and weight is not None else weight
+
+        def recording(ws, weight, rhs, rtol):
+            out = correction(ws, weight, rhs, rtol)
+            failed.append(out[1])
+            return out
+
+        monkeypatch.setattr(pde._Workspace, "evaluate", zero_weight_above)
+        monkeypatch.setattr(pde._Workspace, "correction", recording)
+        res = solve_phi_system(monomial(4, 1), 4 * np.pi, SolveConfig(l_max=16))
+        assert res.stop_reason == "newton" and not res.converged
+        assert fail_above - 2 * SolveConfig.min_step < res.lam <= fail_above
+        above = [(iters, rnorm) for lam, iters, rnorm in res.continuation_trace if lam > fail_above]
+        assert len(above) >= 3 and all(iters == 1 and np.isnan(rnorm) for iters, rnorm in above)
+        assert sum(failed) == len(above)
 
 
 class TestTransformCount:
     def test_one_synthesis_and_analysis_per_line_search_trial(self, monkeypatch):
-        # a monomial class solves on the m = 0 grid
+        # a monomial class solves on the m = 0 grid, where no correction calls MINRES
         self.count_on_the_solve_grid(monkeypatch, monomial(4, 1), 4 * np.pi, 0)
 
     def test_a_non_monomial_class_solves_on_the_full_grid(self, monkeypatch):
@@ -453,11 +518,13 @@ class TestTransformCount:
         # (one evaluated point); the Jacobian reuses the accepted trial's
         # weight.  The rest of the solve adds the initial guess's analysis, the
         # returned u's synthesis and the Laplacian of the returned residual
-        # (one of each); each matvec costs one of each.
+        # (one of each); each matvec costs one of each.  An m = 0 grid's
+        # corrections are dense solves that run no matvec and no MINRES.
         import spherecurv.pde as pde
 
         transforms = collections.Counter()  # (grid, transform, innermost phase) -> calls
         points = collections.Counter()  # phase an evaluated point was asked for in -> points
+        entered = collections.Counter()  # phase -> calls
         phase = ["solve"]
 
         def counting(name):
@@ -473,6 +540,7 @@ class TestTransformCount:
             def wrapped(*args, **kwargs):
                 if label == "point":
                     points[phase[-1]] += 1
+                entered[label] += 1
                 phase.append(label)
                 try:
                     return fn(*args, **kwargs)
@@ -501,7 +569,10 @@ class TestTransformCount:
         assert both("point") == (sum(points.values()),) * 2
         assert both("line search") == (0, 0)
         assert both("solve") == (2, 2)
-        assert both("minres")[0] == both("minres")[1] > 0
+        if m_max == 0:
+            assert both("minres") == (0, 0) and entered["minres"] == res.minres_iters == 0
+        else:
+            assert both("minres")[0] == both("minres")[1] > 0 and entered["minres"] > 0
 
 
 class TestForwardF:
@@ -562,11 +633,7 @@ class TestRingFamilyAtTopCoupling:
         # k=8, a=1, n=4: ring family with pole mass 1 on each side; the
         # equatorial reflection pins |b_2| = |b_6| and the solve reaches the
         # curvature coupling cleanly
-        spec = BundleSpec(0, 8)
-        coeffs = np.zeros(7, dtype=complex)
-        coeffs[5] = 1.0
-        coeffs[1] = -1.0  # z (z^4 - 1)
-        phi = HoloClass(spec, coeffs)
+        phi = pole_balanced_ring()
         cfg = SolveConfig(l_max=32)
         res = solve_phi_system(phi, 4 * np.pi, cfg)
         assert res.converged and res.residual_sup < 1e-8
@@ -595,6 +662,13 @@ def pole_free_ring():
     coeffs[5] = 1.0
     coeffs[1] = -1.0  # z (z^4 - 1) on k=7
     return HoloClass(spec_k(7), coeffs)
+
+
+def pole_balanced_ring():
+    coeffs = np.zeros(7, dtype=complex)
+    coeffs[5] = 1.0
+    coeffs[1] = -1.0  # z (z^4 - 1) on k=8
+    return HoloClass(spec_k(8), coeffs)
 
 
 def edge_random_class(k):
@@ -743,17 +817,24 @@ class TestNestedIteration:
         assert abs(nested.lam - single.lam) < SolveConfig.min_step
         assert len(nested.continuation_trace) > len(coarse.continuation_trace)
 
-    def test_failed_coarse_opening_falls_back_to_the_single_grid(self, monkeypatch):
-        phi = monomial(4, 1)
+    def failed_coarse_opening(self, monkeypatch, phi):
         single = self.single_grid(monkeypatch, phi, 2 * np.pi, 48)
         grids = self.newton_grids(monkeypatch, fail_on=24)
         nested = solve_phi_system(phi, 2 * np.pi, SolveConfig(l_max=48))
         assert grids[0] == 24 and grids.count(24) == 1  # the coarse opening, then nothing more on 24
         assert nested.converged
         assert np.array_equal(nested.u.total, single.u.total)
+        assert nested.continuation_trace[1:] == single.continuation_trace
+        return single, nested
+
+    def test_failed_coarse_opening_falls_back_to_the_single_grid(self, monkeypatch):
+        single, nested = self.failed_coarse_opening(monkeypatch, pole_free_ring())
         # the discarded coarse opening is counted
         assert nested.minres_iters > single.minres_iters
-        assert nested.continuation_trace[1:] == single.continuation_trace
+
+    def test_failed_axisymmetric_coarse_opening_counts_no_minres(self, monkeypatch):
+        single, nested = self.failed_coarse_opening(monkeypatch, monomial(4, 1))
+        assert nested.minres_iters == single.minres_iters == 0
 
     def test_seeded_solves_stay_on_one_grid(self, monkeypatch):
         phi = monomial(4, 1)
@@ -813,16 +894,31 @@ class TestAxisymmetric:
         assert {m for _, m in keys} == {0}
 
     def test_resolution_at_l_max_256(self, monkeypatch):
-        # z on k=5: the radial branch ends at 2 * 4 pi (a dense axisymmetric solve read 1.9974 at 256).
-        # Newton, not the filter, stops it: past 1.997 * 4 pi the solution
-        # concentrates at the order-1 zero and the trials from the tangent
-        # predictor need all 30 Newton steps
+        # z on k=5: the radial branch ends at 2 * 4 pi.  Past 1.997 * 4 pi the
+        # solution concentrates at the order-1 zero; with exact corrections
+        # Newton follows it there and the refined-grid filter stops the ramp
         keys = requested_grids(monkeypatch)
         res = solve_phi_system(monomial(5, 1), 2.4 * 4 * np.pi, SolveConfig(l_max=256))
-        assert 1.99 < res.lam / (4 * np.pi) < 2.0
-        assert res.stop_reason == "newton"
+        assert 1.997 < res.lam / (4 * np.pi) < 2.0
+        assert res.stop_reason == "filter"
         assert res.u.u.shape == (257, 516)
         assert not [key for key in keys if key[1] == key[0] > 72]
+
+    @pytest.mark.parametrize("l_max", [16, 48])
+    def test_dense_block_matches_the_matvec(self, l_max):
+        ws = _Workspace(monomial(5, 1), build_grid(l_max, 0))
+        rng = np.random.default_rng(l_max)
+        x = _initial_guess(ws, 3.0) + rng.normal(size=ws.n) / np.arange(1, ws.n + 1) ** 2
+        weight = ws.evaluate(x, 3.0)[2]
+        assert weight.max() > 2 * weight.min()
+        jac = ws.zonal_jacobian(weight)
+        for e, column in zip(np.eye(ws.n), jac.T):
+            matvec = ws.jacobian_matvec(weight, e)
+            assert np.linalg.norm(column - matvec) <= 1e-12 * np.linalg.norm(matvec)
+        rhs = rng.normal(size=ws.n)
+        d, failed = ws.correction(weight, rhs, SolveConfig.forcing_cap)
+        assert not failed
+        assert np.linalg.norm(jac @ d - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_radial_polish_builds_no_full_grid(self, monkeypatch):
         keys = requested_grids(monkeypatch)

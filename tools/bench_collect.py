@@ -14,7 +14,8 @@ each at seeds 101 and 104, recording
 
 - ``residual_sup``, ``residual_fine``, b, MINRES iterations and Newton
   steps (the trace's iterations summed) of every ``converge`` input and of
-  every solve behind a ``dbar`` input;
+  every solve behind a ``dbar`` input; a monomial class solves on the m = 0
+  grid by dense corrections, so its MINRES iterations read 0;
 - b, ``p_f`` and ``dbar_rel_l2`` of every ``dbar`` input;
 - the stall coupling, ``stop_reason`` and stratum of every ``edge`` row;
 - ``div_eta`` of every ``classify`` vector (exact and float), and in
