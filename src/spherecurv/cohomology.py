@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polymul, polypow
 
 from .bundles import (
     TANGENT_NORMALIZATION,
@@ -150,17 +151,6 @@ class IsometryAction:
         return cls(1.0 + 0j, 0j, reverses=True)
 
 
-def _poly_mul(a, b):
-    return np.convolve(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def _poly_pow(p, n):
-    out = np.array([1.0 + 0j])
-    for _ in range(n):
-        out = _poly_mul(out, p)
-    return out
-
-
 def pullback_class(iso: IsometryAction, phi: HoloClass) -> HoloClass:
     """Class of the pulled-back section; divisors map by iso^{-1}.
 
@@ -180,7 +170,7 @@ def pullback_class(iso: IsometryAction, phi: HoloClass) -> HoloClass:
     for i, coef in enumerate(a):
         if coef == 0:
             continue
-        term = coef * _poly_mul(_poly_pow(num, i), _poly_pow(den, k - 2 - i))
+        term = coef * polymul(polypow(num, i, maxpower=None), polypow(den, k - 2 - i, maxpower=None))
         out[: len(term)] += term
     return HoloClass(phi.spec, out)
 

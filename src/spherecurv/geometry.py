@@ -26,6 +26,9 @@ coefficients are those of its real part plus 1j times those of its
 imaginary part.  Both angular derivatives act on the packed vector: d/dphi
 swaps each cos entry with its sin partner scaled by +-m, and by the Legendre
 recurrence sin(theta) d/dtheta is a packed-vector shift and a factor mu.
+``zonal_gram(weight)`` is the dense m = 0 block of analyze(weight *
+synthesize(.)) for a non-negative node weight, the one place outside the
+transforms that reads the Legendre table and the latitude weights.
 
 The Legendre recurrence coefficients are cached per l_max, each grid keeps
 one node table and the north-pole table, and ``evaluate`` builds its table
@@ -297,6 +300,18 @@ class SphereGrid:
     def integrate(self, f):
         """Integral against the normalized measure (total mass 1)."""
         return (self.weights * self._field(f)).sum()
+
+    def zonal_gram(self, weight) -> np.ndarray:
+        """The m = 0 block B^T diag(w_lat mean_lon(weight)) B of a non-negative node weight, (l_max+1)-square.
+
+        B = sqrt(2) Pbar_l^0 at the latitudes synthesizes the m = 0 packed
+        entries and B^T diag(w_lat) analyzes them, so on a full grid this is
+        the m = 0 block of analyze(weight * synthesize(.)).  It is one
+        symmetric product C^T C, C = sqrt(2 w_lat mean_lon(weight)) Pbar^0 at
+        the latitudes, so a negative longitude mean gives NaN entries.
+        """
+        c = np.sqrt(2.0 * self._wq * self._field(weight).mean(axis=1))[:, None] * self._plm[0].T
+        return c.T @ c
 
     def laplacian(self, f) -> np.ndarray:
         """Spectral Laplace-Beltrami operator; valid for band-limited fields."""

@@ -198,25 +198,19 @@ class _Workspace:
         sigma = max(float(weight.mean()), 1e-8)
         return functools.partial(self.jacobian_matvec, weight), 1.0 / (sigma - self.diag)
 
-    def zonal_jacobian(self, weight: np.ndarray) -> np.ndarray:
-        """The m = 0 grid's Jacobian of ``weight``, dense: lap + B^T diag(w_lat mean_lon(weight)) B.
-
-        B = sqrt(2) Pbar_l^0 at the latitudes synthesizes; B^T diag(w_lat) analyzes.
-        """
-        b = math.sqrt(2.0) * self.grid._plm[0].T
-        return (b.T * (weight.mean(axis=1) * self.grid._wq)) @ b + np.diag(self.diag)
-
     def correction(self, weight: np.ndarray, rhs: np.ndarray, rtol: float):
         """Solve J d = rhs for the Jacobian of ``weight``: (d, failed).
 
-        On an m = 0 grid one exact LAPACK solve of ``zonal_jacobian`` (``rtol``
-        unused) that fails only on a singular block, with d = 0.  Elsewhere
-        ``minres`` at ``rtol``, its iterations counted, which fails when it hit
-        its iteration limit with |J d - rhs| > 0.1 |rhs|.
+        On an m = 0 grid one exact LAPACK solve of the dense block
+        ``grid.zonal_gram(weight)`` + diag(lap) (``rtol`` unused), valid since
+        the weight 4 K e^{2u} is non-negative, that fails only on a singular
+        block, with d = 0.  Elsewhere ``minres`` at ``rtol``, its iterations
+        counted, which fails when it hit its iteration limit with
+        |J d - rhs| > 0.1 |rhs|.
         """
         if self.grid.m_max == 0:
             try:
-                return np.linalg.solve(self.zonal_jacobian(weight), rhs), False
+                return np.linalg.solve(self.grid.zonal_gram(weight) + np.diag(self.diag), rhs), False
             except np.linalg.LinAlgError:
                 return np.zeros_like(rhs), True
         matvec, pre = self.operator(weight)

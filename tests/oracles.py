@@ -324,6 +324,25 @@ def minres_allocating(matvec, b, m_diag, *, rtol, maxiter, callback=None):
     return x, maxiter
 
 
+def pullback_class_convolve(iso: IsometryAction, phi: HoloClass) -> HoloClass:
+    """``cohomology.pullback_class`` with each power of alpha z + beta and its partner built by repeated convolution."""
+
+    def power(p, n):
+        out = np.array([1.0 + 0j])
+        for _ in range(n):
+            out = np.convolve(out, np.asarray(p, dtype=complex))
+        return out
+
+    k, a, alpha, beta = phi.spec.k, phi.a, iso.alpha, iso.beta
+    if iso.reverses:
+        a, alpha, beta = np.conj(a), np.conj(alpha), np.conj(beta)
+    out = np.zeros(k - 1, dtype=complex)
+    for i, coef in enumerate(a):
+        if coef != 0:
+            out += coef * np.convolve(power([beta, alpha], i), power([np.conj(alpha), -np.conj(beta)], k - 2 - i))
+    return HoloClass(phi.spec, out)
+
+
 # ----------------------------------------------------------------------
 # quantities no program path uses
 # ----------------------------------------------------------------------

@@ -27,6 +27,7 @@ from oracles import (
     apply_z,
     compose,
     norm_equivariance_profile,
+    pullback_class_convolve,
     pullback_conformal,
     rotation_about_axis,
 )
@@ -316,6 +317,19 @@ class TestPullbacks:
             cs.append(c)
         cs = np.array(cs)
         assert cs.std() / cs.mean() < 1e-6
+
+    def test_matches_repeated_convolution(self):
+        # numpy's polypow/polymul trim trailing zeros (alpha = 0 on a half
+        # turn); the padded sum must stay bitwise the full convolutions'
+        rng = np.random.default_rng(47)
+        isos = [IsometryAction(0j, 1.0 + 0j), IsometryAction(1.0 + 0j, 0j, reverses=True)]
+        isos += [IsometryAction.random_rotation(rng) for _ in range(3)]
+        for k in range(2, 14):
+            a = rng.normal(size=k - 1) + 1j * rng.normal(size=k - 1)
+            a[1::3] = 0  # zero coefficients are skipped
+            phi = HoloClass(spec_k(k), a)
+            for iso in isos:
+                assert np.array_equal(pullback_class(iso, phi).a, pullback_class_convolve(iso, phi).a)
 
     def test_reflection_conjugates(self):
         spec = spec_k(4)

@@ -29,3 +29,14 @@ def test_tracer_targets_exist():
     assert [name for name in tracing.METHODS if name not in grid_methods] == []
     # the tracer counts MINRES iterations by replacing pde.minres itself
     assert callable(getattr(spherecurv.pde, "minres", None))
+
+
+def test_pde_reads_no_private_grid_attribute():
+    # geometry alone knows its coefficient format (the Legendre table, the
+    # latitude weights, the sqrt(2) scale of m = 0): pde reaches a grid through
+    # public methods, so no attribute pde reads may be one of a grid's private names
+    grid = spherecurv.geometry.build_grid(8)
+    private = {name for name in {*vars(grid), *vars(type(grid))} if name.startswith("_") and not name.endswith("__")}
+    tree = ast.parse(Path(spherecurv.pde.__file__).read_text())
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in private]
+    assert [f"line {node.lineno}: {ast.unparse(node)}" for node in reads] == []

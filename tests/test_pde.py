@@ -911,7 +911,7 @@ class TestAxisymmetric:
         x = _initial_guess(ws, 3.0) + rng.normal(size=ws.n) / np.arange(1, ws.n + 1) ** 2
         weight = ws.evaluate(x, 3.0)[2]
         assert weight.max() > 2 * weight.min()
-        jac = ws.zonal_jacobian(weight)
+        jac = ws.grid.zonal_gram(weight) + np.diag(ws.diag)
         for e, column in zip(np.eye(ws.n), jac.T):
             matvec = ws.jacobian_matvec(weight, e)
             assert np.linalg.norm(column - matvec) <= 1e-12 * np.linalg.norm(matvec)
@@ -919,6 +919,19 @@ class TestAxisymmetric:
         d, failed = ws.correction(weight, rhs, SolveConfig.forcing_cap)
         assert not failed
         assert np.linalg.norm(jac @ d - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("l_max", [16, 24])
+    def test_zonal_gram_is_the_full_jacobians_m0_block(self, l_max):
+        # the m = 0 rows of the Jacobian see only the weight's longitude mean,
+        # so the block of a weight that varies in phi is the grid's zonal_gram
+        grid = build_grid(l_max)
+        ws = _Workspace(monomial(5, 1), grid)
+        weight = np.exp(random_real_field(grid, np.random.default_rng(l_max), l_hi=8, amp=0.1))
+        assert (np.ptp(weight, axis=1) > 0.1 * weight.mean(axis=1)).all()
+        block = grid.zonal_gram(weight) + np.diag(grid.packed_laplace[: l_max + 1])
+        for e, column in zip(np.eye(grid.n_packed)[: l_max + 1], block.T):
+            matvec = ws.jacobian_matvec(weight, e)[: l_max + 1]
+            assert np.linalg.norm(column - matvec) <= 1e-12 * np.linalg.norm(matvec)
 
     def test_radial_polish_builds_no_full_grid(self, monkeypatch):
         keys = requested_grids(monkeypatch)
