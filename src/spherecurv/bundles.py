@@ -90,9 +90,9 @@ class HoloClass:
         if not np.any(a):
             raise ZeroClass("holomorphic class must have a nonzero coefficient vector")
 
-    def poly_degree(self, rel_tol: float = 1e-14) -> int:
+    def poly_degree(self) -> int:
         scale = np.abs(self.a).max()
-        nz = np.nonzero(np.abs(self.a) > rel_tol * scale)[0]
+        nz = np.nonzero(np.abs(self.a) > 1e-14 * scale)[0]
         return int(nz[-1]) if nz.size else 0
 
     def scaled(self, c: complex) -> "HoloClass":

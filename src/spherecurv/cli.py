@@ -119,7 +119,7 @@ def _cmd_family(args) -> int:
         ],
         "total_multiplicity": div.total,
     }
-    print(json.dumps(out, indent=2, default=str))
+    print(json.dumps(out, indent=2))
     return 0
 
 
@@ -158,7 +158,7 @@ def _cmd_driver(args) -> int:
     cfg = _load_config(args)
     record = DRIVERS[args.verb](cfg)
     paths = write_run(record, cfg)
-    print(json.dumps({"summary": record.summary, "paths": paths}, indent=2, default=str))
+    print(json.dumps({"summary": record.summary, "paths": paths}, indent=2))
     return 0 if record.ok() else 1
 
 

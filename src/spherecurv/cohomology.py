@@ -261,14 +261,12 @@ def dbar_solve(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> DbarSolu
     f_north = complex(vals[0])
     w_pts = radii[:, None] * np.exp(1j * angles)
     poly = np.polynomial.polynomial.polyval(w_pts, np.concatenate([[0.0], p_f]))
-    o_mag = list(np.abs(vals[1:].reshape(w_pts.shape) + poly).max(axis=1))
+    o_mag = np.abs(vals[1:].reshape(w_pts.shape) + poly).max(axis=1)
     slope = float(np.log(o_mag[0] / o_mag[1]) / np.log(radii[0] / radii[1]))
 
     report = {
         "dbar_rel_l2": rel_l2,
         "remainder_slope": slope,
-        "remainder_mags": o_mag,
-        "f_north_abs": abs(f_north),
         "rhs_mean": complex(rhs_mean),
     }
     return DbarSolution(f=f_vals, p_f=p_f, f_north=f_north, report=report)

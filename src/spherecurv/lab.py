@@ -6,9 +6,11 @@ sweep and the symmetry audit solve one warm-started ladder of couplings; the
 radial probe writes one row at 4*pi and a shooting curve.  ``write_run``
 names every file of a run ``<experiment>-<config_hash>``: a JSON with the
 config echo, hash, summary and wall time, a CSV of the rows (one fixed
-header, diffable) and, for the radial probe, ``-shooting.csv``.  Summaries
-report where continuation stopped and cite the classifier bound; they never
-claim non-existence.
+header, diffable) and, for the radial probe, ``-shooting.csv``.  A value a
+run does not have (a NaN or infinite number included) is None wherever a row
+or summary is built, so the JSON holds null there and the CSV a blank cell:
+every file is standard JSON.  Summaries report where continuation stopped and
+cite the classifier bound; they never claim non-existence.
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ CSV_HEADER_SUFFIX = ["stratum", "margin"]
 
 def _number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _value(x) -> float | None:
+    """x as a float, or None for a missing value: None, NaN or infinite."""
+    return float(x) if _number(x) else None
 
 
 def _pair(c) -> bool:
@@ -251,7 +258,7 @@ def _row(lam, result: SolveResult) -> dict:
         "residual_sup": float(result.residual_sup),
         "offset": float(result.offset),
         "stop_reason": result.stop_reason,
-        "stop_residual_fine": float(result.stop_residual_fine),
+        "stop_residual_fine": _value(result.stop_residual_fine),
     }
 
 
@@ -275,8 +282,7 @@ def _ladder(phi, cfg: ExperimentConfig, grid) -> tuple[list, dict]:
             b = b_coords(phi, result.u, grid).b
             coords = _coordinates(b, div_classifier(b, phi.spec))
         rows.append({**_row(lam, result), **coords})
-    reason, fine = ("converged", math.nan) if result is None else (result.stop_reason, result.stop_residual_fine)
-    fine = None if math.isnan(fine) else fine  # null, not NaN
+    reason, fine = ("converged", None) if result is None else (result.stop_reason, _value(result.stop_residual_fine))
     return rows, {"stop_reason": reason, "stop_residual_fine": fine, "minres_iters": minres_iters}
 
 
@@ -378,10 +384,10 @@ def _radial(cfg, phi, grid):
         "lambda": lam,
         "converged": rad.converged,
         "stall_lambda": None if rad.converged else lam,
-        "residual_sup": math.nan if rad.residual_sup is None else rad.residual_sup,
-        "offset": math.nan if rad.u is None else float(rad.u.offset),
+        "residual_sup": _value(rad.residual_sup),
+        "offset": None if rad.u is None else float(rad.u.offset),
         "stop_reason": None,
-        "stop_residual_fine": math.nan,
+        "stop_residual_fine": None,
         **_coordinates(b, rep),
     }
     curve = [
@@ -394,8 +400,8 @@ def _radial(cfg, phi, grid):
         "radial_root_found": rad.root_alpha is not None,
         "polish_converged": rad.converged,
         "root_alpha": rad.root_alpha,
-        "mismatch_min": rad.mismatch_min,
-        "error_estimate": rad.error_estimate,
+        "mismatch_min": _value(rad.mismatch_min),
+        "error_estimate": _value(rad.error_estimate),
         "degenerate_family": rad.degenerate_family,
         "flat_dual_stratum": rep.stratum_m,
         "hankel_rank_one": hankel_ok,
@@ -467,18 +473,8 @@ def write_run(record: RunRecord, cfg: ExperimentConfig) -> dict:
         "wall_time_s": record.wall_time,
     }
     paths["json"] = f"{stem}.json"
-    Path(paths["json"]).write_text(json.dumps(payload, indent=2, default=_json_default) + "\n", encoding="utf-8")
+    Path(paths["json"]).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return paths
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 DRIVERS = {

@@ -20,7 +20,8 @@ when y and 1 - v share no zero.
 One profile loop serves both arithmetics; ``_coords`` supplies its zero
 test on a discrepancy d, its update factors and its reduction step.  Exact
 inputs (Gaussian rationals) run fraction-free over the Gaussian integers and
-test d == 0; floating-point inputs must be finite and test
+test d == 0; floating-point inputs must be finite, are scaled by a power of
+two to max|b_j| in [0.5, 1) (b is projective) and test
 |d| <= DEFAULT_TOL*||b||, a constant (1e-8).  Floating-point reports also
 carry a margin: the smallest ||b||-normalized least-squares residual of the
 Hankel systems that would certify the next-lower stratum.  The stratum index
@@ -142,8 +143,11 @@ def _coords(b, exact: bool) -> tuple:
             den = math.lcm(den, x.re.denominator, x.im.denominator)
         return [GaussInt(int(x.re * den), int(x.im * den)) for x in q], den, lambda d: not d, _fraction_free, primitive
     b = [complex(x) for x in b]
-    if not np.all(np.isfinite(b)):
+    top = float(np.abs(b).max(initial=0.0))  # NaN or inf if a part is, or if a modulus overflows
+    if not math.isfinite(top):
         raise ValueError("coordinates must be finite numbers")
+    e = math.frexp(top)[1]  # max|b_j| in [0.5, 1): ||b|| and the first step's c = [1, -b_1], in b's units, stay in range
+    b = [complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e)) for x in b]
     tol_abs = DEFAULT_TOL * float(np.linalg.norm(b))
     return b, 1, lambda d: abs(d) <= tol_abs, lambda c, d, prev_d: (c, d / prev_d), lambda c: c
 
@@ -244,11 +248,12 @@ def div_classifier(b, spec: BundleSpec, *, exact: bool = False) -> DivisorReport
     j_star = orders[s]
     score = j_star - s
     div_eta = max(spec.deg_L1 + score, spec.deg_L1)
+    witness_b, den = (coords, den) if exact else ([complex(x) for x in b_seq], None)  # float: the caller's units
     return DivisorReport(
         div_eta=div_eta,
         j_star=j_star,
         s_minus=s,
-        witness=_witness(coords, s, polys[j_star - 1], den if exact else None),
+        witness=_witness(witness_b, s, polys[j_star - 1], den),
         stratum_m=spec.deg_L2 - div_eta,
         margin=None if exact else _margin(coords, score),
     )

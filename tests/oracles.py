@@ -186,6 +186,8 @@ def field_coords(b, exact: bool):
     if exact:
         return [QQi.of(x) for x in b], lambda d: not d
     b = [complex(x) for x in b]
+    e = math.frexp(max(map(abs, b), default=0.0))[1]  # strata._coords' scaling: max|b_j| in [0.5, 1)
+    b = [complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e)) for x in b]
     tol_abs = strata.DEFAULT_TOL * float(np.linalg.norm(b))
     return b, lambda d: abs(d) <= tol_abs
 
@@ -231,9 +233,10 @@ def div_classifier_field(b, spec: BundleSpec, *, exact: bool = False):
     j_star = orders[s]
     score = j_star - s
     div_eta = max(spec.deg_L1 + score, spec.deg_L1)
+    b = coords if exact else [complex(x) for x in b]  # the float witness in the caller's units
     zero = coords[0] * 0
     c = (list(polys[j_star - 1]) + [zero] * s)[: s + 1]
-    y = [zero] + [sum((c[i] * coords[j - i - 1] for i in range(j)), zero) for j in range(1, s + 1)]
+    y = [zero] + [sum((c[i] * b[j - i - 1] for i in range(j)), zero) for j in range(1, s + 1)]
     cand = strata.RationalCandidate(tuple(y), tuple([zero] + [-x for x in c[1:]]))
     return strata.DivisorReport(
         div_eta=div_eta,

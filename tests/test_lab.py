@@ -25,6 +25,15 @@ def spec_k(k):
     return BundleSpec(0, k)
 
 
+def strict_json(text):
+    """Parse standard JSON (RFC 8259): NaN, Infinity and -Infinity are errors, as for any other reader."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestGenFamily:
     def test_kind1(self):
         phi = gen_family(1, {"a": 1}, spec_k(4))
@@ -232,7 +241,7 @@ class TestSweep:
             runs.append({key: open(path, "rb").read() for key, path in paths.items()})
         assert set(runs[0]) == {"csv", "json"} | ({"shooting"} if experiment == "radial" else set())
         for run in runs:
-            run["json"] = {**json.loads(run["json"]), "wall_time_s": None}
+            run["json"] = {**strict_json(run["json"]), "wall_time_s": None}
         assert runs[0] == runs[1]
 
     def test_p1_class_reports_failure_and_bound(self, tmp_path):
@@ -303,10 +312,10 @@ class TestCsvCells:
 
     @staticmethod
     def same(cell, value):
-        # blank <-> None, floats through float(); NaN reads back as nan
+        # blank <-> None, floats through float(); a row holds no NaN
         if value is None:
             return cell == ""
-        return float(cell) == value or (np.isnan(value) and cell == "nan")
+        return float(cell) == value
 
     def check_rows(self, rec, cfg, path):
         k = cfg.spec().k
@@ -381,6 +390,10 @@ class TestRadialDriver:
         lines = open(paths["shooting"]).read().splitlines()
         assert lines[0] == "alpha,mismatch"
         assert len(lines) > 10
+        # no polish ran: its residual and offset are blank cells, not nan
+        row = TestCsvCells.read(paths["csv"])[0]
+        assert row["residual_sup"] == row["offset"] == ""
+        assert strict_json(open(paths["json"]).read())["summary"] == rec.summary
 
     def test_control_k2(self, tmp_path):
         cfg = ExperimentConfig(
@@ -393,6 +406,7 @@ class TestRadialDriver:
         rec = run_radial_nonexistence(cfg)
         assert rec.summary["radial_root_found"]
         assert rec.summary["reason"] == "converged" and rec.summary["statement"] == "radial root found"
+        assert strict_json(open(write_run(rec, cfg)["json"]).read())["summary"] == rec.summary
 
     def test_root_found_polish_unconverged(self, tmp_path):
         # at l_max 8 the shooting root of z, k=5 at 4*pi is found but its
@@ -422,7 +436,7 @@ class TestRadialDriver:
         assert rec.summary["polish_converged"] is False
         assert rec.summary["statement"] == "shooting root found; spectral polish unconverged"
 
-    def test_inconclusive_sweep_is_reported(self, tmp_path, monkeypatch):
+    def test_inconclusive_sweep_is_reported(self, tmp_path, monkeypatch, capsys):
         from spherecurv import pde
 
         monkeypatch.setattr(pde, "_shoot", lambda *args, **kw: (np.nan, None))
@@ -438,6 +452,14 @@ class TestRadialDriver:
         assert rec.summary["reason"] == "shots_failed"
         assert rec.summary["statement"].startswith("inconclusive")
         assert rec.curves["shooting"] == []
+        # no shot gave a defect: its minimum and noise are missing, null in the JSON (not Infinity, NaN)
+        assert rec.summary["mismatch_min"] is None and rec.summary["error_estimate"] is None
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg.canonical_dict()))
+        assert cli_main(["radial", "--config", str(p)]) == 0
+        printed = strict_json(capsys.readouterr().out)
+        assert printed["summary"] == strict_json(open(printed["paths"]["json"]).read())["summary"]
+        assert printed["summary"]["mismatch_min"] is None
 
 
 class TestSymmetryAudit:
@@ -597,13 +619,21 @@ class TestCli:
     def test_classify(self, capsys):
         code = cli_main(["classify", "--b", "1,0;0.5,0;0.25,0", "--deg-l2", "4"])
         assert code == 0
-        data = json.loads(capsys.readouterr().out)
+        data = strict_json(capsys.readouterr().out)
         assert data["stratum_m"] == 1
+
+    def test_classify_at_any_scale(self, capsys):
+        # b is projective: 1e-200 * (1, 0, 0) used to divide by an underflowed ||b|| in the margin
+        reports = []
+        for b in ("1e-200,0;0,0;0,0", "1,0;0,0;0,0"):
+            assert cli_main(["classify", "--b", b, "--deg-l2", "4"]) == 0
+            reports.append(strict_json(capsys.readouterr().out))
+        assert reports[0] == reports[1]
 
     def test_classify_exact(self, capsys):
         code = cli_main(["classify", "--b", "1,0;1/2,0;1/4,0", "--deg-l2", "4", "--exact"])
         assert code == 0
-        data = json.loads(capsys.readouterr().out)
+        data = strict_json(capsys.readouterr().out)
         assert data["stratum_m"] == 1 and data["margin"] is None
 
     def test_sweep_via_config(self, tmp_path, capsys):
@@ -612,7 +642,7 @@ class TestCli:
         p.write_text(json.dumps(cfg.canonical_dict()))
         code = cli_main(["sweep", "--config", str(p), "--out", str(tmp_path / "out")])
         assert code == 0
-        data = json.loads(capsys.readouterr().out)
+        data = strict_json(capsys.readouterr().out)
         assert data["summary"]["first_failure_lambda"] is None
 
     def test_radial_verb(self, tmp_path, capsys):
@@ -627,9 +657,24 @@ class TestCli:
         p.write_text(json.dumps(cfg.canonical_dict()))
         code = cli_main(["radial", "--config", str(p)])
         assert code == 0
-        data = json.loads(capsys.readouterr().out)
+        data = strict_json(capsys.readouterr().out)
         assert data["summary"]["radial_root_found"] is False
         assert "shooting" in data["paths"]
+
+    def test_symmetry_audit_verb(self, tmp_path, capsys):
+        cfg = config_file(tmp_path, "symmetry-audit", **SMALL_RUNS["symmetry-audit"])
+        assert cli_main(["symmetry-audit", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        data = strict_json(capsys.readouterr().out)
+        assert data["summary"]["pattern_indices"] == [2, 6]
+        assert strict_json(open(data["paths"]["json"]).read())["summary"] == data["summary"]
+
+    def test_lmax_override_reaches_the_config_echo(self, tmp_path, capsys):
+        cfg = config_file(tmp_path, "sweep", **SMALL_RUNS["sweep"])
+        assert cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--lmax", "12"]) == 0
+        run = strict_json(open(strict_json(capsys.readouterr().out)["paths"]["json"]).read())
+        assert run["config"]["solver"] == {"l_max": 12}
+        assert run["config_hash"] == ExperimentConfig(**run["config"]).config_hash()
+        assert run["config_hash"] != ExperimentConfig.from_json(cfg).config_hash()
 
     def test_family_verb(self, tmp_path, capsys):
         cfg = ExperimentConfig(
@@ -638,7 +683,7 @@ class TestCli:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg.canonical_dict()))
         assert cli_main(["family", "--config", str(p)]) == 0
-        data = json.loads(capsys.readouterr().out)
+        data = strict_json(capsys.readouterr().out)
         assert data["total_multiplicity"] == 5
 
     def test_classify_profiles_once(self, monkeypatch, capsys):
@@ -647,13 +692,13 @@ class TestCli:
         profile = strata._profile
         monkeypatch.setattr(strata, "_profile", lambda *args: calls.append(1) or profile(*args))
         assert cli_main(["classify", "--b", "1,0;0.5,0;0.25,0", "--deg-l2", "4"]) == 0
-        data = json.loads(capsys.readouterr().out)
+        data = strict_json(capsys.readouterr().out)
         assert len(calls) == 1
         assert data["existence_range"] == [0.0, 4 * np.pi * data["stratum_m"]]
 
     def test_dualize_verb(self, capsys):
         assert cli_main(["dualize", "--a", "0,0;1,0;0,0", "--deg-l2", "4", "--lmax", "16"]) == 0
-        data = json.loads(capsys.readouterr().out)
+        data = strict_json(capsys.readouterr().out)
         assert data["stratum_m"] == 2
 
     @pytest.mark.parametrize(
@@ -726,6 +771,17 @@ class TestCli:
         assert exc.value.code == 2
         assert "solver.l_max must be an integer >= 4" in capsys.readouterr().err
 
+    def test_solve_converged_report(self, tmp_path, capsys):
+        cfg = config_file(tmp_path, "solve", **TWO_POLE, lambda_grid=[2.0])
+        assert cli_main(["solve", "--config", cfg]) == 0
+        report = strict_json(capsys.readouterr().out)
+        assert report["converged"] and report["stop_residual_fine"] is None
+        # lap u integrates to zero, so the realized curvature 2|phi|^2 averages lambda
+        assert report["curvature_min"] < 2.0 < report["curvature_max"]
+        # the same cold solve as a one-point sweep's, so the same classification
+        row = run_existence_sweep(ExperimentConfig.from_json(cfg)).rows[0]
+        assert (report["stratum_m"], report["margin"]) == (row["stratum"], row["margin"])
+
     def test_solve_exit_code(self, tmp_path, capsys):
         cfg = ExperimentConfig(
             experiment="solve",
@@ -739,5 +795,5 @@ class TestCli:
         # the bottom-stratum class cannot be continued to 4*pi: exit code 1
         code = cli_main(["solve", "--config", str(p), "--lam", str(4 * np.pi)])
         assert code == 1
-        report = json.loads(capsys.readouterr().out)
+        report = strict_json(capsys.readouterr().out)
         assert report["stop_reason"] == "filter" and report["stop_residual_fine"] > 0.01 * report["reached_lambda"]

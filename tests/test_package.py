@@ -40,3 +40,18 @@ def test_pde_reads_no_private_grid_attribute():
     tree = ast.parse(Path(spherecurv.pde.__file__).read_text())
     reads = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in private]
     assert [f"line {node.lineno}: {ast.unparse(node)}" for node in reads] == []
+
+
+def test_no_json_hook_in_the_package():
+    # every payload is built from native values, None where a value is
+    # missing, so json.dumps needs no default= hook to write standard JSON
+    package = Path(spherecurv.__file__).parent
+    calls = [
+        f"{path.name} line {node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "json.dumps"
+        and any(kw.arg == "default" for kw in node.keywords)
+    ]
+    assert calls == []

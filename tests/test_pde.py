@@ -765,6 +765,16 @@ class TestFailedOpening:
         assert len(res.continuation_trace) == len(calls) == (2 if l_max >= 48 else 1)
         assert all(np.isnan(rnorm) for _, _, rnorm in res.continuation_trace)
 
+    def test_seed_past_the_blowup_bound_stops_with_blowup(self, monkeypatch):
+        # Newton accepts a converged seed in zero steps, so the guard meets its sup|u - c| unchanged
+        phi, lam, cfg = monomial(4, 1), 2 * np.pi, SolveConfig(l_max=16)
+        seed = solve_phi_system(phi, lam, cfg)
+        monkeypatch.setattr(SolveConfig, "blowup_sup", 0.5 * np.abs(seed.u.u).max())
+        res = solve_phi_system(phi, lam, cfg, initial=seed.u)
+        assert res.stop_reason == "blowup" and not res.converged
+        assert [(x, iters) for x, iters, _ in res.continuation_trace] == [(lam, 0)]
+        assert np.isnan(res.continuation_trace[0][2])
+
 
 class TestNestedIteration:
     # a cold solve at l_max >= 48 ramps on the l_max // 2 grid, then finishes on its own

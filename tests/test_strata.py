@@ -252,6 +252,24 @@ class TestClassifier:
             rep = div_classifier(c * b, spec)
             assert rep.div_eta == base.div_eta
 
+    @pytest.mark.parametrize("kind", ["random", "geometric"])
+    def test_same_report_at_every_power_of_two(self, kind):
+        # b is projective, but the profile's first step is in b's own units:
+        # far from |b| ~ 1 it used to misread strata, or divide by an underflowed ||b||
+        rng = np.random.default_rng(30)
+        fields = ("div_eta", "j_star", "s_minus", "stratum_m", "margin")
+        for k in range(3, 13):
+            spec = spec_k(k)
+            for _ in range(4):
+                b = rng.normal(size=k - 1) + 1j * rng.normal(size=k - 1)
+                if kind == "geometric":  # linear complexity 1: the bottom stratum
+                    b = b[0] * (rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.random())) ** np.arange(k - 1)
+                base = div_classifier(b, spec)
+                assert kind == "random" or base.stratum_m == 1
+                for j in (-1000, -500, 500, 1000):
+                    rep = div_classifier(np.ldexp(b.real, j) + 1j * np.ldexp(b.imag, j), spec)
+                    assert [getattr(rep, f) for f in fields] == [getattr(base, f) for f in fields], (k, j)
+
     def test_stratum_bounds_random(self):
         rng = np.random.default_rng(25)
         for k in (2, 3, 4, 5, 6, 7, 8):
