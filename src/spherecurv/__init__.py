@@ -45,54 +45,3 @@ from .strata import (
     existence_range,
     series_of_rational,
 )
-
-__all__ = [
-    "bundles",
-    "cohomology",
-    "errors",
-    "geometry",
-    "lab",
-    "pde",
-    "strata",
-    "BundleSpec",
-    "ConformalFactor",
-    "Divisor",
-    "HoloClass",
-    "curvature_scalar",
-    "degree_by_integration",
-    "divisor_of",
-    "phi_norm_sq",
-    "DbarSolution",
-    "DualCoords",
-    "IsometryAction",
-    "b_coords",
-    "coupling",
-    "dbar_solve",
-    "dual_map_H0",
-    "dual_map_H0_inverse",
-    "projective_angle",
-    "pullback_class",
-    "pullback_dual",
-    "ChartPoint",
-    "SphereGrid",
-    "build_grid",
-    "ExperimentConfig",
-    "RunRecord",
-    "gen_family",
-    "run_existence_sweep",
-    "run_radial_nonexistence",
-    "run_symmetry_audit",
-    "RadialProfile",
-    "SolveConfig",
-    "SolveResult",
-    "forward_F",
-    "residual",
-    "solve_phi_system",
-    "solve_radial",
-    "DivisorReport",
-    "ExistenceRange",
-    "RationalCandidate",
-    "div_classifier",
-    "existence_range",
-    "series_of_rational",
-]

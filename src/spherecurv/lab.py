@@ -30,7 +30,7 @@ from .cohomology import IsometryAction, b_coords, dual_map_H0, pullback_class
 from .errors import HypothesisViolation
 from .geometry import build_grid
 from .pde import SolveConfig, SolveResult, solve_phi_system, solve_radial
-from .strata import DEFAULT_TOL, div_classifier
+from .strata import DEFAULT_TOL, ExistenceRange, div_classifier
 
 SCHEMA_VERSION = 1
 
@@ -306,7 +306,7 @@ def run_existence_sweep(cfg: ExperimentConfig) -> RunRecord:
 def _sweep(cfg, phi, grid):
     rows, stop = _ladder(phi, cfg, grid)
     rep0 = div_classifier(dual_map_H0(phi, grid).b, phi.spec)
-    bound = 4.0 * np.pi * rep0.stratum_m
+    bound = ExistenceRange.of_report(rep0, phi.spec).hi
     failed = [r["lambda"] for r in rows if not r["converged"]]
     summary = {
         "experiment": "sweep",
@@ -405,7 +405,7 @@ def _radial(cfg, phi, grid):
         "degenerate_family": rad.degenerate_family,
         "flat_dual_stratum": rep.stratum_m,
         "hankel_rank_one": hankel_ok,
-        "existence_range_hi": 4.0 * np.pi * rep.stratum_m,
+        "existence_range_hi": ExistenceRange.of_report(rep, phi.spec).hi,
         "reason": rad.reason,
         "statement": {
             "converged": "radial root found",

@@ -417,8 +417,8 @@ def solve_phi_system(
     above.  ``continuation_trace`` and ``minres_iters`` count the coarse-grid
     work and a discarded handover too.
     """
-    if not lam > 0:  # NaN too
-        raise InvalidLambda(f"lambda must be positive, got {lam}")
+    if not 0 < lam < math.inf:  # NaN too
+        raise InvalidLambda(f"lambda must be positive and finite, got {lam}")
     if initial is not None and start is not None:
         raise ValueError("pass at most one of initial and start")
     if start is not None and not (start.converged and start.lam <= lam):
@@ -585,7 +585,8 @@ def _shoot(profile: RadialProfile, lam: float, alpha: float, rtol: float = 1e-11
     """Integrate u'' + cot(t) u' = (lam - 2K e^{2u})/(4 pi) from the north cap.
 
     State is (u, p) with p = sin(t) u'; the boundary defect p(pi-) vanishes
-    exactly on regular solutions.
+    exactly on regular solutions.  A failed integration, e^{2u} overflowing
+    included, returns (nan, None).
     """
     eps = 1e-6
 
@@ -596,9 +597,12 @@ def _shoot(profile: RadialProfile, lam: float, alpha: float, rtol: float = 1e-11
         u, p = y
         return [p / math.sin(t), math.sin(t) * q(t, u)]
 
-    q0 = q(eps, alpha)
-    y0 = [alpha + 0.25 * q0 * eps * eps, 0.5 * q0 * eps * eps]
-    sol = solve_ivp(rhs, (eps, math.pi - eps), y0, method="LSODA", rtol=rtol, atol=1e-13, dense_output=True)
+    try:
+        q0 = q(eps, alpha)
+        y0 = [alpha + 0.25 * q0 * eps * eps, 0.5 * q0 * eps * eps]
+        sol = solve_ivp(rhs, (eps, math.pi - eps), y0, method="LSODA", rtol=rtol, atol=1e-13, dense_output=True)
+    except OverflowError:  # e^{2u} past the float range: a failed shot
+        return math.nan, None
     if not sol.success:
         return math.nan, None
     return sol.y[1, -1], sol
@@ -618,8 +622,8 @@ def solve_radial(phi: HoloClass, lam: float, cfg: SolveConfig) -> RadialResult:
     an unconverged result; ``reason`` says why.
     """
     profile = RadialProfile.from_class(phi)
-    if not lam > 0:
-        raise InvalidLambda(f"lambda must be positive, got {lam}")
+    if not 0 < lam < math.inf:  # NaN too
+        raise InvalidLambda(f"lambda must be positive and finite, got {lam}")
 
     center = 0.5 * math.log(lam / profile.total_mass())
     n_sweep = 49

@@ -68,6 +68,19 @@ class TestCoupling:
             expect[j - 1] = 1.0
             assert np.abs(got - expect).max() < 1e-8
 
+    @pytest.mark.parametrize(
+        "build,error",
+        [
+            (lambda: DualCoords(spec_k(4), np.ones(4)), SpecMismatch),
+            (lambda: DualCoords(spec_k(4), np.zeros(3)), ZeroClass),
+            (lambda: IsometryAction(1.0 + 0j, 0.5 + 0j), ValueError),
+        ],
+        ids=["dual_length", "dual_zero", "isometry_not_unit"],
+    )
+    def test_rejects_invalid_input(self, build, error):
+        with pytest.raises(error):
+            build()
+
     def test_spec_mismatch(self, grid16):
         with pytest.raises(SpecMismatch):
             coupling(basis_class(spec_k(4), 0), basis_dual(spec_k(5), 1))

@@ -468,6 +468,21 @@ class TestChartPoint:
         south = ChartPoint.from_z(0j)
         assert south.theta == pytest.approx(np.pi)
 
+    @pytest.mark.parametrize(
+        "point,z,w,phi",
+        [
+            (lambda: ChartPoint.from_z(complex(np.inf)), complex(np.inf), 0j, 0.0),
+            (lambda: ChartPoint.from_w(complex(np.inf)), 0j, complex(np.inf), 0.0),
+            (lambda: ChartPoint.from_w(0.5 - 2j), 1.0 / (0.5 - 2j), 0.5 - 2j, np.angle(1.0 / (0.5 - 2j))),
+        ],
+        ids=["z_infinite", "w_infinite", "w_finite"],
+    )
+    def test_either_chart(self, point, z, w, phi):
+        # an infinite coordinate is the other chart's origin, where the longitude reads 0
+        p = point()
+        assert (p.z, p.w) == (z, w)
+        assert p.phi == pytest.approx(phi, abs=1e-15)
+
     def test_angles_roundtrip(self):
         p = chart_point_from_angles(1.1, 2.2)
         assert p.theta == pytest.approx(1.1, abs=1e-12)

@@ -72,6 +72,19 @@ class TestGenFamily:
         with pytest.raises(HypothesisViolation):
             gen_family(2, {"a": 2, "n": 3}, spec_k(9))  # n > 2a fails
 
+    @pytest.mark.parametrize(
+        "kind,params,k,condition",
+        [
+            (2, {"a": 1, "n": 4}, 9, "2a + n = k-2 or a + n = k-2"),
+            (3, {"a": 3, "n": 2, "q": []}, 10, "n > a > 0"),
+            (3, {"a": 1, "n": 3, "q": [1, 2]}, 8, "a + m*n < k-2"),
+        ],
+        ids=["kind2_degree", "kind3_n_above_a", "kind3_ring_fits"],
+    )
+    def test_violation_names_the_condition(self, kind, params, k, condition):
+        with pytest.raises(HypothesisViolation, match=re.escape(condition)):
+            gen_family(kind, params, spec_k(k))
+
     def test_kind3_violation_names_inequality(self):
         with pytest.raises(HypothesisViolation, match="mod n"):
             gen_family(3, {"a": 2, "n": 3, "q": [[1.0, 0.0]]}, spec_k(10))

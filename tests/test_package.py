@@ -1,20 +1,28 @@
 import ast
+import dataclasses
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import spherecurv
 
 
-def test_all_matches_the_imports():
-    # __all__ is kept by hand: every name it lists must exist, and every
-    # name __init__ imports must be listed once
+def test_star_export_is_the_import_block():
+    # the public surface is the import block of __init__: `from spherecurv import *`
+    # binds exactly the names it imports, so a stray public global there (a bare
+    # `import numpy as np`, say) fails here.  A fresh interpreter runs the star
+    # import, because importing a submodule such as spherecurv.cli binds it on
+    # the package as well
     tree = ast.parse(Path(spherecurv.__file__).read_text())
     imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
     imported = {alias.asname or alias.name for node in imports for alias in node.names}
-    names = spherecurv.__all__
-    assert [n for n in names if not hasattr(spherecurv, n)] == []
-    assert sorted(imported - set(names)) == []
-    assert len(names) == len(set(names))
+    script = "ns = {}; exec('from spherecurv import *', ns); del ns['__builtins__']; print(' '.join(sorted(ns)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(spherecurv.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == sorted(imported)
 
 
 def test_tracer_targets_exist():
@@ -55,3 +63,16 @@ def test_no_json_hook_in_the_package():
         and any(kw.arg == "default" for kw in node.keywords)
     ]
     assert calls == []
+
+
+def test_readme_lists_every_solver_constant():
+    # the README's SolveConfig bullet quotes each fixed solver constant with
+    # its value; a constant that moves or appears must move or appear there too
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    bullet = re.search(r"^- `SolveConfig` has one setting.*?(?=^- |^$)", readme, re.M | re.S).group()
+    quoted = dict(re.findall(r"`(\w+)`\s+(\d+(?:\.\d+)?(?:e[-+]?\d+)?)", bullet))
+    solver = spherecurv.pde.SolveConfig
+    settings = {f.name for f in dataclasses.fields(solver)}
+    constants = {name for name, value in vars(solver).items() if isinstance(value, (int, float))} - settings
+    assert sorted(quoted) == sorted(constants)
+    assert {name: float(text) for name, text in quoted.items()} == {name: getattr(solver, name) for name in quoted}

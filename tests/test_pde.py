@@ -154,6 +154,18 @@ class TestMinres:
         assert info == 0 and n == 0
         assert not x.any()
 
+    @pytest.mark.parametrize(
+        "m_diag,message",
+        [([-1.0, -1.0], "indefinite preconditioner"), ([1.0, -1.0], "non-symmetric matrix")],
+        ids=["negative", "mixed_sign"],
+    )
+    def test_rejects_a_preconditioner_that_is_not_positive(self, m_diag, message):
+        # a negative diagonal fails the first Lanczos norm; a mixed-sign one
+        # passes it from b = e_1 and fails the next
+        a = np.array([[2.0, 1.0], [1.0, 3.0]])
+        with pytest.raises(ValueError, match=message):
+            minres(lambda v: a @ v, np.array([1.0, 0.0]), np.array(m_diag), rtol=1e-12, maxiter=10)
+
     def test_callback_counts_iterations(self):
         # the callback sees each iterate once; with rtol 0 only maxiter stops it
         matvec, b, m_diag = self.indefinite_system(n=40, negative=5)
@@ -286,8 +298,9 @@ class TestSolve:
             solve_phi_system(monomial(4, 1), 3 * np.pi, cfg, above.u, start=above)
 
     def test_invalid_lambda(self):
-        # a NaN target used to end the ramp at once: converged at lambda_init
-        for lam in (-1.0, np.nan):
+        # a NaN target used to end the ramp at once: converged at lambda_init;
+        # an infinite one ran a ramp to a filter stall
+        for lam in (-1.0, np.nan, np.inf):
             with pytest.raises(InvalidLambda):
                 solve_phi_system(monomial(2, 0), lam, SolveConfig(l_max=16))
 
@@ -1002,6 +1015,19 @@ class TestRadial:
         assert not r.converged and r.reason == "shots_failed"
         assert r.root_alpha is None and r.residual_sup is None and r.u is None
         assert r.mismatch_values.shape == r.mismatch_alphas.shape
+
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_invalid_lambda(self, lam):
+        # an infinite coupling used to reach scipy as a non-finite initial state
+        with pytest.raises(InvalidLambda):
+            solve_radial(monomial(4, 1), lam, SolveConfig(l_max=16))
+
+    def test_overflowing_shots_are_failed_shots(self):
+        # at this coupling e^{2u} leaves the float range on every shot, which
+        # used to raise OverflowError from the first integration
+        r = solve_radial(monomial(4, 1), 1e30, SolveConfig(l_max=16))
+        assert not r.converged and r.reason == "shots_failed"
+        assert not np.isfinite(r.mismatch_values).any()
 
     def test_defect_within_noise_is_an_unconverged_result(self, monkeypatch):
         # a defect of 0.01 everywhere that moves by 0.005 with the tolerance:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -110,6 +112,18 @@ class TestSeries:
         cand = RationalCandidate((0j, 0j, 1.0 + 0j), (0j, 1.0 + 0j))
         c = series_of_rational(cand, 5)
         assert np.allclose(c, [0, 1, 1, 1, 1])
+
+    @pytest.mark.parametrize(
+        "build,error,message",
+        [
+            (lambda: QQi(Fraction(1)) / QQi(Fraction(0)), ZeroDivisionError, "division by zero"),
+            (lambda: RationalCandidate((1.0 + 0j, 1.0 + 0j), (0j, 0.5 + 0j)), ValueError, "y(0) = v(0) = 0"),
+        ],
+        ids=["qqi_division_by_zero", "candidate_y0"],
+    )
+    def test_rejects_invalid_input(self, build, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            build()
 
     def test_exact_mode(self):
         half = QQi(Fraction(1, 2))
@@ -299,6 +313,12 @@ class TestClassifier:
     def test_zero_class(self):
         with pytest.raises(ZeroClass):
             div_classifier(np.zeros(3, dtype=complex), spec_k(4))
+
+    def test_exact_reads_complex_floats(self):
+        # dyadic complex floats are exact rationals: the same report as their QQi
+        b = [0.5 + 0.25j, -1.0 + 0.125j, 0.75j, 2.0 + 0j]
+        qqi = [QQi(Fraction(x.real), Fraction(x.imag)) for x in b]
+        assert repr(div_classifier(b, spec_k(5), exact=True)) == repr(div_classifier(qqi, spec_k(5), exact=True))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
     def test_non_finite_rejected(self, bad):
