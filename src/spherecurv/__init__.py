@@ -35,7 +35,7 @@ from .cohomology import (
     pullback_dual,
 )
 from .geometry import ChartPoint, SphereGrid, build_grid
-from .lab import ExperimentConfig, RunRecord, gen_family, run_existence_sweep, run_radial_nonexistence, run_symmetry_audit
+from .lab import ExperimentConfig, RunRecord, gen_family, run_existence_sweep, run_radial_nonexistence
 from .pde import RadialProfile, SolveConfig, SolveResult, forward_F, residual, solve_phi_system, solve_radial
 from .strata import (
     DivisorReport,

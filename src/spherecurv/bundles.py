@@ -95,6 +95,19 @@ class HoloClass:
         nz = np.nonzero(np.abs(self.a) > 1e-14 * scale)[0]
         return int(nz[-1]) if nz.size else 0
 
+    def rotation_symmetry(self) -> tuple[int, int]:
+        """(n, r): every coefficient above 1e-12 max|a| sits at an index = r (mod n).
+
+        n is the gcd of those indices' differences: 0 for a monomial (r its
+        index), 1 for no symmetry (r = 0).  For n >= 2, z -> e^{2 pi i/n} z
+        multiplies g by a phase, so K, the lambda-branch from small coupling
+        and the Gram pairing are Z_n-invariant, and b lives on the indices
+        = r (mod n).
+        """
+        support = np.flatnonzero(np.abs(self.a) > 1e-12 * np.abs(self.a).max())
+        n = int(np.gcd.reduce(np.diff(support)))
+        return n, int(support[0] % n if n else support[0])
+
     def scaled(self, c: complex) -> "HoloClass":
         return HoloClass(self.spec, c * self.a)
 

@@ -1,9 +1,10 @@
 """Command-line entry points.
 
-Verbs: grid-check, classify, dualize, solve, sweep, symmetry-audit, radial,
-family; each takes only the flags it reads (``VERBS``), and the last five a
-JSON config (schema 1).  Exit code 0 means every invariant check in the run
-passed, 2 a usage error, including a config the verb cannot run.
+Verbs: grid-check, classify, dualize, solve, sweep, radial, family; each
+takes only the flags it reads (``VERBS``), and the last four a JSON config
+(schema 1).  Exit code 0 means every invariant check in the run passed (for
+a sweep of a Z_n-symmetric class, b stayed on the symmetry's indices), 2 a
+usage error, including a config the verb cannot run.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .bundles import BundleSpec, HoloClass, divisor_of, phi_norm_sq
 from .cohomology import b_coords, dual_map_H0, dualization_condition
 from .errors import SpecMismatch, SphereCurvError, ZeroClass
 from .geometry import build_grid
-from .lab import DRIVERS, ExperimentConfig, ring_parameters, write_run
+from .lab import DRIVERS, ExperimentConfig, write_run
 from .pde import RadialProfile, solve_phi_system
 from .strata import ExistenceRange, div_classifier
 
@@ -181,7 +182,6 @@ VERBS = {
     "dualize": ("flat-metric dual coordinates of a class", ["a", "deg-l1", "deg-l2", "lmax"]),
     "solve": ("solve the curvature system at one coupling", ["config", "lam", "lmax"]),
     "sweep": ("existence sweep along the coupling grid", RUN),
-    "symmetry-audit": ("sparsity-pattern audit of a ring family", RUN),
     "radial": ("radial shooting probe at 4*pi", RUN),
     "family": ("print a family class and its divisor", ["config"]),
 }
@@ -211,8 +211,6 @@ def main(argv=None) -> int:
         # a config the verb cannot run is a usage error too, found before the run
         if args.verb == "solve" and args.lam is None and not args.config.lambda_grid:
             raise ValueError("solve needs --lam or a non-empty lambda_grid")
-        if args.verb == "symmetry-audit":
-            ring_parameters(args.config)
         if args.verb == "radial":
             RadialProfile.from_class(args.config.the_class())
     except (ValueError, SpecMismatch, ZeroClass) as exc:  # malformed, wrong-length, zero or non-finite input

@@ -140,12 +140,6 @@ class IsometryAction:
         return cls(1.0 + 0j, 0j)
 
     @classmethod
-    def random_rotation(cls, rng) -> "IsometryAction":
-        q = rng.normal(size=4)
-        q /= np.linalg.norm(q)
-        return cls(complex(q[0], q[1]), complex(q[2], q[3]))
-
-    @classmethod
     def reflection(cls) -> "IsometryAction":
         """Reflection through the plane of the real meridian: z -> conj(z)."""
         return cls(1.0 + 0j, 0j, reverses=True)

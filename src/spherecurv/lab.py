@@ -1,8 +1,11 @@
-"""Experiment drivers: curvature families, sweeps, audits, flat-file output.
+"""Experiment drivers: curvature families, sweeps, radial probes, flat-file output.
 
 Each driver consumes an :class:`ExperimentConfig` (JSON schema version 1) and
 produces a :class:`RunRecord` holding per-coupling rows plus a summary.  The
-sweep and the symmetry audit solve one warm-started ladder of couplings; the
+sweep solves one warm-started ladder of couplings; for a class with a
+rotation symmetry of order n >= 2 (``HoloClass.rotation_symmetry``) each
+converged row reports ``off_pattern``, the share of b off the symmetry's
+indices, and the run's checks pass when its maximum is below 1e-6.  The
 radial probe writes one row at 4*pi and a shooting curve.  ``write_run``
 names every file of a run ``<experiment>-<config_hash>``: a JSON with the
 config echo, hash, summary and wall time, a CSV of the rows (one fixed
@@ -26,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .bundles import BundleSpec, HoloClass
-from .cohomology import IsometryAction, b_coords, dual_map_H0, pullback_class
+from .cohomology import b_coords, dual_map_H0
 from .errors import HypothesisViolation
 from .geometry import build_grid
 from .pde import SolveConfig, SolveResult, solve_phi_system, solve_radial
@@ -228,13 +231,6 @@ def gen_family(kind: int, params: dict, spec: BundleSpec) -> HoloClass:
 # ----------------------------------------------------------------------
 
 
-def ring_parameters(cfg: ExperimentConfig) -> tuple[int, int]:
-    """(a, n) of a ring family (kind 2 or 3); raises ValueError for any other class."""
-    if cfg.family is None or cfg.family.get("kind") not in (2, 3):
-        raise ValueError("symmetry audit requires a family of kind 2 or 3")
-    return cfg.family["a"], cfg.family["n"]
-
-
 NO_COORDINATES = {"b": None, "stratum": None, "margin": None, "boundary_flag": False}
 
 
@@ -305,6 +301,16 @@ def run_existence_sweep(cfg: ExperimentConfig) -> RunRecord:
 
 def _sweep(cfg, phi, grid):
     rows, stop = _ladder(phi, cfg, grid)
+    # a Z_n-symmetric class (n >= 2) keeps b on the indices = r (mod n): each
+    # converged row reports the share of b off them
+    n, r = phi.rotation_symmetry()
+    if n >= 2:
+        off = (np.arange(phi.spec.k - 1) - r) % n != 0
+        for row in rows:
+            if row["converged"]:
+                b = np.array(row["b"])
+                row["off_pattern"] = float(np.linalg.norm(b[off]) / np.linalg.norm(b))
+    worst = max((row["off_pattern"] for row in rows if "off_pattern" in row), default=None)
     rep0 = div_classifier(dual_map_H0(phi, grid).b, phi.spec)
     bound = ExistenceRange.of_report(rep0, phi.spec).hi
     failed = [r["lambda"] for r in rows if not r["converged"]]
@@ -314,51 +320,14 @@ def _sweep(cfg, phi, grid):
         "lambda_bound_from_classifier": bound,
         "first_failure_lambda": failed[0] if failed else None,
         "boundary_lambdas": [r["lambda"] for r in rows if r["boundary_flag"]],
+        "max_off_pattern": worst,
         "statement": (
             f"continuation failed first at lambda={failed[0]:.6f}; classifier bound 4*pi*m={bound:.6f}"
             if failed
             else f"all sweep points converged; classifier bound 4*pi*m={bound:.6f}"
         ),
         **stop,
-        "checks_passed": True,
-    }
-    return rows, summary, {}
-
-
-def run_symmetry_audit(cfg: ExperimentConfig) -> RunRecord:
-    """Sparsity-pattern audit for ring-symmetric families (kind 2 or 3).
-
-    The emitted coordinates may be nonzero only at indices j with
-    j - 1 = a (mod n); the audit reports the worst off-pattern mass over the
-    coupling grid, plus identity- and reflection-isometry consistency.
-    """
-    return _run(cfg, _audit)
-
-
-def _audit(cfg, phi, grid):
-    a, n = ring_parameters(cfg)
-    k = phi.spec.k
-    pattern = np.array([(j - 1 - a) % n == 0 for j in range(1, k)])
-    rows, stop = _ladder(phi, cfg, grid)
-    worst = 0.0
-    for row in rows:
-        if row["converged"]:
-            b = np.array(row["b"])
-            row["off_pattern"] = float(np.linalg.norm(b[~pattern]) / np.linalg.norm(b))
-            worst = max(worst, row["off_pattern"])
-
-    # identity audit is exact; reflection conjugates coefficients
-    ident_err = float(np.abs(pullback_class(IsometryAction.identity(), phi).a - phi.a).max())
-    refl_err = float(np.abs(pullback_class(IsometryAction.reflection(), phi).a - np.conj(phi.a)).max())
-    summary = {
-        "experiment": "symmetry-audit",
-        "pattern_indices": [j for j in range(1, k) if pattern[j - 1]],
-        "max_off_pattern": worst,
-        "identity_pullback_error": ident_err,
-        "reflection_conjugation_error": refl_err,
-        "all_converged": all(r["converged"] for r in rows),
-        **stop,
-        "checks_passed": bool(worst < 1e-6 and ident_err < 1e-12 and refl_err < 1e-12),
+        "checks_passed": worst is None or worst < 1e-6,
     }
     return rows, summary, {}
 
@@ -367,8 +336,10 @@ def run_radial_nonexistence(cfg: ExperimentConfig) -> RunRecord:
     """Shooting sweep at the curvature coupling for axis-divisor classes.
 
     Emits the defect curve, its minimum, and the classifier side of the
-    argument (flat-dual coordinates sit in the bottom stratum, capping the
-    solvable range at 4*pi).
+    argument: the stratum m of the flat-dual coordinates and the end 4*pi*m
+    of the solvable range (``existence_range_hi``).  The flat dual of z^a is
+    a multiple of e_{a+1}, of stratum 1 + min(a, k-2-a): the bottom stratum,
+    whose range ends at 4*pi, only when every zero sits at one pole.
     """
     return _run(cfg, _radial)
 
@@ -395,6 +366,7 @@ def _radial(cfg, phi, grid):
         for a_, v in zip(rad.mismatch_alphas, rad.mismatch_values)
         if np.isfinite(v)
     ]
+    hi = ExistenceRange.of_report(rep, phi.spec).hi
     summary = {
         "experiment": "radial",
         "radial_root_found": rad.root_alpha is not None,
@@ -405,12 +377,12 @@ def _radial(cfg, phi, grid):
         "degenerate_family": rad.degenerate_family,
         "flat_dual_stratum": rep.stratum_m,
         "hankel_rank_one": hankel_ok,
-        "existence_range_hi": ExistenceRange.of_report(rep, phi.spec).hi,
+        "existence_range_hi": hi,
         "reason": rad.reason,
         "statement": {
             "converged": "radial root found",
             "no_root": f"no shooting root; min |defect| = {rad.mismatch_min:.3e} "
-            f"(noise {rad.error_estimate:.1e}); classifier caps the range at 4*pi",
+            f"(noise {rad.error_estimate:.1e}); classifier caps the range at 4*pi*m={hi:.6f}",
             "polish": "shooting root found; spectral polish unconverged",
             "shots_failed": "inconclusive: shooting integrations failed across most of the sweep",
             "within_noise": f"inconclusive: no sign change, min |defect| = {rad.mismatch_min:.3e} "
@@ -479,6 +451,5 @@ def write_run(record: RunRecord, cfg: ExperimentConfig) -> dict:
 
 DRIVERS = {
     "sweep": run_existence_sweep,
-    "symmetry-audit": run_symmetry_audit,
     "radial": run_radial_nonexistence,
 }

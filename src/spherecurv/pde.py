@@ -42,9 +42,10 @@ single-grid opening.  ``initial``/``start`` solves and l_max < 48 use one
 grid.  The workspace holds the one tally of trace and MINRES count; a nested
 solve's starts from the coarse result's, so it includes the coarse-grid work.
 
-- A monomial class's K and lambda-branch depend on colatitude alone: its
-  solve, filter and coarse stages run on m = 0 grids, fields enter through
-  their longitude mean, and u returns tiled over the full grid's longitudes.
+- A monomial class (``HoloClass.rotation_symmetry`` order 0) has K and a
+  lambda-branch that depend on colatitude alone: its solve, filter and
+  coarse stages run on m = 0 grids, fields enter through their longitude
+  mean, and u returns tiled over the full grid's longitudes.
   There every correction and tangent is one exact dense LAPACK solve of the
   (l_max+1)-square Jacobian: no MINRES, no forcing term, no re-solve.
 
@@ -136,7 +137,15 @@ class SolveResult:
 
 
 def residual(u: ConformalFactor, phi: HoloClass, lam: float, grid: SphereGrid) -> np.ndarray:
-    """Pointwise defect lap(u) + 2|phi|^2_{H_u} - lambda on the grid."""
+    """Pointwise defect lap(u) + 2|phi|^2_{H_u} - lambda on the grid.
+
+    lap(u) analyzes the given nodal u again.  That round trip moves the
+    coefficients by roundoff (1.2e-14 at l_max 32 to 8.8e-14 at 128), and the
+    Laplacian's 4*pi*l(l+1) amplifies it: this residual has a floor that
+    reads 6.4e-9 to 2.1e-8 on the two-pole solves z^a, k = 4..6, at 4*pi and
+    l_max 64, where ``SolveResult.residual_sup``, formed from the solver's
+    packed coefficients, reads at most 1.2e-9.
+    """
     return grid.laplacian(u.u) + 2.0 * phi_norm_sq(phi, u, grid) - lam
 
 
@@ -430,7 +439,7 @@ def _solve(
     phi: HoloClass, lam: float, l_max: int, initial: ConformalFactor | None, start: SolveResult | None
 ) -> SolveResult:
     """Body of ``solve_phi_system`` on the l_max grid; the coarse stage calls it, not the public name."""
-    m_max = 0 if _monomial(phi) else None
+    m_max = 0 if phi.rotation_symmetry()[0] == 0 else None  # a monomial: K depends on colatitude alone
     grid = build_grid(l_max, m_max)
     ws = _Workspace(phi, grid)
     opened = False
@@ -489,11 +498,6 @@ def _solve(
     return _finish(ws, x, lam_now, fine_now, "converged", math.nan)
 
 
-def _monomial(phi: HoloClass) -> bool:
-    """One nonzero coefficient: K and the lambda-branch from small coupling depend on colatitude alone."""
-    return np.count_nonzero(np.abs(phi.a) > 1e-12 * np.abs(phi.a).max()) == 1
-
-
 def _analyze(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
     """Packed coefficients of node values on the grid's latitudes; an m = 0 grid takes their longitude mean."""
     if grid.m_max == 0:
@@ -504,8 +508,9 @@ def _analyze(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
 def _finish(ws: _Workspace, x, lam, fine, reason, stop_fine) -> SolveResult:
     grid = ws.grid
     u = ConformalFactor(grid.synthesize(np.concatenate([[0.0], x[1:]])), float(x[0]))
-    # ``residual`` with the solve's own K: k_vals * e^{2u} is bitwise phi_norm_sq(phi, u, grid)
-    res = grid.laplacian(u.u) + 2.0 * (ws.k_vals * np.exp(2.0 * u.total)) - lam
+    # ``residual`` with the solve's own K (k_vals * e^{2u} is bitwise phi_norm_sq(phi, u, grid)) and
+    # lap(u) from x, not from analyzing u again: u is band-limited, so it is the same residual less that round trip
+    res = grid.synthesize(ws.diag * x) + 2.0 * (ws.k_vals * np.exp(2.0 * u.total)) - lam
     return SolveResult(
         # an m = 0 grid's longitudes hold equal values: tiled, they fill the full grid's
         u=ConformalFactor(np.tile(u.u, (1, longitudes(grid.l_max) // grid.n_lon)), u.offset),
@@ -545,9 +550,9 @@ class RadialProfile:
 
     @classmethod
     def from_class(cls, phi: HoloClass) -> "RadialProfile":
-        if not _monomial(phi):
+        n, a = phi.rotation_symmetry()
+        if n != 0:
             raise ValueError("radial reduction requires a monomial class (divisor on one axis)")
-        a = int(np.argmax(np.abs(phi.a)))
         return cls(k=phi.spec.k, a=a, amp=2.0 * np.pi * float(np.abs(phi.a[a]) ** 2))
 
     def __call__(self, theta):

@@ -73,20 +73,6 @@ class RationalCandidate:
     def is_zero(self) -> bool:
         return self.deg_y < 0
 
-    def in_generic_position(self) -> bool:
-        """No common zero of y and 1 - v.
-
-        With y = w*y' and 1 - v(0) = 1, the Taylor series of h has linear
-        complexity max(deg y, deg(1 - v)) = s_minus exactly when y' and 1 - v
-        are coprime; a common factor lowers it, and a zero y has complexity 0.
-        Berlekamp-Massey reads the complexity off 2*s_minus terms, exactly for
-        exact entries and at DEFAULT_TOL for floating-point ones.
-        """
-        series = series_of_rational(self, 2 * self.s_minus)
-        exact = not isinstance(_zero(self.y + self.v), (float, complex, np.inexact))
-        lengths, _ = _profile(*_coords(series, exact))
-        return lengths[-1] == self.s_minus
-
 
 def _zero(coeffs):
     """The zero of the coefficients' own arithmetic."""

@@ -8,8 +8,9 @@ MINRES loop that allocates every vector instead of updating in place, or
 synthesis against a differentiated Legendre table instead of the packed
 recurrence shift.  The helpers after them (pullback of a conformal factor,
 the canonical-section norm, the pole multiplicity of a divisor, j*(s) for
-one budget, the stability chain, isometries and chart points built or
-applied pointwise) are quantities no program path uses.
+one budget, whether a candidate is in generic position, the stability
+chain, random rotations, isometries and chart points built or applied
+pointwise) are quantities no program path uses.
 """
 
 import cmath
@@ -261,6 +262,21 @@ def max_matching_order(b, s: int, *, exact: bool = False) -> int:
     return strata._matching_orders(lengths)[s]
 
 
+def in_generic_position(cand: strata.RationalCandidate) -> bool:
+    """No common zero of y and 1 - v.
+
+    With y = w*y' and 1 - v(0) = 1, the Taylor series of h has linear
+    complexity max(deg y, deg(1 - v)) = s_minus exactly when y' and 1 - v
+    are coprime; a common factor lowers it, and a zero y has complexity 0.
+    Berlekamp-Massey reads the complexity off 2*s_minus terms, exactly for
+    exact entries and at DEFAULT_TOL for floating-point ones.
+    """
+    series = strata.series_of_rational(cand, 2 * cand.s_minus)
+    exact = not isinstance(strata._zero(cand.y + cand.v), (float, complex, np.inexact))
+    lengths, _ = strata._profile(*strata._coords(series, exact))
+    return lengths[-1] == cand.s_minus
+
+
 def minres_allocating(matvec, b, m_diag, *, rtol, maxiter, callback=None):
     """``pde.minres`` as a loop that allocates every vector afresh and writes none in place.
 
@@ -383,6 +399,13 @@ def alpha_stable(spec: BundleSpec, div_eta: int, alpha: float) -> bool:
     lower = spec.deg_L1 - spec.deg_L2
     upper = spec.deg_L1 + spec.deg_L2 - 2 * div_eta
     return (lower < alpha < upper) and alpha < 0
+
+
+def random_rotation(rng) -> IsometryAction:
+    """A rotation from a Gaussian 4-vector normalized to a unit quaternion."""
+    q = rng.normal(size=4)
+    q /= np.linalg.norm(q)
+    return IsometryAction(complex(q[0], q[1]), complex(q[2], q[3]))
 
 
 def rotation_about_axis(angle: float) -> IsometryAction:

@@ -14,6 +14,7 @@ from spherecurv.bundles import (
     phi_norm_sq,
 )
 from spherecurv.errors import ZeroClass
+from spherecurv.lab import gen_family
 
 from conftest import random_real_field
 from oracles import at_pole, h0_norm_zeta, laplacian_local, log_norm_zeta_callable
@@ -189,6 +190,34 @@ class TestDivisor:
     def test_zero_class_rejected(self):
         with pytest.raises(ZeroClass):
             HoloClass(spec_k(4), np.zeros(3, dtype=complex))
+
+
+class TestRotationSymmetry:
+    # (n, r): the support's index differences have gcd n, and its indices are r mod n
+    def test_ring_from_family_and_from_coefficients(self):
+        ring = gen_family(2, {"a": 1, "n": 4}, spec_k(7))  # g = z (z^4 - 1)
+        assert ring.rotation_symmetry() == (4, 1)
+        assert HoloClass(spec_k(7), [0, -1, 0, 0, 0, 1]).rotation_symmetry() == (4, 1)
+
+    def test_monomial(self):
+        assert HoloClass(spec_k(6), [0, 0, 3j, 0, 0]).rotation_symmetry() == (0, 2)
+
+    def test_generic_class(self):
+        rng = np.random.default_rng(31)
+        assert HoloClass(spec_k(6), rng.normal(size=5) + 1j * rng.normal(size=5)).rotation_symmetry() == (1, 0)
+
+    @pytest.mark.parametrize(
+        "params,k", [({"a": 1, "n": 3, "q": [0.5, [0.2, 0.3]]}, 10), ({"a": 2, "n": 5, "q": [1.5]}, 10)]
+    )
+    def test_kind3_family(self, params, k):
+        phi = gen_family(3, params, spec_k(k))
+        assert phi.rotation_symmetry() == (params["n"], params["a"] % params["n"])
+
+    def test_support_threshold(self):
+        # a coefficient at 1e-13 of the largest is not in the support; one at 1e-11 is
+        assert HoloClass(spec_k(7), [1e-13, -1, 0, 0, 0, 1]).rotation_symmetry() == (4, 1)
+        assert HoloClass(spec_k(7), [0, 0, 2, 0, -1e-13, 0]).rotation_symmetry() == (0, 2)
+        assert HoloClass(spec_k(7), [1e-11, -1, 0, 0, 0, 1]).rotation_symmetry() == (1, 0)
 
 
 class TestConformalFactor:

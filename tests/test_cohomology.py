@@ -29,6 +29,7 @@ from oracles import (
     norm_equivariance_profile,
     pullback_class_convolve,
     pullback_conformal,
+    random_rotation,
     rotation_about_axis,
 )
 
@@ -306,7 +307,7 @@ class TestPullbacks:
     def test_divisor_maps_by_inverse(self):
         spec = spec_k(4)
         rng = np.random.default_rng(45)
-        iso = IsometryAction.random_rotation(rng)
+        iso = random_rotation(rng)
         root = 0.3 + 0.8j
         phi = HoloClass(spec, np.array([root * root, -2 * root, 1.0]))  # (z - root)^2
         pb = pullback_class(iso, phi)
@@ -321,7 +322,7 @@ class TestPullbacks:
         spec = spec_k(4)
         vals = random_real_field(grid16, rng, l_hi=5)
         u = ConformalFactor.from_values(0.25 * vals / np.abs(vals).max(), grid16)
-        iso = IsometryAction.random_rotation(rng)
+        iso = random_rotation(rng)
         cs = []
         for _ in range(20):
             phi = HoloClass(spec, rng.normal(size=3) + 1j * rng.normal(size=3))
@@ -336,7 +337,7 @@ class TestPullbacks:
         # turn); the padded sum must stay bitwise the full convolutions'
         rng = np.random.default_rng(47)
         isos = [IsometryAction(0j, 1.0 + 0j), IsometryAction(1.0 + 0j, 0j, reverses=True)]
-        isos += [IsometryAction.random_rotation(rng) for _ in range(3)]
+        isos += [random_rotation(rng) for _ in range(3)]
         for k in range(2, 14):
             a = rng.normal(size=k - 1) + 1j * rng.normal(size=k - 1)
             a[1::3] = 0  # zero coefficients are skipped
@@ -359,8 +360,8 @@ class TestPullbacks:
     def test_dual_contravariant(self, grid16):
         rng = np.random.default_rng(47)
         spec = spec_k(5)
-        i1 = IsometryAction.random_rotation(rng)
-        i2 = IsometryAction.random_rotation(rng)
+        i1 = random_rotation(rng)
+        i2 = random_rotation(rng)
         eta = DualCoords(spec, rng.normal(size=4) + 1j * rng.normal(size=4))
         lhs = pullback_dual(compose(i1, i2), eta, grid16)
         rhs = pullback_dual(i2, pullback_dual(i1, eta, grid16), grid16)
@@ -371,8 +372,8 @@ class TestPullbacks:
         # pullbacks compose in reverse: (i1 o i2)^* = i2^* i1^*, so the class
         # pulled back along compose(i1, i2) is i1's pullback pulled back by i2
         rng = np.random.default_rng(seed)
-        i1 = IsometryAction.random_rotation(rng)
-        i2 = IsometryAction.random_rotation(rng)
+        i1 = random_rotation(rng)
+        i2 = random_rotation(rng)
         phi = HoloClass(spec_k(k), rng.normal(size=k - 1) + 1j * rng.normal(size=k - 1))
         lhs = pullback_class(compose(i1, i2), phi)
         rhs = pullback_class(i2, pullback_class(i1, phi))

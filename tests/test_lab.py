@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -13,7 +14,6 @@ from spherecurv.lab import (
     gen_family,
     run_existence_sweep,
     run_radial_nonexistence,
-    run_symmetry_audit,
     write_run,
 )
 from spherecurv.pde import solve_phi_system
@@ -178,7 +178,6 @@ LADDER = [np.pi, 2 * np.pi, 3 * np.pi, 4 * np.pi]
 # one small run of each driver, at l_max 16
 SMALL_RUNS = {
     "sweep": dict(deg_L2=4, family={"kind": 1, "a": 1}, lambda_grid=[2.0, 4.0]),
-    "symmetry-audit": dict(deg_L2=7, family={"kind": 2, "a": 1, "n": 4}, lambda_grid=[float(np.pi)]),
     "radial": dict(deg_L2=4, class_coeffs=[[0, 0], [0, 0], [1, 0]]),
 }
 
@@ -244,10 +243,19 @@ class TestSweep:
         assert rec.summary["stop_residual_fine"] > 0.01 * stalled[0]["stall_lambda"]
         assert rec.summary["minres_iters"] > 0
 
-    @pytest.mark.parametrize("experiment", ["sweep", "symmetry-audit", "radial"])
-    def test_reproducible_csv(self, tmp_path, experiment):
-        # a rerun rewrites every file byte for byte, the JSON apart from its wall time
-        cfg = ExperimentConfig(experiment, solver={"l_max": 16}, out_dir=str(tmp_path), **SMALL_RUNS[experiment])
+    @pytest.mark.parametrize(
+        "experiment,data",
+        [
+            ("sweep", SMALL_RUNS["sweep"]),
+            ("sweep", dict(deg_L2=7, family={"kind": 2, "a": 1, "n": 4}, lambda_grid=[float(np.pi)])),
+            ("radial", SMALL_RUNS["radial"]),
+        ],
+        ids=["sweep", "ring-sweep", "radial"],
+    )
+    def test_reproducible_csv(self, tmp_path, experiment, data):
+        # a rerun rewrites every file byte for byte, the JSON apart from its
+        # wall time; a ring's summary carries its max_off_pattern
+        cfg = ExperimentConfig(experiment, solver={"l_max": 16}, out_dir=str(tmp_path), **data)
         runs = []
         for _ in range(2):
             paths = write_run(lab.DRIVERS[experiment](cfg), cfg)
@@ -476,44 +484,74 @@ class TestRadialDriver:
 
 
 class TestSymmetryAudit:
+    # the sweep's symmetry check: a class of rotation order n >= 2 keeps b on
+    # the indices = r (mod n), and each converged row reports the share off them
+
     def test_k7_pattern(self, tmp_path):
         cfg = ExperimentConfig(
-            experiment="symmetry-audit",
+            experiment="sweep",
             deg_L2=7,
             family={"kind": 2, "a": 1, "n": 4},
             lambda_grid=[float(np.pi)],
             solver={"l_max": 24},
             out_dir=str(tmp_path),
         )
-        rec = run_symmetry_audit(cfg)
-        assert rec.summary["pattern_indices"] == [2, 6]
+        assert cfg.the_class().rotation_symmetry() == (4, 1)  # b on the indices j = 2, 6
+        rec = run_existence_sweep(cfg)
+        assert rec.summary["max_off_pattern"] == rec.rows[0]["off_pattern"]
         assert rec.summary["max_off_pattern"] < 1e-6
-        assert rec.summary["identity_pullback_error"] == 0.0
-        assert rec.summary["reflection_conjugation_error"] < 1e-12
         assert rec.ok()
 
     def test_unconverged_row_reports_branch_stall(self, tmp_path):
-        # the audit's 4*pi row stalls where the sweep's branch does, not at
-        # its target coupling
-        audit = run_symmetry_audit(pole_free_ring_config(tmp_path, "symmetry-audit", LADDER))
-        sweep = run_existence_sweep(pole_free_ring_config(tmp_path, "sweep", LADDER))
-        row = audit.rows[-1]
+        # the 4*pi row stalls where the branch does, not at its target
+        # coupling, and carries no off_pattern: it has no b
+        rec = run_existence_sweep(pole_free_ring_config(tmp_path, "sweep", LADDER))
+        row = rec.rows[-1]
         assert not row["converged"]
         assert row["stall_lambda"] < 4 * np.pi
-        assert row["stall_lambda"] == sweep.rows[-1]["stall_lambda"]
-        assert audit.summary["max_off_pattern"] < 1e-6
-        # the same solves, so the same linear-solver work
-        assert audit.summary["minres_iters"] == sweep.summary["minres_iters"] > 0
+        assert "off_pattern" not in row
+        assert [r["converged"] for r in rec.rows] == ["off_pattern" in r for r in rec.rows]
+        assert rec.summary["max_off_pattern"] < 1e-6
+        assert rec.summary["minres_iters"] > 0
 
-    def test_requires_ring_family(self, tmp_path):
-        cfg = ExperimentConfig(
-            experiment="symmetry-audit",
-            deg_L2=4,
-            family={"kind": 1, "a": 1},
-            out_dir=str(tmp_path),
+    def test_ring_given_as_coefficients(self, tmp_path):
+        # the symmetry is read off the class, so a ring given as class_coeffs
+        # is checked as its family is
+        ring = dict(experiment="sweep", deg_L2=7, lambda_grid=[2.0, 4.0], solver={"l_max": 16}, out_dir=str(tmp_path))
+        family = ExperimentConfig(**ring, family={"kind": 2, "a": 1, "n": 4})
+        coeffs = ExperimentConfig(**ring, class_coeffs=[[0, 0], [-1, 0], [0, 0], [0, 0], [0, 0], [1, 0]])
+        runs = [run_existence_sweep(cfg) for cfg in (family, coeffs)]
+        assert runs[0].rows == runs[1].rows
+        assert runs[0].summary == runs[1].summary
+        assert all(r["off_pattern"] < 1e-6 for r in runs[1].rows)
+        assert runs[1].summary["max_off_pattern"] < 1e-6
+
+    def test_no_symmetry_no_off_pattern(self, tmp_path):
+        # a generic class (n = 1) and a monomial (n = 0) report none, and pass
+        rng = np.random.default_rng(5)
+        generic = dataclasses.replace(
+            small_sweep_config(tmp_path), family=None, class_coeffs=rng.normal(size=(3, 2)).tolist()
         )
-        with pytest.raises(ValueError):
-            run_symmetry_audit(cfg)
+        for cfg in (generic, small_sweep_config(tmp_path)):
+            rec = run_existence_sweep(cfg)
+            assert all(r["converged"] and "off_pattern" not in r for r in rec.rows)
+            assert rec.summary["max_off_pattern"] is None
+            assert rec.ok()
+
+    def test_off_pattern_mass_fails_the_checks(self, tmp_path, monkeypatch, capsys):
+        # b with mass off the ring's indices fails the run: the sweep verb exits 1
+        b_coords = lab.b_coords
+
+        def leaking(*args):  # b_1 is off the indices j = 2, 6
+            coords = b_coords(*args)
+            return dataclasses.replace(coords, b=coords.b + 1e-3 * np.abs(coords.b).max() * (np.arange(6) == 0))
+
+        monkeypatch.setattr(lab, "b_coords", leaking)
+        cfg = config_file(tmp_path, "sweep", **RING, lambda_grid=[float(np.pi)])
+        assert cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        summary = strict_json(capsys.readouterr().out)["summary"]
+        assert summary["max_off_pattern"] > 1e-6
+        assert summary["checks_passed"] is False
 
 
 def config_file(tmp_path, verb, **data):
@@ -535,7 +573,6 @@ READS = {
     "family": ("config",),
     "solve": ("config", "lmax"),
     "sweep": ("config", "out", "lmax"),
-    "symmetry-audit": ("config", "out", "lmax"),
     "radial": ("config", "out", "lmax"),
 }
 CONFIG_VERBS = [verb for verb, flags in READS.items() if "config" in flags]
@@ -592,7 +629,6 @@ class TestCliFlags:
         "tol_number": ("sweep", {**TWO_POLE, "tol": 1e-8}, "unknown config keys: ['tol']"),
         "no_experiment": ("sweep", {**TWO_POLE, "experiment": None}, "config needs the key 'experiment'"),
         "solve_empty_lambda_grid": ("solve", {**TWO_POLE, "lambda_grid": []}, "solve needs --lam or a non-empty lambda_grid"),
-        "audit_kind1": ("symmetry-audit", {"deg_L2": 4, "family": {"kind": 1, "a": 1}}, "symmetry audit requires a family of kind 2 or 3"),
         "radial_not_monomial": ("radial", RING, "radial reduction requires a monomial class"),
         # a JSON value of the wrong type names its key instead of argparse's "invalid _config_file value"
         "coeffs_wrong_type": ("solve", {"deg_L2": 4, "class_coeffs": [["a", 0], [1, 0], [1, 0]]}, "config key 'class_coeffs' must be a list of [re, im] number pairs"),
@@ -675,11 +711,12 @@ class TestCli:
         assert "shooting" in data["paths"]
 
     def test_symmetry_audit_verb(self, tmp_path, capsys):
-        cfg = config_file(tmp_path, "symmetry-audit", **SMALL_RUNS["symmetry-audit"])
-        assert cli_main(["symmetry-audit", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        data = strict_json(capsys.readouterr().out)
-        assert data["summary"]["pattern_indices"] == [2, 6]
-        assert strict_json(open(data["paths"]["json"]).read())["summary"] == data["summary"]
+        # the symmetry check runs inside every sweep; there is no audit verb, so this is an unknown one
+        cfg = config_file(tmp_path, "sweep", **RING)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["symmetry-audit", "--config", cfg])
+        assert exc.value.code == 2
+        assert "invalid choice: 'symmetry-audit'" in capsys.readouterr().err
 
     def test_lmax_override_reaches_the_config_echo(self, tmp_path, capsys):
         cfg = config_file(tmp_path, "sweep", **SMALL_RUNS["sweep"])

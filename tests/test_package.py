@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import spherecurv
+from spherecurv import cli
 
 
 def test_star_export_is_the_import_block():
@@ -76,3 +77,16 @@ def test_readme_lists_every_solver_constant():
     constants = {name for name, value in vars(solver).items() if isinstance(value, (int, float))} - settings
     assert sorted(quoted) == sorted(constants)
     assert {name: float(text) for name, text in quoted.items()} == {name: getattr(solver, name) for name in quoted}
+
+
+def test_readme_verb_table_is_the_cli():
+    # the README's `| verb | flags |` table lists every CLI verb once, with
+    # exactly the flags it reads; a verb or flag that comes or goes must
+    # come or go there too
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.search(r"^\| verb \| flags \|\n\|---\|---\|\n((?:\|.*\|\n)+)", readme, re.M).group(1)
+    listed = []
+    for line in table.splitlines():
+        verbs, flags = line.strip("|").split("|")
+        listed += [(verb, sorted(re.findall(r"`--([\w-]+)`", flags))) for verb in re.findall(r"`([\w-]+)`", verbs)]
+    assert sorted(listed) == sorted((verb, sorted(flags)) for verb, (_, flags) in cli.VERBS.items())

@@ -21,7 +21,7 @@ from spherecurv.pde import (
 )
 
 from conftest import random_real_field
-from oracles import compose, minres_allocating
+from oracles import compose, minres_allocating, random_rotation
 
 
 def spec_k(k):
@@ -229,11 +229,21 @@ class TestSolve:
         assert res.residual_sup < 1e-10
 
     def test_residual_sup_is_the_pointwise_residual(self):
-        # the solve computes it from its own K; the public residual must agree exactly
+        # the solve computes it from its own K and packed solution; the public
+        # residual analyzes the returned u again, so the two agree to that
+        # round trip's floor (1.2e-14 * lam at l_max 16, 3.1e-13 * lam at 24 here)
         phi = edge_random_class(4)
         for l_max, lam in ((16, 2 * np.pi), (24, 4 * np.pi)):
             res = solve_phi_system(phi, lam, SolveConfig(l_max=l_max))
-            assert res.residual_sup == np.abs(residual(res.u, phi, res.lam, build_grid(l_max))).max()
+            public = np.abs(residual(res.u, phi, res.lam, build_grid(l_max))).max()
+            assert abs(res.residual_sup - public) <= 1e-10 * res.lam
+
+    def test_two_pole_residual_at_lmax_64(self):
+        # residual_sup measures the solution, not the round trip through u,
+        # which alone read up to 2.1e-8 on these solves
+        for k, a in [(4, 1), (5, 1), (5, 2), (6, 1), (6, 2), (6, 3)]:
+            res = solve_phi_system(monomial(k, a), 4 * np.pi, SolveConfig(l_max=64))
+            assert res.converged and res.residual_sup < 1e-8, (k, a, res.residual_sup)
 
     def test_opposite_poles_4pi(self):
         cfg = SolveConfig(l_max=24)
@@ -530,8 +540,8 @@ class TestTransformCount:
         # trial and each Newton start costs one synthesis and one analysis
         # (one evaluated point); the Jacobian reuses the accepted trial's
         # weight.  The rest of the solve adds the initial guess's analysis, the
-        # returned u's synthesis and the Laplacian of the returned residual
-        # (one of each); each matvec costs one of each.  An m = 0 grid's
+        # returned u's synthesis and the synthesis of the returned residual's
+        # Laplacian, taken from the packed solution; each matvec costs one of each.  An m = 0 grid's
         # corrections are dense solves that run no matvec and no MINRES.
         import spherecurv.pde as pde
 
@@ -581,7 +591,7 @@ class TestTransformCount:
 
         assert both("point") == (sum(points.values()),) * 2
         assert both("line search") == (0, 0)
-        assert both("solve") == (2, 2)
+        assert both("solve") == (2, 1)
         if m_max == 0:
             assert both("minres") == (0, 0) and entered["minres"] == res.minres_iters == 0
         else:
@@ -615,7 +625,7 @@ class TestForwardF:
         grid = build_grid(24)
         rng = np.random.default_rng(65)
         phi = HoloClass(spec_k(4), rng.normal(size=3) + 1j * rng.normal(size=3))
-        iso = IsometryAction.random_rotation(rng)
+        iso = random_rotation(rng)
         lam = 2 * np.pi
         lhs = forward_F(pullback_class(iso, phi), lam, cfg)
         rhs = pullback_dual(iso, forward_F(phi, lam, cfg), grid)
@@ -628,7 +638,7 @@ class TestForwardF:
         grid = build_grid(24)
         rng = np.random.default_rng(66)
         phi = HoloClass(spec_k(4), rng.normal(size=3) + 1j * rng.normal(size=3))
-        iso = compose(IsometryAction.random_rotation(rng), IsometryAction.reflection())
+        iso = compose(random_rotation(rng), IsometryAction.reflection())
         assert iso.reverses
         lam = 2 * np.pi
         lhs = forward_F(pullback_class(iso, phi), lam, cfg)
@@ -904,7 +914,9 @@ class TestAxisymmetric:
             # amplifies to 6e-11 * lam here (as on a full-grid solve)
             full_fine = pde._Workspace(phi, grid).fine_residual_sup(grid.analyze(res.u.total), lam)
             assert abs(full_fine - res.residual_fine) <= 1e-9 * lam
-            assert abs(np.abs(residual(res.u, phi, lam, grid)).max() - res.residual_sup) <= 1e-12 * lam
+            # residual_sup is formed from the packed solution, so the public
+            # residual of the returned u differs by the same round trip (4.7e-11 * lam here)
+            assert abs(np.abs(residual(res.u, phi, lam, grid)).max() - res.residual_sup) <= 1e-10 * lam
 
     @pytest.mark.parametrize("k, a, l_max, stall", [(5, 1, 32, 1.9324019), (5, 1, 48, 1.9573194),
                                                     (7, 2, 32, 2.8619430), (7, 2, 48, 2.9375344)])

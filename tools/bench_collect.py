@@ -22,9 +22,20 @@ each at seeds 101 and 104, recording
   ``classify_reports`` its ``j_star``, ``s_minus`` and a 12-digit sha256 of
   the witness repr, for both reports.
 
-b and ``p_f`` are rounded to 1e-10.  The file then prints a table of median
-deltas and fingerprint differences against ``--against``, by default the
-newest earlier ``BENCH_*.json`` in the root.  A run takes about 20 minutes.
+b and ``p_f`` are rounded to 1e-10.  Residuals are recorded unrounded,
+so read them against their roundoff floor.  ``residual_sup`` is formed
+from the solver's packed coefficients.  A residual formed after analyzing a
+nodal u again carries that round trip's roundoff, amplified by the
+Laplacian's 4*pi*l(l+1): at l_max 64 it reads 6.4e-9 to 2.1e-8 on the
+two-pole classes at 4*pi, against at most 1.2e-9 from the packed
+coefficients.  ``residual_fine`` is formed from packed coefficients too,
+but it moves with any change of roundoff: re-analyzing the returned u of
+z, k=5 at 4*pi, l_max 24, moves it from 1.7246e-8 to 1.7998e-8, and two
+trees that differ only in roundoff have read up to 47% apart in it.
+
+The file then prints a table of median deltas and fingerprint differences
+against ``--against``, by default the newest earlier ``BENCH_*.json`` in the
+root.  A run takes about 20 minutes.
 
 ``--fingerprint-only`` computes the fingerprint alone and prints its
 differences against that file, so a change can show unchanged b before a
