@@ -90,13 +90,15 @@ class HoloClass:
         if not np.any(a):
             raise ZeroClass("holomorphic class must have a nonzero coefficient vector")
 
+    def support(self) -> np.ndarray:
+        """Indices of the coefficients above 1e-12 max|a|: the ones the degree, divisor and symmetry read."""
+        return np.flatnonzero(np.abs(self.a) > 1e-12 * np.abs(self.a).max())
+
     def poly_degree(self) -> int:
-        scale = np.abs(self.a).max()
-        nz = np.nonzero(np.abs(self.a) > 1e-14 * scale)[0]
-        return int(nz[-1]) if nz.size else 0
+        return int(self.support()[-1])
 
     def rotation_symmetry(self) -> tuple[int, int]:
-        """(n, r): every coefficient above 1e-12 max|a| sits at an index = r (mod n).
+        """(n, r): every index of the support sits at r (mod n).
 
         n is the gcd of those indices' differences: 0 for a monomial (r its
         index), 1 for no symmetry (r = 0).  For n >= 2, z -> e^{2 pi i/n} z
@@ -104,7 +106,7 @@ class HoloClass:
         and the Gram pairing are Z_n-invariant, and b lives on the indices
         = r (mod n).
         """
-        support = np.flatnonzero(np.abs(self.a) > 1e-12 * np.abs(self.a).max())
+        support = self.support()
         n = int(np.gcd.reduce(np.diff(support)))
         return n, int(support[0] % n if n else support[0])
 

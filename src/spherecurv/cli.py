@@ -94,16 +94,13 @@ def _cmd_classify(args) -> int:
 
 def _cmd_dualize(args) -> int:
     spec = BundleSpec(args.deg_l1, args.deg_l2)
-    a = _parse_coords(args.a, exact=False)
-    grid = build_grid(32 if args.lmax is None else args.lmax)
-    phi = HoloClass(spec, a)
-    eta = dual_map_H0(phi, grid)
+    eta = dual_map_H0(HoloClass(spec, _parse_coords(args.a, exact=False)))
     rep = div_classifier(eta.b, spec)
     out = {
         "b": [[x.real, x.imag] for x in eta.b],
         "stratum_m": rep.stratum_m,
         "margin": rep.margin,
-        "dualization_condition": dualization_condition(spec, grid),
+        "dualization_condition": dualization_condition(spec),
     }
     print(json.dumps(out, indent=2))
     return 0
@@ -179,7 +176,7 @@ RUN = ["config", "out", "lmax"]
 VERBS = {
     "grid-check": ("grid and transform invariant checks", ["lmax"]),
     "classify": ("classify a coordinate vector", ["b", "exact", "deg-l1", "deg-l2"]),
-    "dualize": ("flat-metric dual coordinates of a class", ["a", "deg-l1", "deg-l2", "lmax"]),
+    "dualize": ("flat-metric dual coordinates of a class", ["a", "deg-l1", "deg-l2"]),
     "solve": ("solve the curvature system at one coupling", ["config", "lam", "lmax"]),
     "sweep": ("existence sweep along the coupling grid", RUN),
     "radial": ("radial shooting probe at 4*pi", RUN),

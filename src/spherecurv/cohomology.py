@@ -8,14 +8,15 @@ contraction.  The metric dual of [phi] under H_u has coordinates
 
 against the normalized measure, i.e. b = G(u) conj(a) with one Hermitian
 Gram matrix G(u) of the chart-stable monomials of :mod:`spherecurv.bundles`
-(:func:`gram`), so the quadrature never sees the pole.  The flat dual, its
-inverse and its condition number use G(0).  The same pairing weight
-normalizes the dbar solver below.  It is one spectral
-Poisson solve: on the unit-area sphere lap = 4*pi (1+|z|^2)^2 d_z d_zbar, and
-since H^{0,1}(P^1) = 0 the Poisson solution solves the dbar problem exactly.
-The coefficients of its polynomial part at the north pole are exact finite
-sums over the spherical-harmonic coefficients (the leading coefficients of
-the Legendre functions at the pole), and they land on the b-coordinates.
+(:func:`gram`), so the quadrature never sees the pole; G(u) serves the
+solved metric only.  The flat monomials are orthogonal, and G(0) is the
+diagonal of Beta values 2*pi B(j, k-j) = 2*pi/((k-1) C(k-2, j-1)), so the
+flat dual, its inverse and its condition number need no grid.  The same
+weight normalizes the dbar solver, one spectral Poisson solve: on the
+unit-area sphere lap = 4*pi (1+|z|^2)^2 d_z d_zbar, and since H^{0,1}(P^1) = 0
+the Poisson solution solves the dbar problem exactly.  Its polynomial part
+at the north pole is an exact finite sum over the spherical-harmonic
+coefficients (the Legendre functions' leading ones); its coefficients are b.
 
 Sphere isometries act on classes through Moebius maps of the chart;
 orientation-reversing maps conjugate coefficients.
@@ -23,19 +24,13 @@ orientation-reversing maps conjugate coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polymul, polypow
 
-from .bundles import (
-    TANGENT_NORMALIZATION,
-    BundleSpec,
-    ConformalFactor,
-    HoloClass,
-    chart_monomials,
-    pair_weight_h0,
-)
+from .bundles import TANGENT_NORMALIZATION, BundleSpec, ConformalFactor, HoloClass, chart_monomials, pair_weight_h0
 from .errors import SpecMismatch, ZeroClass
 from .geometry import GAUSS_CURVATURE, SphereGrid
 
@@ -99,19 +94,23 @@ def b_coords(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> DualCoords
     return DualCoords(phi.spec, gram(phi.spec, u, grid) @ np.conj(phi.a))
 
 
-def dual_map_H0(phi: HoloClass, grid: SphereGrid) -> DualCoords:
+def _flat_diagonal(k: int) -> np.ndarray:
+    """G(0) = diag(2*pi / ((k-1) C(k-2, i))), i = 0..k-2: the flat Gram matrix in closed form."""
+    return TANGENT_NORMALIZATION / np.array([(k - 1) * math.comb(k - 2, i) for i in range(k - 1)], dtype=float)
+
+
+def dual_map_H0(phi: HoloClass) -> DualCoords:
     """The flat-metric dual; conjugate-linear bijection on classes."""
-    return DualCoords(phi.spec, gram(phi.spec, ConformalFactor.zero(grid), grid) @ np.conj(phi.a))
+    return DualCoords(phi.spec, _flat_diagonal(phi.spec.k) * np.conj(phi.a))
 
 
-def dual_map_H0_inverse(eta: DualCoords, grid: SphereGrid) -> HoloClass:
-    g0 = gram(eta.spec, ConformalFactor.zero(grid), grid)
-    return HoloClass(eta.spec, np.conj(np.linalg.solve(g0, eta.b)))
+def dual_map_H0_inverse(eta: DualCoords) -> HoloClass:
+    return HoloClass(eta.spec, np.conj(eta.b / _flat_diagonal(eta.spec.k)))
 
 
-def dualization_condition(spec: BundleSpec, grid: SphereGrid) -> float:
-    """Condition number of the flat Gram matrix, the H_0 dualization map."""
-    return float(np.linalg.cond(gram(spec, ConformalFactor.zero(grid), grid)))
+def dualization_condition(spec: BundleSpec) -> float:
+    """Condition number of the flat dual map: its largest diagonal entry over its smallest."""
+    return float(math.comb(spec.k - 2, (spec.k - 2) // 2))
 
 
 # ----------------------------------------------------------------------
@@ -169,14 +168,13 @@ def pullback_class(iso: IsometryAction, phi: HoloClass) -> HoloClass:
     return HoloClass(phi.spec, out)
 
 
-def pullback_dual(iso: IsometryAction, eta: DualCoords, grid: SphereGrid) -> DualCoords:
+def pullback_dual(iso: IsometryAction, eta: DualCoords) -> DualCoords:
     """Pulled-back extension class, via conjugation with the flat dual map.
 
     Valid projectively: the flat dual intertwines the two actions up to the
     positive equivariance constant, which cancels on classes.
     """
-    phi = dual_map_H0_inverse(eta, grid)
-    return dual_map_H0(pullback_class(iso, phi), grid)
+    return dual_map_H0(pullback_class(iso, dual_map_H0_inverse(eta)))
 
 
 # ----------------------------------------------------------------------

@@ -258,7 +258,7 @@ def _row(lam, result: SolveResult) -> dict:
     }
 
 
-def _ladder(phi, cfg: ExperimentConfig, grid) -> tuple[list, dict]:
+def _ladder(phi, cfg: ExperimentConfig) -> tuple[list, dict]:
     """Ascending rows, each continued from the last converged point (so stall_lambda is the branch's).
 
     Once a solve stalls, every higher coupling reuses that stalled result and
@@ -275,7 +275,7 @@ def _ladder(phi, cfg: ExperimentConfig, grid) -> tuple[list, dict]:
             minres_iters += result.minres_iters
         coords = NO_COORDINATES
         if result.converged:
-            b = b_coords(phi, result.u, grid).b
+            b = b_coords(phi, result.u, build_grid(scfg.l_max)).b
             coords = _coordinates(b, div_classifier(b, phi.spec))
         rows.append({**_row(lam, result), **coords})
     reason, fine = ("converged", None) if result is None else (result.stop_reason, _value(result.stop_residual_fine))
@@ -283,10 +283,9 @@ def _ladder(phi, cfg: ExperimentConfig, grid) -> tuple[list, dict]:
 
 
 def _run(cfg: ExperimentConfig, body) -> RunRecord:
-    """Every driver's clock, class, grid and record around ``body(cfg, phi, grid) -> (rows, summary, curves)``."""
+    """Every driver's clock, class and record around ``body(cfg, phi) -> (rows, summary, curves)``."""
     t0 = time.time()
-    phi = cfg.the_class()
-    rows, summary, curves = body(cfg, phi, build_grid(cfg.solve_config().l_max))
+    rows, summary, curves = body(cfg, cfg.the_class())
     return RunRecord(cfg.config_hash(), rows, summary, time.time() - t0, curves)
 
 
@@ -299,8 +298,8 @@ def run_existence_sweep(cfg: ExperimentConfig) -> RunRecord:
     return _run(cfg, _sweep)
 
 
-def _sweep(cfg, phi, grid):
-    rows, stop = _ladder(phi, cfg, grid)
+def _sweep(cfg, phi):
+    rows, stop = _ladder(phi, cfg)
     # a Z_n-symmetric class (n >= 2) keeps b on the indices = r (mod n): each
     # converged row reports the share of b off them
     n, r = phi.rotation_symmetry()
@@ -311,7 +310,7 @@ def _sweep(cfg, phi, grid):
                 b = np.array(row["b"])
                 row["off_pattern"] = float(np.linalg.norm(b[off]) / np.linalg.norm(b))
     worst = max((row["off_pattern"] for row in rows if "off_pattern" in row), default=None)
-    rep0 = div_classifier(dual_map_H0(phi, grid).b, phi.spec)
+    rep0 = div_classifier(dual_map_H0(phi).b, phi.spec)
     bound = ExistenceRange.of_report(rep0, phi.spec).hi
     failed = [r["lambda"] for r in rows if not r["converged"]]
     summary = {
@@ -344,10 +343,10 @@ def run_radial_nonexistence(cfg: ExperimentConfig) -> RunRecord:
     return _run(cfg, _radial)
 
 
-def _radial(cfg, phi, grid):
+def _radial(cfg, phi):
     lam = 4.0 * np.pi
     rad = solve_radial(phi, lam, cfg.solve_config())
-    b = dual_map_H0(phi, grid).b
+    b = dual_map_H0(phi).b
     rep = div_classifier(b, phi.spec)
     # a rank-one Hankel matrix: b_j b_{j+2} = b_{j+1}^2 up to 1e-8 max|b|^2
     hankel_ok = not np.any(np.abs(b[:-2] * b[2:] - b[1:-1] ** 2) > 1e-8 * np.abs(b).max() ** 2)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from spherecurv import geometry
 from spherecurv.geometry import build_grid
 
 # every property test draws the same examples on every run, with no time limit
@@ -45,3 +46,11 @@ def random_real_field(grid, rng, l_hi=None, amp=1.0, zero_mean=True):
             a = rng.normal() + 1j * rng.normal()
             h[m, l] = np.sqrt(2.0) * a.real, -np.sqrt(2.0) * a.imag
     return grid.synthesize(amp * h.reshape(-1)[grid._flat])
+
+
+def requested_grids(monkeypatch):
+    """(l_max, m_max) of every grid asked of ``build_grid``, cached or not."""
+    keys = []
+    cached = geometry._cached_grid
+    monkeypatch.setattr(geometry, "_cached_grid", lambda *key: keys.append(key) or cached(*key))
+    return keys

@@ -4,9 +4,10 @@ Each oracle takes a route the package does not: finite differences instead
 of the spectral operator, off-grid synthesis instead of grid samples, the
 direct slope inequality instead of its restated chain, Berlekamp-Massey
 over the coordinates' own field instead of over the Gaussian integers, a
-MINRES loop that allocates every vector instead of updating in place, or
+MINRES loop that allocates every vector instead of updating in place,
 synthesis against a differentiated Legendre table instead of the packed
-recurrence shift.  The helpers after them (pullback of a conformal factor,
+recurrence shift, or the flat Gram matrix by grid quadrature instead of its
+Beta-value diagonal.  The helpers after them (pullback of a conformal factor,
 the canonical-section norm, the pole multiplicity of a divisor, j*(s) for
 one budget, whether a candidate is in generic position, the stability
 chain, random rotations, isometries and chart points built or applied
@@ -29,7 +30,7 @@ from spherecurv.bundles import (
     pair_weight_values,
     phi_norm_sq,
 )
-from spherecurv.cohomology import IsometryAction, pullback_class
+from spherecurv.cohomology import IsometryAction, gram, pullback_class
 from spherecurv.geometry import GAUSS_CURVATURE, ChartPoint, SphereGrid
 
 
@@ -360,6 +361,15 @@ def pullback_class_convolve(iso: IsometryAction, phi: HoloClass) -> HoloClass:
         if coef != 0:
             out += coef * np.convolve(power([beta, alpha], i), power([np.conj(alpha), -np.conj(beta)], k - 2 - i))
     return HoloClass(phi.spec, out)
+
+
+def flat_gram(spec: BundleSpec, grid: SphereGrid) -> np.ndarray:
+    """The flat Gram matrix G(0) by quadrature on ``grid``: ``cohomology.gram`` at u = 0.
+
+    The reference for the closed-form flat dual, which takes G(0) as the
+    diagonal 2*pi / ((k-1) C(k-2, i)).
+    """
+    return gram(spec, ConformalFactor.zero(grid), grid)
 
 
 # ----------------------------------------------------------------------

@@ -224,13 +224,12 @@ def test_08_radial_dichotomy():
 
 def test_09_small_coupling_limit():
     cfg = SolveConfig(l_max=16)
-    grid = build_grid(16)
     rng = np.random.default_rng(106)
     ok = True
     worst_final = 0.0
     for _ in range(5):
         phi = HoloClass(spec_k(4), rng.normal(size=3) + 1j * rng.normal(size=3))
-        b0 = dual_map_H0(phi, grid)
+        b0 = dual_map_H0(phi)
         angles = [projective_angle(forward_F(phi, lam, cfg).b, b0.b) for lam in (0.5, 0.1, 0.01)]
         ok &= angles[0] > angles[1] > angles[2] and angles[2] < 1e-2
         worst_final = max(worst_final, angles[2])
@@ -253,7 +252,7 @@ def test_10_equivariance():
     phi = HoloClass(spec_k(4), rng.normal(size=3) + 1j * rng.normal(size=3))
     lam = 2 * np.pi
     lhs = forward_F(pullback_class(iso, phi), lam, cfg)
-    rhs = pullback_dual(iso, forward_F(phi, lam, cfg), grid)
+    rhs = pullback_dual(iso, forward_F(phi, lam, cfg))
     angle = projective_angle(lhs.b, rhs.b)
     ok = worst_dev < 1e-8 and angle < 1e-5
     _report(10, ok, f"norm-equivariance dev {worst_dev:.1e}, forward map angle {angle:.1e}")

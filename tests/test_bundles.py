@@ -187,6 +187,16 @@ class TestDivisor:
         finite = sorted(p.z.real for p, m in d.points if p.w != 0)
         assert finite == pytest.approx([0.0, 1.0], abs=1e-8)
 
+    def test_degree_reads_the_symmetry_support(self):
+        # a coefficient at 1e-13 of the largest is outside the support that
+        # puts this class on the m = 0 grid as z^2, so the degree and the
+        # divisor drop it too: no zeros at |z| ~ 4.5e6
+        phi = HoloClass(spec_k(7), np.array([0, 0, 2, 0, -1e-13, 0], dtype=complex))
+        assert phi.rotation_symmetry() == (0, 2) and phi.poly_degree() == 2
+        d = divisor_of(phi)
+        assert d.total == 5 and at_pole(d) == 3
+        assert [(abs(p.z) < 1e-7, m) for p, m in d.points if p.w != 0] == [(True, 2)]
+
     def test_zero_class_rejected(self):
         with pytest.raises(ZeroClass):
             HoloClass(spec_k(4), np.zeros(3, dtype=complex))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from math import factorial
+from math import comb, factorial
 from scipy.integrate import quad
 
 from spherecurv.bundles import BundleSpec, ConformalFactor, HoloClass, divisor_of
@@ -21,11 +21,13 @@ from spherecurv.cohomology import (
     pullback_dual,
 )
 from spherecurv.errors import SpecMismatch, ZeroClass
+from spherecurv.geometry import build_grid
 
 from conftest import random_real_field
 from oracles import (
     apply_z,
     compose,
+    flat_gram,
     norm_equivariance_profile,
     pullback_class_convolve,
     pullback_conformal,
@@ -63,7 +65,7 @@ class TestCoupling:
         spec = spec_k(4)
         u0 = ConformalFactor.zero(grid16)
         for j in range(1, spec.k):
-            phi_j = dual_map_H0_inverse(basis_dual(spec, j), grid16)
+            phi_j = dual_map_H0_inverse(basis_dual(spec, j))
             got = b_coords(phi_j, u0, grid16).b
             expect = np.zeros(spec.k - 1)
             expect[j - 1] = 1.0
@@ -221,11 +223,11 @@ class TestGram:
 
 
 class TestDualMapH0:
-    def test_beta_closed_form(self, grid16):
+    def test_beta_closed_form(self):
         # diagonal entries are 2*pi*(j-1)!(k-1-j)!/(k-1)!; oracle by 1-D quadrature
         spec = spec_k(4)
         for j in range(1, spec.k):
-            b = dual_map_H0(basis_class(spec, j - 1), grid16).b
+            b = dual_map_H0(basis_class(spec, j - 1)).b
             def integrand(r, j=j):
                 return (
                     2 * np.pi * r ** (2 * (j - 1)) * (1 + r * r) ** (2 - spec.k)
@@ -235,40 +237,56 @@ class TestDualMapH0:
             assert abs(b[j - 1] - oracle) < 1e-12
             assert abs(oracle - 2 * np.pi * factorial(j - 1) * factorial(spec.k - 1 - j) / factorial(spec.k - 1)) < 1e-10
 
-    def test_injective_and_conditioned(self, grid16):
-        cond = dualization_condition(spec_k(4), grid16)
+    def test_injective_and_conditioned(self):
+        cond = dualization_condition(spec_k(4))
         assert np.isfinite(cond) and cond < 10.0
 
-    def test_antilinearity(self, grid16):
+    @pytest.mark.parametrize("l_max", [16, 48])
+    def test_closed_form_matches_grid_gram(self, l_max):
+        # column i of the flat dual map is dual_map_H0(e_i); against the
+        # quadrature Gram each column agrees to 1e-13 of its diagonal entry,
+        # and the condition number is the largest entry over the smallest
+        grid = build_grid(l_max)
+        for k in range(3, 13):
+            spec = spec_k(k)
+            closed = np.column_stack([dual_map_H0(basis_class(spec, i)).b for i in range(k - 1)])
+            assert np.count_nonzero(closed - np.diag(np.diag(closed))) == 0, k
+            oracle = flat_gram(spec, grid)
+            assert np.all(np.abs(closed - oracle).max(axis=0) <= 1e-13 * np.diag(closed).real), (l_max, k)
+            cond = dualization_condition(spec)
+            assert cond == comb(k - 2, (k - 2) // 2), k
+            assert abs(cond - np.linalg.cond(oracle)) <= 1e-13 * cond, (l_max, k)
+
+    def test_antilinearity(self):
         rng = np.random.default_rng(42)
         spec = spec_k(5)
         phi = HoloClass(spec, rng.normal(size=4) + 1j * rng.normal(size=4))
         c = 1.3 - 2.2j
-        lhs = dual_map_H0(phi.scaled(c), grid16).b
-        rhs = np.conj(c) * dual_map_H0(phi, grid16).b
+        lhs = dual_map_H0(phi.scaled(c)).b
+        rhs = np.conj(c) * dual_map_H0(phi).b
         assert np.abs(lhs - rhs).max() < 1e-10 * np.abs(rhs).max()
 
-    def test_inverse_roundtrip(self, grid16):
+    def test_inverse_roundtrip(self):
         rng = np.random.default_rng(43)
         spec = spec_k(6)
         phi = HoloClass(spec, rng.normal(size=5) + 1j * rng.normal(size=5))
-        back = dual_map_H0_inverse(dual_map_H0(phi, grid16), grid16)
+        back = dual_map_H0_inverse(dual_map_H0(phi))
         assert np.abs(back.a - phi.a).max() < 1e-10 * np.abs(phi.a).max()
 
 
 class TestHankelCharacterization:
-    def test_forward(self, grid16):
+    def test_forward(self):
         # single-point divisors produce rank-one Hankel coordinate vectors
         for k in (4, 5, 6):
             spec = spec_k(k)
             a0 = 0.6 - 0.2j
             coeffs = np.array([(-a0) ** (k - 2 - i) * factorial(k - 2) / (factorial(i) * factorial(k - 2 - i)) for i in range(k - 1)])
-            b = dual_map_H0(HoloClass(spec, coeffs), grid16).b
+            b = dual_map_H0(HoloClass(spec, coeffs)).b
             for j in range(k - 3):
                 rel = abs(b[j] * b[j + 2] - b[j + 1] ** 2) / abs(b[j + 1] ** 2)
                 assert rel < 1e-8, (k, j)
 
-    def test_reverse(self, grid16):
+    def test_reverse(self):
         # rank-one vectors pull back to single-point divisors; a root of
         # multiplicity m computed via the companion matrix scatters by
         # ~eps^(1/m), so the cluster radius must match that scale
@@ -276,14 +294,14 @@ class TestHankelCharacterization:
             spec = spec_k(k)
             rho = 0.45 + 0.3j
             b = DualCoords(spec, np.array([rho ** j for j in range(k - 1)]))
-            phi = dual_map_H0_inverse(b, grid16)
+            phi = dual_map_H0_inverse(b)
             div = divisor_of(phi, cluster_tol=5e-3)
             assert len(div.points) == 1 and div.points[0][1] == k - 2, k
 
-    def test_reverse_fails_off_rank_one(self, grid16):
+    def test_reverse_fails_off_rank_one(self):
         spec = spec_k(5)
         b = DualCoords(spec, np.array([1.0, 0.5, 0.5, 0.1], dtype=complex))
-        phi = dual_map_H0_inverse(b, grid16)
+        phi = dual_map_H0_inverse(b)
         div = divisor_of(phi, cluster_tol=1e-5)
         assert len(div.points) > 1
 
@@ -351,20 +369,20 @@ class TestPullbacks:
         pb = pullback_class(IsometryAction.reflection(), HoloClass(spec, a))
         assert np.abs(pb.a - np.conj(a)).max() < 1e-14
 
-    def test_dual_rotation_fixes_e1(self, grid16):
+    def test_dual_rotation_fixes_e1(self):
         spec = spec_k(4)
         iso = rotation_about_axis(1.3)
-        out = pullback_dual(iso, basis_dual(spec, 1), grid16)
+        out = pullback_dual(iso, basis_dual(spec, 1))
         assert projective_angle(out.b, basis_dual(spec, 1).b) < 1e-10
 
-    def test_dual_contravariant(self, grid16):
+    def test_dual_contravariant(self):
         rng = np.random.default_rng(47)
         spec = spec_k(5)
         i1 = random_rotation(rng)
         i2 = random_rotation(rng)
         eta = DualCoords(spec, rng.normal(size=4) + 1j * rng.normal(size=4))
-        lhs = pullback_dual(compose(i1, i2), eta, grid16)
-        rhs = pullback_dual(i2, pullback_dual(i1, eta, grid16), grid16)
+        lhs = pullback_dual(compose(i1, i2), eta)
+        rhs = pullback_dual(i2, pullback_dual(i1, eta))
         assert projective_angle(lhs.b, rhs.b) < 1e-8
 
     @given(k=st.integers(2, 9), seed=st.integers(0, 2**32 - 1))
@@ -379,11 +397,11 @@ class TestPullbacks:
         rhs = pullback_class(i2, pullback_class(i1, phi))
         assert projective_angle(lhs.a, rhs.a) < 1e-12
 
-    def test_dual_identity(self, grid16):
+    def test_dual_identity(self):
         rng = np.random.default_rng(48)
         spec = spec_k(4)
         eta = DualCoords(spec, rng.normal(size=3) + 1j * rng.normal(size=3))
-        out = pullback_dual(IsometryAction.identity(), eta, grid16)
+        out = pullback_dual(IsometryAction.identity(), eta)
         assert projective_angle(out.b, eta.b) < 1e-12
 
     def test_pullback_conformal_rotation(self, grid16):

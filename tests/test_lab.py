@@ -18,6 +18,7 @@ from spherecurv.lab import (
 )
 from spherecurv.pde import solve_phi_system
 
+from conftest import requested_grids
 from oracles import at_pole
 
 
@@ -482,6 +483,15 @@ class TestRadialDriver:
         assert printed["summary"] == strict_json(open(printed["paths"]["json"]).read())["summary"]
         assert printed["summary"]["mismatch_min"] is None
 
+    def test_radial_run_builds_no_full_grid(self, tmp_path, monkeypatch):
+        # the flat dual needs no grid, so a radial run asks only for the polish's m = 0 grids
+        keys = requested_grids(monkeypatch)
+        cfg = ExperimentConfig(
+            experiment="radial", deg_L2=4, class_coeffs=[[0, 0], [1, 0], [0, 0]], solver={"l_max": 16}, out_dir=str(tmp_path)
+        )
+        assert run_radial_nonexistence(cfg).summary["polish_converged"]
+        assert keys and {m_max for _, m_max in keys} == {0}
+
 
 class TestSymmetryAudit:
     # the sweep's symmetry check: a class of rotation order n >= 2 keeps b on
@@ -569,7 +579,7 @@ TWO_POLE = {"deg_L2": 4, "class_coeffs": [[0, 0], [1, 0], [0, 0]]}
 READS = {
     "grid-check": ("lmax",),
     "classify": (),
-    "dualize": ("lmax",),
+    "dualize": (),
     "family": ("config",),
     "solve": ("config", "lmax"),
     "sweep": ("config", "out", "lmax"),
@@ -747,9 +757,14 @@ class TestCli:
         assert data["existence_range"] == [0.0, 4 * np.pi * data["stratum_m"]]
 
     def test_dualize_verb(self, capsys):
-        assert cli_main(["dualize", "--a", "0,0;1,0;0,0", "--deg-l2", "4", "--lmax", "16"]) == 0
+        assert cli_main(["dualize", "--a", "0,0;1,0;0,0", "--deg-l2", "4"]) == 0
         data = strict_json(capsys.readouterr().out)
         assert data["stratum_m"] == 2
+        assert data["b"] == [[0.0, 0.0], [np.pi / 3, 0.0], [0.0, 0.0]] and data["dualization_condition"] == 2
+        # the flat dual is a closed form, so the verb has no grid to size
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["dualize", "--a", "0,0;1,0;0,0", "--deg-l2", "4", "--lmax", "32"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize(
         "argv,message",

@@ -20,7 +20,7 @@ from spherecurv.pde import (
     solve_radial,
 )
 
-from conftest import random_real_field
+from conftest import random_real_field, requested_grids
 from oracles import compose, minres_allocating, random_rotation
 
 
@@ -599,11 +599,11 @@ class TestTransformCount:
 
 
 class TestForwardF:
-    def test_limit_matches_flat_dual(self, grid16):
+    def test_limit_matches_flat_dual(self):
         cfg = SolveConfig(l_max=16)
         rng = np.random.default_rng(64)
         phi = HoloClass(spec_k(4), rng.normal(size=3) + 1j * rng.normal(size=3))
-        b0 = dual_map_H0(phi, grid16)
+        b0 = dual_map_H0(phi)
         angles = []
         for lam in (0.5, 0.25, 0.1, 0.01):
             b = forward_F(phi, lam, cfg)
@@ -622,27 +622,25 @@ class TestForwardF:
 
     def test_equivariance_under_rotation(self):
         cfg = SolveConfig(l_max=24)
-        grid = build_grid(24)
         rng = np.random.default_rng(65)
         phi = HoloClass(spec_k(4), rng.normal(size=3) + 1j * rng.normal(size=3))
         iso = random_rotation(rng)
         lam = 2 * np.pi
         lhs = forward_F(pullback_class(iso, phi), lam, cfg)
-        rhs = pullback_dual(iso, forward_F(phi, lam, cfg), grid)
+        rhs = pullback_dual(iso, forward_F(phi, lam, cfg))
         assert projective_angle(lhs.b, rhs.b) < 1e-5
 
     def test_equivariance_under_reversing_isometry(self):
         # the dualized-solution map commutes with orientation-reversing
         # isometries too (conjugation convention)
         cfg = SolveConfig(l_max=24)
-        grid = build_grid(24)
         rng = np.random.default_rng(66)
         phi = HoloClass(spec_k(4), rng.normal(size=3) + 1j * rng.normal(size=3))
         iso = compose(random_rotation(rng), IsometryAction.reflection())
         assert iso.reverses
         lam = 2 * np.pi
         lhs = forward_F(pullback_class(iso, phi), lam, cfg)
-        rhs = pullback_dual(iso, forward_F(phi, lam, cfg), grid)
+        rhs = pullback_dual(iso, forward_F(phi, lam, cfg))
         assert projective_angle(lhs.b, rhs.b) < 1e-5
 
     def test_raises_on_stall(self):
@@ -878,16 +876,6 @@ class TestNestedIteration:
         polish = solve_phi_system(phi, 2 * np.pi, cfg, warm.u)
         assert warm.converged and polish.converged
         assert set(grids) == {48}
-
-
-def requested_grids(monkeypatch):
-    """(l_max, m_max) of every grid asked of ``build_grid``, cached or not."""
-    from spherecurv import geometry
-
-    keys = []
-    cached = geometry._cached_grid
-    monkeypatch.setattr(geometry, "_cached_grid", lambda *key: keys.append(key) or cached(*key))
-    return keys
 
 
 class TestAxisymmetric:

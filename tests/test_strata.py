@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 from fractions import Fraction
+from math import comb
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -426,7 +427,7 @@ class TestBerlekampMasseyProfile:
                     wrong.append((k, s, flt.div_eta, exact.div_eta, flt.margin))
         assert not wrong
 
-    def test_flat_dual_stratum_survives_normwise_noise(self, grid16):
+    def test_flat_dual_stratum_survives_normwise_noise(self):
         # discrepancies are judged against DEFAULT_TOL*||b||, so noise at 1e-10*||b||
         # must not move the flat duals of z^a off their stratum
         rng = np.random.default_rng(31)
@@ -435,12 +436,34 @@ class TestBerlekampMasseyProfile:
             for a in range(k - 1):
                 coeffs = np.zeros(k - 1, dtype=complex)
                 coeffs[a] = 1.0
-                b = dual_map_H0(HoloClass(spec, coeffs), grid16).b
+                b = dual_map_H0(HoloClass(spec, coeffs)).b
                 clean = div_classifier(b, spec).stratum_m
                 for _ in range(5):
                     noise = rng.normal(size=k - 1) + 1j * rng.normal(size=k - 1)
                     noisy = b + 1e-10 * np.linalg.norm(b) * noise / np.linalg.norm(noise)
                     assert div_classifier(noisy, spec).stratum_m == clean, (k, a)
+
+    def test_exact_flat_dual_stratum(self):
+        # a Gaussian-integer class has the exact flat dual conj(a_{j-1}) / C(k-2, j-1)
+        # up to the factor 2*pi/(k-1), which the projective classifier ignores
+        rng = np.random.default_rng(32)
+        for k in range(3, 11):
+            spec, d = spec_k(k), k - 2
+            classes = [np.eye(k - 1, dtype=int)[a] for a in range(k - 1)]  # monomials z^a
+            for a in range(1, (d + 1) // 2):  # balanced: z^a (z^n - c), 2a + n = k - 2
+                for c in (1, 2 - 1j):
+                    g = np.zeros(k - 1, dtype=complex)
+                    g[a], g[d - a] = -c, 1
+                    classes.append(g)
+            for p in range(1, d):  # (z - 1)^p and a pole of order k - 2 - p
+                classes.append(np.pad([comb(p, i) * (-1) ** (p - i) for i in range(p + 1)], (0, d - p)))
+            random = rng.integers(-3, 4, size=(10, k - 1)) + 1j * rng.integers(-3, 4, size=(10, k - 1))
+            classes += [g for g in random if g.any()]
+            for g in classes:
+                g = np.asarray(g, dtype=complex)
+                exact = [QQi(Fraction(int(x.real), comb(d, j)), Fraction(-int(x.imag), comb(d, j))) for j, x in enumerate(g)]
+                m = div_classifier(exact, spec, exact=True).stratum_m
+                assert m == div_classifier(dual_map_H0(HoloClass(spec, g)).b, spec).stratum_m, (k, g)
 
 
 class TestAlphaStable:
