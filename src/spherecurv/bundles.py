@@ -86,6 +86,9 @@ class HoloClass:
             raise SpecMismatch(
                 f"coefficient vector has length {a.shape}, expected {self.spec.k - 1}"
             )
+        bad = np.flatnonzero(~np.isfinite(a))
+        if bad.size:
+            raise ValueError(f"coefficient a_{bad[0]} = {a[bad[0]]} is not finite")
         object.__setattr__(self, "a", a)
         if not np.any(a):
             raise ZeroClass("holomorphic class must have a nonzero coefficient vector")

@@ -21,7 +21,7 @@ from .bundles import BundleSpec, HoloClass, divisor_of, phi_norm_sq
 from .cohomology import b_coords, dual_map_H0, dualization_condition
 from .errors import SpecMismatch, SphereCurvError, ZeroClass
 from .geometry import build_grid
-from .lab import DRIVERS, ExperimentConfig, write_run
+from .lab import DRIVERS, ExperimentConfig, _value, write_run
 from .pde import RadialProfile, solve_phi_system
 from .strata import ExistenceRange, div_classifier
 
@@ -133,17 +133,17 @@ def _cmd_solve(args) -> int:
         "converged": res.converged,
         "reached_lambda": res.lam,
         "stop_reason": res.stop_reason,
-        "stop_residual_fine": None if np.isnan(res.stop_residual_fine) else res.stop_residual_fine,
-        "residual_sup": res.residual_sup,
-        "offset": res.offset,
-        "sup_u": float(np.abs(res.u.total).max()),
+        "stop_residual_fine": _value(res.stop_residual_fine),
+        "residual_sup": _value(res.residual_sup),
+        "offset": _value(res.offset),
+        "sup_u": _value(np.abs(res.u.total).max()),
         "trace_points": len(res.continuation_trace),
     }
     if res.converged:
         # the conformal curvature actually realized by the solution
         kfield = 2.0 * phi_norm_sq(phi, res.u, grid)
-        report["curvature_min"] = float(kfield.min())
-        report["curvature_max"] = float(kfield.max())
+        report["curvature_min"] = _value(kfield.min())
+        report["curvature_max"] = _value(kfield.max())
         b = b_coords(phi, res.u, grid)
         rep = div_classifier(b.b, phi.spec)
         report["stratum_m"] = rep.stratum_m

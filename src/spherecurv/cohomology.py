@@ -6,15 +6,16 @@ contraction.  The metric dual of [phi] under H_u has coordinates
 
     b_j = 2*pi * integral( z^{j-1} conj(g(z)) (1+|z|^2)^{2-k} e^{2(u+c)} )
 
-against the normalized measure, i.e. b = G(u) conj(a) with one Hermitian
-Gram matrix G(u) of the chart-stable monomials of :mod:`spherecurv.bundles`
-(:func:`gram`), so the quadrature never sees the pole; G(u) serves the
-solved metric only.  The flat monomials are orthogonal, and G(0) is the
-diagonal of Beta values 2*pi B(j, k-j) = 2*pi/((k-1) C(k-2, j-1)), so the
-flat dual, its inverse and its condition number need no grid.  The same
-weight normalizes the dbar solver, one spectral Poisson solve: on the
-unit-area sphere lap = 4*pi (1+|z|^2)^2 d_z d_zbar, and since H^{0,1}(P^1) = 0
-the Poisson solution solves the dbar problem exactly.  Its polynomial part
+against the normalized measure: b = G(u) conj(a), G(u) the Hermitian Gram
+matrix of the chart-stable monomials V of :mod:`spherecurv.bundles`, which
+:func:`b_coords` contracts without forming, so the quadrature never sees
+the pole.  At u = 0 the monomials are orthogonal and G(0) is the diagonal of
+Beta values 2*pi B(j, k-j) = 2*pi/((k-1) C(k-2, j-1)): the flat dual, its
+inverse, its condition number and the flat mass (:func:`flat_mass`) need no
+grid, and this module alone evaluates them.  The same weight normalizes the
+dbar solver, one spectral Poisson solve: on the unit-area sphere
+lap = 4*pi (1+|z|^2)^2 d_z d_zbar, and since H^{0,1}(P^1) = 0 the Poisson
+solution solves the dbar problem exactly.  Its polynomial part
 at the north pole is an exact finite sum over the spherical-harmonic
 coefficients (the Legendre functions' leading ones); its coefficients are b.
 
@@ -77,21 +78,14 @@ def coupling(phi: HoloClass, eta: DualCoords) -> complex:
     return complex(np.sum(phi.a * eta.b))
 
 
-def gram(spec: BundleSpec, u: ConformalFactor, grid: SphereGrid) -> np.ndarray:
-    """Hermitian Gram matrix of the monomials under H_u: b = G @ conj(a).
-
-    G[i, j] = 2*pi * integral( z^i conj(z^j) (1+|z|^2)^{2-k} e^{2(u+c)} ),
-    taken on the chart-stable monomial matrix V:
-    G = 2*pi * V^T diag(q e^{2(u+c)}) conj(V), q the quadrature weights.
-    """
-    v = chart_monomials(spec.k, grid.z, grid.w).reshape(-1, spec.k - 1)
-    q = (grid.weights * np.exp(2.0 * u.total)).ravel()
-    return TANGENT_NORMALIZATION * (v.T * q) @ v.conj()
-
-
 def b_coords(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> DualCoords:
-    """Coordinates of the H_u-dual of phi (conjugate-linear in phi)."""
-    return DualCoords(phi.spec, gram(phi.spec, u, grid) @ np.conj(phi.a))
+    """Coordinates of the H_u-dual of phi (conjugate-linear in phi), contracted in one pass:
+
+    b_i = 2*pi * sum_n V[n, i] q_n e^{2(u+c)} conj((V a)_n), q the quadrature weights.
+    """
+    v = chart_monomials(phi.spec.k, grid.z, grid.w).reshape(-1, phi.spec.k - 1)
+    q = (grid.weights * np.exp(2.0 * u.total)).ravel()
+    return DualCoords(phi.spec, TANGENT_NORMALIZATION * (v.T @ (q * np.conj(v @ phi.a))))
 
 
 def _flat_diagonal(k: int) -> np.ndarray:
@@ -106,6 +100,11 @@ def dual_map_H0(phi: HoloClass) -> DualCoords:
 
 def dual_map_H0_inverse(eta: DualCoords) -> HoloClass:
     return HoloClass(eta.spec, np.conj(eta.b / _flat_diagonal(eta.spec.k)))
+
+
+def flat_mass(phi: HoloClass) -> float:
+    """Flat mass integral(2 |phi|^2_{H_0}) = 2 Re coupling(phi, dual_map_H0(phi)): the coupling identity at u = 0."""
+    return 2.0 * coupling(phi, dual_map_H0(phi)).real
 
 
 def dualization_condition(spec: BundleSpec) -> float:

@@ -338,7 +338,8 @@ def run_radial_nonexistence(cfg: ExperimentConfig) -> RunRecord:
     argument: the stratum m of the flat-dual coordinates and the end 4*pi*m
     of the solvable range (``existence_range_hi``).  The flat dual of z^a is
     a multiple of e_{a+1}, of stratum 1 + min(a, k-2-a): the bottom stratum,
-    whose range ends at 4*pi, only when every zero sits at one pole.
+    whose range ends at 4*pi, only when every zero sits at one pole; its Hankel
+    products vanish exactly then, so ``hankel_rank_one`` reads m == 1.
     """
     return _run(cfg, _radial)
 
@@ -348,8 +349,6 @@ def _radial(cfg, phi):
     rad = solve_radial(phi, lam, cfg.solve_config())
     b = dual_map_H0(phi).b
     rep = div_classifier(b, phi.spec)
-    # a rank-one Hankel matrix: b_j b_{j+2} = b_{j+1}^2 up to 1e-8 max|b|^2
-    hankel_ok = not np.any(np.abs(b[:-2] * b[2:] - b[1:-1] ** 2) > 1e-8 * np.abs(b).max() ** 2)
     row = {
         "lambda": lam,
         "converged": rad.converged,
@@ -375,7 +374,7 @@ def _radial(cfg, phi):
         "error_estimate": _value(rad.error_estimate),
         "degenerate_family": rad.degenerate_family,
         "flat_dual_stratum": rep.stratum_m,
-        "hankel_rank_one": hankel_ok,
+        "hankel_rank_one": rep.stratum_m == 1,
         "existence_range_hi": hi,
         "reason": rad.reason,
         "statement": {

@@ -20,10 +20,11 @@ line search measures the Euclidean residual, so a loose correction can fail
 to decrease |r| at any step size; a correction that fails its residual check
 or the line search is solved again once at minres_rtol from the same point.
 Only |r| < newton_tol on the exact packed residual accepts a solve.
-Continuation ramps lambda from a small value (where the constant-mode
-asymptotics give the initializer), or from a start state (a converged
-result at a lower coupling), with step halving on Newton failure and Illinois
-regula falsi (Dowell & Jarratt 1971, BIT 11) on a refined-grid filter crossing.
+Continuation ramps lambda from a small value (where the constant balance
+c = (1/2) log(lambda/M), M = integral(2K) from ``cohomology.flat_mass``,
+gives the initializer), or from a start state (a converged result at a lower
+coupling), with step halving on Newton failure and Illinois regula falsi
+(Dowell & Jarratt 1971, BIT 11) on a refined-grid filter crossing.
 It is a predictor-corrector (Allgower & Georg 2003, SIAM, ch. 2): lambda
 enters the packed residual only as -lambda e_0, so the path tangent at an
 accepted point is t = J^{-1} e_0, solved once (on a full grid by MINRES at
@@ -66,8 +67,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .bundles import ConformalFactor, HoloClass, phi_norm_sq
-from .cohomology import DualCoords, b_coords
+from .bundles import TANGENT_NORMALIZATION, ConformalFactor, HoloClass, phi_norm_sq
+from .cohomology import DualCoords, b_coords, flat_mass
 from .errors import InvalidLambda, NonConvergence
 from .geometry import SphereGrid, build_grid, longitudes
 
@@ -160,6 +161,7 @@ class _Workspace:
         self.trace, self.minres_iters = [], 0
         self.grid = grid
         self.k_vals = phi_norm_sq(phi, ConformalFactor.zero(grid), grid)
+        self.mass = flat_mass(phi)  # integral of 2K
         self.diag = grid.packed_laplace
         self.n = grid.n_packed
         cap = grid.m_max if grid.m_max < grid.l_max else None  # a capped grid refines to a capped grid
@@ -362,9 +364,8 @@ def _newton(ws: _Workspace, x0: np.ndarray, lam: float):
 
 
 def _initial_guess(ws: _Workspace, lam: float) -> np.ndarray:
-    """Constant balance plus one Poisson correction, valid for small lambda."""
-    mass = float(np.real(ws.grid.integrate(2.0 * ws.k_vals)))
-    c0 = 0.5 * math.log(lam / mass)
+    """Constant balance c0 = (1/2) log(lambda/M) plus one Poisson correction, valid for small lambda."""
+    c0 = 0.5 * math.log(lam / ws.mass)
     x, _ = ws.grid.poisson_coeffs(lam - 2.0 * ws.k_vals * math.exp(2.0 * c0))
     x[0] = c0
     return x
@@ -553,16 +554,11 @@ class RadialProfile:
         n, a = phi.rotation_symmetry()
         if n != 0:
             raise ValueError("radial reduction requires a monomial class (divisor on one axis)")
-        return cls(k=phi.spec.k, a=a, amp=2.0 * np.pi * float(np.abs(phi.a[a]) ** 2))
+        return cls(k=phi.spec.k, a=a, amp=TANGENT_NORMALIZATION * float(np.abs(phi.a[a]) ** 2))
 
     def __call__(self, theta):
         b = self.k - 2 - self.a
         return self.amp * np.cos(theta / 2.0) ** (2 * self.a) * np.sin(theta / 2.0) ** (2 * b)
-
-    def total_mass(self) -> float:
-        """Integral of 2K over the sphere: 2 amp a! b! / (k-1)!, from x = sin^2(t/2) (a Beta integral)."""
-        b = self.k - 2 - self.a
-        return 2.0 * self.amp * math.factorial(self.a) * math.factorial(b) / math.factorial(self.k - 1)
 
 
 @dataclass
@@ -630,7 +626,7 @@ def solve_radial(phi: HoloClass, lam: float, cfg: SolveConfig) -> RadialResult:
     if not 0 < lam < math.inf:  # NaN too
         raise InvalidLambda(f"lambda must be positive and finite, got {lam}")
 
-    center = 0.5 * math.log(lam / profile.total_mass())
+    center = 0.5 * math.log(lam / flat_mass(phi))
     n_sweep = 49
     alphas = np.linspace(-9.0 + center, 3.0 + center, n_sweep)
     values = np.array([_shoot(profile, lam, float(a))[0] for a in alphas])

@@ -27,10 +27,11 @@ from spherecurv.bundles import (
     ConformalFactor,
     Divisor,
     HoloClass,
+    chart_monomials,
     pair_weight_values,
     phi_norm_sq,
 )
-from spherecurv.cohomology import IsometryAction, gram, pullback_class
+from spherecurv.cohomology import IsometryAction, pullback_class
 from spherecurv.geometry import GAUSS_CURVATURE, ChartPoint, SphereGrid
 
 
@@ -364,12 +365,14 @@ def pullback_class_convolve(iso: IsometryAction, phi: HoloClass) -> HoloClass:
 
 
 def flat_gram(spec: BundleSpec, grid: SphereGrid) -> np.ndarray:
-    """The flat Gram matrix G(0) by quadrature on ``grid``: ``cohomology.gram`` at u = 0.
+    """The flat Gram matrix G(0) = 2*pi V^T diag(q) conj(V) by quadrature on ``grid``.
 
-    The reference for the closed-form flat dual, which takes G(0) as the
+    V is the chart-stable monomial matrix and q the quadrature weights.  The
+    reference for the closed-form flat dual, which takes G(0) as the
     diagonal 2*pi / ((k-1) C(k-2, i)).
     """
-    return gram(spec, ConformalFactor.zero(grid), grid)
+    v = chart_monomials(spec.k, grid.z, grid.w).reshape(-1, spec.k - 1)
+    return TANGENT_NORMALIZATION * (v.T * grid.weights.ravel()) @ v.conj()
 
 
 # ----------------------------------------------------------------------

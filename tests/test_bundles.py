@@ -201,6 +201,15 @@ class TestDivisor:
         with pytest.raises(ZeroClass):
             HoloClass(spec_k(4), np.zeros(3, dtype=complex))
 
+    @pytest.mark.parametrize(
+        "a,bad", [([np.nan, 1, 0], 0), ([1, np.inf, 0], 1), ([1, 0, -np.inf], 2), ([0, 1, 1j * np.inf], 2)]
+    )
+    def test_non_finite_class_rejected(self, a, bad):
+        # a non-finite coefficient used to construct, and the support readers
+        # (degree, divisor, symmetry) then failed with a bare IndexError
+        with pytest.raises(ValueError, match=f"coefficient a_{bad} = .* is not finite"):
+            HoloClass(spec_k(4), a)
+
 
 class TestRotationSymmetry:
     # (n, r): the support's index differences have gcd n, and its indices are r mod n

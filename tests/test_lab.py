@@ -492,6 +492,23 @@ class TestRadialDriver:
         assert run_radial_nonexistence(cfg).summary["polish_converged"]
         assert keys and {m_max for _, m_max in keys} == {0}
 
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_hankel_rank_one_is_the_bottom_stratum(self, k, tmp_path, monkeypatch):
+        # the flat dual of z^a is c e_{a+1}: its Hankel products
+        # b_j b_{j+2} - b_{j+1}^2 vanish exactly for a in {0, k-2}, the
+        # classes of stratum 1 + min(a, k-2-a) = 1; z with k = 4 is interior
+        from spherecurv import pde
+
+        monkeypatch.setattr(pde, "_shoot", lambda *args, **kw: (np.nan, None))  # the classifier side alone
+        for a in range(k - 1):
+            coeffs = [[float(i == a), 0] for i in range(k - 1)]
+            cfg = ExperimentConfig(experiment="radial", deg_L2=k, class_coeffs=coeffs, out_dir=str(tmp_path))
+            rec = run_radial_nonexistence(cfg)
+            b = np.array(rec.rows[0]["b"])
+            rank_one = not np.any(b[:-2] * b[2:] - b[1:-1] ** 2)
+            assert rec.summary["flat_dual_stratum"] == 1 + min(a, k - 2 - a), (k, a)
+            assert rec.summary["hankel_rank_one"] is rank_one is (a in (0, k - 2)), (k, a)
+
 
 class TestSymmetryAudit:
     # the sweep's symmetry check: a class of rotation order n >= 2 keeps b on
@@ -794,8 +811,9 @@ class TestCli:
             (["classify", "--b", "1;2", "--deg-l2", "4"], "entry '1' is not a 're,im' pair"),
             (["classify", "--b", "1/2,0;x,0;1,0", "--deg-l2", "4", "--exact"], "Invalid literal for Fraction"),
             (["dualize", "--a", "1,0", "--deg-l2", "4"], "coefficient vector has length (1,), expected 3"),
+            (["dualize", "--a", "nan,0;1,0;0,0", "--deg-l2", "4"], "coefficient a_0 = (nan+0j) is not finite"),
         ],
-        ids=["nan", "wrong_length", "malformed", "malformed_exact", "dualize_wrong_length"],
+        ids=["nan", "wrong_length", "malformed", "malformed_exact", "dualize_wrong_length", "dualize_nan"],
     )
     def test_bad_coordinates_are_usage_errors(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -803,6 +821,7 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert err.count("error:") == 1
 
     def test_config_with_solver_constant_is_usage_error(self, tmp_path, capsys):
         # an old config that sets a solver guard gets one line naming the key
@@ -846,6 +865,18 @@ class TestCli:
         # the same cold solve as a one-point sweep's, so the same classification
         row = run_existence_sweep(ExperimentConfig.from_json(cfg)).rows[0]
         assert (report["stratum_m"], report["margin"]) == (row["stratum"], row["margin"])
+
+    def test_solve_report_writes_missing_values_as_null(self, tmp_path, capsys, monkeypatch):
+        # a non-finite float in the report is null, never NaN or Infinity
+        solve = cli.solve_phi_system
+        monkeypatch.setattr(
+            cli, "solve_phi_system", lambda *args, **kw: dataclasses.replace(solve(*args, **kw), residual_sup=np.inf)
+        )
+        cfg = config_file(tmp_path, "solve", **TWO_POLE, lambda_grid=[2.0])
+        assert cli_main(["solve", "--config", cfg]) == 0
+        report = strict_json(capsys.readouterr().out)
+        assert report["residual_sup"] is None and report["stop_residual_fine"] is None
+        assert all(isinstance(report[key], float) for key in ("offset", "sup_u", "curvature_min", "curvature_max"))
 
     def test_solve_exit_code(self, tmp_path, capsys):
         cfg = ExperimentConfig(

@@ -90,3 +90,19 @@ def test_readme_verb_table_is_the_cli():
         verbs, flags = line.strip("|").split("|")
         listed += [(verb, sorted(re.findall(r"`--([\w-]+)`", flags))) for verb in re.findall(r"`([\w-]+)`", verbs)]
     assert sorted(listed) == sorted((verb, sorted(flags)) for verb, (_, flags) in cli.VERBS.items())
+
+
+def test_beta_diagonal_has_one_owner():
+    # the flat Gram diagonal 2*pi/((k-1) C(k-2, i)) is evaluated in cohomology
+    # alone (the flat dual, its condition and the flat mass); another module
+    # that needs one of those calls cohomology instead of its own factorials
+    package = Path(spherecurv.__file__).parent
+    names = {"comb", "factorial"}
+    users = {
+        path.stem
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr in names and ast.unparse(node.value) == "math")
+        or (isinstance(node, ast.ImportFrom) and node.module == "math" and names & {a.name for a in node.names})
+    }
+    assert users == {"cohomology"}

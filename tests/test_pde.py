@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spherecurv.bundles import BundleSpec, ConformalFactor, HoloClass, phi_norm_sq
-from spherecurv.cohomology import b_coords, dual_map_H0, projective_angle, pullback_class, pullback_dual, IsometryAction
+from spherecurv.cohomology import b_coords, dual_map_H0, flat_mass, projective_angle, pullback_class, pullback_dual, IsometryAction
 from spherecurv.errors import InvalidLambda, NonConvergence
 from spherecurv.geometry import SphereGrid, build_grid
 from spherecurv.pde import (
@@ -1064,7 +1064,12 @@ class TestRadial:
             RadialProfile.from_class(HoloClass(spec_k(4), np.array([1.0, 1.0, 0.0])))
 
     def test_profile_mass_matches_grid(self, grid16):
-        phi = monomial(4, 1, amp=1.3)
-        prof = RadialProfile.from_class(phi)
-        grid_mass = grid16.integrate(2 * phi_norm_sq(phi, ConformalFactor.zero(grid16), grid16))
-        assert abs(prof.total_mass() - grid_mass) < 1e-10
+        # the closed-form flat mass that centres the sweep (and opens every
+        # cold solve) against the l_max-16 quadrature of 2K
+        rng = np.random.default_rng(53)
+        for k in range(3, 13):
+            phis = [monomial(k, a, amp=1.3) for a in range(k - 1)]
+            phis += [HoloClass(spec_k(k), rng.normal(size=k - 1) + 1j * rng.normal(size=k - 1)) for _ in range(3)]
+            for phi in phis:
+                grid_mass = grid16.integrate(2 * phi_norm_sq(phi, ConformalFactor.zero(grid16), grid16)).real
+                assert abs(flat_mass(phi) - grid_mass) < 1e-13 * grid_mass, (k, phi.a)
