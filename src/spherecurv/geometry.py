@@ -16,7 +16,10 @@ then one batched matmul against the m >= 0 Legendre table (analysis weights
 the small latitude-by-column product by the Gauss weights in between).  The
 longitude tables are n_lon x 2(m_max+1), the size of one Legendre slice; at
 l_max 32..72 a matmul against them costs less than an FFT's per-call overhead.
-A grid may cap the order at m_max < l_max (m_max = 0: zonal fields on 4 longitudes).
+A grid may cap the order at m_max < l_max (m_max = 0: zonal fields on 4 longitudes),
+or keep only the orders in nZ, an order step n, on the wedge [0, 2 pi/n) of the
+full circle: there a Z_n-invariant field has the full grid's m in nZ entries,
+its aliasing bound, and weights that sum to 1 (1/n_lon over the wedge).
 Every coefficient vector is in one layout, the packed orthonormal real basis
 (``analyze``/``synthesize``): entries (m, cos|sin, l) for l >= m, the sin
 part only for m >= 1, basis functions b_m Pbar_l^m {cos, sin}(m phi) with
@@ -71,34 +74,38 @@ def _recurrence(l_max: int):
     return tables
 
 
-def _normalized_legendre(l_max: int, mu: np.ndarray, m_max: int | None = None, _unit_sin: bool = False):
-    """Associated Legendre functions, orthonormal on [-1, 1], for orders m <= m_max (default l_max).
+def _normalized_legendre(l_max: int, mu: np.ndarray, m_max: int | None = None, _unit_sin: bool = False, step: int = 1):
+    """Associated Legendre functions, orthonormal on [-1, 1], for orders m in step*Z, m <= m_max (default l_max).
 
-    Returns ``p[m, l, :]`` with ``int P[m,l] P[m,l'] dmu = delta_{ll'}``
-    (zero for l < m).  ``_unit_sin=True`` sets the sin(theta) factor to 1,
-    which yields P[m,l] / sin^m(theta); at mu = 1 these are the leading
-    coefficients of P[m,l] at the north pole.
+    Returns ``p[i, l, :]`` for order m = i*step with ``int P[m,l] P[m,l'] dmu
+    = delta_{ll'}`` (zero for l < m).  ``_unit_sin=True`` sets the
+    sin(theta) factor to 1, which yields P[m,l] / sin^m(theta); at mu = 1
+    these are the leading coefficients of P[m,l] at the north pole.
 
     The recurrence is the standard stable one seeded at the sectoral term,
     so no factorials are formed and degrees of a few hundred are safe.  Each
-    order recurs alone: the m_max table is bitwise the full one's leading rows.
+    order recurs alone: the m_max table is bitwise the full one's leading
+    rows, and the step table its every step-th row, built without the others.
     """
     shape = np.shape(mu)
     mu = np.asarray(mu, dtype=float).reshape(-1)
     s = 1.0 if _unit_sin else np.sqrt(np.maximum(1.0 - mu * mu, 0.0))  # sin(theta) > 0 off the poles
     M = l_max if m_max is None else m_max
     sectoral, next_diag, a, b = _recurrence(l_max)
-    p = np.zeros((M + 1, l_max + 1, mu.size))
     diag = np.full((M + 1, mu.size), np.sqrt(0.5))
     diag[1:] = sectoral[:M] * s  # the diagonal's cumulative product multiplies in the order of one step per m
-    idx = np.arange(M + 1)
-    p[idx, idx] = np.cumprod(diag, axis=0, out=diag)
-    n = min(M + 1, l_max)  # orders with an l = m + 1 term
-    p[idx[:n], idx[:n] + 1] = next_diag[:n] * mu * diag[:n]
+    diag = np.cumprod(diag, axis=0, out=diag)[::step]
+    orders = np.arange(0, M + 1, step)
+    idx = np.arange(orders.size)
+    p = np.zeros((orders.size, l_max + 1, mu.size))
+    p[idx, orders] = diag
+    n = np.searchsorted(orders, l_max)  # orders with an l = m + 1 term
+    p[idx[:n], orders[:n] + 1] = next_diag[::step][:n] * mu * diag[:n]
+    a, b = a[::step], b[::step]
     for l in range(2, l_max + 1):  # all orders m <= min(l - 2, M) at once
-        n = min(l - 1, M + 1)
+        n = min(l - 2, M) // step + 1
         p[:n, l] = a[:n, l] * (mu * p[:n, l - 1] - b[:n, l] * p[:n, l - 2])
-    return p.reshape((M + 1, l_max + 1) + shape)
+    return p.reshape((orders.size, l_max + 1) + shape)
 
 
 @dataclass(frozen=True)
@@ -149,6 +156,13 @@ class SphereGrid:
     m_max : int, optional
         Order cap (default l_max): only packed entries with m <= m_max, on
         ``longitudes(m_max)`` longitudes, so products of chart monomials alias.
+    step : int, optional
+        Order step n (default 1), which must divide ``longitudes(m_max)``:
+        only packed entries with m in nZ, on the wedge [0, 2 pi/n) of that
+        circle, the first ``longitudes(m_max)/n`` longitudes.  It represents
+        exactly the Z_n-invariant fields (a rotation by 2 pi/n about the
+        axis), with the full grid's aliasing bound; its analysis weight is
+        1/n_lon over the wedge, so its weights still sum to 1.
 
     Attributes
     ----------
@@ -157,20 +171,25 @@ class SphereGrid:
     z, w : (n_lat, n_lon) complex chart coordinates of the nodes.
     """
 
-    def __init__(self, l_max: int, m_max: int | None = None):
+    def __init__(self, l_max: int, m_max: int | None = None, step: int = 1):
         if l_max < 4:
             raise ValueError(f"l_max must be >= 4, got {l_max}")
         self.l_max = L = int(l_max)
         self.m_max = M = L if m_max is None else int(m_max)
+        self.step = n = int(step)
+        circle = longitudes(M)  # longitudes of the whole circle, of which the grid keeps the first 1/step
+        if n < 1 or circle % n:
+            raise ValueError(f"order step {step} does not divide the {circle} longitudes")
         self.n_lat = L + 1
-        self.n_lon = longitudes(M)
+        self.n_lon = circle // n
+        self._orders = orders = np.arange(0, M + 1, n)  # the kept orders; half spectra are indexed by m // step
 
         mu, glw = roots_legendre(self.n_lat)
         order = np.argsort(-mu)  # north to south
         self.mu = mu[order]
         self.glw = glw[order]
         self.colat = np.arccos(self.mu)
-        self.lon = 2.0 * np.pi * np.arange(self.n_lon) / self.n_lon
+        self.lon = 2.0 * np.pi * np.arange(self.n_lon) / circle
         self.weights = np.outer(self.glw / 2.0, np.full(self.n_lon, 1.0 / self.n_lon))
 
         theta = self.colat[:, None]
@@ -178,17 +197,17 @@ class SphereGrid:
         self.z = (np.cos(theta / 2) / np.sin(theta / 2)) * phase
         self.w = (np.sin(theta / 2) / np.cos(theta / 2)) * np.conj(phase)
 
-        self._plm = _normalized_legendre(L, self.mu, M)  # (m, l, n_lat), 0 <= m <= M
-        self._pole = _normalized_legendre(L, np.array(1.0), M, _unit_sin=True)  # A[m, l], Pbar_l^m ~ A sin^m t at N
+        self._plm = _normalized_legendre(L, self.mu, M, step=n)  # (m // step, l, n_lat) over the kept orders
+        self._pole = _normalized_legendre(L, np.array(1.0), M, _unit_sin=True, step=n)  # A[m // step, l]: Pbar_l^m ~ A sin^m t at N
 
         # packed real basis b_m Pbar_l^m(mu) {cos, sin}(m phi), b_0 = sqrt(2),
         # b_m = 2: entry (m, part, l) for l >= m, part 0 = cos, 1 = sin (m >= 1
         # only), listed in packed_entries; _flat is the entry's position in a
-        # half spectrum h[m, l, part]
-        packed = [(m, p, l) for m in range(M + 1) for p in ((0, 1) if m else (0,)) for l in range(m, L + 1)]
+        # half spectrum h[m // step, l, part]
+        packed = [(m, p, l) for m in orders for p in ((0, 1) if m else (0,)) for l in range(m, L + 1)]
         self.packed_entries = np.array(packed)
         m, p, l = self.packed_entries.T
-        self._flat = (m * (L + 1) + l) * 2 + p
+        self._flat = (m // n * (L + 1) + l) * 2 + p
         self.n_packed = l.size
         self.packed_laplace = -GAUSS_CURVATURE * l * (l + 1.0)
         self._n_upto = np.cumsum(np.bincount(l))  # packed entries of degree <= l, over l
@@ -196,7 +215,7 @@ class SphereGrid:
         self._c_lm = np.sqrt((2 * l + 1) * (l * l - m * m) / np.abs(2 * l - 1))
         # d/dphi swaps each entry with its cos|sin partner (same m, l; flat index ^ 1),
         # scaled by m for cos and -m for sin; the m = 0 cos entries map to zero
-        pos = np.zeros(2 * (M + 1) * (L + 1), dtype=int)
+        pos = np.zeros(2 * orders.size * (L + 1), dtype=int)
         pos[self._flat] = np.arange(self.n_packed)
         self._partner = pos[self._flat ^ 1]
         self._dphi_scale = np.where(p == 0, m, -m)
@@ -204,10 +223,10 @@ class SphereGrid:
         # analysis _lon_an its contiguous transpose over n_lon; the Legendre
         # step reads the (m, part) columns of lat-by-(m, part) products in place
         # m*lon reduced to [0, 2pi) before cos/sin: the raw product loses 1e-14 at l_max 48
-        ang = 2.0 * np.pi / self.n_lon * (np.multiply.outer(np.arange(M + 1), np.arange(self.n_lon)) % self.n_lon)
+        ang = 2.0 * np.pi / circle * (np.multiply.outer(orders, np.arange(self.n_lon)) % circle)
         trig = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        self._b = np.where(np.arange(M + 1) == 0, np.sqrt(2.0), 2.0)
-        self._lon_syn = (self._b[:, None, None] * trig).reshape(2 * M + 2, self.n_lon)
+        self._b = np.where(orders == 0, np.sqrt(2.0), 2.0)
+        self._lon_syn = (self._b[:, None, None] * trig).reshape(2 * orders.size, self.n_lon)
         self._lon_an = np.ascontiguousarray(self._lon_syn.T) / self.n_lon
         self._wq = self.glw / 2.0  # latitude quadrature weight
 
@@ -225,21 +244,21 @@ class SphereGrid:
         """Half spectra h[m, r, l, cos|sin] in the packed scaling of real fields v[r, lat, lon]."""
         g = v @ self._lon_an
         g *= self._wq[:, None]
-        g = g.reshape(v.shape[0], self.n_lat, self.m_max + 1, 2).transpose(2, 0, 1, 3)  # (m, r, lat, part)
+        g = g.reshape(v.shape[0], self.n_lat, self._orders.size, 2).transpose(2, 0, 1, 3)  # (m, r, lat, part)
         return np.matmul(self._plm[:, None], g)
 
     def _synthesize_half(self, h: np.ndarray) -> np.ndarray:
         """Real fields v[r, lat, lon] from half spectra h[m, r, l, cos|sin]."""
-        g = np.empty((h.shape[1], self.n_lat, self.m_max + 1, 2))
+        g = np.empty((h.shape[1], self.n_lat, self._orders.size, 2))
         np.matmul(self._plm.transpose(0, 2, 1)[:, None], h, out=g.transpose(2, 0, 1, 3))
         return g.reshape(h.shape[1], self.n_lat, -1) @ self._lon_syn
 
     def _half_spectrum(self, x) -> np.ndarray:
-        """Packed coefficients laid out as h[m, l, cos|sin], zero for l < m and for the m = 0 sin part."""
+        """Packed coefficients laid out as h[m // step, l, cos|sin], zero for l < m and for the m = 0 sin part."""
         x = np.asarray(x)
-        h = np.zeros(2 * (self.m_max + 1) * (self.l_max + 1), dtype=complex if x.dtype.kind == "c" else float)
+        h = np.zeros(2 * self._orders.size * (self.l_max + 1), dtype=complex if x.dtype.kind == "c" else float)
         h[self._flat] = x
-        return h.reshape(self.m_max + 1, self.l_max + 1, 2)
+        return h.reshape(self._orders.size, self.l_max + 1, 2)
 
     def analyze(self, values) -> np.ndarray:
         """Packed coefficients of a field; a complex field's are analyze(re) + 1j*analyze(im)."""
@@ -263,15 +282,19 @@ class SphereGrid:
 
         Pbar_l^m(cos t) = sin^m t (A[m, l] + O(t^2)), A the table ``_pole``: at N
         only the m = 0 cos entries (scale b_0 = sqrt(2)) are nonzero, and with
-        sin t ~ 2|w| the w^j coefficient is 2^j sum_l (cos + i sin entry of m = j) A[j, l].
+        sin t ~ 2|w| the w^j coefficient is 2^j sum_l (cos + i sin entry of m = j) A[j, l]:
+        zero for an order j the grid does not keep.
         """
         half = self._half_spectrum(x)
         f_north = np.sqrt(2.0) * (half[0, :, 0] @ self._pole[0])
-        j = np.arange(1, order + 1)
-        return f_north, (2.0**j) * np.einsum("jl,jl->j", half[j, :, 0] + 1j * half[j, :, 1], self._pole[j])
+        i = slice(1, order // self.step + 1)  # the kept orders j = 1..order
+        j = self._orders[i]
+        taylor = np.zeros(order, dtype=complex)
+        taylor[j - 1] = (2.0**j) * np.einsum("jl,jl->j", half[i, :, 0] + 1j * half[i, :, 1], self._pole[i])
+        return f_north, taylor
 
     def embed_packed(self, x) -> np.ndarray:
-        """Zero-pad the packed coefficients of a coarser grid onto this one; both uncapped, or both capped at m_max."""
+        """Zero-pad the packed coefficients of a coarser grid onto this one: the same step, and both uncapped or both capped at m_max."""
         out = np.zeros(self.n_packed)
         out[self.packed_entries[:, 2] <= np.searchsorted(self._n_upto, len(x))] = x
         return out
@@ -280,10 +303,10 @@ class SphereGrid:
         """Packed coefficients synthesized at arbitrary points; Legendre table and l-sum once per distinct colatitude."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        ang = np.multiply.outer(np.arange(self.m_max + 1), phi)
+        ang = np.multiply.outer(self._orders, phi)
         trig = self._b[:, None, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)  # (m, cos|sin, point)
         mu, ring = np.unique(np.cos(theta), return_inverse=True)
-        plm = _normalized_legendre(self.l_max, mu, self.m_max)
+        plm = _normalized_legendre(self.l_max, mu, self.m_max, step=self.step)
         h = self._half_spectrum(x)
         parts = (h.real, h.imag) if h.dtype.kind == "c" else (h,)  # real parts: plm is never cast to complex
         v = [(np.matmul(p.transpose(0, 2, 1), plm)[..., ring] * trig).sum(axis=(0, 1)) for p in parts]
@@ -350,12 +373,12 @@ def longitudes(m_max: int) -> int:
     return 4 * ((2 * m_max + 2 + 3) // 4)
 
 
-def build_grid(l_max: int, m_max: int | None = None) -> SphereGrid:
-    """Grid for degree l_max (>= 4) and order cap m_max (default l_max), cached once whichever way m_max is spelled."""
-    return _cached_grid(int(l_max), int(l_max) if m_max is None else int(m_max))
+def build_grid(l_max: int, m_max: int | None = None, step: int = 1) -> SphereGrid:
+    """Grid for degree l_max (>= 4), order cap m_max (default l_max) and order step, cached once whichever way m_max is spelled."""
+    return _cached_grid(int(l_max), int(l_max) if m_max is None else int(m_max), int(step))
 
 
-# cold l_max-48 solves of monomial and other classes use 8 grids: 24, 36, 48 and 72, full and m = 0
+# a cold l_max-48 `converge` cycle uses 12 grids: 24, 36, 48 and 72, each full, m = 0 and step 4
 _cached_grid = lru_cache(maxsize=16)(SphereGrid)
 build_grid.cache_clear = _cached_grid.cache_clear
 

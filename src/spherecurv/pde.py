@@ -49,6 +49,12 @@ solve's starts from the coarse result's, so it includes the coarse-grid work.
   mean, and u returns tiled over the full grid's longitudes.
   There every correction and tangent is one exact dense LAPACK solve of the
   (l_max+1)-square Jacobian: no MINRES, no forcing term, no re-solve.
+- A class of rotation order n >= 2 has a Z_n-invariant K and lambda-branch:
+  its solve, filter and coarse stages run on wedge grids of order step
+  gcd(n, 4) (the orders m in that step's multiples, on that fraction of the
+  longitudes; every ``longitudes()`` count is a multiple of 4), fields enter
+  through the mean of their rotated copies, and u returns tiled over the
+  full grid's longitudes.  Only ``_solve`` chooses the step.
 
 A radially symmetric reduction (two-point boundary value problem in the
 colatitude) is solved by shooting on the regularized momentum
@@ -164,8 +170,8 @@ class _Workspace:
         self.mass = flat_mass(phi)  # integral of 2K
         self.diag = grid.packed_laplace
         self.n = grid.n_packed
-        cap = grid.m_max if grid.m_max < grid.l_max else None  # a capped grid refines to a capped grid
-        self.fine_grid = build_grid(int(SolveConfig.refine_factor * grid.l_max), cap)
+        cap = grid.m_max if grid.m_max < grid.l_max else None  # a capped grid refines to a capped grid, a wedge to a wedge
+        self.fine_grid = build_grid(int(SolveConfig.refine_factor * grid.l_max), cap, grid.step)
         self.k_fine = phi_norm_sq(phi, ConformalFactor.zero(self.fine_grid), self.fine_grid)
 
     def fine_residual_sup(self, x: np.ndarray, lam: float) -> float:
@@ -173,6 +179,7 @@ class _Workspace:
 
         On an m = 0 grid it is the full filter: a theta-only residual's sup
         over 2-D nodes is its sup over the latitudes, which both grids share.
+        On a wedge it is too: a Z_n-invariant residual's sup is its sup over a wedge.
         """
         gf = self.fine_grid
         xf = gf.embed_packed(x)
@@ -184,13 +191,16 @@ class _Workspace:
         """(sup|u - c|, residual, Jacobian weight 4 K e^{2u}) at x from one synthesis and one analysis.
 
         Packed entry 0 is the constant c, so the class's scale cannot move the
-        sup.  Where it exceeds ``sup_max`` the residual and weight are None.
+        sup.  Where it exceeds ``sup_max`` the residual and weight are None,
+        and so they are for a bounded trial (finite ``sup_max``) whose max u
+        exceeds ``TRIAL_U_MAX``: sup_max leaves c free.
         Analysis of a band-limited synthesis is exact under the grid's
         quadrature, so lap(u) enters the residual as ``diag * x``.
         """
         u_vals = self.grid.synthesize(x)
-        sup = float(np.abs(u_vals - x[0]).max())
-        if sup > sup_max:
+        top = float(u_vals.max())
+        sup = float(max(top - x[0], x[0] - u_vals.min()))  # max |u - c|, bitwise, from the two extremes
+        if sup > sup_max or (top > TRIAL_U_MAX and sup_max < math.inf):
             return sup, None, None
         ke = 2.0 * self.k_vals * np.exp(2.0 * u_vals)
         r = self.grid.analyze(ke) + self.diag * x
@@ -314,6 +324,12 @@ def minres(matvec, b, m_diag, *, rtol, maxiter, callback=None):
         if done:
             return x, 0
     return x, maxiter
+
+
+# Largest max u of a line-search trial (e^{2u} < 2^256: the residual and its norm
+# stay finite).  With sup|u - c| <= blowup_sup, a trial past it has r[0] >
+# e^{2 (TRIAL_U_MAX - 2 blowup_sup)} M - lambda, which the decrease test rejects anyway.
+TRIAL_U_MAX = 128.0 * math.log(2.0)
 
 
 def _damped_step(ws: _Workspace, weight, x, r, rnorm, lam, rtol):
@@ -440,8 +456,11 @@ def _solve(
     phi: HoloClass, lam: float, l_max: int, initial: ConformalFactor | None, start: SolveResult | None
 ) -> SolveResult:
     """Body of ``solve_phi_system`` on the l_max grid; the coarse stage calls it, not the public name."""
-    m_max = 0 if phi.rotation_symmetry()[0] == 0 else None  # a monomial: K depends on colatitude alone
-    grid = build_grid(l_max, m_max)
+    n = phi.rotation_symmetry()[0]
+    # a monomial: K depends on colatitude alone.  Z_n symmetry: the wedge of
+    # step gcd(n, 4), since every longitudes() count is a multiple of 4
+    m_max, step = (0, 1) if n == 0 else (None, math.gcd(n, 4))
+    grid = build_grid(l_max, m_max, step)
     ws = _Workspace(phi, grid)
     opened = False
 
@@ -452,7 +471,7 @@ def _solve(
         coarse = _solve(phi, lam, l_max // 2, None, None)
         ws.trace, ws.minres_iters = coarse.continuation_trace, coarse.minres_iters
         if coarse.stop_reason != "init":
-            x0 = grid.embed_packed(_analyze(build_grid(l_max // 2, m_max), coarse.u.total))
+            x0 = grid.embed_packed(_analyze(build_grid(l_max // 2, m_max, step), coarse.u.total))
             x, fine_now, reason, weight = _trial(ws, x0, coarse.lam)
             opened, lam_now = reason is None, coarse.lam
 
@@ -500,9 +519,15 @@ def _solve(
 
 
 def _analyze(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
-    """Packed coefficients of node values on the grid's latitudes; an m = 0 grid takes their longitude mean."""
+    """Packed coefficients of node values on the grid's latitudes.
+
+    An m = 0 grid takes their longitude mean, and a wedge of step n takes
+    full-grid values' mean over their n rotations by 2 pi/n, its Z_n analogue.
+    """
     if grid.m_max == 0:
         values = np.repeat(values.mean(axis=1, keepdims=True), grid.n_lon, axis=1)
+    elif grid.step > 1:
+        values = values.reshape(grid.n_lat, grid.step, grid.n_lon).mean(axis=1)
     return grid.analyze(values)
 
 
@@ -513,7 +538,8 @@ def _finish(ws: _Workspace, x, lam, fine, reason, stop_fine) -> SolveResult:
     # lap(u) from x, not from analyzing u again: u is band-limited, so it is the same residual less that round trip
     res = grid.synthesize(ws.diag * x) + 2.0 * (ws.k_vals * np.exp(2.0 * u.total)) - lam
     return SolveResult(
-        # an m = 0 grid's longitudes hold equal values: tiled, they fill the full grid's
+        # an m = 0 grid's longitudes hold equal values, and a wedge's repeat over
+        # its rotations: tiled, they fill the full grid's
         u=ConformalFactor(np.tile(u.u, (1, longitudes(grid.l_max) // grid.n_lon)), u.offset),
         lam=float(lam),
         residual_sup=float(np.abs(res).max()),

@@ -434,6 +434,52 @@ class TestOrderCap:
         assert np.abs(zonal.analyze(mean) - ref).max() < 1e-14 * np.abs(ref).max()
 
 
+class TestWedge:
+    # a grid of order step n keeps the packed entries with m in nZ on the wedge [0, 2 pi/n) of the full circle
+
+    @pytest.mark.parametrize("l_max", [16, 48])
+    def test_step_table_is_every_step_th_row(self, l_max):
+        from spherecurv.geometry import _normalized_legendre
+
+        for mu, unit_sin in ((build_grid(l_max).mu, False), (np.array(1.0), True)):
+            full = _normalized_legendre(l_max, mu, _unit_sin=unit_sin)
+            for step in (1, 2, 4):
+                assert np.array_equal(_normalized_legendre(l_max, mu, _unit_sin=unit_sin, step=step), full[::step])
+
+    def test_step_must_divide_the_circle(self):
+        with pytest.raises(ValueError, match="does not divide"):
+            build_grid(16, None, 8)  # 36 longitudes
+
+    @pytest.mark.parametrize("l_max", [16, 48])
+    @pytest.mark.parametrize("step", [2, 4])
+    def test_wedge_matches_the_full_grid(self, l_max, step):
+        grid, wedge = build_grid(l_max), build_grid(l_max, None, step)
+        kept = grid.packed_entries[:, 0] % step == 0
+        assert np.array_equal(wedge.packed_entries, grid.packed_entries[kept])
+        assert wedge.n_lon * step == grid.n_lon and np.array_equal(wedge.lon, grid.lon[: wedge.n_lon])
+        assert np.array_equal(wedge.colat, grid.colat) and abs(wedge.weights.sum() - 1.0) < 1e-14
+        # a band-limited Z_n field: packed entries with m in nZ only
+        rng = np.random.default_rng(l_max + step)
+        x = np.zeros(grid.n_packed, dtype=complex)
+        x[kept] = rng.normal(size=wedge.n_packed) + 1j * rng.normal(size=wedge.n_packed)
+        y, v = x[kept], grid.synthesize(x)
+        scale = np.abs(v).max()
+        assert np.abs(np.roll(v, grid.n_lon // step, axis=1) - v).max() < 1e-12 * scale
+        assert np.abs(wedge.synthesize(y) - v[:, : wedge.n_lon]).max() < 1e-13 * scale
+        assert np.abs(wedge.analyze(wedge.synthesize(y)) - y).max() < 1e-12 * np.abs(y).max()
+        # analysis of a Z_n field that is not band-limited: the full grid's m in nZ entries
+        f = np.exp(0.3 * v.real) + 1j * np.cos(v.imag)
+        ref = grid.analyze(f)[kept]
+        assert np.abs(wedge.analyze(f[:, : wedge.n_lon]) - ref).max() < 1e-13 * np.abs(ref).max()
+        assert np.array_equal(wedge.d_dphi(y), grid.d_dphi(x)[kept])
+        theta, phi = rng.uniform(0.0, np.pi, 40), rng.uniform(0.0, 2.0 * np.pi, 40)
+        assert np.abs(wedge.evaluate(y, theta, phi) - grid.evaluate(x, theta, phi)).max() < 1e-13 * scale
+        (n_wedge, t_wedge), (n_full, t_full) = wedge.north_taylor(y, 9), grid.north_taylor(x, 9)
+        assert abs(n_wedge - n_full) < 1e-13 * scale
+        assert np.abs(t_wedge - t_full).max() < 1e-13 * np.abs(t_full).max()
+        assert not t_wedge[np.arange(1, 10) % step != 0].any()
+
+
 class TestBasisOracle:
     def test_matches_scipy_harmonics(self, grid16):
         # basis functions against an independent implementation: for m >= 0

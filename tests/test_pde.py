@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -532,10 +533,15 @@ class TestTransformCount:
         self.count_on_the_solve_grid(monkeypatch, monomial(4, 1), 4 * np.pi, 0)
 
     def test_a_non_monomial_class_solves_on_the_full_grid(self, monkeypatch):
-        self.count_on_the_solve_grid(monkeypatch, pole_free_ring(), 2 * np.pi, None)
+        # a seeded random class has no rotation symmetry (n = 1)
+        self.count_on_the_solve_grid(monkeypatch, edge_random_class(4), 2 * np.pi, None)
+
+    def test_a_ring_class_solves_on_a_step_4_wedge(self, monkeypatch):
+        # z (z^4 - 1) is Z_4-symmetric: a quarter of the longitudes, orders m in 4Z
+        self.count_on_the_solve_grid(monkeypatch, pole_free_ring(), 2 * np.pi, None, step=4)
 
     @staticmethod
-    def count_on_the_solve_grid(monkeypatch, phi, lam, m_max):
+    def count_on_the_solve_grid(monkeypatch, phi, lam, m_max, step=1):
         # On the solve grid and outside MINRES's matvecs, each line-search
         # trial and each Newton start costs one synthesis and one analysis
         # (one evaluated point); the Jacobian reuses the accepted trial's
@@ -580,8 +586,9 @@ class TestTransformCount:
 
         res = solve_phi_system(phi, lam, SolveConfig(l_max=16))
         assert res.converged
-        grid = build_grid(16, m_max)
-        assert {g for g, _, _ in transforms} == {grid, build_grid(24, m_max)}  # and its 1.5x filter grid
+        grid = build_grid(16, m_max, step)
+        assert grid.step == step
+        assert {g for g, _, _ in transforms} == {grid, build_grid(24, m_max, step)}  # and its 1.5x filter grid
         trace = res.continuation_trace
         assert points["solve"] == len(trace)  # one Newton start per coupling tried
         assert points["line search"] >= sum(iters for _, iters, _ in trace)  # each Newton step accepts one trial
@@ -914,7 +921,7 @@ class TestAxisymmetric:
         res = solve_phi_system(monomial(k, a), 1.2 * 4 * np.pi * (k // 2), SolveConfig(l_max=l_max))
         assert res.stop_reason == "filter"
         assert abs(res.lam - 4 * np.pi * stall) <= SolveConfig.min_step
-        assert {m for _, m in keys} == {0}
+        assert {m for _, m, _ in keys} == {0}
 
     def test_resolution_at_l_max_256(self, monkeypatch):
         # z on k=5: the radial branch ends at 2 * 4 pi.  Past 1.997 * 4 pi the
@@ -960,7 +967,42 @@ class TestAxisymmetric:
         keys = requested_grids(monkeypatch)
         r = solve_radial(monomial(4, 1), 4 * np.pi, SolveConfig(l_max=24))
         assert r.converged and r.u.u.shape == (25, 52)
-        assert set(keys) == {(24, 0), (36, 0)}
+        assert set(keys) == {(24, 0, 1), (36, 0, 1)}
+
+
+class TestWedge:
+    # a Z_n-symmetric class solves on the wedge of step gcd(n, 4); u comes back on the full grid's nodes
+
+    @pytest.mark.parametrize("phi", [pole_free_ring(), pole_balanced_ring()], ids=["k7", "k8"])
+    @pytest.mark.parametrize("l_max", [32, 48])
+    def test_ring_matches_the_full_grid_solve(self, monkeypatch, phi, l_max):
+        keys = requested_grids(monkeypatch)
+        wedge = solve_phi_system(phi, 4 * np.pi, SolveConfig(l_max=l_max))
+        assert {step for _, _, step in keys} == {4}
+        # the full-grid oracle: no rotation symmetry read, so the solve runs on the full grids
+        monkeypatch.setattr(HoloClass, "rotation_symmetry", lambda self: (1, 0))
+        keys.clear()
+        full = solve_phi_system(phi, 4 * np.pi, SolveConfig(l_max=l_max))
+        assert {step for _, _, step in keys} == {1}
+        assert wedge.stop_reason == full.stop_reason == ("filter" if phi.spec.k == 7 else "converged")
+        assert abs(wedge.lam - full.lam) <= SolveConfig.min_step
+        assert wedge.u.u.shape == full.u.u.shape
+        grid = build_grid(l_max)
+        b_wedge, b_full = b_coords(phi, wedge.u, grid).b, b_coords(phi, full.u, grid).b
+        assert np.abs(b_wedge - b_full).max() <= 1e-10 * np.abs(b_full).max()
+        # the full-grid solve keeps the Z_4 pattern by itself: b lives on the indices = 1 (mod 4)
+        pattern = np.arange(phi.spec.k - 1) % 4 == 1
+        assert np.linalg.norm(b_full[~pattern]) < 1e-6 * np.linalg.norm(b_full)
+
+    def test_start_and_initial_enter_through_the_rotation_mean(self):
+        # full-grid u of an earlier result restarts a wedge solve where it ended
+        phi = pole_free_ring()
+        res = solve_phi_system(phi, 2 * np.pi, SolveConfig(l_max=24))
+        assert res.converged and res.u.u.shape == (25, 52)
+        again = solve_phi_system(phi, 2 * np.pi, SolveConfig(l_max=24), initial=res.u)
+        assert again.converged and again.continuation_trace[-1][1] == 0  # no Newton step needed
+        on = solve_phi_system(phi, 2.5 * np.pi, SolveConfig(l_max=24), start=res)
+        assert on.converged and on.u.u.shape == (25, 52)
 
 
 class TestRadial:
@@ -969,6 +1011,15 @@ class TestRadial:
         assert r.converged
         assert np.abs(r.u.total).max() < 1e-8
         assert r.degenerate_family
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_polish_line_search_never_overflows(self, k):
+        # z^0's sweep minimum starts a polish whose line search tries trials
+        # where e^{2u} overflows: they fail on TRIAL_U_MAX before it is formed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r = solve_radial(monomial(k, 0), 4 * np.pi, SolveConfig(l_max=24))
+        assert r.reason == "polish" and not r.converged and r.root_alpha < -7
 
     def test_two_pole_divisor_has_root(self):
         r = solve_radial(monomial(4, 1), 4 * np.pi, SolveConfig(l_max=24))
