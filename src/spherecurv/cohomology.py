@@ -81,11 +81,18 @@ def coupling(phi: HoloClass, eta: DualCoords) -> complex:
 def b_coords(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> DualCoords:
     """Coordinates of the H_u-dual of phi (conjugate-linear in phi), contracted in one pass:
 
-    b_i = 2*pi * sum_n V[n, i] q_n e^{2(u+c)} conj((V a)_n), q the quadrature weights.
+    b_i = 2*pi * sum_n V[n, i] q_n e^{2(u+c)} conj((V a)_n), q a full grid's quadrature weights.
     """
+    _require_full_grid(grid)
     v = chart_monomials(phi.spec.k, grid.z, grid.w).reshape(-1, phi.spec.k - 1)
     q = (grid.weights * np.exp(2.0 * u.total)).ravel()
     return DualCoords(phi.spec, TANGENT_NORMALIZATION * (v.T @ (q * np.conj(v @ phi.a))))
+
+
+def _require_full_grid(grid: SphereGrid):
+    """Raise SpecMismatch unless the grid keeps every order: z^i conj(z^j) has order i - j, which a wedge or a step-0 grid aliases."""
+    if grid.step != 1:
+        raise SpecMismatch(f"the pairing integrands z^i conj(z^j) need a full grid (step 1), got step {grid.step}")
 
 
 def _flat_diagonal(k: int) -> np.ndarray:
@@ -218,8 +225,9 @@ def dbar_solve(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> DbarSolu
     the Taylor expansion of f there is holomorphic, and each coefficient of
     p_f is a finite sum over f's coefficients (``north_taylor``); no fit is
     made.  The right-hand side carries the 2*pi pairing normalization of the
-    b-coordinate weights, so p_f reproduces b_coords(phi, u).
+    b-coordinate weights, so p_f reproduces b_coords(phi, u), and needs a full grid too.
     """
+    _require_full_grid(grid)
     k = phi.spec.k
     ones = np.zeros(k - 1, dtype=complex)
     ones[0] = 1.0

@@ -14,17 +14,18 @@ One real spectral core does every transform, as two real matmuls: a
 longitude table of b_m cos(m phi) and b_m sin(m phi), columns (m, cos|sin),
 then one batched matmul against the m >= 0 Legendre table (analysis weights
 the small latitude-by-column product by the Gauss weights in between).  The
-longitude tables are n_lon x 2(m_max+1), the size of one Legendre slice; at
-l_max 32..72 a matmul against them costs less than an FFT's per-call overhead.
-A grid may cap the order at m_max < l_max (m_max = 0: zonal fields on 4 longitudes),
-or keep only the orders in nZ, an order step n, on the wedge [0, 2 pi/n) of the
-full circle: there a Z_n-invariant field has the full grid's m in nZ entries,
-its aliasing bound, and weights that sum to 1 (1/n_lon over the wedge).
+longitude tables are n_lon x 2(l_max+1) on a full grid, the size of one Legendre
+slice; at l_max 32..72 a matmul against them costs less than an FFT's per-call
+overhead.  A grid of order step n keeps only the orders in nZ, on the wedge
+[0, 2 pi/n) of the full circle: there a Z_n-invariant field has the full grid's
+m in nZ entries, its aliasing bound, and weights that sum to 1 (1/n_lon over
+the wedge).  Step 0 is the same rule's limit, m = 0 alone on one longitude:
+the zonal fields.
 Every coefficient vector is in one layout, the packed orthonormal real basis
 (``analyze``/``synthesize``): entries (m, cos|sin, l) for l >= m, the sin
 part only for m >= 1, basis functions b_m Pbar_l^m {cos, sin}(m phi) with
-b_0 = sqrt(2), b_m = 2; it has (l_max+1)^2 entries, entry 0 is the constant
-1, and its Euclidean inner product is the L2 pairing.  A complex field's
+b_0 = sqrt(2), b_m = 2; a full grid's has (l_max+1)^2 entries, entry 0 is
+the constant 1, and its Euclidean inner product is the L2 pairing.  A complex field's
 coefficients are those of its real part plus 1j times those of its
 imaginary part.  Both angular derivatives act on the packed vector: d/dphi
 swaps each cos entry with its sin partner scaled by +-m, and by the Legendre
@@ -74,8 +75,8 @@ def _recurrence(l_max: int):
     return tables
 
 
-def _normalized_legendre(l_max: int, mu: np.ndarray, m_max: int | None = None, _unit_sin: bool = False, step: int = 1):
-    """Associated Legendre functions, orthonormal on [-1, 1], for orders m in step*Z, m <= m_max (default l_max).
+def _normalized_legendre(l_max: int, mu: np.ndarray, _unit_sin: bool = False, step: int = 1):
+    """Associated Legendre functions, orthonormal on [-1, 1], for the orders m in step*Z up to l_max.
 
     Returns ``p[i, l, :]`` for order m = i*step with ``int P[m,l] P[m,l'] dmu
     = delta_{ll'}`` (zero for l < m).  ``_unit_sin=True`` sets the
@@ -84,26 +85,25 @@ def _normalized_legendre(l_max: int, mu: np.ndarray, m_max: int | None = None, _
 
     The recurrence is the standard stable one seeded at the sectoral term,
     so no factorials are formed and degrees of a few hundred are safe.  Each
-    order recurs alone: the m_max table is bitwise the full one's leading
-    rows, and the step table its every step-th row, built without the others.
+    order recurs alone: the step table is bitwise the full one's every
+    step-th row, built without the others (a step above l_max: m = 0 alone).
     """
     shape = np.shape(mu)
     mu = np.asarray(mu, dtype=float).reshape(-1)
     s = 1.0 if _unit_sin else np.sqrt(np.maximum(1.0 - mu * mu, 0.0))  # sin(theta) > 0 off the poles
-    M = l_max if m_max is None else m_max
     sectoral, next_diag, a, b = _recurrence(l_max)
-    diag = np.full((M + 1, mu.size), np.sqrt(0.5))
-    diag[1:] = sectoral[:M] * s  # the diagonal's cumulative product multiplies in the order of one step per m
+    diag = np.full((l_max + 1, mu.size), np.sqrt(0.5))
+    diag[1:] = sectoral * s  # the diagonal's cumulative product multiplies in the order of one step per m
     diag = np.cumprod(diag, axis=0, out=diag)[::step]
-    orders = np.arange(0, M + 1, step)
+    orders = np.arange(0, l_max + 1, step)
     idx = np.arange(orders.size)
     p = np.zeros((orders.size, l_max + 1, mu.size))
     p[idx, orders] = diag
     n = np.searchsorted(orders, l_max)  # orders with an l = m + 1 term
     p[idx[:n], orders[:n] + 1] = next_diag[::step][:n] * mu * diag[:n]
     a, b = a[::step], b[::step]
-    for l in range(2, l_max + 1):  # all orders m <= min(l - 2, M) at once
-        n = min(l - 2, M) // step + 1
+    for l in range(2, l_max + 1):  # all orders m <= l - 2 at once
+        n = (l - 2) // step + 1
         p[:n, l] = a[:n, l] * (mu * p[:n, l - 1] - b[:n, l] * p[:n, l - 2])
     return p.reshape((orders.size, l_max + 1) + shape)
 
@@ -153,16 +153,15 @@ class SphereGrid:
     ----------
     l_max : int
         Spectral truncation degree, at least 4.
-    m_max : int, optional
-        Order cap (default l_max): only packed entries with m <= m_max, on
-        ``longitudes(m_max)`` longitudes, so products of chart monomials alias.
     step : int, optional
-        Order step n (default 1), which must divide ``longitudes(m_max)``:
-        only packed entries with m in nZ, on the wedge [0, 2 pi/n) of that
-        circle, the first ``longitudes(m_max)/n`` longitudes.  It represents
-        exactly the Z_n-invariant fields (a rotation by 2 pi/n about the
-        axis), with the full grid's aliasing bound; its analysis weight is
-        1/n_lon over the wedge, so its weights still sum to 1.
+        Order step n (default 1: the full grid), 0 or a divisor of
+        ``longitudes(l_max)``, as in ``HoloClass.rotation_symmetry``.  Step
+        n >= 1 keeps the packed entries with m in nZ on the wedge [0, 2 pi/n),
+        the first 1/n of the circle's longitudes: exactly the Z_n-invariant
+        fields, with the full grid's aliasing bound and weights 1/n_lon over
+        the wedge, which sum to 1.  Step 0 is its limit, m = 0 alone on one
+        longitude: the zonal fields.  Only step 1 integrates products of chart
+        monomials z^i conj(z^j) (order i - j) without aliasing.
 
     Attributes
     ----------
@@ -171,18 +170,18 @@ class SphereGrid:
     z, w : (n_lat, n_lon) complex chart coordinates of the nodes.
     """
 
-    def __init__(self, l_max: int, m_max: int | None = None, step: int = 1):
+    def __init__(self, l_max: int, step: int = 1):
         if l_max < 4:
             raise ValueError(f"l_max must be >= 4, got {l_max}")
         self.l_max = L = int(l_max)
-        self.m_max = M = L if m_max is None else int(m_max)
         self.step = n = int(step)
-        circle = longitudes(M)  # longitudes of the whole circle, of which the grid keeps the first 1/step
-        if n < 1 or circle % n:
-            raise ValueError(f"order step {step} does not divide the {circle} longitudes")
+        circle = longitudes(L)  # longitudes of the whole circle, of which the grid keeps the first 1/step
+        if n < 0 or n and circle % n:
+            raise ValueError(f"order step {step} is negative or does not divide the {circle} longitudes")
         self.n_lat = L + 1
-        self.n_lon = circle // n
-        self._orders = orders = np.arange(0, M + 1, n)  # the kept orders; half spectra are indexed by m // step
+        self.n_lon = circle // n if n else 1
+        self._stride = s = n or L + 1  # step 0: any order stride above l_max keeps m = 0 alone
+        self._orders = orders = np.arange(0, L + 1, s)  # the kept orders; half spectra are indexed by m // stride
 
         mu, glw = roots_legendre(self.n_lat)
         order = np.argsort(-mu)  # north to south
@@ -197,17 +196,17 @@ class SphereGrid:
         self.z = (np.cos(theta / 2) / np.sin(theta / 2)) * phase
         self.w = (np.sin(theta / 2) / np.cos(theta / 2)) * np.conj(phase)
 
-        self._plm = _normalized_legendre(L, self.mu, M, step=n)  # (m // step, l, n_lat) over the kept orders
-        self._pole = _normalized_legendre(L, np.array(1.0), M, _unit_sin=True, step=n)  # A[m // step, l]: Pbar_l^m ~ A sin^m t at N
+        self._plm = _normalized_legendre(L, self.mu, step=s)  # (m // stride, l, n_lat) over the kept orders
+        self._pole = _normalized_legendre(L, np.array(1.0), _unit_sin=True, step=s)  # A[m // stride, l]: Pbar_l^m ~ A sin^m t at N
 
         # packed real basis b_m Pbar_l^m(mu) {cos, sin}(m phi), b_0 = sqrt(2),
         # b_m = 2: entry (m, part, l) for l >= m, part 0 = cos, 1 = sin (m >= 1
         # only), listed in packed_entries; _flat is the entry's position in a
-        # half spectrum h[m // step, l, part]
+        # half spectrum h[m // stride, l, part]
         packed = [(m, p, l) for m in orders for p in ((0, 1) if m else (0,)) for l in range(m, L + 1)]
         self.packed_entries = np.array(packed)
         m, p, l = self.packed_entries.T
-        self._flat = (m // n * (L + 1) + l) * 2 + p
+        self._flat = (m // s * (L + 1) + l) * 2 + p
         self.n_packed = l.size
         self.packed_laplace = -GAUSS_CURVATURE * l * (l + 1.0)
         self._n_upto = np.cumsum(np.bincount(l))  # packed entries of degree <= l, over l
@@ -254,7 +253,7 @@ class SphereGrid:
         return g.reshape(h.shape[1], self.n_lat, -1) @ self._lon_syn
 
     def _half_spectrum(self, x) -> np.ndarray:
-        """Packed coefficients laid out as h[m // step, l, cos|sin], zero for l < m and for the m = 0 sin part."""
+        """Packed coefficients laid out as h[m // stride, l, cos|sin], zero for l < m and for the m = 0 sin part."""
         x = np.asarray(x)
         h = np.zeros(2 * self._orders.size * (self.l_max + 1), dtype=complex if x.dtype.kind == "c" else float)
         h[self._flat] = x
@@ -287,14 +286,14 @@ class SphereGrid:
         """
         half = self._half_spectrum(x)
         f_north = np.sqrt(2.0) * (half[0, :, 0] @ self._pole[0])
-        i = slice(1, order // self.step + 1)  # the kept orders j = 1..order
+        i = slice(1, order // self._stride + 1)  # the kept orders j = 1..order
         j = self._orders[i]
         taylor = np.zeros(order, dtype=complex)
         taylor[j - 1] = (2.0**j) * np.einsum("jl,jl->j", half[i, :, 0] + 1j * half[i, :, 1], self._pole[i])
         return f_north, taylor
 
     def embed_packed(self, x) -> np.ndarray:
-        """Zero-pad the packed coefficients of a coarser grid onto this one: the same step, and both uncapped or both capped at m_max."""
+        """Zero-pad the packed coefficients of a coarser grid of the same step onto this one."""
         out = np.zeros(self.n_packed)
         out[self.packed_entries[:, 2] <= np.searchsorted(self._n_upto, len(x))] = x
         return out
@@ -306,7 +305,7 @@ class SphereGrid:
         ang = np.multiply.outer(self._orders, phi)
         trig = self._b[:, None, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)  # (m, cos|sin, point)
         mu, ring = np.unique(np.cos(theta), return_inverse=True)
-        plm = _normalized_legendre(self.l_max, mu, self.m_max, step=self.step)
+        plm = _normalized_legendre(self.l_max, mu, step=self._stride)
         h = self._half_spectrum(x)
         parts = (h.real, h.imag) if h.dtype.kind == "c" else (h,)  # real parts: plm is never cast to complex
         v = [(np.matmul(p.transpose(0, 2, 1), plm)[..., ring] * trig).sum(axis=(0, 1)) for p in parts]
@@ -368,17 +367,17 @@ class SphereGrid:
         return np.conj(self.d_dz(np.conj(x)))
 
 
-def longitudes(m_max: int) -> int:
-    """Longitudes of a grid with order cap m_max: a multiple of 4 (quarter-turn invariant) above 2 m_max + 1."""
-    return 4 * ((2 * m_max + 2 + 3) // 4)
+def longitudes(l_max: int) -> int:
+    """Longitudes of the full circle at degree l_max: a multiple of 4 (quarter-turn invariant) above 2 l_max + 1."""
+    return 4 * ((2 * l_max + 2 + 3) // 4)
 
 
-def build_grid(l_max: int, m_max: int | None = None, step: int = 1) -> SphereGrid:
-    """Grid for degree l_max (>= 4), order cap m_max (default l_max) and order step, cached once whichever way m_max is spelled."""
-    return _cached_grid(int(l_max), int(l_max) if m_max is None else int(m_max), int(step))
+def build_grid(l_max: int, step: int = 1) -> SphereGrid:
+    """Grid for degree l_max (>= 4) and order step (see ``SphereGrid``), cached once whichever way either is spelled."""
+    return _cached_grid(int(l_max), int(step))
 
 
-# a cold l_max-48 `converge` cycle uses 12 grids: 24, 36, 48 and 72, each full, m = 0 and step 4
+# a cold l_max-48 `converge` cycle uses 12 grids: 24, 36, 48 and 72, each at step 1, 0 and 4
 _cached_grid = lru_cache(maxsize=16)(SphereGrid)
 build_grid.cache_clear = _cached_grid.cache_clear
 

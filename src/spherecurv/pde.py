@@ -43,18 +43,17 @@ single-grid opening.  ``initial``/``start`` solves and l_max < 48 use one
 grid.  The workspace holds the one tally of trace and MINRES count; a nested
 solve's starts from the coarse result's, so it includes the coarse-grid work.
 
-- A monomial class (``HoloClass.rotation_symmetry`` order 0) has K and a
-  lambda-branch that depend on colatitude alone: its solve, filter and
-  coarse stages run on m = 0 grids, fields enter through their longitude
-  mean, and u returns tiled over the full grid's longitudes.
-  There every correction and tangent is one exact dense LAPACK solve of the
-  (l_max+1)-square Jacobian: no MINRES, no forcing term, no re-solve.
-- A class of rotation order n >= 2 has a Z_n-invariant K and lambda-branch:
-  its solve, filter and coarse stages run on wedge grids of order step
-  gcd(n, 4) (the orders m in that step's multiples, on that fraction of the
-  longitudes; every ``longitudes()`` count is a multiple of 4), fields enter
-  through the mean of their rotated copies, and u returns tiled over the
-  full grid's longitudes.  Only ``_solve`` chooses the step.
+One symmetry rule picks every solve grid.  A class of rotation order n
+(``HoloClass.rotation_symmetry``) has a Z_n-invariant K and lambda-branch,
+so its solve, filter and coarse stages run on grids of one order step:
+gcd(n, 4) for n >= 1 (every ``longitudes()`` count is a multiple of 4), the
+full grid for n = 1 and a wedge for n >= 2, and 0 for a monomial (n = 0, K
+a function of colatitude alone), m = 0 on one longitude.  Fields enter through
+the mean of their rotated copies (on step 0 their longitude mean), and u
+returns tiled over the full grid's longitudes.  Only ``_solve`` chooses
+the step.  On step 0 every correction and tangent is one exact dense
+LAPACK solve of the (l_max+1)-square Jacobian: no MINRES, no forcing term,
+no re-solve.
 
 A radially symmetric reduction (two-point boundary value problem in the
 colatitude) is solved by shooting on the regularized momentum
@@ -123,7 +122,7 @@ class SolveResult:
     continuation_trace: list = field(default_factory=list)
     residual_fine: float = float("nan")
     # MINRES iterations over every Newton step, rejected ramp steps and
-    # fallback re-solves included; 0 on m = 0 grids, whose solves are dense
+    # fallback re-solves included; 0 on step-0 grids, whose solves are dense
     minres_iters: int = 0
     # "converged", or the guard that rejected the step a stall ended on:
     # "init" (the lambda_init solve failed), "newton", "blowup"
@@ -170,16 +169,14 @@ class _Workspace:
         self.mass = flat_mass(phi)  # integral of 2K
         self.diag = grid.packed_laplace
         self.n = grid.n_packed
-        cap = grid.m_max if grid.m_max < grid.l_max else None  # a capped grid refines to a capped grid, a wedge to a wedge
-        self.fine_grid = build_grid(int(SolveConfig.refine_factor * grid.l_max), cap, grid.step)
+        self.fine_grid = build_grid(int(SolveConfig.refine_factor * grid.l_max), grid.step)
         self.k_fine = phi_norm_sq(phi, ConformalFactor.zero(self.fine_grid), self.fine_grid)
 
     def fine_residual_sup(self, x: np.ndarray, lam: float) -> float:
         """Sup residual with the solution re-evaluated on a refined grid.
 
-        On an m = 0 grid it is the full filter: a theta-only residual's sup
-        over 2-D nodes is its sup over the latitudes, which both grids share.
-        On a wedge it is too: a Z_n-invariant residual's sup is its sup over a wedge.
+        On any step it is the full filter: a Z_n-invariant residual's sup is
+        its sup over a wedge, and a theta-only one's its sup over the latitudes.
         """
         gf = self.fine_grid
         xf = gf.embed_packed(x)
@@ -222,14 +219,14 @@ class _Workspace:
     def correction(self, weight: np.ndarray, rhs: np.ndarray, rtol: float):
         """Solve J d = rhs for the Jacobian of ``weight``: (d, failed).
 
-        On an m = 0 grid one exact LAPACK solve of the dense block
+        On a step-0 grid one exact LAPACK solve of the dense block
         ``grid.zonal_gram(weight)`` + diag(lap) (``rtol`` unused), valid since
         the weight 4 K e^{2u} is non-negative, that fails only on a singular
         block, with d = 0.  Elsewhere ``minres`` at ``rtol``, its iterations
         counted, which fails when it hit its iteration limit with
         |J d - rhs| > 0.1 |rhs|.
         """
-        if self.grid.m_max == 0:
+        if self.grid.step == 0:
             try:
                 return np.linalg.solve(self.grid.zonal_gram(weight) + np.diag(self.diag), rhs), False
             except np.linalg.LinAlgError:
@@ -370,7 +367,7 @@ def _newton(ws: _Workspace, x0: np.ndarray, lam: float):
             forcing = max(SolveConfig.minres_rtol, 0.9 * (rnorm / rprev) ** 2, 0.25 * SolveConfig.newton_tol / rnorm)
             rtol = min(SolveConfig.forcing_cap, forcing)
         new = _damped_step(ws, weight, x, r, rnorm, lam, rtol)
-        if new is None and rtol > SolveConfig.minres_rtol and ws.grid.m_max > 0:  # an exact correction stands
+        if new is None and rtol > SolveConfig.minres_rtol and ws.grid.step != 0:  # an exact correction stands
             new = _damped_step(ws, weight, x, r, rnorm, lam, SolveConfig.minres_rtol)
         if new is None:
             return x, it, rnorm, False, sup, weight
@@ -457,10 +454,10 @@ def _solve(
 ) -> SolveResult:
     """Body of ``solve_phi_system`` on the l_max grid; the coarse stage calls it, not the public name."""
     n = phi.rotation_symmetry()[0]
-    # a monomial: K depends on colatitude alone.  Z_n symmetry: the wedge of
-    # step gcd(n, 4), since every longitudes() count is a multiple of 4
-    m_max, step = (0, 1) if n == 0 else (None, math.gcd(n, 4))
-    grid = build_grid(l_max, m_max, step)
+    # Z_n symmetry: the wedge of step gcd(n, 4), since every longitudes() count
+    # is a multiple of 4; a monomial (n = 0): step 0, K depends on colatitude alone
+    step = math.gcd(n, 4) if n else 0
+    grid = build_grid(l_max, step)
     ws = _Workspace(phi, grid)
     opened = False
 
@@ -471,7 +468,7 @@ def _solve(
         coarse = _solve(phi, lam, l_max // 2, None, None)
         ws.trace, ws.minres_iters = coarse.continuation_trace, coarse.minres_iters
         if coarse.stop_reason != "init":
-            x0 = grid.embed_packed(_analyze(build_grid(l_max // 2, m_max, step), coarse.u.total))
+            x0 = grid.embed_packed(_analyze(build_grid(l_max // 2, step), coarse.u.total))
             x, fine_now, reason, weight = _trial(ws, x0, coarse.lam)
             opened, lam_now = reason is None, coarse.lam
 
@@ -519,16 +516,12 @@ def _solve(
 
 
 def _analyze(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
-    """Packed coefficients of node values on the grid's latitudes.
+    """Packed coefficients of full-grid node values, through the mean of their rotated copies.
 
-    An m = 0 grid takes their longitude mean, and a wedge of step n takes
-    full-grid values' mean over their n rotations by 2 pi/n, its Z_n analogue.
+    A wedge of step n averages their n rotations by 2 pi/n, a step-0 grid
+    every longitude, and a full grid reads the values as they are.
     """
-    if grid.m_max == 0:
-        values = np.repeat(values.mean(axis=1, keepdims=True), grid.n_lon, axis=1)
-    elif grid.step > 1:
-        values = values.reshape(grid.n_lat, grid.step, grid.n_lon).mean(axis=1)
-    return grid.analyze(values)
+    return grid.analyze(values.reshape(grid.n_lat, -1, grid.n_lon).mean(axis=1))
 
 
 def _finish(ws: _Workspace, x, lam, fine, reason, stop_fine) -> SolveResult:
@@ -538,8 +531,8 @@ def _finish(ws: _Workspace, x, lam, fine, reason, stop_fine) -> SolveResult:
     # lap(u) from x, not from analyzing u again: u is band-limited, so it is the same residual less that round trip
     res = grid.synthesize(ws.diag * x) + 2.0 * (ws.k_vals * np.exp(2.0 * u.total)) - lam
     return SolveResult(
-        # an m = 0 grid's longitudes hold equal values, and a wedge's repeat over
-        # its rotations: tiled, they fill the full grid's
+        # a wedge's values repeat over its rotations (a step-0 grid's over every
+        # longitude): tiled, they fill the full grid's
         u=ConformalFactor(np.tile(u.u, (1, longitudes(grid.l_max) // grid.n_lon)), u.offset),
         lam=float(lam),
         residual_sup=float(np.abs(res).max()),
@@ -692,16 +685,14 @@ def solve_radial(phi: HoloClass, lam: float, cfg: SolveConfig) -> RadialResult:
         reason = "within_noise" if mism_min < 10.0 * err_est else "no_root"
         return RadialResult(converged=False, root_alpha=None, residual_sup=None, reason=reason, **sweep)
 
-    # polish each candidate on the spectral grid (an m = 0 solve); the first converged polish wins
+    # polish each candidate on the spectral grid (a step-0 solve); the first converged polish wins
     grid = build_grid(cfg.l_max, 0)
     best = None
     for root in roots:
         _, sol = _shoot(profile, lam, float(root))
         if sol is None:
             continue
-        u_init = ConformalFactor.from_values(
-            np.repeat(sol.sol(grid.colat)[0][:, None], grid.n_lon, axis=1), grid
-        )
+        u_init = ConformalFactor.from_values(sol.sol(grid.colat)[0][:, None], grid)  # the one zonal longitude
         polish = solve_phi_system(phi, lam, cfg, initial=u_init)
         if best is None or polish.converged:
             best = (float(root), polish)

@@ -49,7 +49,7 @@ def random_real_field(grid, rng, l_hi=None, amp=1.0, zero_mean=True):
 
 
 def requested_grids(monkeypatch):
-    """(l_max, m_max, step) of every grid asked of ``build_grid``, cached or not."""
+    """(l_max, step) of every grid asked of ``build_grid``, cached or not."""
     keys = []
     cached = geometry._cached_grid
     monkeypatch.setattr(geometry, "_cached_grid", lambda *key: keys.append(key) or cached(*key))

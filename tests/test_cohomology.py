@@ -117,6 +117,21 @@ class TestBCoords:
         b = b_coords(basis_class(spec, 0), u, grid16).b
         assert np.abs(b[1:]).max() < 1e-10 * abs(b[0])
 
+    @pytest.mark.parametrize("step", [4, 0])
+    def test_pairing_refuses_a_grid_that_drops_orders(self, step):
+        # z^i conj(z^j) has order i - j, which a wedge or a step-0 grid aliases:
+        # for the ring z (z^4 - 1), k = 7, at l_max 48 b read 38% off the flat
+        # dual on the step-4 wedge and 10% off on step 0 (max abs, relative),
+        # against 3.4e-14 on the full grid
+        ring = HoloClass(spec_k(7), [0, -1, 0, 0, 0, 1])
+        grid = build_grid(48, step)
+        for pairing in (b_coords, dbar_solve):
+            with pytest.raises(SpecMismatch, match="full grid"):
+                pairing(ring, ConformalFactor.zero(grid), grid)
+        full = build_grid(48)
+        b, ref = b_coords(ring, ConformalFactor.zero(full), full).b, dual_map_H0(ring).b
+        assert np.abs(b - ref).max() < 1e-13 * np.abs(ref).max()
+
     def test_concentrated_divisor_geometric(self, grid16):
         spec = spec_k(5)
         a0 = 0.3 + 0.5j

@@ -301,9 +301,9 @@ class TestChartDerivatives:
 
     @pytest.mark.parametrize("l_max", [16, 48])
     def test_grid_holds_one_legendre_node_table(self, l_max):
-        for m_max in (l_max, 0):
-            grid = build_grid(l_max, m_max)
-            shape = (m_max + 1, l_max + 1, grid.n_lat)
+        for step in (1, 4, 0):
+            grid = build_grid(l_max, step)
+            shape = (np.unique(grid.packed_entries[:, 0]).size, l_max + 1, grid.n_lat)
             tables = [v for v in vars(grid).values() if isinstance(v, np.ndarray) and v.shape == shape]
             assert len(tables) == 1
 
@@ -377,65 +377,9 @@ class TestRealCore:
         assert np.abs(grid.synthesize(grid.analyze(w)) - real_path).max() < 1e-13 * np.abs(w).max()
 
 
-class TestOrderCap:
-    # a grid with m_max < l_max keeps the packed entries of order m <= m_max
-
-    @pytest.mark.parametrize("l_max", [16, 48])
-    def test_capped_table_is_the_leading_rows(self, l_max):
-        from spherecurv.geometry import _normalized_legendre
-
-        for mu, unit_sin in ((build_grid(l_max).mu, False), (np.array(1.0), True)):
-            full = _normalized_legendre(l_max, mu, _unit_sin=unit_sin)
-            for m_max in (0, 3, l_max):
-                capped = _normalized_legendre(l_max, mu, m_max=m_max, _unit_sin=unit_sin)
-                assert np.array_equal(capped, full[: m_max + 1])
-
-    @pytest.mark.parametrize("l_max", [16, 48])
-    def test_uncapped_grid_is_the_full_grid(self, l_max):
-        from spherecurv.geometry import SphereGrid
-
-        grid = build_grid(l_max)
-        assert build_grid(l_max, None) is grid and build_grid(l_max, l_max) is grid
-        capped = SphereGrid(l_max, m_max=l_max)
-        rng = np.random.default_rng(l_max)
-        x = rng.normal(size=grid.n_packed)
-        v = grid.synthesize(x) + 1j * random_real_field(grid, rng)
-        assert np.array_equal(capped.synthesize(x), grid.synthesize(x))
-        assert np.array_equal(capped.analyze(v), grid.analyze(v))
-        assert np.array_equal(capped.packed_entries, grid.packed_entries) and capped.n_lon == grid.n_lon
-
-    @pytest.mark.parametrize("m_max", [0, 3])
-    def test_capped_transforms(self, m_max):
-        grid, capped = build_grid(24), build_grid(24, m_max)
-        assert capped.n_lon == (4 if m_max == 0 else 8) and np.array_equal(capped.colat, grid.colat)
-        kept = grid.packed_entries[:, 0] <= m_max
-        assert np.array_equal(capped.packed_entries, grid.packed_entries[kept])
-        rng = np.random.default_rng(m_max)
-        x = rng.normal(size=capped.n_packed)
-        full_x = np.zeros(grid.n_packed)
-        full_x[kept] = x
-        v = capped.synthesize(x)
-        theta, phi = np.meshgrid(capped.colat, capped.lon, indexing="ij")
-        assert np.abs(v - grid.evaluate(full_x, theta.ravel(), phi.ravel()).reshape(v.shape)).max() < 1e-13 * np.abs(v).max()
-        assert np.abs(capped.analyze(v) - x).max() < 1e-12 * np.abs(x).max()
-        # zero-padding keeps the cap: the l_max 16 entries are the degree <= 16 ones
-        coarse = build_grid(16, m_max)
-        y = rng.normal(size=coarse.n_packed)
-        padded = capped.embed_packed(y)
-        assert np.array_equal(padded[capped.packed_entries[:, 2] <= 16], y)
-        assert not padded[capped.packed_entries[:, 2] > 16].any()
-
-    def test_zonal_analysis_is_the_longitude_mean(self):
-        # the m = 0 entries of a full-grid field are the 4-longitude grid's analysis of its longitude mean
-        grid, zonal = build_grid(24), build_grid(24, 0)
-        v = random_real_field(grid, np.random.default_rng(5))
-        mean = np.repeat(v.mean(axis=1, keepdims=True), zonal.n_lon, axis=1)
-        ref = grid.analyze(v)[grid.packed_entries[:, 0] == 0]
-        assert np.abs(zonal.analyze(mean) - ref).max() < 1e-14 * np.abs(ref).max()
-
-
 class TestWedge:
-    # a grid of order step n keeps the packed entries with m in nZ on the wedge [0, 2 pi/n) of the full circle
+    # a grid of order step n keeps the packed entries with m in nZ on the wedge [0, 2 pi/n) of the full circle;
+    # step 0, its limit, keeps m = 0 alone on one longitude
 
     @pytest.mark.parametrize("l_max", [16, 48])
     def test_step_table_is_every_step_th_row(self, l_max):
@@ -443,41 +387,70 @@ class TestWedge:
 
         for mu, unit_sin in ((build_grid(l_max).mu, False), (np.array(1.0), True)):
             full = _normalized_legendre(l_max, mu, _unit_sin=unit_sin)
-            for step in (1, 2, 4):
-                assert np.array_equal(_normalized_legendre(l_max, mu, _unit_sin=unit_sin, step=step), full[::step])
+            for step in (1, 2, 4, 0):
+                stride = step or l_max + 1  # step 0: any stride above l_max, m = 0 alone
+                table = _normalized_legendre(l_max, mu, _unit_sin=unit_sin, step=stride)
+                assert np.array_equal(table, full[::step] if step else full[:1])
+
+    @pytest.mark.parametrize("l_max", [16, 48])
+    def test_step_1_is_the_full_grid(self, l_max):
+        from spherecurv.geometry import SphereGrid
+
+        grid = build_grid(l_max)
+        assert build_grid(l_max, 1) is grid
+        spelled = SphereGrid(l_max, step=1)
+        rng = np.random.default_rng(l_max)
+        x = rng.normal(size=grid.n_packed)
+        v = grid.synthesize(x) + 1j * random_real_field(grid, rng)
+        assert np.array_equal(spelled.synthesize(x), grid.synthesize(x))
+        assert np.array_equal(spelled.analyze(v), grid.analyze(v))
+        assert np.array_equal(spelled.packed_entries, grid.packed_entries) and spelled.n_lon == grid.n_lon
 
     def test_step_must_divide_the_circle(self):
         with pytest.raises(ValueError, match="does not divide"):
-            build_grid(16, None, 8)  # 36 longitudes
+            build_grid(16, 8)  # 36 longitudes
+        with pytest.raises(ValueError, match="does not divide"):
+            build_grid(16, -1)
 
     @pytest.mark.parametrize("l_max", [16, 48])
-    @pytest.mark.parametrize("step", [2, 4])
+    @pytest.mark.parametrize("step", [0, 2, 4])
     def test_wedge_matches_the_full_grid(self, l_max, step):
-        grid, wedge = build_grid(l_max), build_grid(l_max, None, step)
-        kept = grid.packed_entries[:, 0] % step == 0
+        grid, wedge = build_grid(l_max), build_grid(l_max, step)
+        stride = step or l_max + 1  # step 0: m = 0 alone
+        kept = grid.packed_entries[:, 0] % stride == 0
         assert np.array_equal(wedge.packed_entries, grid.packed_entries[kept])
-        assert wedge.n_lon * step == grid.n_lon and np.array_equal(wedge.lon, grid.lon[: wedge.n_lon])
+        assert wedge.n_lon == (grid.n_lon // step if step else 1) and np.array_equal(wedge.lon, grid.lon[: wedge.n_lon])
         assert np.array_equal(wedge.colat, grid.colat) and abs(wedge.weights.sum() - 1.0) < 1e-14
-        # a band-limited Z_n field: packed entries with m in nZ only
+        # a band-limited Z_n field: packed entries with m in nZ only (a zonal one on step 0)
         rng = np.random.default_rng(l_max + step)
         x = np.zeros(grid.n_packed, dtype=complex)
         x[kept] = rng.normal(size=wedge.n_packed) + 1j * rng.normal(size=wedge.n_packed)
         y, v = x[kept], grid.synthesize(x)
         scale = np.abs(v).max()
-        assert np.abs(np.roll(v, grid.n_lon // step, axis=1) - v).max() < 1e-12 * scale
+        assert np.abs(np.roll(v, wedge.n_lon, axis=1) - v).max() < 1e-12 * scale
         assert np.abs(wedge.synthesize(y) - v[:, : wedge.n_lon]).max() < 1e-13 * scale
         assert np.abs(wedge.analyze(wedge.synthesize(y)) - y).max() < 1e-12 * np.abs(y).max()
         # analysis of a Z_n field that is not band-limited: the full grid's m in nZ entries
         f = np.exp(0.3 * v.real) + 1j * np.cos(v.imag)
         ref = grid.analyze(f)[kept]
         assert np.abs(wedge.analyze(f[:, : wedge.n_lon]) - ref).max() < 1e-13 * np.abs(ref).max()
+        # of any field: the wedge's analysis of the mean of its rotated copies (on step 0 its longitude mean)
+        g = random_real_field(grid, rng)
+        ref = grid.analyze(g)[kept]
+        assert np.abs(wedge.analyze(g.reshape(grid.n_lat, -1, wedge.n_lon).mean(axis=1)) - ref).max() < 1e-14 * np.abs(ref).max()
         assert np.array_equal(wedge.d_dphi(y), grid.d_dphi(x)[kept])
         theta, phi = rng.uniform(0.0, np.pi, 40), rng.uniform(0.0, 2.0 * np.pi, 40)
         assert np.abs(wedge.evaluate(y, theta, phi) - grid.evaluate(x, theta, phi)).max() < 1e-13 * scale
         (n_wedge, t_wedge), (n_full, t_full) = wedge.north_taylor(y, 9), grid.north_taylor(x, 9)
         assert abs(n_wedge - n_full) < 1e-13 * scale
-        assert np.abs(t_wedge - t_full).max() < 1e-13 * np.abs(t_full).max()
-        assert not t_wedge[np.arange(1, 10) % step != 0].any()
+        assert np.abs(t_wedge - t_full).max() <= 1e-13 * np.abs(t_full).max()  # both 0 on step 0
+        assert not t_wedge[np.arange(1, 10) % stride != 0].any()
+        # zero-padding keeps the step: a coarser grid's entries are the degree <= its l_max ones
+        coarse = build_grid(l_max // 2, step)
+        z = rng.normal(size=coarse.n_packed)
+        padded = wedge.embed_packed(z)
+        low = wedge.packed_entries[:, 2] <= coarse.l_max
+        assert np.array_equal(padded[low], z) and not padded[~low].any()
 
 
 class TestBasisOracle:

@@ -490,7 +490,7 @@ class TestRadialDriver:
             experiment="radial", deg_L2=4, class_coeffs=[[0, 0], [1, 0], [0, 0]], solver={"l_max": 16}, out_dir=str(tmp_path)
         )
         assert run_radial_nonexistence(cfg).summary["polish_converged"]
-        assert keys and {m_max for _, m_max, _ in keys} == {0}
+        assert keys and {step for _, step in keys} == {0}
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_hankel_rank_one_is_the_bottom_stratum(self, k, tmp_path, monkeypatch):

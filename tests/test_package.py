@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -90,6 +91,29 @@ def test_readme_verb_table_is_the_cli():
         verbs, flags = line.strip("|").split("|")
         listed += [(verb, sorted(re.findall(r"`--([\w-]+)`", flags))) for verb in re.findall(r"`([\w-]+)`", verbs)]
     assert sorted(listed) == sorted((verb, sorted(flags)) for verb, (_, flags) in cli.VERBS.items())
+
+
+def test_readme_grid_calls_bind_to_the_signatures():
+    # every `build_grid(...)` or `SphereGrid(...)` call the README writes binds
+    # to the real callable's signature, so a grid parameter that goes or comes
+    # must go from or come to the README too
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    calls = []
+    for match in re.finditer(r"\b(build_grid|SphereGrid)\(", readme):
+        depth = 0
+        for end in range(match.end() - 1, len(readme)):  # to the matching parenthesis
+            depth += {"(": 1, ")": -1}.get(readme[end], 0)
+            if depth == 0:
+                break
+        calls.append(ast.parse(readme[match.start() : end + 1], mode="eval").body)
+    unbound = []
+    for call in calls:
+        signature = inspect.signature(getattr(spherecurv.geometry, call.func.id))
+        try:
+            signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
+        except TypeError:
+            unbound.append(ast.unparse(call))
+    assert calls and unbound == []
 
 
 def test_beta_diagonal_has_one_owner():

@@ -534,20 +534,20 @@ class TestTransformCount:
 
     def test_a_non_monomial_class_solves_on_the_full_grid(self, monkeypatch):
         # a seeded random class has no rotation symmetry (n = 1)
-        self.count_on_the_solve_grid(monkeypatch, edge_random_class(4), 2 * np.pi, None)
+        self.count_on_the_solve_grid(monkeypatch, edge_random_class(4), 2 * np.pi, 1)
 
     def test_a_ring_class_solves_on_a_step_4_wedge(self, monkeypatch):
         # z (z^4 - 1) is Z_4-symmetric: a quarter of the longitudes, orders m in 4Z
-        self.count_on_the_solve_grid(monkeypatch, pole_free_ring(), 2 * np.pi, None, step=4)
+        self.count_on_the_solve_grid(monkeypatch, pole_free_ring(), 2 * np.pi, 4)
 
     @staticmethod
-    def count_on_the_solve_grid(monkeypatch, phi, lam, m_max, step=1):
+    def count_on_the_solve_grid(monkeypatch, phi, lam, step):
         # On the solve grid and outside MINRES's matvecs, each line-search
         # trial and each Newton start costs one synthesis and one analysis
         # (one evaluated point); the Jacobian reuses the accepted trial's
         # weight.  The rest of the solve adds the initial guess's analysis, the
         # returned u's synthesis and the synthesis of the returned residual's
-        # Laplacian, taken from the packed solution; each matvec costs one of each.  An m = 0 grid's
+        # Laplacian, taken from the packed solution; each matvec costs one of each.  A step-0 grid's
         # corrections are dense solves that run no matvec and no MINRES.
         import spherecurv.pde as pde
 
@@ -586,9 +586,9 @@ class TestTransformCount:
 
         res = solve_phi_system(phi, lam, SolveConfig(l_max=16))
         assert res.converged
-        grid = build_grid(16, m_max, step)
+        grid = build_grid(16, step)
         assert grid.step == step
-        assert {g for g, _, _ in transforms} == {grid, build_grid(24, m_max, step)}  # and its 1.5x filter grid
+        assert {g for g, _, _ in transforms} == {grid, build_grid(24, step)}  # and its 1.5x filter grid
         trace = res.continuation_trace
         assert points["solve"] == len(trace)  # one Newton start per coupling tried
         assert points["line search"] >= sum(iters for _, iters, _ in trace)  # each Newton step accepts one trial
@@ -599,7 +599,7 @@ class TestTransformCount:
         assert both("point") == (sum(points.values()),) * 2
         assert both("line search") == (0, 0)
         assert both("solve") == (2, 1)
-        if m_max == 0:
+        if step == 0:
             assert both("minres") == (0, 0) and entered["minres"] == res.minres_iters == 0
         else:
             assert both("minres")[0] == both("minres")[1] > 0 and entered["minres"] > 0
@@ -921,7 +921,7 @@ class TestAxisymmetric:
         res = solve_phi_system(monomial(k, a), 1.2 * 4 * np.pi * (k // 2), SolveConfig(l_max=l_max))
         assert res.stop_reason == "filter"
         assert abs(res.lam - 4 * np.pi * stall) <= SolveConfig.min_step
-        assert {m for _, m, _ in keys} == {0}
+        assert {step for _, step in keys} == {0}
 
     def test_resolution_at_l_max_256(self, monkeypatch):
         # z on k=5: the radial branch ends at 2 * 4 pi.  Past 1.997 * 4 pi the
@@ -932,7 +932,7 @@ class TestAxisymmetric:
         assert 1.997 < res.lam / (4 * np.pi) < 2.0
         assert res.stop_reason == "filter"
         assert res.u.u.shape == (257, 516)
-        assert not [key for key in keys if key[1] == key[0] > 72]
+        assert not [l_max for l_max, step in keys if step != 0 and l_max > 72]
 
     @pytest.mark.parametrize("l_max", [16, 48])
     def test_dense_block_matches_the_matvec(self, l_max):
@@ -967,7 +967,7 @@ class TestAxisymmetric:
         keys = requested_grids(monkeypatch)
         r = solve_radial(monomial(4, 1), 4 * np.pi, SolveConfig(l_max=24))
         assert r.converged and r.u.u.shape == (25, 52)
-        assert set(keys) == {(24, 0, 1), (36, 0, 1)}
+        assert set(keys) == {(24, 0), (36, 0)}
 
 
 class TestWedge:
@@ -978,12 +978,12 @@ class TestWedge:
     def test_ring_matches_the_full_grid_solve(self, monkeypatch, phi, l_max):
         keys = requested_grids(monkeypatch)
         wedge = solve_phi_system(phi, 4 * np.pi, SolveConfig(l_max=l_max))
-        assert {step for _, _, step in keys} == {4}
+        assert {step for _, step in keys} == {4}
         # the full-grid oracle: no rotation symmetry read, so the solve runs on the full grids
         monkeypatch.setattr(HoloClass, "rotation_symmetry", lambda self: (1, 0))
         keys.clear()
         full = solve_phi_system(phi, 4 * np.pi, SolveConfig(l_max=l_max))
-        assert {step for _, _, step in keys} == {1}
+        assert {step for _, step in keys} == {1}
         assert wedge.stop_reason == full.stop_reason == ("filter" if phi.spec.k == 7 else "converged")
         assert abs(wedge.lam - full.lam) <= SolveConfig.min_step
         assert wedge.u.u.shape == full.u.u.shape
@@ -1003,6 +1003,15 @@ class TestWedge:
         assert again.converged and again.continuation_trace[-1][1] == 0  # no Newton step needed
         on = solve_phi_system(phi, 2.5 * np.pi, SolveConfig(l_max=24), start=res)
         assert on.converged and on.u.u.shape == (25, 52)
+        # values without the symmetry enter through the mean of their rotated
+        # copies (on step 0 the longitude mean): the full grid's kept entries
+        import spherecurv.pde as pde
+
+        grid = build_grid(24)
+        g = random_real_field(grid, np.random.default_rng(24))
+        for step, stride in ((4, 4), (0, 25)):
+            ref = grid.analyze(g)[grid.packed_entries[:, 0] % stride == 0]
+            assert np.abs(pde._analyze(build_grid(24, step), g) - ref).max() < 1e-14 * np.abs(ref).max()
 
 
 class TestRadial:
