@@ -377,6 +377,21 @@ class TestRealCore:
         assert np.abs(grid.synthesize(grid.analyze(w)) - real_path).max() < 1e-13 * np.abs(w).max()
 
 
+class TestOrderCap:
+    # step 0 caps the orders at m = 0: its table is the leading row of the full one
+
+    @pytest.mark.parametrize("l_max", [16, 48])
+    def test_capped_table_is_the_leading_rows(self, l_max):
+        from spherecurv.geometry import _normalized_legendre
+
+        for mu, unit_sin in ((build_grid(l_max).mu, False), (np.array(1.0), True)):
+            full = _normalized_legendre(l_max, mu, _unit_sin=unit_sin)
+            for stride in (l_max + 1, 2 * l_max + 3):  # any stride above l_max keeps m = 0 alone
+                table = _normalized_legendre(l_max, mu, _unit_sin=unit_sin, step=stride)
+                assert np.array_equal(table, full[:1])
+        assert np.array_equal(build_grid(l_max, 0)._plm, build_grid(l_max)._plm[:1])
+
+
 class TestWedge:
     # a grid of order step n keeps the packed entries with m in nZ on the wedge [0, 2 pi/n) of the full circle;
     # step 0, its limit, keeps m = 0 alone on one longitude
@@ -387,10 +402,9 @@ class TestWedge:
 
         for mu, unit_sin in ((build_grid(l_max).mu, False), (np.array(1.0), True)):
             full = _normalized_legendre(l_max, mu, _unit_sin=unit_sin)
-            for step in (1, 2, 4, 0):
-                stride = step or l_max + 1  # step 0: any stride above l_max, m = 0 alone
-                table = _normalized_legendre(l_max, mu, _unit_sin=unit_sin, step=stride)
-                assert np.array_equal(table, full[::step] if step else full[:1])
+            for step in (1, 2, 4):
+                table = _normalized_legendre(l_max, mu, _unit_sin=unit_sin, step=step)
+                assert np.array_equal(table, full[::step])
 
     @pytest.mark.parametrize("l_max", [16, 48])
     def test_step_1_is_the_full_grid(self, l_max):
