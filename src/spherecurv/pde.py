@@ -22,7 +22,7 @@ or the line search is solved again once at minres_rtol from the same point.
 Only |r| < newton_tol on the exact packed residual accepts a solve.
 Continuation ramps lambda from a small value (where the constant balance
 c = (1/2) log(lambda/M), M = integral(2K) from ``cohomology.flat_mass``,
-gives the initializer), or from a start state (a converged result at a lower
+gives the initializer), or from a start (a converged result at a lower
 coupling), with step halving on Newton failure and Illinois regula falsi
 (Dowell & Jarratt 1971, BIT 11) on a refined-grid filter crossing.
 It is a predictor-corrector (Allgower & Georg 2003, SIAM, ch. 2): lambda
@@ -34,13 +34,13 @@ bracket trial, starts Newton at x + lambda log(lambda_try/lambda) t: the tangent
 step in log(lambda), not in lambda.  The constant mode grows like
 (1/2) log(lambda), for which that step is exact, and the ramp multiplies
 lambda by up to 9 in one step, where a step linear in lambda overshoots.
-A cold solve at l_max >= 48 is nested (Allgower, Boehmer, Potra &
-Rheinboldt 1986, SIAM J. Numer. Anal. 23; Deuflhard 2004, ch. 8): its ramp
-runs at l_max // 2, recursively, and one Newton solve from the zero-padded
-coarse result opens the ramp on the solve grid, which alone decides where
-it ends; a failed coarse opening or rejected handover falls back to the
-single-grid opening.  ``initial``/``start`` solves and l_max < 48 use one
-grid.  The workspace holds the one tally of trace and MINRES count; a nested
+A start, on this grid or a coarser one, opens warm: one Newton solve at its
+coupling from its packed coefficients ``SolveResult.x``, zero-padded onto
+the solve grid; a rejected warm opening falls back to the cold one.  A cold
+solve at l_max >= 48 is nested (Allgower, Boehmer, Potra & Rheinboldt 1986,
+SIAM J. Numer. Anal. 23; Deuflhard 2004, ch. 8): its start is the cold solve
+at l_max // 2, recursively, and the solve grid alone decides where the ramp
+ends.  The workspace holds the one tally of trace and MINRES count; a nested
 solve's starts from the coarse result's, so it includes the coarse-grid work.
 
 One symmetry rule picks every solve grid.  A class of rotation order n
@@ -48,8 +48,8 @@ One symmetry rule picks every solve grid.  A class of rotation order n
 so its solve, filter and coarse stages run on grids of one order step:
 gcd(n, 4) for n >= 1 (every ``longitudes()`` count is a multiple of 4), the
 full grid for n = 1 and a wedge for n >= 2, and 0 for a monomial (n = 0, K
-a function of colatitude alone), m = 0 on one longitude.  Fields enter through
-the mean of their rotated copies (on step 0 their longitude mean), and u
+a function of colatitude alone), m = 0 on one longitude.  ``initial`` enters
+through the mean of its rotated copies (on step 0 its longitude mean), and u
 returns tiled over the full grid's longitudes.  Only ``_solve`` chooses
 the step.  On step 0 every correction and tangent is one exact dense
 LAPACK solve of the (l_max+1)-square Jacobian: no MINRES, no forcing term,
@@ -115,6 +115,9 @@ NESTED_MIN_LMAX = 48
 @dataclass
 class SolveResult:
     u: ConformalFactor
+    # packed coefficients of u on the solve grid, build_grid(l_max, step) of
+    # the class: synthesized and tiled over the full circle, they are u.total
+    x: np.ndarray
     lam: float
     residual_sup: float
     converged: bool
@@ -422,23 +425,24 @@ def solve_phi_system(
 ) -> SolveResult:
     """Continuation-in-lambda Newton solve of the curvature system.
 
-    The opening is one Newton solve, at min(lambda_init, lam) from the
+    The cold opening is one Newton solve, at min(lambda_init, lam) from the
     small-coupling initializer or at lam from ``initial``; if a guard rejects
     it the stop_reason is "init", or for ``initial`` the guard's own.  Lambda
     then ramps to the target with adaptive steps.  ``start``, a converged
-    result on the same grid at ``start.lam <= lam``, replaces the opening and
-    the ramp begins there with the full step.  A stalled ramp (step or filter
-    bracket below ``min_step``) returns converged=False with the trace, the
-    signature of leaving the solvable range; ``lam`` is the last accepted coupling.
+    result of the same class at ``start.lam <= lam`` and l_max <= this one,
+    opens warm instead: one Newton solve at start.lam from ``start.x``
+    zero-padded onto this grid, the first trace entry, then the full step; a
+    rejected warm opening falls back to the cold one.  A stalled ramp (step
+    or filter bracket below ``min_step``) returns converged=False with the
+    trace, the signature of leaving the solvable range; ``lam`` is the last
+    accepted coupling.
 
     Nested iteration: a cold solve (neither ``initial`` nor ``start``) at
-    l_max >= 48 first runs the whole ramp at l_max // 2, recursively, and opens
-    with one Newton solve at that ramp's last coupling from its zero-padded
-    result.  From a coarse stall the ramp continues with the full step, and
-    this grid's filter, guards and bracket alone decide the outcome.  If the
-    coarse opening failed or a guard rejects the handover, the solve opens as
-    above.  ``continuation_trace`` and ``minres_iters`` count the coarse-grid
-    work and a discarded handover too.
+    l_max >= 48 takes the cold solve at l_max // 2, recursively, as its start,
+    converged or stalled, unless its opening failed; this grid's filter,
+    guards and bracket alone decide the outcome.
+    ``continuation_trace`` and ``minres_iters`` count the coarse-grid work
+    and a rejected warm opening too.
     """
     if not 0 < lam < math.inf:  # NaN too
         raise InvalidLambda(f"lambda must be positive and finite, got {lam}")
@@ -446,6 +450,8 @@ def solve_phi_system(
         raise ValueError("pass at most one of initial and start")
     if start is not None and not (start.converged and start.lam <= lam):
         raise ValueError(f"start must be converged at a coupling <= {lam}, got {start.lam} ({start.converged=})")
+    if start is not None and start.u.u.shape[0] - 1 > cfg.l_max:  # n_lat = l_max + 1
+        raise ValueError(f"start was solved at l_max {start.u.u.shape[0] - 1}, above this solve's {cfg.l_max}")
     return _solve(phi, lam, cfg.l_max, initial, start)
 
 
@@ -456,8 +462,7 @@ def _solve(
     n = phi.rotation_symmetry()[0]
     # Z_n symmetry: the wedge of step gcd(n, 4), since every longitudes() count
     # is a multiple of 4; a monomial (n = 0): step 0, K depends on colatitude alone
-    step = math.gcd(n, 4) if n else 0
-    grid = build_grid(l_max, step)
+    grid = build_grid(l_max, math.gcd(n, 4) if n else 0)
     ws = _Workspace(phi, grid)
     opened = False
 
@@ -465,18 +470,12 @@ def _solve(
         return math.log(max(fine, 1e-300) / (SolveConfig.spurious_tol * max(1.0, lam_at)))
 
     if initial is None and start is None and l_max >= NESTED_MIN_LMAX:
-        coarse = _solve(phi, lam, l_max // 2, None, None)
-        ws.trace, ws.minres_iters = coarse.continuation_trace, coarse.minres_iters
-        if coarse.stop_reason != "init":
-            x0 = grid.embed_packed(_analyze(build_grid(l_max // 2, step), coarse.u.total))
-            x, fine_now, reason, weight = _trial(ws, x0, coarse.lam)
-            opened, lam_now = reason is None, coarse.lam
-
-    if start is not None:
-        lam_now, fine_now = start.lam, start.residual_fine
-        x = _analyze(grid, start.u.total)
-        weight = ws.evaluate(x, lam_now)[2]
-    elif not opened:
+        start = _solve(phi, lam, l_max // 2, None, None)
+        ws.trace, ws.minres_iters = start.continuation_trace, start.minres_iters
+    if start is not None and start.stop_reason != "init":
+        x, fine_now, reason, weight = _trial(ws, grid.embed_packed(start.x), start.lam)
+        opened, lam_now = reason is None, start.lam
+    if not opened:
         lam_now = min(SolveConfig.lambda_init, lam) if initial is None else lam
         x0 = _initial_guess(ws, lam_now) if initial is None else _analyze(grid, initial.total)
         x, fine_now, reason, weight = _trial(ws, x0, lam_now)
@@ -516,7 +515,7 @@ def _solve(
 
 
 def _analyze(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
-    """Packed coefficients of full-grid node values, through the mean of their rotated copies.
+    """Packed coefficients of ``initial``'s full-grid node values, through the mean of their rotated copies.
 
     A wedge of step n averages their n rotations by 2 pi/n, a step-0 grid
     every longitude, and a full grid reads the values as they are.
@@ -534,6 +533,7 @@ def _finish(ws: _Workspace, x, lam, fine, reason, stop_fine) -> SolveResult:
         # a wedge's values repeat over its rotations (a step-0 grid's over every
         # longitude): tiled, they fill the full grid's
         u=ConformalFactor(np.tile(u.u, (1, longitudes(grid.l_max) // grid.n_lon)), u.offset),
+        x=x,
         lam=float(lam),
         residual_sup=float(np.abs(res).max()),
         converged=reason == "converged",

@@ -293,7 +293,10 @@ class TestSolve:
         warm = solve_phi_system(phi, 3 * np.pi, cfg, start=start)
         cold = solve_phi_system(phi, 3 * np.pi, cfg)
         assert warm.converged and warm.lam == 3 * np.pi
-        assert warm.continuation_trace[0][0] > start.lam
+        # the trace opens with the zero-step Newton solve at start.lam, then ramps past it
+        (lam0, iters0, rnorm0), (lam1, _, _) = warm.continuation_trace[:2]
+        assert (lam0, iters0) == (start.lam, 0) and rnorm0 < SolveConfig.newton_tol
+        assert lam1 > start.lam
         assert np.abs(warm.u.total - cold.u.total).max() < 1e-8
 
     def test_start_must_be_converged_below_target(self):
@@ -307,6 +310,10 @@ class TestSolve:
             solve_phi_system(monomial(4, 1), np.pi, cfg, start=above)
         with pytest.raises(ValueError, match="at most one"):
             solve_phi_system(monomial(4, 1), 3 * np.pi, cfg, above.u, start=above)
+        # a start from a finer grid is a usage error, not a failed reshape
+        finer = solve_phi_system(monomial(4, 1), np.pi, SolveConfig(l_max=24))
+        with pytest.raises(ValueError, match="l_max 24, above this solve's 16"):
+            solve_phi_system(monomial(4, 1), 3 * np.pi, cfg, start=finer)
 
     def test_invalid_lambda(self):
         # a NaN target used to end the ramp at once: converged at lambda_init;
@@ -433,8 +440,10 @@ class TestPredictor:
         polish = solve_phi_system(monomial(4, 1), 2 * np.pi, cfg, base.u)
         same = solve_phi_system(monomial(4, 1), 2 * np.pi, cfg, start=base)
         assert polish.converged and same.converged and not tangents
+        # a warm solve's first entry is its opening at start.lam: no tangent there, one per trial after it
         warm = solve_phi_system(monomial(4, 1), 3 * np.pi, cfg, start=base)
-        assert warm.converged and len(tangents) == len(warm.continuation_trace)
+        assert warm.converged and warm.continuation_trace[0][:2] == (base.lam, 0)
+        assert len(tangents) == len(warm.continuation_trace) - 1
 
 
 class TestInexactNewton:
@@ -884,6 +893,26 @@ class TestNestedIteration:
         assert warm.converged and polish.converged
         assert set(grids) == {48}
 
+    @pytest.mark.parametrize("phi, lam", [
+        (pole_balanced_ring(), 4 * np.pi),
+        (monomial(5, 2), 4 * np.pi),
+        (HoloClass(spec_k(6), [1, 1j] @ np.random.default_rng(6).normal(size=(2, 5))), 2 * np.pi),
+    ], ids=["ring_k8", "two_pole_k5", "random_k6"])
+    def test_start_from_the_coarse_rung_is_the_nested_solve(self, phi, lam):
+        # the nested stage is a start= from the l_max // 2 result: same u and
+        # lambda bitwise, and the coarse tally runs on into the fine one
+        coarse = solve_phi_system(phi, lam, SolveConfig(l_max=24))
+        warm = solve_phi_system(phi, lam, SolveConfig(l_max=48), start=coarse)
+        nested = solve_phi_system(phi, lam, SolveConfig(l_max=48))
+        assert coarse.converged and warm.converged and nested.converged
+        assert np.array_equal(warm.u.total, nested.u.total) and warm.lam == nested.lam
+        assert nested.continuation_trace == coarse.continuation_trace + warm.continuation_trace
+        assert nested.minres_iters == coarse.minres_iters + warm.minres_iters
+        # a start on its own grid opens in zero Newton steps, without MINRES
+        again = solve_phi_system(phi, lam, SolveConfig(l_max=48), start=warm)
+        assert [iters for _, iters, _ in again.continuation_trace] == [0] and again.minres_iters == 0
+        assert np.array_equal(again.x, warm.x)
+
 
 class TestAxisymmetric:
     # a monomial class solves on the m = 0 grid; u comes back on the full grid's nodes
@@ -897,13 +926,14 @@ class TestAxisymmetric:
             res = solve_phi_system(phi, target, SolveConfig(l_max=24))
             assert res.stop_reason == ("converged" if target == 4 * np.pi else "filter")
             assert res.u.u.shape == (grid.n_lat, grid.n_lon)
-            lam = res.lam
+            lam, x = res.lam, res.x
             # the same coefficients on the 2-D and the latitude-only 1.5x grids
-            x = pde._analyze(zonal, res.u.total)
             full_x = np.zeros(grid.n_packed)
             full_x[grid.packed_entries[:, 0] == 0] = x
             fine = pde._Workspace(phi, zonal).fine_residual_sup(x, lam)
-            assert abs(pde._Workspace(phi, grid).fine_residual_sup(full_x, lam) - fine) <= 1e-12 * fine
+            # the residual's terms are O(lam), so roundoff sets an absolute floor: the
+            # converged x reads fine = 1.7e-8 at 4 pi, where the two sups differ by 1.8e-15
+            assert abs(pde._Workspace(phi, grid).fine_residual_sup(full_x, lam) - fine) <= 1e-12 * fine + 1e-14 * lam
             # the returned u on the full grids: residual_fine moves by the
             # round trip through u, which the Laplacian on the 1.5x grid
             # amplifies to 6e-11 * lam here (as on a full-grid solve)
@@ -1012,6 +1042,21 @@ class TestWedge:
         for step, stride in ((4, 4), (0, 25)):
             ref = grid.analyze(g)[grid.packed_entries[:, 0] % stride == 0]
             assert np.abs(pde._analyze(build_grid(24, step), g) - ref).max() < 1e-14 * np.abs(ref).max()
+
+
+class TestPackedSolution:
+    @pytest.mark.parametrize("phi, step", [
+        (monomial(4, 1), 0),
+        (pole_balanced_ring(), 4),
+        (HoloClass(spec_k(4), [1, 1j] @ np.random.default_rng(4).normal(size=(2, 3))), 1),
+    ], ids=["step0", "step4", "full"])
+    def test_x_synthesizes_u(self, phi, step):
+        # x lives on the solve grid of the class's step; synthesized and tiled over the circle it is u
+        res = solve_phi_system(phi, 2 * np.pi, SolveConfig(l_max=24))
+        grid = build_grid(24, step)
+        assert res.converged and res.x.shape == (grid.n_packed,)
+        u = np.tile(grid.synthesize(res.x), (1, res.u.u.shape[1] // grid.n_lon))
+        assert np.abs(u - res.u.total).max() <= 1e-13 * np.abs(res.u.total).max()
 
 
 class TestRadial:
