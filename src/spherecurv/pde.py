@@ -20,28 +20,21 @@ line search measures the Euclidean residual, so a loose correction can fail
 to decrease |r| at any step size; a correction that fails its residual check
 or the line search is solved again once at minres_rtol from the same point.
 Only |r| < newton_tol on the exact packed residual accepts a solve.
-Continuation ramps lambda from a small value (where the constant balance
-c = (1/2) log(lambda/M), M = integral(2K) from ``cohomology.flat_mass``,
-gives the initializer), or from a start (a converged result at a lower
-coupling), with step halving on Newton failure and Illinois regula falsi
-(Dowell & Jarratt 1971, BIT 11) on a refined-grid filter crossing.
-It is a predictor-corrector (Allgower & Georg 2003, SIAM, ch. 2): lambda
-enters the packed residual only as -lambda e_0, so the path tangent at an
-accepted point is t = J^{-1} e_0, solved once (on a full grid by MINRES at
-``forcing_cap``) when the first trial leaves that point, with the Jacobian
-weight Newton already holds there.  Every trial from it, a growth step or a
-bracket trial, starts Newton at x + lambda log(lambda_try/lambda) t: the tangent
-step in log(lambda), not in lambda.  The constant mode grows like
-(1/2) log(lambda), for which that step is exact, and the ramp multiplies
-lambda by up to 9 in one step, where a step linear in lambda overshoots.
-A start, on this grid or a coarser one, opens warm: one Newton solve at its
-coupling from its packed coefficients ``SolveResult.x``, zero-padded onto
-the solve grid; a rejected warm opening falls back to the cold one.  A cold
-solve at l_max >= 48 is nested (Allgower, Boehmer, Potra & Rheinboldt 1986,
-SIAM J. Numer. Anal. 23; Deuflhard 2004, ch. 8): its start is the cold solve
-at l_max // 2, recursively, and the solve grid alone decides where the ramp
-ends.  The workspace holds the one tally of trace and MINRES count; a nested
-solve's starts from the coarse result's, so it includes the coarse-grid work.
+Continuation ramps lambda from a small value or from a start (a converged
+result at a lower coupling), with step halving on Newton failure and Illinois
+regula falsi (Dowell & Jarratt 1971, BIT 11) on a refined-grid filter
+crossing: a predictor-corrector (Allgower & Georg 2003, SIAM, ch. 2) whose
+path is ``_Workspace``'s.  Lambda enters the solve there alone: as the load
+e_0 (the residual's -lambda e_0, and the tangent J^{-1} e_0, solved once per
+accepted point when the first trial leaves it), through K on the solve and
+filter grids, in the cold opening (the constant balance (1/2) log(lambda/M),
+M from ``cohomology.flat_mass``), in the filter bound and in the predictor's
+step in log(lambda).  A new path replaces the load, K on both grids, the
+opening and the predictor; ``_solve`` keeps the path-blind loop.  A start,
+on this grid or a coarser one, opens warm from its zero-padded packed
+coefficients ``SolveResult.x``, and a cold solve at l_max >= 48 is nested
+(Allgower, Boehmer, Potra & Rheinboldt 1986, SIAM J. Numer. Anal. 23;
+Deuflhard 2004, ch. 8): its start is the cold solve at l_max // 2.
 
 One symmetry rule picks every solve grid.  A class of rotation order n
 (``HoloClass.rotation_symmetry``) has a Z_n-invariant K and lambda-branch,
@@ -50,7 +43,7 @@ gcd(n, 4) for n >= 1 (every ``longitudes()`` count is a multiple of 4), the
 full grid for n = 1 and a wedge for n >= 2, and 0 for a monomial (n = 0, K
 a function of colatitude alone), m = 0 on one longitude.  ``initial`` enters
 through the mean of its rotated copies (on step 0 its longitude mean), and u
-returns tiled over the full grid's longitudes.  Only ``_solve`` chooses
+returns tiled over the full grid's longitudes.  Only ``_order_step`` chooses
 the step.  On step 0 every correction and tangent is one exact dense
 LAPACK solve of the (l_max+1)-square Jacobian: no MINRES, no forcing term,
 no re-solve.
@@ -159,10 +152,14 @@ def residual(u: ConformalFactor, phi: HoloClass, lam: float, grid: SphereGrid) -
 
 
 class _Workspace:
-    """Residual and Jacobian of one class, K = |phi|^2_{H_0}, on the grid's packed real coefficients.
+    """Residual, Jacobian and lambda-path of one class, K = |phi|^2_{H_0}, on the grid's packed real coefficients.
 
-    It holds the solve's tally: ``trace``, one entry per Newton solve written by
-    ``_trial``, and ``minres_iters``, counted by ``correction``, the one MINRES call.
+    The path is every place lambda enters the solve: the ``load`` e_0, K on
+    the solve and filter grids (``k_vals``, ``k_fine``), ``cold_opening``, the
+    filter bound in ``margin`` and ``predict``.  A new path replaces the load,
+    K on both grids, the opening and the predictor.  It holds the solve's tally:
+    ``trace``, one entry per Newton solve written by ``_trial``, and
+    ``minres_iters``, counted by ``correction``, the one MINRES call.
     """
 
     def __init__(self, phi: HoloClass, grid: SphereGrid):
@@ -172,20 +169,48 @@ class _Workspace:
         self.mass = flat_mass(phi)  # integral of 2K
         self.diag = grid.packed_laplace
         self.n = grid.n_packed
+        self.load = np.eye(1, self.n)[0]  # e_0: entry 0's basis function is the constant 1
         self.fine_grid = build_grid(int(SolveConfig.refine_factor * grid.l_max), grid.step)
         self.k_fine = phi_norm_sq(phi, ConformalFactor.zero(self.fine_grid), self.fine_grid)
 
-    def fine_residual_sup(self, x: np.ndarray, lam: float) -> float:
-        """Sup residual with the solution re-evaluated on a refined grid.
+    def residual_sup(self, grid: SphereGrid, x: np.ndarray, u_vals: np.ndarray, lam: float) -> float:
+        """sup|lap(u) + 2 K e^{2u} - lambda| on the solve or filter grid: ``residual`` with lap(u) from packed x."""
+        k = self.k_vals if grid is self.grid else self.k_fine
+        return float(np.abs(grid.synthesize(grid.packed_laplace * x) + 2.0 * k * np.exp(2.0 * u_vals) - lam).max())
 
-        On any step it is the full filter: a Z_n-invariant residual's sup is
-        its sup over a wedge, and a theta-only one's its sup over the latitudes.
+    def fine_residual_sup(self, x: np.ndarray, lam: float) -> float:
+        """Sup residual with the solution re-evaluated on a refined grid: on any step the full filter,
+        as a Z_n-invariant residual's sup is its sup over a wedge, and a theta-only one's over the latitudes."""
+        xf = self.fine_grid.embed_packed(x)
+        return self.residual_sup(self.fine_grid, xf, self.fine_grid.synthesize(xf), lam)
+
+    def margin(self, fine: float, lam: float) -> float:
+        """log(residual_fine / filter bound): the filter rejects where it is > 0 or NaN; the bracket seeks its root."""
+        return math.log(max(fine / (SolveConfig.spurious_tol * max(1.0, lam)), 1e-300))
+
+    def cold_opening(self, lam: float):
+        """(lambda_0, x_0) of a cold solve: the constant balance at lambda_0 = min(lambda_init, lam)."""
+        lam = min(SolveConfig.lambda_init, lam)
+        return lam, self.balance(lam)
+
+    def balance(self, lam: float) -> np.ndarray:
+        """Constant balance c0 = (1/2) log(lambda/M) plus one Poisson correction, valid for small lambda."""
+        c0 = 0.5 * math.log(lam / self.mass)
+        x, _ = self.grid.poisson_coeffs(lam - 2.0 * self.k_vals * math.exp(2.0 * c0))
+        x[0] = c0
+        return x
+
+    def tangent(self, weight: np.ndarray) -> np.ndarray:
+        """Path tangent dx/dlambda = J^{-1} e_0 (dF/dlambda = -load), J of ``weight``, at ``forcing_cap``."""
+        return self.correction(weight, self.load, SolveConfig.forcing_cap)[0]
+
+    def predict(self, x: np.ndarray, tangent: np.ndarray, lam: float, lam_try: float) -> np.ndarray:
+        """Newton start at lam_try from the accepted (x, lam): the tangent step in log(lambda).
+
+        It is exact for the constant mode's (1/2) log(lambda), and the ramp
+        multiplies lambda by up to 9 in one step, where a step in lambda overshoots.
         """
-        gf = self.fine_grid
-        xf = gf.embed_packed(x)
-        u_vals = gf.synthesize(xf)
-        lap = gf.synthesize(gf.packed_laplace * xf)
-        return float(np.abs(lap + 2.0 * self.k_fine * np.exp(2.0 * u_vals) - lam).max())
+        return x + (lam * math.log(lam_try / lam)) * tangent
 
     def evaluate(self, x: np.ndarray, lam: float, sup_max: float = math.inf):
         """(sup|u - c|, residual, Jacobian weight 4 K e^{2u}) at x from one synthesis and one analysis.
@@ -204,7 +229,7 @@ class _Workspace:
             return sup, None, None
         ke = 2.0 * self.k_vals * np.exp(2.0 * u_vals)
         r = self.grid.analyze(ke) + self.diag * x
-        r[0] -= lam  # entry 0's basis function is the constant 1
+        r -= lam * self.load
         return sup, r, 2.0 * ke
 
     def jacobian_matvec(self, weight: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -379,14 +404,6 @@ def _newton(ws: _Workspace, x0: np.ndarray, lam: float):
     return x, SolveConfig.max_newton, rnorm, rnorm < SolveConfig.newton_tol, sup, weight
 
 
-def _initial_guess(ws: _Workspace, lam: float) -> np.ndarray:
-    """Constant balance c0 = (1/2) log(lambda/M) plus one Poisson correction, valid for small lambda."""
-    c0 = 0.5 * math.log(lam / ws.mass)
-    x, _ = ws.grid.poisson_coeffs(lam - 2.0 * ws.k_vals * math.exp(2.0 * c0))
-    x[0] = c0
-    return x
-
-
 def _trial(ws: _Workspace, x0: np.ndarray, lam: float):
     """Newton at ``lam`` from ``x0``, traced as (lam, iterations, |r| or NaN if a guard rejected it).
 
@@ -399,20 +416,9 @@ def _trial(ws: _Workspace, x0: np.ndarray, lam: float):
     elif sup > SolveConfig.blowup_sup:  # a zero-step Newton run from ``initial`` can still start past the bound
         reason = "blowup"
     else:
-        reason = None if fine <= SolveConfig.spurious_tol * max(1.0, lam) else "filter"
+        reason = None if ws.margin(fine, lam) <= 0 else "filter"
     ws.trace.append((lam, iters, rnorm if reason is None else float("nan")))
     return x, fine, reason, weight
-
-
-def _tangent(ws: _Workspace, weight: np.ndarray):
-    """Path tangent dx/dlambda = J^{-1} e_0 at an accepted point, at ``forcing_cap`` on a full grid.
-
-    The packed residual depends on lambda only through entry 0 (the
-    constant), so dF/dlambda = -e_0; J is the Jacobian of ``weight``.
-    """
-    e0 = np.zeros(ws.n)
-    e0[0] = 1.0
-    return ws.correction(weight, e0, SolveConfig.forcing_cap)[0]
 
 
 def solve_phi_system(
@@ -452,23 +458,24 @@ def solve_phi_system(
         raise ValueError(f"start must be converged at a coupling <= {lam}, got {start.lam} ({start.converged=})")
     if start is not None and start.u.u.shape[0] - 1 > cfg.l_max:  # n_lat = l_max + 1
         raise ValueError(f"start was solved at l_max {start.u.u.shape[0] - 1}, above this solve's {cfg.l_max}")
+    if start is not None and start.x.size != (n := build_grid(start.u.u.shape[0] - 1, _order_step(phi)).n_packed):
+        raise ValueError(f"start has {start.x.size} packed coefficients, not the {n} of this class's grid at its l_max")
     return _solve(phi, lam, cfg.l_max, initial, start)
+
+
+def _order_step(phi: HoloClass) -> int:
+    """Order step of phi's solve grids: gcd(n, 4) for rotation order n >= 1, 0 for a monomial (module docstring)."""
+    n = phi.rotation_symmetry()[0]
+    return math.gcd(n, 4) if n else 0
 
 
 def _solve(
     phi: HoloClass, lam: float, l_max: int, initial: ConformalFactor | None, start: SolveResult | None
 ) -> SolveResult:
     """Body of ``solve_phi_system`` on the l_max grid; the coarse stage calls it, not the public name."""
-    n = phi.rotation_symmetry()[0]
-    # Z_n symmetry: the wedge of step gcd(n, 4), since every longitudes() count
-    # is a multiple of 4; a monomial (n = 0): step 0, K depends on colatitude alone
-    grid = build_grid(l_max, math.gcd(n, 4) if n else 0)
+    grid = build_grid(l_max, _order_step(phi))
     ws = _Workspace(phi, grid)
     opened = False
-
-    def margin(fine, lam_at):  # log(residual_fine / filter bound), > 0 where the filter rejects
-        return math.log(max(fine, 1e-300) / (SolveConfig.spurious_tol * max(1.0, lam_at)))
-
     if initial is None and start is None and l_max >= NESTED_MIN_LMAX:
         start = _solve(phi, lam, l_max // 2, None, None)
         ws.trace, ws.minres_iters = start.continuation_trace, start.minres_iters
@@ -476,8 +483,7 @@ def _solve(
         x, fine_now, reason, weight = _trial(ws, grid.embed_packed(start.x), start.lam)
         opened, lam_now = reason is None, start.lam
     if not opened:
-        lam_now = min(SolveConfig.lambda_init, lam) if initial is None else lam
-        x0 = _initial_guess(ws, lam_now) if initial is None else _analyze(grid, initial.total)
+        lam_now, x0 = ws.cold_opening(lam) if initial is None else (lam, _analyze(grid, initial.total))
         x, fine_now, reason, weight = _trial(ws, x0, lam_now)
         if reason is not None:
             return _finish(ws, x, lam_now, fine_now, "init" if initial is None else reason, fine_now)
@@ -485,8 +491,7 @@ def _solve(
     # bracket [lam_now, lam_hi] around a filter crossing (lam_hi None without
     # one), margins g_now, g_hi, trials 2% inside; side: the end last moved;
     # tangent: dx/dlambda at the accepted x, solved at its first trial
-    step, lam_hi, side, stop = SolveConfig.continuation_step, None, 0, ("converged", math.nan)
-    tangent = None
+    step, lam_hi, side, stop, tangent = SolveConfig.continuation_step, None, 0, ("converged", math.nan), None
     while lam_now < lam:
         if lam_hi is None:
             lam_try = min(lam_now + step, lam)
@@ -494,19 +499,17 @@ def _solve(
             t = g_now / (g_now - g_hi)
             lam_try = lam_now + (lam_hi - lam_now) * (0.5 if math.isnan(t) else min(max(t, 0.02), 0.98))
         if tangent is None:
-            tangent = _tangent(ws, weight)
-        # predictor: the tangent step in log(lambda), exact for the constant mode's (1/2) log(lambda)
-        x0 = x + (lam_now * math.log(lam_try / lam_now)) * tangent
-        x_try, fine, reason, w_try = _trial(ws, x0, lam_try)
+            tangent = ws.tangent(weight)
+        x_try, fine, reason, w_try = _trial(ws, ws.predict(x, tangent, lam_now, lam_try), lam_try)
         if reason is None:
             x, lam_now, fine_now, weight, tangent = x_try, lam_try, fine, w_try, None
             if lam_hi is None:
                 step = min(step * 1.5, SolveConfig.continuation_step * 4)
             else:  # Illinois: the end kept twice in a row has its margin halved
-                g_now, g_hi, side = margin(fine, lam_try), g_hi / 2 if side > 0 else g_hi, 1
+                g_now, g_hi, side = ws.margin(fine, lam_try), g_hi / 2 if side > 0 else g_hi, 1
         elif reason == "filter":
-            g_now = margin(fine_now, lam_now) if lam_hi is None else (g_now / 2 if side < 0 else g_now)
-            lam_hi, g_hi, side, stop = lam_try, margin(fine, lam_try), -1, (reason, fine)
+            g_now = ws.margin(fine_now, lam_now) if lam_hi is None else (g_now / 2 if side < 0 else g_now)
+            lam_hi, g_hi, side, stop = lam_try, ws.margin(fine, lam_try), -1, (reason, fine)
         else:
             lam_hi, step, stop = None, 0.5 * (lam_try - lam_now), (reason, fine)
         if (step if lam_hi is None else lam_hi - lam_now) < SolveConfig.min_step:
@@ -526,16 +529,13 @@ def _analyze(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
 def _finish(ws: _Workspace, x, lam, fine, reason, stop_fine) -> SolveResult:
     grid = ws.grid
     u = ConformalFactor(grid.synthesize(np.concatenate([[0.0], x[1:]])), float(x[0]))
-    # ``residual`` with the solve's own K (k_vals * e^{2u} is bitwise phi_norm_sq(phi, u, grid)) and
-    # lap(u) from x, not from analyzing u again: u is band-limited, so it is the same residual less that round trip
-    res = grid.synthesize(ws.diag * x) + 2.0 * (ws.k_vals * np.exp(2.0 * u.total)) - lam
     return SolveResult(
         # a wedge's values repeat over its rotations (a step-0 grid's over every
         # longitude): tiled, they fill the full grid's
         u=ConformalFactor(np.tile(u.u, (1, longitudes(grid.l_max) // grid.n_lon)), u.offset),
         x=x,
         lam=float(lam),
-        residual_sup=float(np.abs(res).max()),
+        residual_sup=ws.residual_sup(grid, x, u.total, lam),
         converged=reason == "converged",
         continuation_trace=ws.trace,
         # NaN only where Newton failed, which left the refined grid unvisited

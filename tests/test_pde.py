@@ -13,7 +13,6 @@ from spherecurv.pde import (
     RadialProfile,
     SolveConfig,
     _Workspace,
-    _initial_guess,
     forward_F,
     minres,
     residual,
@@ -182,7 +181,7 @@ class TestMinres:
         phi = HoloClass(spec_k(5), rng.normal(size=4) + 1j * rng.normal(size=4))
         ws = _Workspace(phi, grid)
         # a Newton start at 2*pi: the small-coupling guess plus a smooth perturbation
-        x = _initial_guess(ws, 2 * np.pi) + 0.05 * rng.normal(size=ws.n) / np.arange(1, ws.n + 1)
+        x = ws.balance(2 * np.pi) + 0.05 * rng.normal(size=ws.n) / np.arange(1, ws.n + 1)
         _, r, weight = ws.evaluate(x, 2 * np.pi)
         matvec, m_diag = ws.operator(weight)
         return matvec, -r, m_diag
@@ -315,6 +314,19 @@ class TestSolve:
         with pytest.raises(ValueError, match="l_max 24, above this solve's 16"):
             solve_phi_system(monomial(4, 1), 3 * np.pi, cfg, start=finer)
 
+    def test_start_of_another_rotation_step_is_rejected(self):
+        # a start's packed coefficients live on the grid of its class's order
+        # step.  The step-0 l_max-15 result has 16 entries, as many as the full
+        # grid's degrees <= 3, which took them silently; the l_max-16 one's 17
+        # failed inside numpy on the step-4 wedge
+        zonal15 = solve_phi_system(monomial(4, 1), np.pi, SolveConfig(l_max=15))
+        full = HoloClass(spec_k(4), [1, 1j] @ np.random.default_rng(4).normal(size=(2, 3)))
+        with pytest.raises(ValueError, match="start has 16 packed coefficients, not the 256 "):
+            solve_phi_system(full, 2 * np.pi, SolveConfig(l_max=16), start=zonal15)
+        zonal16 = solve_phi_system(monomial(4, 1), np.pi, SolveConfig(l_max=16))
+        with pytest.raises(ValueError, match="start has 17 packed coefficients, not the 73 "):
+            solve_phi_system(pole_balanced_ring(), 2 * np.pi, SolveConfig(l_max=16), start=zonal16)
+
     def test_invalid_lambda(self):
         # a NaN target used to end the ramp at once: converged at lambda_init;
         # an infinite one ran a ramp to a filter stall
@@ -423,8 +435,8 @@ class TestPredictor:
 
         calls, tangents = [], []
         monkeypatch.setattr(pde, "minres", lambda *args, **kwargs: calls.append(args))
-        tangent = pde._tangent
-        monkeypatch.setattr(pde, "_tangent", lambda *args: tangents.append(args) or tangent(*args))
+        tangent = pde._Workspace.tangent
+        monkeypatch.setattr(pde._Workspace, "tangent", lambda *args: tangents.append(args) or tangent(*args))
         res = solve_phi_system(monomial(4, 1), 4 * np.pi, SolveConfig(l_max=16))
         assert res.converged and res.minres_iters == 0 and not calls
         assert len(tangents) == len(res.continuation_trace) - 1
@@ -435,8 +447,8 @@ class TestPredictor:
         cfg = SolveConfig(l_max=16)
         base = solve_phi_system(monomial(4, 1), 2 * np.pi, cfg)
         tangents = []
-        tangent = pde._tangent
-        monkeypatch.setattr(pde, "_tangent", lambda *args: tangents.append(args) or tangent(*args))
+        tangent = pde._Workspace.tangent
+        monkeypatch.setattr(pde._Workspace, "tangent", lambda *args: tangents.append(args) or tangent(*args))
         polish = solve_phi_system(monomial(4, 1), 2 * np.pi, cfg, base.u)
         same = solve_phi_system(monomial(4, 1), 2 * np.pi, cfg, start=base)
         assert polish.converged and same.converged and not tangents
@@ -505,7 +517,7 @@ class TestInexactNewton:
         import spherecurv.pde as pde
 
         ws = _Workspace(monomial(4, 1), build_grid(16, 0))
-        x = _initial_guess(ws, 1.0)
+        x = ws.balance(1.0)
         _, r, weight = ws.evaluate(x, 1.0)
         zero = np.zeros_like(weight)
         assert ws.correction(zero, -r, SolveConfig.forcing_cap)[1]
@@ -968,7 +980,7 @@ class TestAxisymmetric:
     def test_dense_block_matches_the_matvec(self, l_max):
         ws = _Workspace(monomial(5, 1), build_grid(l_max, 0))
         rng = np.random.default_rng(l_max)
-        x = _initial_guess(ws, 3.0) + rng.normal(size=ws.n) / np.arange(1, ws.n + 1) ** 2
+        x = ws.balance(3.0) + rng.normal(size=ws.n) / np.arange(1, ws.n + 1) ** 2
         weight = ws.evaluate(x, 3.0)[2]
         assert weight.max() > 2 * weight.min()
         jac = ws.grid.zonal_gram(weight) + np.diag(ws.diag)
@@ -1024,7 +1036,7 @@ class TestWedge:
         pattern = np.arange(phi.spec.k - 1) % 4 == 1
         assert np.linalg.norm(b_full[~pattern]) < 1e-6 * np.linalg.norm(b_full)
 
-    def test_start_and_initial_enter_through_the_rotation_mean(self):
+    def test_initial_enters_through_the_rotation_mean(self):
         # full-grid u of an earlier result restarts a wedge solve where it ended
         phi = pole_free_ring()
         res = solve_phi_system(phi, 2 * np.pi, SolveConfig(l_max=24))
@@ -1057,6 +1069,29 @@ class TestPackedSolution:
         assert res.converged and res.x.shape == (grid.n_packed,)
         u = np.tile(grid.synthesize(res.x), (1, res.u.u.shape[1] // grid.n_lon))
         assert np.abs(u - res.u.total).max() <= 1e-13 * np.abs(res.u.total).max()
+
+
+class TestPathTangent:
+    # the tangent J^{-1} e_0 is the lambda-path's derivative: a central difference
+    # of Newton solves at lambda +- h from the converged x.  On step 0 it is a
+    # dense solve; elsewhere MINRES at forcing_cap, measured at 2.7e-6 and 1.8e-4
+    @pytest.mark.parametrize("phi, step, rel", [
+        (monomial(5, 1), 0, 1e-8),
+        (pole_balanced_ring(), 4, 1e-3),
+        (HoloClass(spec_k(5), [1, 1j] @ np.random.default_rng(3).normal(size=(2, 4))), 1, 1e-3),
+    ], ids=["step0", "step4", "full"])
+    def test_tangent_matches_newton_differences(self, phi, step, rel):
+        import spherecurv.pde as pde
+
+        lam, h = 2 * np.pi, 1e-4
+        res = solve_phi_system(phi, lam, SolveConfig(l_max=24))
+        ws = _Workspace(phi, build_grid(24, step))
+        assert res.converged and res.x.shape == (ws.n,)
+        tangent = ws.tangent(ws.evaluate(res.x, lam)[2])
+        (x_up, *_, ok_up, _, _), (x_down, *_, ok_down, _, _) = (pde._newton(ws, res.x, lam + s * h) for s in (1, -1))
+        assert ok_up and ok_down
+        fd = (x_up - x_down) / (2 * h)
+        assert np.linalg.norm(tangent - fd) <= rel * np.linalg.norm(fd)
 
 
 class TestRadial:

@@ -53,6 +53,16 @@ class TestBenchCollect:
         assert all(len(rep["witness"]) == 12 for v in reports for rep in v.values())
         assert json.loads(json.dumps(fp)) == fp
 
+    def test_fingerprint_is_reproducible(self):
+        # comparing fingerprints across trees assumes one tree gives the same
+        # fingerprint every time, whatever the grid cache holds
+        from spherecurv.geometry import build_grid
+
+        first = bench_collect.fingerprint(101)
+        assert bench_collect.fingerprint_diffs(first, bench_collect.fingerprint(101)) == []
+        build_grid.cache_clear()
+        assert bench_collect.fingerprint_diffs(first, bench_collect.fingerprint(101)) == []
+
     def test_fingerprint_only_writes_nothing(self, monkeypatch, capsys):
         old = json.loads((ROOT / "BENCH_1.json").read_text())
         monkeypatch.setattr(bench_collect, "fingerprint", lambda seed: old["fingerprint"][str(seed)])
