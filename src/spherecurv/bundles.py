@@ -62,11 +62,11 @@ class ConformalFactor:
         return cls(np.zeros((grid.n_lat, grid.n_lon)), 0.0)
 
     @classmethod
-    def from_values(cls, values, grid: SphereGrid, offset: float = 0.0) -> "ConformalFactor":
+    def from_values(cls, values, grid: SphereGrid) -> "ConformalFactor":
         """Split arbitrary real samples into mean-zero part + constant."""
         v = np.asarray(values, dtype=float)
         mean = float(np.real(grid.integrate(v)))
-        return cls(v - mean, offset + mean)
+        return cls(v - mean, mean)
 
     @property
     def total(self) -> np.ndarray:
@@ -112,9 +112,6 @@ class HoloClass:
         support = self.support()
         n = int(np.gcd.reduce(np.diff(support)))
         return n, int(support[0] % n if n else support[0])
-
-    def scaled(self, c: complex) -> "HoloClass":
-        return HoloClass(self.spec, c * self.a)
 
 
 @dataclass(frozen=True)

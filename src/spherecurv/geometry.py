@@ -20,7 +20,8 @@ overhead.  A grid of order step n keeps only the orders in nZ, on the wedge
 [0, 2 pi/n) of the full circle: there a Z_n-invariant field has the full grid's
 m in nZ entries, its aliasing bound, and weights that sum to 1 (1/n_lon over
 the wedge).  Step 0 is the same rule's limit, m = 0 alone on one longitude:
-the zonal fields.
+the zonal fields.  ``symmetric_step`` is the step of a rotation order, and
+``fold`` and ``tile`` carry node values between such a grid and the full one.
 Every coefficient vector is in one layout, the packed orthonormal real basis
 (``analyze``/``synthesize``): entries (m, cos|sin, l) for l >= m, the sin
 part only for m >= 1, basis functions b_m Pbar_l^m {cos, sin}(m phi) with
@@ -239,6 +240,21 @@ class SphereGrid:
             raise SpecMismatch(f"field shape {v.shape} does not match grid {(self.n_lat, self.n_lon)}")
         return v
 
+    def fold(self, values) -> np.ndarray:
+        """This grid's node values of full-grid ones, the mean of their rotated copies (step 0: every longitude's).
+
+        Values already on this grid pass through unchanged; any other shape is a ``SpecMismatch``.
+        """
+        v = np.asarray(values)
+        circle = (self.n_lat, longitudes(self.l_max))
+        if v.shape != circle and v.shape != (self.n_lat, self.n_lon):
+            raise SpecMismatch(f"field shape {v.shape} is neither grid {(self.n_lat, self.n_lon)} nor the full {circle}")
+        return v.reshape(self.n_lat, -1, self.n_lon).mean(axis=1)
+
+    def tile(self, values) -> np.ndarray:
+        """This grid's node values repeated over the full circle's longitudes: a Z_n-invariant field's full-grid values."""
+        return np.tile(self._field(values), (1, longitudes(self.l_max) // self.n_lon))
+
     def _analyze_half(self, v: np.ndarray) -> np.ndarray:
         """Half spectra h[m, r, l, cos|sin] in the packed scaling of real fields v[r, lat, lon]."""
         g = v @ self._lon_an
@@ -370,6 +386,11 @@ class SphereGrid:
 def longitudes(l_max: int) -> int:
     """Longitudes of the full circle at degree l_max: a multiple of 4 (quarter-turn invariant) above 2 l_max + 1."""
     return 4 * ((2 * l_max + 2 + 3) // 4)
+
+
+def symmetric_step(n: int) -> int:
+    """Order step of the grids of rotation order n: gcd(n, 4) for n >= 1, dividing every ``longitudes`` count, 0 for n = 0."""
+    return math.gcd(n, 4) if n else 0
 
 
 def build_grid(l_max: int, step: int = 1) -> SphereGrid:

@@ -38,13 +38,11 @@ Deuflhard 2004, ch. 8): its start is the cold solve at l_max // 2.
 
 One symmetry rule picks every solve grid.  A class of rotation order n
 (``HoloClass.rotation_symmetry``) has a Z_n-invariant K and lambda-branch,
-so its solve, filter and coarse stages run on grids of one order step:
-gcd(n, 4) for n >= 1 (every ``longitudes()`` count is a multiple of 4), the
-full grid for n = 1 and a wedge for n >= 2, and 0 for a monomial (n = 0, K
-a function of colatitude alone), m = 0 on one longitude.  ``initial`` enters
-through the mean of its rotated copies (on step 0 its longitude mean), and u
-returns tiled over the full grid's longitudes.  Only ``_order_step`` chooses
-the step.  On step 0 every correction and tangent is one exact dense
+so its solve, filter and coarse stages run on the grids of order step
+``geometry.symmetric_step(n)``: the full grid for n = 1, a wedge for n >= 2
+and m = 0 on one longitude for a monomial (n = 0).  ``initial`` enters
+through ``SphereGrid.fold`` and u returns through ``SphereGrid.tile``.
+On step 0 every correction and tangent is one exact dense
 LAPACK solve of the (l_max+1)-square Jacobian: no MINRES, no forcing term,
 no re-solve.
 
@@ -68,7 +66,7 @@ from scipy.optimize import brentq
 from .bundles import TANGENT_NORMALIZATION, ConformalFactor, HoloClass, phi_norm_sq
 from .cohomology import DualCoords, b_coords, flat_mass
 from .errors import InvalidLambda, NonConvergence
-from .geometry import SphereGrid, build_grid, longitudes
+from .geometry import SphereGrid, build_grid, symmetric_step
 
 
 @dataclass
@@ -458,22 +456,17 @@ def solve_phi_system(
         raise ValueError(f"start must be converged at a coupling <= {lam}, got {start.lam} ({start.converged=})")
     if start is not None and start.u.u.shape[0] - 1 > cfg.l_max:  # n_lat = l_max + 1
         raise ValueError(f"start was solved at l_max {start.u.u.shape[0] - 1}, above this solve's {cfg.l_max}")
-    if start is not None and start.x.size != (n := build_grid(start.u.u.shape[0] - 1, _order_step(phi)).n_packed):
+    step = symmetric_step(phi.rotation_symmetry()[0])
+    if start is not None and start.x.size != (n := build_grid(start.u.u.shape[0] - 1, step).n_packed):
         raise ValueError(f"start has {start.x.size} packed coefficients, not the {n} of this class's grid at its l_max")
     return _solve(phi, lam, cfg.l_max, initial, start)
-
-
-def _order_step(phi: HoloClass) -> int:
-    """Order step of phi's solve grids: gcd(n, 4) for rotation order n >= 1, 0 for a monomial (module docstring)."""
-    n = phi.rotation_symmetry()[0]
-    return math.gcd(n, 4) if n else 0
 
 
 def _solve(
     phi: HoloClass, lam: float, l_max: int, initial: ConformalFactor | None, start: SolveResult | None
 ) -> SolveResult:
     """Body of ``solve_phi_system`` on the l_max grid; the coarse stage calls it, not the public name."""
-    grid = build_grid(l_max, _order_step(phi))
+    grid = build_grid(l_max, symmetric_step(phi.rotation_symmetry()[0]))
     ws = _Workspace(phi, grid)
     opened = False
     if initial is None and start is None and l_max >= NESTED_MIN_LMAX:
@@ -483,7 +476,7 @@ def _solve(
         x, fine_now, reason, weight = _trial(ws, grid.embed_packed(start.x), start.lam)
         opened, lam_now = reason is None, start.lam
     if not opened:
-        lam_now, x0 = ws.cold_opening(lam) if initial is None else (lam, _analyze(grid, initial.total))
+        lam_now, x0 = ws.cold_opening(lam) if initial is None else (lam, grid.analyze(grid.fold(initial.total)))
         x, fine_now, reason, weight = _trial(ws, x0, lam_now)
         if reason is not None:
             return _finish(ws, x, lam_now, fine_now, "init" if initial is None else reason, fine_now)
@@ -517,22 +510,11 @@ def _solve(
     return _finish(ws, x, lam_now, fine_now, "converged", math.nan)
 
 
-def _analyze(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
-    """Packed coefficients of ``initial``'s full-grid node values, through the mean of their rotated copies.
-
-    A wedge of step n averages their n rotations by 2 pi/n, a step-0 grid
-    every longitude, and a full grid reads the values as they are.
-    """
-    return grid.analyze(values.reshape(grid.n_lat, -1, grid.n_lon).mean(axis=1))
-
-
 def _finish(ws: _Workspace, x, lam, fine, reason, stop_fine) -> SolveResult:
     grid = ws.grid
     u = ConformalFactor(grid.synthesize(np.concatenate([[0.0], x[1:]])), float(x[0]))
     return SolveResult(
-        # a wedge's values repeat over its rotations (a step-0 grid's over every
-        # longitude): tiled, they fill the full grid's
-        u=ConformalFactor(np.tile(u.u, (1, longitudes(grid.l_max) // grid.n_lon)), u.offset),
+        u=ConformalFactor(grid.tile(u.u), u.offset),
         x=x,
         lam=float(lam),
         residual_sup=ws.residual_sup(grid, x, u.total, lam),
@@ -582,7 +564,6 @@ class RadialProfile:
 
 @dataclass
 class RadialResult:
-    converged: bool
     lam: float
     root_alpha: float | None
     residual_sup: float | None
@@ -599,6 +580,10 @@ class RadialResult:
     # or an inconclusive sweep: "shots_failed" (most integrations failed) or
     # "within_noise" (no sign change, minimum defect within the noise)
     reason: str = "converged"
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "converged"
 
 
 def _shoot(profile: RadialProfile, lam: float, alpha: float, rtol: float = 1e-11):
@@ -652,7 +637,7 @@ def solve_radial(phi: HoloClass, lam: float, cfg: SolveConfig) -> RadialResult:
     good = np.isfinite(values)
     if good.sum() < n_sweep // 2:
         return RadialResult(
-            converged=False, lam=lam, root_alpha=None, residual_sup=None, mismatch_alphas=alphas,
+            lam=lam, root_alpha=None, residual_sup=None, mismatch_alphas=alphas,
             mismatch_values=values, mismatch_min=float(np.abs(values[good]).min(initial=math.inf)),
             error_estimate=math.nan, reason="shots_failed",
         )
@@ -683,7 +668,7 @@ def solve_radial(phi: HoloClass, lam: float, cfg: SolveConfig) -> RadialResult:
     )
     if not roots:
         reason = "within_noise" if mism_min < 10.0 * err_est else "no_root"
-        return RadialResult(converged=False, root_alpha=None, residual_sup=None, reason=reason, **sweep)
+        return RadialResult(root_alpha=None, residual_sup=None, reason=reason, **sweep)
 
     # polish each candidate on the spectral grid (a step-0 solve); the first converged polish wins
     grid = build_grid(cfg.l_max, 0)
@@ -700,11 +685,10 @@ def solve_radial(phi: HoloClass, lam: float, cfg: SolveConfig) -> RadialResult:
             break
     if best is None:
         # no candidate root could be integrated again to start the polish; the first is still a root
-        return RadialResult(converged=False, root_alpha=roots[0], residual_sup=None, reason="polish", **sweep)
+        return RadialResult(root_alpha=roots[0], residual_sup=None, reason="polish", **sweep)
     root, polish = best
     noise_fraction = float(np.mean(np.abs(values[good]) < 1e-6 * max(1.0, lam)))
     return RadialResult(
-        converged=polish.converged,
         root_alpha=root,
         residual_sup=polish.residual_sup,
         u=polish.u,

@@ -10,6 +10,8 @@ from spherecurv.geometry import (
     GAUSS_CURVATURE,
     ChartPoint,
     build_grid,
+    longitudes,
+    symmetric_step,
 )
 
 from conftest import random_real_field
@@ -465,6 +467,29 @@ class TestWedge:
         padded = wedge.embed_packed(z)
         low = wedge.packed_entries[:, 2] <= coarse.l_max
         assert np.array_equal(padded[low], z) and not padded[~low].any()
+
+    @pytest.mark.parametrize("l_max", [16, 48])
+    @pytest.mark.parametrize("step", [0, 2, 4])
+    def test_fold_undoes_tile(self, l_max, step):
+        # a wedge's node values tiled over the circle fold back to themselves;
+        # the tiled values are a Z_n field's full-grid ones
+        grid, wedge = build_grid(l_max), build_grid(l_max, step)
+        v = random_real_field(wedge, np.random.default_rng(l_max + step))
+        full = wedge.tile(v)
+        assert full.shape == (grid.n_lat, grid.n_lon)
+        assert np.array_equal(full[:, : wedge.n_lon], v) and np.array_equal(np.roll(full, wedge.n_lon, axis=1), full)
+        assert np.abs(wedge.fold(full) - v).max() <= 1e-15 * np.abs(v).max()
+        assert np.array_equal(wedge.fold(v), v)  # this grid's own values pass through
+        for shape in ((grid.n_lat, 2 * grid.n_lon), (grid.n_lat, 7), (grid.n_lat - 1, grid.n_lon)):
+            with pytest.raises(SpecMismatch, match=rf"\({shape[0]}, {shape[1]}\) is neither grid"):
+                wedge.fold(np.zeros(shape))
+        with pytest.raises(SpecMismatch):
+            wedge.tile(full)
+
+    def test_symmetric_step_divides_every_circle(self):
+        # gcd(n, 4) for a rotation order n >= 1, 0 for a monomial; every longitude count is a multiple of 4
+        assert [symmetric_step(n) for n in range(9)] == [0, 1, 2, 1, 4, 1, 2, 1, 4]
+        assert all(longitudes(l_max) % 4 == 0 for l_max in range(4, 300))
 
 
 class TestBasisOracle:

@@ -52,6 +52,20 @@ def test_pde_reads_no_private_grid_attribute():
     assert [f"line {node.lineno}: {ast.unparse(node)}" for node in reads] == []
 
 
+def test_pde_reads_no_grid_layout():
+    # geometry alone knows how a solve grid sits in the full grid (symmetric_step,
+    # SphereGrid.fold and SphereGrid.tile): pde counts no longitudes, picks no
+    # step and reshapes or tiles no node values
+    tree = ast.parse(Path(spherecurv.pde.__file__).read_text())
+    names = [node for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))]
+    found = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in names
+        if ast.unparse(node) in {"longitudes", "np.tile", "math.gcd"} or getattr(node, "attr", None) == "reshape"
+    ]
+    assert found == []
+
+
 def test_no_json_hook_in_the_package():
     # every payload is built from native values, None where a value is
     # missing, so json.dumps needs no default= hook to write standard JSON

@@ -7,7 +7,7 @@ import pytest
 
 from spherecurv.bundles import BundleSpec, ConformalFactor, HoloClass, phi_norm_sq
 from spherecurv.cohomology import b_coords, dual_map_H0, flat_mass, projective_angle, pullback_class, pullback_dual, IsometryAction
-from spherecurv.errors import InvalidLambda, NonConvergence
+from spherecurv.errors import InvalidLambda, NonConvergence, SpecMismatch
 from spherecurv.geometry import SphereGrid, build_grid
 from spherecurv.pde import (
     RadialProfile,
@@ -326,6 +326,21 @@ class TestSolve:
         zonal16 = solve_phi_system(monomial(4, 1), np.pi, SolveConfig(l_max=16))
         with pytest.raises(ValueError, match="start has 17 packed coefficients, not the 73 "):
             solve_phi_system(pole_balanced_ring(), 2 * np.pi, SolveConfig(l_max=16), start=zonal16)
+
+    def test_initial_off_the_grid_is_rejected(self):
+        # initial= holds full-grid or solve-grid node values at this l_max.  An
+        # l_max-16 u failed inside numpy's reshape on the l_max-24 wedge; a
+        # 25 x 7 array opened the zonal solve, and 25 x 104 was averaged as two
+        # copies of the full grid's 52 longitudes
+        cfg = SolveConfig(l_max=24)
+        coarse = solve_phi_system(pole_balanced_ring(), 2 * np.pi, SolveConfig(l_max=16))
+        with pytest.raises(SpecMismatch, match=r"\(17, 36\) is neither grid \(25, 13\) nor the full \(25, 52\)"):
+            solve_phi_system(pole_balanced_ring(), 2 * np.pi, cfg, initial=coarse.u)
+        with pytest.raises(SpecMismatch, match=r"\(25, 7\) is neither grid \(25, 1\)"):
+            solve_phi_system(monomial(4, 1), 2 * np.pi, cfg, initial=ConformalFactor(np.zeros((25, 7))))
+        full = HoloClass(spec_k(5), [1, 1j] @ np.random.default_rng(5).normal(size=(2, 4)))
+        with pytest.raises(SpecMismatch, match=r"\(25, 104\) is neither grid \(25, 52\)"):
+            solve_phi_system(full, 2 * np.pi, cfg, initial=ConformalFactor(np.zeros((25, 104))))
 
     def test_invalid_lambda(self):
         # a NaN target used to end the ramp at once: converged at lambda_init;
@@ -1047,13 +1062,12 @@ class TestWedge:
         assert on.converged and on.u.u.shape == (25, 52)
         # values without the symmetry enter through the mean of their rotated
         # copies (on step 0 the longitude mean): the full grid's kept entries
-        import spherecurv.pde as pde
-
         grid = build_grid(24)
         g = random_real_field(grid, np.random.default_rng(24))
         for step, stride in ((4, 4), (0, 25)):
             ref = grid.analyze(g)[grid.packed_entries[:, 0] % stride == 0]
-            assert np.abs(pde._analyze(build_grid(24, step), g) - ref).max() < 1e-14 * np.abs(ref).max()
+            wedge = build_grid(24, step)
+            assert np.abs(wedge.analyze(wedge.fold(g)) - ref).max() < 1e-14 * np.abs(ref).max()
 
 
 class TestPackedSolution:
@@ -1202,6 +1216,17 @@ class TestRadial:
     def test_profile_requires_monomial(self):
         with pytest.raises(ValueError):
             RadialProfile.from_class(HoloClass(spec_k(4), np.array([1.0, 1.0, 0.0])))
+
+    @pytest.mark.parametrize("l_max", [24, 256])
+    def test_profile_matches_the_class_norm(self, l_max):
+        # the closed form amp cos^{2a}(t/2) sin^{2b}(t/2) against bundles' K on the zonal grid
+        grid = build_grid(l_max, 0)
+        for k in range(3, 9):
+            for a in range(k - 1):
+                phi = monomial(k, a, amp=1.3)
+                k_vals = phi_norm_sq(phi, ConformalFactor.zero(grid), grid)[:, 0]
+                profile = RadialProfile.from_class(phi)(grid.colat)
+                assert np.abs(profile - k_vals).max() <= 1e-13 * np.abs(k_vals).max(), (k, a)
 
     def test_profile_mass_matches_grid(self, grid16):
         # the closed-form flat mass that centres the sweep (and opens every
