@@ -21,7 +21,7 @@ from .bundles import BundleSpec, HoloClass, divisor_of, phi_norm_sq
 from .cohomology import b_coords, dual_map_H0, dualization_condition
 from .errors import SpecMismatch, SphereCurvError, ZeroClass
 from .geometry import build_grid
-from .lab import DRIVERS, ExperimentConfig, _value, write_run
+from .lab import DRIVERS, ExperimentConfig, _row, _value, write_run
 from .pde import RadialProfile, solve_phi_system
 from .strata import ExistenceRange, div_classifier
 
@@ -129,13 +129,8 @@ def _cmd_solve(args) -> int:
     res = solve_phi_system(phi, lam, scfg)
     grid = build_grid(scfg.l_max)
     report = {
-        "lambda": lam,
-        "converged": res.converged,
+        **_row(lam, res),
         "reached_lambda": res.lam,
-        "stop_reason": res.stop_reason,
-        "stop_residual_fine": _value(res.stop_residual_fine),
-        "residual_sup": _value(res.residual_sup),
-        "offset": _value(res.offset),
         "sup_u": _value(np.abs(res.u.total).max()),
         "trace_points": len(res.continuation_trace),
     }

@@ -11,9 +11,9 @@ names every file of a run ``<experiment>-<config_hash>``: a JSON with the
 config echo, hash, summary and wall time, a CSV of the rows (one fixed
 header, diffable) and, for the radial probe, ``-shooting.csv``.  A value a
 run does not have (a NaN or infinite number included) is None wherever a row
-or summary is built, so the JSON holds null there and the CSV a blank cell:
-every file is standard JSON.  Summaries report where continuation stopped and
-cite the classifier bound; they never claim non-existence.
+or summary is built, a solve's cells by ``_row`` alone, so the JSON holds null
+there and the CSV a blank cell: every file is standard JSON.  Summaries report
+where continuation stopped and the classifier bound, never non-existence.
 """
 
 from __future__ import annotations
@@ -91,6 +91,9 @@ class ExperimentConfig:
         for key in ("deg_L1", "deg_L2"):
             if key in data and (isinstance(data[key], bool) or not isinstance(data[key], int)):
                 raise ValueError(f"config key {key!r} must be an integer, got {data[key]!r}")
+        for key in ("experiment", "out_dir"):
+            if key in data and not isinstance(data[key], str):
+                raise ValueError(f"config key {key!r} must be a string, got {data[key]!r}")
         family, coeffs = data.get("family"), data.get("class_coeffs")
         if family is not None and not isinstance(family, dict):
             raise ValueError(f"config key 'family' must be a JSON object, got {family!r}")
@@ -244,15 +247,21 @@ def _coordinates(b, rep) -> dict:
     }
 
 
-def _row(lam, result: SolveResult) -> dict:
-    # an unconverged row's residual_sup and offset belong to stall_lambda,
-    # the last coupling the solver reached, not to the target lambda
+def _row(lam, result: SolveResult | None) -> dict:
+    """A row's solve cells at ``lam``, each number through ``_value``; ``result`` None means no solve ran there.
+
+    An unconverged row's residual_sup and offset belong to stall_lambda, the last
+    coupling the solver reached (``lam`` if no solve ran), not to the target lambda.
+    """
+    if result is None:
+        return {"lambda": _value(lam), "converged": False, "stall_lambda": _value(lam), "residual_sup": None,
+                "offset": None, "stop_reason": None, "stop_residual_fine": None}
     return {
-        "lambda": float(lam),
+        "lambda": _value(lam),
         "converged": bool(result.converged),
-        "stall_lambda": None if result.converged else float(result.lam),
-        "residual_sup": float(result.residual_sup),
-        "offset": float(result.offset),
+        "stall_lambda": None if result.converged else _value(result.lam),
+        "residual_sup": _value(result.residual_sup),
+        "offset": _value(result.offset),
         "stop_reason": result.stop_reason,
         "stop_residual_fine": _value(result.stop_residual_fine),
     }
@@ -349,16 +358,7 @@ def _radial(cfg, phi):
     rad = solve_radial(phi, lam, cfg.solve_config())
     b = dual_map_H0(phi).b
     rep = div_classifier(b, phi.spec)
-    row = {
-        "lambda": lam,
-        "converged": rad.converged,
-        "stall_lambda": None if rad.converged else lam,
-        "residual_sup": _value(rad.residual_sup),
-        "offset": None if rad.u is None else float(rad.u.offset),
-        "stop_reason": None,
-        "stop_residual_fine": None,
-        **_coordinates(b, rep),
-    }
+    row = {**_row(lam, rad.polish), **_coordinates(b, rep)}
     curve = [
         {"alpha": float(a_), "mismatch": float(v)}
         for a_, v in zip(rad.mismatch_alphas, rad.mismatch_values)

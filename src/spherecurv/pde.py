@@ -566,12 +566,12 @@ class RadialProfile:
 class RadialResult:
     lam: float
     root_alpha: float | None
-    residual_sup: float | None
     mismatch_alphas: np.ndarray
     mismatch_values: np.ndarray
     mismatch_min: float
     error_estimate: float
-    u: ConformalFactor | None = None
+    # the spectral polish reported: the first converged one, else the first run; None if none ran
+    polish: SolveResult | None = None
     # whole sweep at noise level: every start is a root (dilation family at
     # the Gauss-Bonnet coupling); the balanced start is reported
     degenerate_family: bool = False
@@ -584,6 +584,14 @@ class RadialResult:
     @property
     def converged(self) -> bool:
         return self.reason == "converged"
+
+    @property
+    def u(self) -> ConformalFactor | None:
+        return None if self.polish is None else self.polish.u
+
+    @property
+    def residual_sup(self) -> float | None:
+        return None if self.polish is None else self.polish.residual_sup
 
 
 def _shoot(profile: RadialProfile, lam: float, alpha: float, rtol: float = 1e-11):
@@ -637,7 +645,7 @@ def solve_radial(phi: HoloClass, lam: float, cfg: SolveConfig) -> RadialResult:
     good = np.isfinite(values)
     if good.sum() < n_sweep // 2:
         return RadialResult(
-            lam=lam, root_alpha=None, residual_sup=None, mismatch_alphas=alphas,
+            lam=lam, root_alpha=None, mismatch_alphas=alphas,
             mismatch_values=values, mismatch_min=float(np.abs(values[good]).min(initial=math.inf)),
             error_estimate=math.nan, reason="shots_failed",
         )
@@ -668,7 +676,7 @@ def solve_radial(phi: HoloClass, lam: float, cfg: SolveConfig) -> RadialResult:
     )
     if not roots:
         reason = "within_noise" if mism_min < 10.0 * err_est else "no_root"
-        return RadialResult(root_alpha=None, residual_sup=None, reason=reason, **sweep)
+        return RadialResult(root_alpha=None, reason=reason, **sweep)
 
     # polish each candidate on the spectral grid (a step-0 solve); the first converged polish wins
     grid = build_grid(cfg.l_max, 0)
@@ -685,13 +693,12 @@ def solve_radial(phi: HoloClass, lam: float, cfg: SolveConfig) -> RadialResult:
             break
     if best is None:
         # no candidate root could be integrated again to start the polish; the first is still a root
-        return RadialResult(root_alpha=roots[0], residual_sup=None, reason="polish", **sweep)
+        return RadialResult(root_alpha=roots[0], reason="polish", **sweep)
     root, polish = best
     noise_fraction = float(np.mean(np.abs(values[good]) < 1e-6 * max(1.0, lam)))
     return RadialResult(
         root_alpha=root,
-        residual_sup=polish.residual_sup,
-        u=polish.u,
+        polish=polish,
         degenerate_family=noise_fraction > 0.75,
         reason="converged" if polish.converged else "polish",
         **sweep,

@@ -16,7 +16,7 @@ from spherecurv.lab import (
     run_radial_nonexistence,
     write_run,
 )
-from spherecurv.pde import solve_phi_system
+from spherecurv.pde import SolveResult, solve_phi_system
 
 from conftest import requested_grids
 from oracles import at_pole
@@ -366,6 +366,19 @@ class TestCsvCells:
         assert [r["converged"] for r in rec.rows] == [True, False]
         self.check_rows(rec, cfg, write_run(rec, cfg)["csv"])
 
+    def test_sweep_writes_missing_values_blank(self, tmp_path, monkeypatch):
+        # a non-finite residual is a missing value: None in the row, a blank cell, never inf
+        solve = lab.solve_phi_system
+        monkeypatch.setattr(
+            lab, "solve_phi_system", lambda *args, **kw: dataclasses.replace(solve(*args, **kw), residual_sup=np.inf)
+        )
+        cfg = small_sweep_config(tmp_path)
+        rec = run_existence_sweep(cfg)
+        assert [row["residual_sup"] for row in rec.rows] == [None, None]
+        path = write_run(rec, cfg)["csv"]
+        self.check_rows(rec, cfg, path)
+        assert [cell["residual_sup"] for cell in self.read(path)] == ["", ""]
+
     def test_radial_row_and_curve(self, tmp_path):
         cfg = ExperimentConfig(
             experiment="radial",
@@ -412,9 +425,11 @@ class TestRadialDriver:
         lines = open(paths["shooting"]).read().splitlines()
         assert lines[0] == "alpha,mismatch"
         assert len(lines) > 10
-        # no polish ran: its residual and offset are blank cells, not nan
+        # no polish ran: its residual and offset are blank cells, not nan, and it has no stop fields
         row = TestCsvCells.read(paths["csv"])[0]
         assert row["residual_sup"] == row["offset"] == ""
+        assert rec.rows[0]["stop_reason"] is rec.rows[0]["stop_residual_fine"] is None
+        assert rec.rows[0]["stall_lambda"] == rec.rows[0]["lambda"] == 4 * np.pi
         assert strict_json(open(paths["json"]).read())["summary"] == rec.summary
 
     def test_control_k2(self, tmp_path):
@@ -457,6 +472,8 @@ class TestRadialDriver:
         assert rec.summary["radial_root_found"] is True
         assert rec.summary["polish_converged"] is False
         assert rec.summary["statement"] == "shooting root found; spectral polish unconverged"
+        # no polish ran: the row stalled at 4*pi with no solve cells
+        assert rec.rows[0]["stall_lambda"] == 4 * np.pi and rec.rows[0]["residual_sup"] is rec.rows[0]["stop_reason"] is None
 
     def test_inconclusive_sweep_is_reported(self, tmp_path, monkeypatch, capsys):
         from spherecurv import pde
@@ -482,6 +499,23 @@ class TestRadialDriver:
         printed = strict_json(capsys.readouterr().out)
         assert printed["summary"] == strict_json(open(printed["paths"]["json"]).read())["summary"]
         assert printed["summary"]["mismatch_min"] is None
+
+    def test_radial_row_reports_its_polish(self, tmp_path, monkeypatch):
+        # RadialResult keeps the polish it reports, and the row's solve cells
+        # are that polish's, its stop fields included
+        results = []
+        solve = lab.solve_radial
+        monkeypatch.setattr(lab, "solve_radial", lambda *args: results.append(solve(*args)) or results[-1])
+        cfg = ExperimentConfig(
+            experiment="radial", deg_L2=4, class_coeffs=[[0, 0], [1, 0], [0, 0]], solver={"l_max": 16}, out_dir=str(tmp_path)
+        )
+        row = run_radial_nonexistence(cfg).rows[0]
+        (rad,) = results
+        assert isinstance(rad.polish, SolveResult) and rad.polish.converged
+        assert rad.u is rad.polish.u and rad.residual_sup == rad.polish.residual_sup
+        assert row["converged"] and row["stall_lambda"] is None
+        assert (row["residual_sup"], row["offset"]) == (rad.residual_sup, rad.u.offset)
+        assert row["stop_reason"] == "converged" and row["stop_residual_fine"] is None
 
     def test_radial_run_builds_no_full_grid(self, tmp_path, monkeypatch):
         # the flat dual needs no grid, so a radial run asks only for the polish's m = 0 grids
@@ -669,18 +703,24 @@ class TestCliFlags:
         "family_q_string": ("family", {"deg_L2": 10, "family": {"kind": 3, "a": 1, "n": 3, "q": ["abc"]}}, "family.q must be a list of numbers or [re, im] pairs, got ['abc']"),
         "family_q_not_list": ("family", {"deg_L2": 10, "family": {"kind": 3, "a": 1, "n": 3, "q": 2}}, "family.q must be a list of numbers or [re, im] pairs, got 2"),
         "degree_wrong_type": ("family", {"deg_L2": "4", "family": {"kind": 1, "a": 1}}, "config key 'deg_L2' must be an integer, got '4'"),
+        # both used to load: a number as out_dir ran the whole sweep, then failed writing it
+        "out_dir_number": ("sweep", {**TWO_POLE, "out_dir": 5}, "config key 'out_dir' must be a string, got 5"),
+        "experiment_number": ("solve", {**TWO_POLE, "experiment": 7}, "config key 'experiment' must be a string, got 7"),
         # a key the kind does not read, misspelled or not, used to be ignored: this ran as z without its ring
         "family_key_misspelled": ("family", {"deg_L2": 5, "family": {"kind": 3, "a": 1, "n": 3, "qs": [[2, 0]]}}, "family kind 3 reads a, n, q, got family.qs"),
         "family_keys_unread": ("family", {"deg_L2": 4, "family": {"kind": 1, "a": 1, "n": 99, "q": "x"}}, "family kind 1 reads a, got family.n, family.q"),
     }
 
     @pytest.mark.parametrize("case", UNRUNNABLE)
-    def test_config_that_cannot_run_is_usage_error(self, tmp_path, capsys, case):
+    def test_config_that_cannot_run_is_usage_error(self, tmp_path, monkeypatch, capsys, case):
         # exit 2 with one error line, before any solve, instead of a traceback mid-run
         verb, data, message = self.UNRUNNABLE[case]
+        solves = []
+        for module, name in ((cli, "solve_phi_system"), (lab, "solve_phi_system"), (lab, "solve_radial")):
+            monkeypatch.setattr(module, name, lambda *args, **kw: solves.append(args))
         with pytest.raises(SystemExit) as exc:
             cli_main([verb, "--config", config_file(tmp_path, verb, **data)])
-        assert exc.value.code == 2
+        assert exc.value.code == 2 and solves == []
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and message in errors[0] and "Traceback" not in err
@@ -859,7 +899,7 @@ class TestCli:
         cfg = config_file(tmp_path, "solve", **TWO_POLE, lambda_grid=[2.0])
         assert cli_main(["solve", "--config", cfg]) == 0
         report = strict_json(capsys.readouterr().out)
-        assert report["converged"] and report["stop_residual_fine"] is None
+        assert report["converged"] and report["stop_residual_fine"] is report["stall_lambda"] is None
         # lap u integrates to zero, so the realized curvature 2|phi|^2 averages lambda
         assert report["curvature_min"] < 2.0 < report["curvature_max"]
         # the same cold solve as a one-point sweep's, so the same classification
@@ -893,3 +933,4 @@ class TestCli:
         assert code == 1
         report = strict_json(capsys.readouterr().out)
         assert report["stop_reason"] == "filter" and report["stop_residual_fine"] > 0.01 * report["reached_lambda"]
+        assert report["stall_lambda"] == report["reached_lambda"] < report["lambda"]

@@ -66,6 +66,23 @@ def test_pde_reads_no_grid_layout():
     assert found == []
 
 
+def test_one_owner_for_solve_cells():
+    # lab._row alone turns a solve into a row's solve cells, for sweep rows,
+    # the radial row and the solve verb's report: no other dict literal in
+    # lab or cli writes one
+    found = []
+    for module in (spherecurv.lab, spherecurv.cli):
+        tree = ast.parse(Path(module.__file__).read_text())
+        owned = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_row" for node in ast.walk(fn)}
+        found += [
+            f"{Path(module.__file__).name} line {node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Dict) and id(node) not in owned
+            and {"stall_lambda", "residual_sup", "offset"} & {getattr(key, "value", None) for key in node.keys}
+        ]
+    assert found == []
+
+
 def test_no_json_hook_in_the_package():
     # every payload is built from native values, None where a value is
     # missing, so json.dumps needs no default= hook to write standard JSON
