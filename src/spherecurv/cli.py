@@ -18,7 +18,7 @@ import numpy as np
 
 from ._rational import QQi
 from .bundles import BundleSpec, HoloClass, divisor_of, phi_norm_sq
-from .cohomology import b_coords, dual_map_H0, dualization_condition
+from .cohomology import b_coords, dual_map_H0, dualization_condition, flat_mass
 from .errors import SpecMismatch, SphereCurvError, ZeroClass
 from .geometry import build_grid
 from .lab import DRIVERS, ExperimentConfig, _row, _value, write_run
@@ -33,7 +33,10 @@ def _parse_coords(text: str, exact: bool) -> list:
         parts = pair.split(",")
         if len(parts) != 2:
             raise ValueError(f"entry {pair!r} is not a 're,im' pair")
-        re, im = (Fraction(x) if exact else float(x) for x in parts)
+        try:
+            re, im = (Fraction(x) if exact else float(x) for x in parts)
+        except ZeroDivisionError:
+            raise ValueError(f"entry {pair!r} has a zero denominator") from None
         out.append(QQi(re, im) if exact else complex(re, im))
     return out
 
@@ -203,6 +206,8 @@ def main(argv=None) -> int:
         # a config the verb cannot run is a usage error too, found before the run
         if args.verb == "solve" and args.lam is None and not args.config.lambda_grid:
             raise ValueError("solve needs --lam or a non-empty lambda_grid")
+        if args.verb in ("solve", "sweep", "radial"):
+            flat_mass(args.config.the_class())  # a class scaled out of the solvers' float range
         if args.verb == "radial":
             RadialProfile.from_class(args.config.the_class())
     except (ValueError, SpecMismatch, ZeroClass) as exc:  # malformed, wrong-length, zero or non-finite input

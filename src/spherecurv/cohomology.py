@@ -110,8 +110,12 @@ def dual_map_H0_inverse(eta: DualCoords) -> HoloClass:
 
 
 def flat_mass(phi: HoloClass) -> float:
-    """Flat mass integral(2 |phi|^2_{H_0}) = 2 Re coupling(phi, dual_map_H0(phi)): the coupling identity at u = 0."""
-    return 2.0 * coupling(phi, dual_map_H0(phi)).real
+    """Flat mass integral(2 |phi|^2_{H_0}) = 2 Re coupling(phi, dual_map_H0(phi)); ValueError unless a positive normal float."""
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        mass = 2.0 * coupling(phi, dual_map_H0(phi)).real
+    if not np.finfo(float).tiny <= mass < math.inf:
+        raise ValueError(f"class of max|a| = {np.abs(phi.a).max():.3g} is out of float range: its flat mass is {mass:.3g}")
+    return mass
 
 
 def dualization_condition(spec: BundleSpec) -> float:

@@ -210,7 +210,6 @@ class SphereGrid:
         self._flat = (m // s * (L + 1) + l) * 2 + p
         self.n_packed = l.size
         self.packed_laplace = -GAUSS_CURVATURE * l * (l + 1.0)
-        self._n_upto = np.cumsum(np.bincount(l))  # packed entries of degree <= l, over l
         # sin(theta) d/dtheta Pbar_l^m = l mu Pbar_l^m - c_lm Pbar_{l-1}^m, c_mm = 0
         self._c_lm = np.sqrt((2 * l + 1) * (l * l - m * m) / np.abs(2 * l - 1))
         # d/dphi swaps each entry with its cos|sin partner (same m, l; flat index ^ 1),
@@ -308,10 +307,13 @@ class SphereGrid:
         taylor[j - 1] = (2.0**j) * np.einsum("jl,jl->j", half[i, :, 0] + 1j * half[i, :, 1], self._pole[i])
         return f_north, taylor
 
-    def embed_packed(self, x) -> np.ndarray:
-        """Zero-pad the packed coefficients of a coarser grid of the same step onto this one."""
+    def embed_packed(self, x, source: SphereGrid) -> np.ndarray:
+        """Zero-pad packed coefficients x of ``source``, a grid of this step and at most this degree, onto this one."""
+        if source.step != self.step or source.l_max > self.l_max:
+            raise SpecMismatch(f"coefficients of step {source.step}, l_max {source.l_max} "
+                               f"do not embed in step {self.step}, l_max {self.l_max}")
         out = np.zeros(self.n_packed)
-        out[self.packed_entries[:, 2] <= np.searchsorted(self._n_upto, len(x))] = x
+        out[self.packed_entries[:, 2] <= source.l_max] = x
         return out
 
     def evaluate(self, x, theta, phi) -> np.ndarray:

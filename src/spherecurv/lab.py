@@ -72,7 +72,7 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ValueError(f"config root must be a JSON object, got {type(data).__name__}")
         schema = data.get("schema")
-        if schema != SCHEMA_VERSION:
+        if isinstance(schema, bool) or not isinstance(schema, int) or schema != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema {schema!r}; expected {SCHEMA_VERSION}")
         solver = data.get("solver", {})
         if not isinstance(solver, dict):

@@ -30,18 +30,18 @@ accepted point when the first trial leaves it), through K on the solve and
 filter grids, in the cold opening (the constant balance (1/2) log(lambda/M),
 M from ``cohomology.flat_mass``), in the filter bound and in the predictor's
 step in log(lambda).  A new path replaces the load, K on both grids, the
-opening and the predictor; ``_solve`` keeps the path-blind loop.  A start,
-on this grid or a coarser one, opens warm from its zero-padded packed
-coefficients ``SolveResult.x``, and a cold solve at l_max >= 48 is nested
-(Allgower, Boehmer, Potra & Rheinboldt 1986, SIAM J. Numer. Anal. 23;
-Deuflhard 2004, ch. 8): its start is the cold solve at l_max // 2.
+opening and the predictor; ``_solve`` keeps the path-blind loop.  A start
+opens warm from its packed x, zero-padded from its grid by ``embed_packed``,
+and a cold solve at l_max >= 48 is nested (Allgower, Boehmer, Potra &
+Rheinboldt 1986, SIAM J. Numer. Anal. 23; Deuflhard 2004, ch. 8): its start
+is the cold solve at l_max // 2.
 
 One symmetry rule picks every solve grid.  A class of rotation order n
 (``HoloClass.rotation_symmetry``) has a Z_n-invariant K and lambda-branch,
 so its solve, filter and coarse stages run on the grids of order step
 ``geometry.symmetric_step(n)``: the full grid for n = 1, a wedge for n >= 2
 and m = 0 on one longitude for a monomial (n = 0).  ``initial`` enters
-through ``SphereGrid.fold`` and u returns through ``SphereGrid.tile``.
+through ``SphereGrid.fold`` and ``SolveResult.u`` through ``SphereGrid.tile``.
 On step 0 every correction and tangent is one exact dense
 LAPACK solve of the (l_max+1)-square Jacobian: no MINRES, no forcing term,
 no re-solve.
@@ -105,9 +105,8 @@ NESTED_MIN_LMAX = 48
 
 @dataclass
 class SolveResult:
-    u: ConformalFactor
-    # packed coefficients of u on the solve grid, build_grid(l_max, step) of
-    # the class: synthesized and tiled over the full circle, they are u.total
+    # the solve grid, build_grid(l_max, step) of the class, and u's packed coefficients on it
+    grid: SphereGrid
     x: np.ndarray
     lam: float
     residual_sup: float
@@ -126,9 +125,14 @@ class SolveResult:
     stop_reason: str = "converged"
     stop_residual_fine: float = float("nan")
 
+    @functools.cached_property
+    def u(self) -> ConformalFactor:
+        """The full grid's u: x synthesized with its constant split off, then tiled over the full circle."""
+        return ConformalFactor(self.grid.tile(self.grid.synthesize(np.concatenate([[0.0], self.x[1:]]))), self.offset)
+
     @property
     def offset(self) -> float:
-        return self.u.offset
+        return float(self.x[0])
 
 
 # ----------------------------------------------------------------------
@@ -162,9 +166,9 @@ class _Workspace:
 
     def __init__(self, phi: HoloClass, grid: SphereGrid):
         self.trace, self.minres_iters = [], 0
+        self.mass = flat_mass(phi)  # integral of 2K; a class out of float range fails here
         self.grid = grid
         self.k_vals = phi_norm_sq(phi, ConformalFactor.zero(grid), grid)
-        self.mass = flat_mass(phi)  # integral of 2K
         self.diag = grid.packed_laplace
         self.n = grid.n_packed
         self.load = np.eye(1, self.n)[0]  # e_0: entry 0's basis function is the constant 1
@@ -179,7 +183,7 @@ class _Workspace:
     def fine_residual_sup(self, x: np.ndarray, lam: float) -> float:
         """Sup residual with the solution re-evaluated on a refined grid: on any step the full filter,
         as a Z_n-invariant residual's sup is its sup over a wedge, and a theta-only one's over the latitudes."""
-        xf = self.fine_grid.embed_packed(x)
+        xf = self.fine_grid.embed_packed(x, self.grid)
         return self.residual_sup(self.fine_grid, xf, self.fine_grid.synthesize(xf), lam)
 
     def margin(self, fine: float, lam: float) -> float:
@@ -433,13 +437,13 @@ def solve_phi_system(
     small-coupling initializer or at lam from ``initial``; if a guard rejects
     it the stop_reason is "init", or for ``initial`` the guard's own.  Lambda
     then ramps to the target with adaptive steps.  ``start``, a converged
-    result of the same class at ``start.lam <= lam`` and l_max <= this one,
-    opens warm instead: one Newton solve at start.lam from ``start.x``
-    zero-padded onto this grid, the first trace entry, then the full step; a
-    rejected warm opening falls back to the cold one.  A stalled ramp (step
-    or filter bracket below ``min_step``) returns converged=False with the
-    trace, the signature of leaving the solvable range; ``lam`` is the last
-    accepted coupling.
+    result of the same class at ``start.lam <= lam``, opens warm instead: one
+    Newton solve at start.lam from ``start.x`` zero-padded onto this grid
+    (``SpecMismatch`` from a grid of another step or a higher degree), the
+    first trace entry, then the full step; a rejected warm opening falls back
+    to the cold one.  A stalled ramp (step or filter bracket below
+    ``min_step``) returns converged=False with the trace, the signature of
+    leaving the solvable range; ``lam`` is the last accepted coupling.
 
     Nested iteration: a cold solve (neither ``initial`` nor ``start``) at
     l_max >= 48 takes the cold solve at l_max // 2, recursively, as its start,
@@ -454,11 +458,6 @@ def solve_phi_system(
         raise ValueError("pass at most one of initial and start")
     if start is not None and not (start.converged and start.lam <= lam):
         raise ValueError(f"start must be converged at a coupling <= {lam}, got {start.lam} ({start.converged=})")
-    if start is not None and start.u.u.shape[0] - 1 > cfg.l_max:  # n_lat = l_max + 1
-        raise ValueError(f"start was solved at l_max {start.u.u.shape[0] - 1}, above this solve's {cfg.l_max}")
-    step = symmetric_step(phi.rotation_symmetry()[0])
-    if start is not None and start.x.size != (n := build_grid(start.u.u.shape[0] - 1, step).n_packed):
-        raise ValueError(f"start has {start.x.size} packed coefficients, not the {n} of this class's grid at its l_max")
     return _solve(phi, lam, cfg.l_max, initial, start)
 
 
@@ -473,7 +472,7 @@ def _solve(
         start = _solve(phi, lam, l_max // 2, None, None)
         ws.trace, ws.minres_iters = start.continuation_trace, start.minres_iters
     if start is not None and start.stop_reason != "init":
-        x, fine_now, reason, weight = _trial(ws, grid.embed_packed(start.x), start.lam)
+        x, fine_now, reason, weight = _trial(ws, grid.embed_packed(start.x, start.grid), start.lam)
         opened, lam_now = reason is None, start.lam
     if not opened:
         lam_now, x0 = ws.cold_opening(lam) if initial is None else (lam, grid.analyze(grid.fold(initial.total)))
@@ -512,12 +511,11 @@ def _solve(
 
 def _finish(ws: _Workspace, x, lam, fine, reason, stop_fine) -> SolveResult:
     grid = ws.grid
-    u = ConformalFactor(grid.synthesize(np.concatenate([[0.0], x[1:]])), float(x[0]))
     return SolveResult(
-        u=ConformalFactor(grid.tile(u.u), u.offset),
+        grid=grid,
         x=x,
         lam=float(lam),
-        residual_sup=ws.residual_sup(grid, x, u.total, lam),
+        residual_sup=ws.residual_sup(grid, x, grid.synthesize(np.concatenate([[0.0], x[1:]])) + float(x[0]), lam),
         converged=reason == "converged",
         continuation_trace=ws.trace,
         # NaN only where Newton failed, which left the refined grid unvisited
@@ -634,11 +632,11 @@ def solve_radial(phi: HoloClass, lam: float, cfg: SolveConfig) -> RadialResult:
     integration-error estimate are reported.  An inconclusive sweep returns
     an unconverged result; ``reason`` says why.
     """
-    profile = RadialProfile.from_class(phi)
     if not 0 < lam < math.inf:  # NaN too
         raise InvalidLambda(f"lambda must be positive and finite, got {lam}")
+    center = 0.5 * math.log(lam / flat_mass(phi))  # a class out of float range fails here, before its profile
+    profile = RadialProfile.from_class(phi)
 
-    center = 0.5 * math.log(lam / flat_mass(phi))
     n_sweep = 49
     alphas = np.linspace(-9.0 + center, 3.0 + center, n_sweep)
     values = np.array([_shoot(profile, lam, float(a))[0] for a in alphas])

@@ -505,7 +505,7 @@ class TestDbarSolve:
     def _under_resolved(grid48, amp):
         # e^{2u} with sup|u| = amp, u a random field of degree <= 5
         phi = HoloClass(spec_k(5), np.array([1.0, 0.5, 0.2, 1j]))
-        f = grid48.synthesize(grid48.embed_packed(np.random.default_rng(3).normal(size=36)))
+        f = grid48.synthesize(grid48.embed_packed(np.random.default_rng(3).normal(size=36), build_grid(5)))
         u = ConformalFactor.from_values(amp * f / np.abs(f).max(), grid48)
         return phi, u, dbar_solve(phi, u, grid48)
 

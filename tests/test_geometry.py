@@ -464,9 +464,17 @@ class TestWedge:
         # zero-padding keeps the step: a coarser grid's entries are the degree <= its l_max ones
         coarse = build_grid(l_max // 2, step)
         z = rng.normal(size=coarse.n_packed)
-        padded = wedge.embed_packed(z)
+        padded = wedge.embed_packed(z, coarse)
         low = wedge.packed_entries[:, 2] <= coarse.l_max
         assert np.array_equal(padded[low], z) and not padded[~low].any()
+
+    @pytest.mark.parametrize("source", [(8, 2), (8, 0), (8, 1), (24, 4)], ids=["step2", "step0", "full", "finer"])
+    def test_embed_packed_keeps_step_and_degree(self, source):
+        # coefficients embed only from a grid of this step and at most this degree:
+        # the step-4 l_max-16 wedge refuses another step's and a finer grid's
+        grid, src = build_grid(16, 4), build_grid(*source)
+        with pytest.raises(SpecMismatch, match=f"step {src.step}, l_max {src.l_max} do not embed in step 4, l_max 16"):
+            grid.embed_packed(np.zeros(src.n_packed), src)
 
     @pytest.mark.parametrize("l_max", [16, 48])
     @pytest.mark.parametrize("step", [0, 2, 4])

@@ -689,6 +689,13 @@ class TestCliFlags:
         "tol_string": ("sweep", {**TWO_POLE, "tol": "big"}, "unknown config keys: ['tol']"),
         "tol_number": ("sweep", {**TWO_POLE, "tol": 1e-8}, "unknown config keys: ['tol']"),
         "no_experiment": ("sweep", {**TWO_POLE, "experiment": None}, "config needs the key 'experiment'"),
+        # both used to load, echoed as given: one sweep had three config hashes
+        "schema_bool": ("sweep", {**TWO_POLE, "schema": True}, "unsupported config schema True; expected 1"),
+        "schema_float": ("sweep", {**TWO_POLE, "schema": 1.0}, "unsupported config schema 1.0; expected 1"),
+        # a class whose flat mass leaves the normal floats used to crash the solvers' log(lambda / mass)
+        "class_scale_tiny": ("solve", {"deg_L2": 4, "class_coeffs": [[0, 0], [1e-170, 0], [0, 0]]}, "class of max|a| = 1e-170 is out of float range"),
+        "class_scale_huge": ("sweep", {"deg_L2": 4, "class_coeffs": [[0, 0], [1e160, 0], [0, 0]]}, "class of max|a| = 1e+160 is out of float range"),
+        "class_scale_subnormal": ("radial", {"deg_L2": 4, "class_coeffs": [[0, 0], [1e-160, 0], [0, 0]]}, "class of max|a| = 1e-160 is out of float range"),
         "solve_empty_lambda_grid": ("solve", {**TWO_POLE, "lambda_grid": []}, "solve needs --lam or a non-empty lambda_grid"),
         "radial_not_monomial": ("radial", RING, "radial reduction requires a monomial class"),
         # a JSON value of the wrong type names its key instead of argparse's "invalid _config_file value"
@@ -850,10 +857,11 @@ class TestCli:
             (["classify", "--b", "1,0", "--deg-l2", "4"], "coordinate vector has length 1, expected 3"),
             (["classify", "--b", "1;2", "--deg-l2", "4"], "entry '1' is not a 're,im' pair"),
             (["classify", "--b", "1/2,0;x,0;1,0", "--deg-l2", "4", "--exact"], "Invalid literal for Fraction"),
+            (["classify", "--b", "1/0,0;1,0;1,0", "--deg-l2", "4", "--exact"], "entry '1/0,0' has a zero denominator"),
             (["dualize", "--a", "1,0", "--deg-l2", "4"], "coefficient vector has length (1,), expected 3"),
             (["dualize", "--a", "nan,0;1,0;0,0", "--deg-l2", "4"], "coefficient a_0 = (nan+0j) is not finite"),
         ],
-        ids=["nan", "wrong_length", "malformed", "malformed_exact", "dualize_wrong_length", "dualize_nan"],
+        ids=["nan", "wrong_length", "malformed", "malformed_exact", "zero_denominator", "dualize_wrong_length", "dualize_nan"],
     )
     def test_bad_coordinates_are_usage_errors(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:

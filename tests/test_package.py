@@ -54,14 +54,16 @@ def test_pde_reads_no_private_grid_attribute():
 
 def test_pde_reads_no_grid_layout():
     # geometry alone knows how a solve grid sits in the full grid (symmetric_step,
-    # SphereGrid.fold and SphereGrid.tile): pde counts no longitudes, picks no
-    # step and reshapes or tiles no node values
+    # SphereGrid.fold, SphereGrid.tile and SphereGrid.embed_packed): pde counts
+    # no longitudes, picks no step, reshapes or tiles no node values and reads
+    # no array's shape or size, nor a grid's node counts
     tree = ast.parse(Path(spherecurv.pde.__file__).read_text())
     names = [node for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))]
     found = [
         f"line {node.lineno}: {ast.unparse(node)}"
         for node in names
-        if ast.unparse(node) in {"longitudes", "np.tile", "math.gcd"} or getattr(node, "attr", None) == "reshape"
+        if ast.unparse(node) in {"longitudes", "np.tile", "math.gcd"}
+        or getattr(node, "attr", None) in {"reshape", "shape", "size", "n_lat", "n_lon"}
     ]
     assert found == []
 

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from spherecurv.pde import (
     forward_F,
     minres,
     residual,
+    SolveResult,
     solve_phi_system,
     solve_radial,
 )
@@ -285,6 +287,15 @@ class TestSolve:
             assert np.abs(res.u.total + np.log(s) - ref.u.total).max() < 1e-12
             assert projective_angle(b_coords(monomial(4, 1, s), res.u, grid).b, b_ref) < 1e-12
 
+    @pytest.mark.parametrize("s", [1e-170, 1e-160, 1e160])
+    def test_class_out_of_float_range_is_refused(self, s):
+        # both solvers open at log(lambda / flat mass), which raised ZeroDivisionError
+        # (1e-170), returned offset inf (1e-160) or hit a math domain error (1e160)
+        # where the mass is not a positive normal float; flat_mass refuses it
+        for solve in (solve_phi_system, solve_radial):
+            with pytest.raises(ValueError, match=re.escape(f"class of max|a| = {s:.3g} is out of float range")):
+                solve(monomial(4, 1, s), 2 * np.pi, SolveConfig(l_max=16))
+
     def test_start_continues_the_ramp(self):
         cfg = SolveConfig(l_max=16)
         phi = monomial(4, 1)
@@ -311,7 +322,7 @@ class TestSolve:
             solve_phi_system(monomial(4, 1), 3 * np.pi, cfg, above.u, start=above)
         # a start from a finer grid is a usage error, not a failed reshape
         finer = solve_phi_system(monomial(4, 1), np.pi, SolveConfig(l_max=24))
-        with pytest.raises(ValueError, match="l_max 24, above this solve's 16"):
+        with pytest.raises(SpecMismatch, match="step 0, l_max 24 do not embed in step 0, l_max 16"):
             solve_phi_system(monomial(4, 1), 3 * np.pi, cfg, start=finer)
 
     def test_start_of_another_rotation_step_is_rejected(self):
@@ -321,10 +332,10 @@ class TestSolve:
         # failed inside numpy on the step-4 wedge
         zonal15 = solve_phi_system(monomial(4, 1), np.pi, SolveConfig(l_max=15))
         full = HoloClass(spec_k(4), [1, 1j] @ np.random.default_rng(4).normal(size=(2, 3)))
-        with pytest.raises(ValueError, match="start has 16 packed coefficients, not the 256 "):
+        with pytest.raises(SpecMismatch, match="step 0, l_max 15 do not embed in step 1, l_max 16"):
             solve_phi_system(full, 2 * np.pi, SolveConfig(l_max=16), start=zonal15)
         zonal16 = solve_phi_system(monomial(4, 1), np.pi, SolveConfig(l_max=16))
-        with pytest.raises(ValueError, match="start has 17 packed coefficients, not the 73 "):
+        with pytest.raises(SpecMismatch, match="step 0, l_max 16 do not embed in step 4, l_max 16"):
             solve_phi_system(pole_balanced_ring(), 2 * np.pi, SolveConfig(l_max=16), start=zonal16)
 
     def test_initial_off_the_grid_is_rejected(self):
@@ -1083,6 +1094,26 @@ class TestPackedSolution:
         assert res.converged and res.x.shape == (grid.n_packed,)
         u = np.tile(grid.synthesize(res.x), (1, res.u.u.shape[1] // grid.n_lon))
         assert np.abs(u - res.u.total).max() <= 1e-13 * np.abs(res.u.total).max()
+
+    def test_result_stores_no_node_values(self):
+        # a result stores its solution once, as its solve grid and packed x
+        names = {f.name for f in dataclasses.fields(SolveResult)}
+        assert {"grid", "x"} <= names and "u" not in names
+
+    @pytest.mark.parametrize("phi, step", [
+        (monomial(4, 1), 0),
+        (pole_balanced_ring(), 4),
+        (HoloClass(spec_k(4), [1, 1j] @ np.random.default_rng(4).normal(size=(2, 3))), 1),
+    ], ids=["step0", "step4", "full"])
+    def test_u_is_read_from_grid_and_x(self, phi, step):
+        # u is x synthesized with its constant split off, tiled over the full circle, and offset x[0]: bitwise
+        res = solve_phi_system(phi, 2 * np.pi, SolveConfig(l_max=16))
+        assert res.converged and res.grid is build_grid(16, step)
+        x = res.x.copy()
+        x[0] = 0.0
+        u = ConformalFactor(res.grid.tile(res.grid.synthesize(x)), float(res.x[0]))
+        assert np.array_equal(res.u.u, u.u) and res.u.offset == res.offset == u.offset
+        assert res.u is res.u  # read once, then kept
 
 
 class TestPathTangent:
