@@ -25,11 +25,14 @@ class QQi:
     def of(cls, value) -> "QQi":
         if isinstance(value, QQi):
             return value
-        if isinstance(value, tuple):
-            return cls(Fraction(value[0]), Fraction(value[1]))
         if isinstance(value, complex):
-            return cls(Fraction(value.real), Fraction(value.imag))
-        return cls(Fraction(value))
+            value = (value.real, value.imag)
+        elif not isinstance(value, tuple):
+            value = (value, 0)
+        if len(value) != 2:
+            raise ValueError(f"a Gaussian rational pair has 2 parts, got {len(value)}")
+        re, im = value  # a Fraction is kept as is: Fraction(Fraction) runs the full constructor
+        return cls(re if isinstance(re, Fraction) else Fraction(re), im if isinstance(im, Fraction) else Fraction(im))
 
     def __add__(self, o):
         o = QQi.of(o)

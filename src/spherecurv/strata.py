@@ -24,12 +24,15 @@ test d == 0; floating-point inputs must be finite, are scaled by a power of
 two to max|b_j| in [0.5, 1) (b is projective) and test
 |d| <= DEFAULT_TOL*||b||, a constant (1e-8).  Floating-point reports also
 carry a margin: the smallest ||b||-normalized least-squares residual of the
-Hankel systems that would certify the next-lower stratum.  The stratum index
+Hankel systems that would certify the next-lower stratum.  The budget-0
+system has no unknowns, so its residual is the norm of the first ``score``
+coordinates; ``np.linalg.lstsq`` solves the budgets s >= 1.  The stratum index
 m = deg_L2 - div drives the solvable coupling range (0, 4*pi*m).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -127,7 +130,9 @@ def _coords(b, exact: bool) -> tuple:
         q, den = [QQi.of(x) for x in b], 1
         for x in q:
             den = math.lcm(den, x.re.denominator, x.im.denominator)
-        return [GaussInt(int(x.re * den), int(x.im * den)) for x in q], den, lambda d: not d, _fraction_free, primitive
+        ints = [GaussInt(x.re.numerator * (den // x.re.denominator), x.im.numerator * (den // x.im.denominator))
+                for x in q]  # exact: every denominator divides D
+        return ints, den, lambda d: not d, _fraction_free, primitive
     b = [complex(x) for x in b]
     top = float(np.abs(b).max(initial=0.0))  # NaN or inf if a part is, or if a modulus overflows
     if not math.isfinite(top):
@@ -177,9 +182,8 @@ def _profile(b, den, negligible, factors, reduce):
 
 
 def _matching_orders(lengths) -> list:
-    """j*(s) for s = 0..k-1: the first t in s+1..k-1 with L(t) > s, else k."""
-    k = len(lengths)
-    return [next((t for t in range(s + 1, k) if lengths[t] > s), k) for s in range(k)]
+    """j*(s) for s = 0..k-1: the first t in s+1..k-1 with L(t) > s, else k; L never decreases, so a bisection."""
+    return [bisect.bisect_right(lengths, s, s + 1) for s in range(len(lengths))]
 
 
 def _witness(b, s: int, c, den: int | None):
@@ -198,14 +202,15 @@ def _margin(b, score: int) -> float:
     """Smallest ||b||-normalized least-squares residual among the Hankel
     systems that would certify score + 1: rows j = s+1..score+s of
     b_j + sum_{m=1..s} q_m b_{j-m} = 0, over every budget s with score+s < k.
+    The s = 0 system has no unknowns, so its residual is ||b_1..b_score||;
+    lstsq, whose rank rule decides rank-deficient blocks, serves s >= 1.
     """
     b = np.asarray(b, dtype=complex)
-    resid = math.inf
-    for s in range(len(b) + 1 - score):
-        t = score + s
-        a = np.array([b[j - s - 1 : j - 1][::-1] for j in range(s + 1, t + 1)]).reshape(t - s, s)
-        x = np.linalg.lstsq(a, -b[s:t], rcond=None)[0]
-        resid = min(resid, float(np.linalg.norm(a @ x + b[s:t])))
+    resid = float(np.linalg.norm(b[:score])) if score <= len(b) else math.inf
+    for s in range(1, len(b) + 1 - score):
+        a = b[np.arange(s - 1, s - 1 + score)[:, None] - np.arange(s)]  # row j-s-1 holds b_{j-1}..b_{j-s}
+        x = np.linalg.lstsq(a, -b[s : s + score], rcond=None)[0]
+        resid = min(resid, float(np.linalg.norm(a @ x + b[s : s + score])))
     return resid / float(np.linalg.norm(b))
 
 

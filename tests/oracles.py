@@ -7,7 +7,10 @@ over the coordinates' own field instead of over the Gaussian integers, a
 MINRES loop that allocates every vector instead of updating in place,
 synthesis against a differentiated Legendre table instead of the packed
 recurrence shift, or the flat Gram matrix by grid quadrature instead of its
-Beta-value diagonal.  The helpers after them (pullback of a conformal factor,
+Beta-value diagonal, j*(s) by a linear scan of the profile instead of a
+bisection, exact coordinates scaled by Fraction products instead of integer
+quotients, or the margin's budget-0 system solved by lstsq instead of read
+off as a norm.  The helpers after them (pullback of a conformal factor,
 the canonical-section norm, the pole multiplicity of a divisor, j*(s) for
 one budget, whether a candidate is in generic position, the stability
 chain, random rotations, isometries and chart points built or applied
@@ -227,11 +230,38 @@ def field_profile(b, negligible):
     return lengths, polys
 
 
+def matching_orders_scan(lengths) -> list:
+    """j*(s) for s = 0..k-1 from the profile's lengths: the first t in s+1..k-1 with L(t) > s, else k."""
+    k = len(lengths)
+    return [next((t for t in range(s + 1, k) if lengths[t] > s), k) for s in range(k)]
+
+
+def coords_fraction_product(b):
+    """strata._coords' exact scaling as ((re, im) int pairs, D): each part is int(part * D), a Fraction
+    product, with D the lcm of the parts' denominators."""
+    q, den = [QQi.of(x) for x in b], 1
+    for x in q:
+        den = math.lcm(den, x.re.denominator, x.im.denominator)
+    return [(int(x.re * den), int(x.im * den)) for x in q], den
+
+
+def margin_lstsq(b, score: int) -> float:
+    """strata._margin with every budget's system, s = 0 and its zero-column matrix included, solved by lstsq."""
+    b = np.asarray(b, dtype=complex)
+    resid = math.inf
+    for s in range(len(b) + 1 - score):
+        t = score + s
+        a = np.array([b[j - s - 1 : j - 1][::-1] for j in range(s + 1, t + 1)]).reshape(t - s, s)
+        x = np.linalg.lstsq(a, -b[s:t], rcond=None)[0]
+        resid = min(resid, float(np.linalg.norm(a @ x + b[s:t])))
+    return resid / float(np.linalg.norm(b))
+
+
 def div_classifier_field(b, spec: BundleSpec, *, exact: bool = False):
     """strata.div_classifier with the profile and the witness in the coordinates' own field."""
     coords, negligible = field_coords(b, exact)
     lengths, polys = field_profile(coords, negligible)
-    orders = strata._matching_orders(lengths)
+    orders = matching_orders_scan(lengths)
     s = max(range(spec.k), key=lambda budget: orders[budget] - budget)
     j_star = orders[s]
     score = j_star - s
@@ -247,7 +277,7 @@ def div_classifier_field(b, spec: BundleSpec, *, exact: bool = False):
         s_minus=s,
         witness="zero-h" if cand.is_zero() else cand,
         stratum_m=spec.deg_L2 - div_eta,
-        margin=None if exact else strata._margin(coords, score),
+        margin=None if exact else margin_lstsq(coords, score),
     )
 
 
@@ -261,7 +291,7 @@ def max_matching_order(b, s: int, *, exact: bool = False) -> int:
     if not 0 <= s <= k - 1:
         raise ValueError(f"pole budget s={s} outside [0, {k - 1}]")
     lengths, _ = field_profile(*field_coords(b, exact))
-    return strata._matching_orders(lengths)[s]
+    return matching_orders_scan(lengths)[s]
 
 
 def in_generic_position(cand: strata.RationalCandidate) -> bool:

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -23,10 +24,13 @@ from spherecurv.strata import (
 from oracles import (
     alpha_stable,
     alpha_stable_slope_form,
+    coords_fraction_product,
     div_classifier_field,
     field_coords,
     field_profile,
     in_generic_position,
+    margin_lstsq,
+    matching_orders_scan,
     max_matching_order,
 )
 
@@ -464,6 +468,108 @@ class TestBerlekampMasseyProfile:
                 exact = [QQi(Fraction(int(x.real), comb(d, j)), Fraction(-int(x.imag), comb(d, j))) for j, x in enumerate(g)]
                 m = div_classifier(exact, spec, exact=True).stratum_m
                 assert m == div_classifier(dual_map_H0(HoloClass(spec, g)).b, spec).stratum_m, (k, g)
+
+
+def float_classifier_inputs(seed):
+    """(complex b, exact b or None) for k = 3..12: random vectors, geometric (bottom-stratum) vectors, those
+    at 1e-13 relative noise, whose Hankel blocks lstsq's rank rule truncates, and acceptance 04's prefixes
+    of a random_exact_candidate, the last with their exact form."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(3, 13):
+        for _ in range(4):
+            b = rng.normal(size=k - 1) + 1j * rng.normal(size=k - 1)
+            geometric = b[0] * (rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.random())) ** np.arange(k - 1)
+            noisy = geometric + 1e-13 * np.linalg.norm(geometric) * (rng.normal(size=k - 1) + 1j * rng.normal(size=k - 1))
+            prefix = series_of_rational(random_exact_candidate(rng, int(rng.integers(1, k // 2 + 1)), k), k - 1)
+            out += [(b, None), (geometric, None), (noisy, None), (np.array([complex(x) for x in prefix]), prefix)]
+    return out
+
+
+_complex_entries = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+
+
+class TestClassifierFastPaths:
+    """The margin, j*(s) and the exact scaling against their plain definitions, bitwise."""
+
+    @staticmethod
+    def assert_margins_bitwise(b):
+        coords = strata._coords(b, False)[0]
+        for score in range(1, len(coords) + 2):  # score = len(b) + 1: no system certifies it
+            assert strata._margin(coords, score) == margin_lstsq(coords, score), score
+        assert strata._margin(coords, len(coords) + 1) == math.inf
+
+    @staticmethod
+    def assert_orders_scan(b, exact):
+        lengths, _ = strata._profile(*strata._coords(b, exact))
+        assert strata._matching_orders(lengths) == matching_orders_scan(lengths)  # s = 0..k-1
+
+    def test_margin_and_orders_on_classifier_inputs(self):
+        for b, exact_b in float_classifier_inputs(34):
+            self.assert_margins_bitwise(b)
+            self.assert_orders_scan(b, False)
+            if exact_b is not None:
+                self.assert_orders_scan(exact_b, True)
+
+    @settings(max_examples=200)
+    @given(b=st.one_of(
+        gaussian_rational_vectors().map(lambda b: [complex(x) for x in b]),
+        st.lists(_complex_entries, min_size=2, max_size=11),
+    ))
+    def test_margin_and_orders_property(self, b):
+        # small rational entries make rank-deficient Hankel blocks, where lstsq's rank rule decides
+        assume(any(b))
+        self.assert_margins_bitwise(b)
+        self.assert_orders_scan(b, False)
+
+    def test_orders_scan_on_every_length_profile(self):
+        # every nondecreasing profile of 0 <= L(t) <= t up to k = 8, the last budget s = k - 1 included
+        def profiles(k):
+            if k == 1:
+                yield [0]
+                return
+            for head in profiles(k - 1):
+                for top in range(head[-1], k):
+                    yield head + [top]
+
+        for k in range(1, 9):
+            for lengths in profiles(k):
+                assert strata._matching_orders(lengths) == matching_orders_scan(lengths), lengths
+
+    def test_exact_coords_match_fraction_products(self):
+        rng = np.random.default_rng(35)
+        fixed = [(Fraction(-3, 4), 2), (0, Fraction(5, 6)), QQi(Fraction(-7, 9), Fraction(1, 12)), 0.375 - 2.5j,
+                 (0, 0), 3, Fraction(-1, 7), 0j, (Fraction(0), Fraction(-10, 4)), -2.0]
+        kinds = (lambda: (rand_fraction(rng), rand_fraction(rng)), lambda: (int(rng.integers(-5, 6)), 0),
+                 lambda: rand_qqi(rng), lambda: complex(rand_fraction(rng) / 8, -rand_fraction(rng) / 16),
+                 lambda: rand_fraction(rng))
+        vectors = [fixed]
+        for _ in range(30):
+            vectors.append([kinds[int(i)]() for i in rng.integers(0, len(kinds), size=int(rng.integers(2, 12)))])
+        for b in vectors:
+            ints, den = strata._coords(b, True)[:2]
+            parts = [(x.real, x.imag) for x in ints]
+            assert (parts, den) == coords_fraction_product(b), b
+            assert all(type(part) is int for pair in parts for part in pair)
+
+
+class TestQQi:
+    @pytest.mark.parametrize("bad", [(), (1,), (1, 2, 3)])
+    def test_pair_has_two_parts(self, bad):
+        with pytest.raises(ValueError, match="has 2 parts"):
+            QQi.of(bad)
+
+    def test_malformed_vector_is_not_classified(self):
+        # a triple used to read as its first two parts, and so classified a vector nobody wrote
+        with pytest.raises(ValueError, match="has 2 parts"):
+            div_classifier([(1, 2, 3), (1, 0), (0, 1)], spec_k(4), exact=True)
+
+    def test_parts_and_repr(self):
+        # witness reprs are hashed by the benchmark fingerprint, so their form is fixed
+        half = Fraction(-1, 2)
+        assert QQi.of((half, 3)) == QQi(half, Fraction(3))
+        assert repr(QQi.of((half, 3))) == "-1/2+3i" and repr(QQi.of(2)) == "2" and repr(QQi.of(0.5j)) == "0+1/2i"
+        assert QQi.of(half).re is half  # a Fraction part is kept, not rebuilt
 
 
 class TestAlphaStable:

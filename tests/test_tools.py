@@ -49,8 +49,10 @@ class TestBenchCollect:
         reports = [v for r in fp["classify_reports"] for v in r]
         assert len(fp["classify_reports"]) == 50 and len(reports) == 500
         assert all(set(v) == {"exact", "float"} for v in reports)
-        assert all(set(rep) == {"j_star", "s_minus", "witness"} for v in reports for rep in v.values())
+        assert all(set(v["exact"]) == {"j_star", "s_minus", "witness"} for v in reports)
+        assert all(set(v["float"]) == {"j_star", "s_minus", "witness", "margin"} for v in reports)
         assert all(len(rep["witness"]) == 12 for v in reports for rep in v.values())
+        assert all(float.fromhex(v["float"]["margin"]) >= 0 for v in reports)
         assert json.loads(json.dumps(fp)) == fp
 
     def test_fingerprint_is_reproducible(self):

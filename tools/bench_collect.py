@@ -20,7 +20,8 @@ each at seeds 101 and 104, recording
 - the stall coupling, ``stop_reason`` and stratum of every ``edge`` row;
 - ``div_eta`` of every ``classify`` vector (exact and float), and in
   ``classify_reports`` its ``j_star``, ``s_minus`` and a 12-digit sha256 of
-  the witness repr, for both reports.
+  the witness repr, for both reports, and the float report's ``margin`` as
+  ``float.hex``, so a classifier change can show its margins bitwise unchanged.
 
 b and ``p_f`` are rounded to 1e-10.  Residuals are recorded unrounded,
 so read them against their roundoff floor.  ``residual_sup`` is formed
@@ -162,7 +163,10 @@ def fingerprint(seed: int) -> dict:
     ops, _ = workloads.prepare_classify(sc, seed)
     outs = [op.run() for op in ops]
     out["classify"] = [[[e.div_eta, f.div_eta] for e, f in reports] for reports in outs]
-    out["classify_reports"] = [[{"exact": _report(e), "float": _report(f)} for e, f in reports] for reports in outs]
+    out["classify_reports"] = [
+        [{"exact": _report(e), "float": {**_report(f), "margin": f.margin.hex()}} for e, f in reports]
+        for reports in outs
+    ]
     return out
 
 
