@@ -8,9 +8,9 @@ their divisors are the roots of g plus the complementary multiplicity at the
 chart pole (w = 0).
 
 All pointwise weights that mix a polynomial with the metric are built from
-one chart-stable monomial matrix (:func:`chart_monomials`): the z-chart
-monomials on the southern hemisphere (|z| <= 1) and the w-chart ones on the
-northern one, so nothing blows up near the poles.
+the chart-stable monomials, the z-chart ones where |z| <= 1 and the w-chart
+ones elsewhere, so nothing blows up near the poles.  Each grid row lies in
+one chart, so on a grid they factor into per-row and per-longitude tables.
 
 The chart reference is the north pole; to work relative to any other
 reference point, conjugate classes through the rotation taking it to N with
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecMismatch, ZeroClass
-from .geometry import ChartPoint, SphereGrid
+from .geometry import ChartPoint, SphereGrid, longitudes
 
 # Normalization of |phi|^2 inherited from the unit-area tangent bundle.
 TANGENT_NORMALIZATION = 2.0 * np.pi
@@ -73,6 +73,14 @@ class ConformalFactor:
         return self.u + self.offset
 
 
+def _coefficients(vec, k: int) -> np.ndarray:
+    """A polynomial's coefficient vector as complex; SpecMismatch unless its length is k - 1."""
+    v = np.asarray(vec, dtype=complex)
+    if v.shape != (k - 1,):
+        raise SpecMismatch(f"coefficient vector has length {v.shape}, expected {k - 1}")
+    return v
+
+
 @dataclass(frozen=True)
 class HoloClass:
     """Holomorphic class: polynomial coefficients (a_0 ... a_{k-2}) of g(z)."""
@@ -81,11 +89,7 @@ class HoloClass:
     a: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=complex)
-        if a.shape != (self.spec.k - 1,):
-            raise SpecMismatch(
-                f"coefficient vector has length {a.shape}, expected {self.spec.k - 1}"
-            )
+        a = _coefficients(self.a, self.spec.k)
         bad = np.flatnonzero(~np.isfinite(a))
         if bad.size:
             raise ValueError(f"coefficient a_{bad[0]} = {a[bad[0]]} is not finite")
@@ -128,39 +132,28 @@ class Divisor:
 # ----------------------------------------------------------------------
 
 
-def chart_monomials(k: int, z, w) -> np.ndarray:
-    """Chart-stable monomial matrix V[..., j], j = 0..k-2, at points (z, w = 1/z).
+def _row_tables(k: int, grid: SphereGrid):
+    """(f, c, e): the chart-stable monomials on the grid, V[n, j] = f c[row, j] e[j, lon] times a unimodular factor per node.
 
-    Column j is z^j (1+|z|^2)^(1-k/2) where |z| <= 1 and
-    w^(k-2-j) (1+|w|^2)^(1-k/2) elsewhere.  The two charts differ by the
-    unimodular factor (|z|/z)^(k-2), the same for every j, so
-    (V a) * conj(V b) does not depend on the chart and stays bounded at
-    both poles.
+    Rows with colat >= pi/2 (|z| <= 1) take the z-chart, rho = cot(theta/2), c = rho^j; the others the w-chart,
+    rho = tan(theta/2), c = rho^(k-2-j), whose factor e^{-i(k-2) phi} is common to every j and cancels in
+    p_a conj(p_b), p_a = f ((c a) @ e).  f = (1+rho^2)^(1-k/2); e = e^{i j phi}, its angle reduced mod the circle.
     """
-    south = np.abs(z) <= 1.0
-    x = np.where(south, z, w)
-    v = np.empty(x.shape + (k - 1,), dtype=complex)
-    v[..., 0] = (1.0 + np.abs(x) ** 2) ** (1.0 - k / 2.0)
-    for j in range(1, k - 1):  # powers by recurrence: complex ** is several times slower
-        v[..., j] = v[..., j - 1] * x
-    north = ~south
-    v[north] = v[north][..., ::-1]  # the w-chart columns run k-2-j
-    return v
-
-
-def pair_weight_values(avec, bvec, k: int, z, w) -> np.ndarray:
-    """Chart-stable values of A(z) * conj(B(z)) * (1+|z|^2)^(2-k).
-
-    A and B are polynomials of degree <= k-2 given by low-order-first
-    coefficient vectors.
-    """
-    v = chart_monomials(k, z, w)
-    return (v @ np.asarray(avec, dtype=complex)) * np.conj(v @ np.asarray(bvec, dtype=complex))
+    half = grid.colat[:, None] / 2.0
+    cot = np.cos(half) / np.sin(half)
+    south = cot <= 1.0
+    rho = np.where(south, cot, np.sin(half) / np.cos(half))
+    c = np.where(south, rho ** np.arange(k - 1), rho ** np.arange(k - 2, -1, -1))
+    circle = longitudes(grid.l_max)
+    ang = 2.0 * np.pi / circle * (np.multiply.outer(np.arange(k - 1), np.arange(grid.n_lon)) % circle)
+    return (1.0 + rho * rho) ** (1.0 - k / 2.0), c, np.exp(1j * ang)
 
 
 def pair_weight_h0(avec, bvec, spec: BundleSpec, grid: SphereGrid) -> np.ndarray:
-    """Grid samples of the chart-stable pairing weight."""
-    return pair_weight_values(avec, bvec, spec.k, grid.z, grid.w)
+    """Grid samples of A(z) * conj(B(z)) * (1+|z|^2)^(2-k), chart-stable; A and B low-order-first, of length k - 1."""
+    a, b = _coefficients(avec, spec.k), _coefficients(bvec, spec.k)
+    f, c, e = _row_tables(spec.k, grid)
+    return (f * ((c * a) @ e)) * np.conj(f * ((c * b) @ e))
 
 
 # ----------------------------------------------------------------------
@@ -168,10 +161,16 @@ def pair_weight_h0(avec, bvec, spec: BundleSpec, grid: SphereGrid) -> np.ndarray
 # ----------------------------------------------------------------------
 
 
+def flat_norm_sq(phi: HoloClass, grid: SphereGrid) -> np.ndarray:
+    """Pointwise squared norm of the class under H_0, 2*pi |g|^2 (1+|z|^2)^(2-k); finite at both poles."""
+    f, c, e = _row_tables(phi.spec.k, grid)
+    p = f * ((c * phi.a) @ e)
+    return TANGENT_NORMALIZATION * (p * np.conj(p)).real
+
+
 def phi_norm_sq(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> np.ndarray:
     """Pointwise squared norm of the class under H_u; finite at both poles."""
-    w = pair_weight_h0(phi.a, phi.a, phi.spec, grid).real
-    return TANGENT_NORMALIZATION * w * np.exp(2.0 * u.total)
+    return flat_norm_sq(phi, grid) * np.exp(2.0 * grid.field(u.total))
 
 
 def curvature_scalar(u: ConformalFactor, spec: BundleSpec, grid: SphereGrid) -> np.ndarray:

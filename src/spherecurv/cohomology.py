@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polymul, polypow
 
-from .bundles import TANGENT_NORMALIZATION, BundleSpec, ConformalFactor, HoloClass, chart_monomials, pair_weight_h0
+from .bundles import TANGENT_NORMALIZATION, BundleSpec, ConformalFactor, HoloClass, _row_tables
 from .errors import SpecMismatch, ZeroClass
 from .geometry import GAUSS_CURVATURE, SphereGrid
 
@@ -81,12 +81,13 @@ def coupling(phi: HoloClass, eta: DualCoords) -> complex:
 def b_coords(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> DualCoords:
     """Coordinates of the H_u-dual of phi (conjugate-linear in phi), contracted in one pass:
 
-    b_i = 2*pi * sum_n V[n, i] q_n e^{2(u+c)} conj((V a)_n), q a full grid's quadrature weights.
+    b_i = 2*pi * sum_n V[n, i] q_n e^{2(u+c)} conj((V a)_n), q a full grid's quadrature weights,
+    with V = f c e from ``bundles._row_tables``: a product with e^T over longitudes, then a row sum against f c.
     """
     _require_full_grid(grid)
-    v = chart_monomials(phi.spec.k, grid.z, grid.w).reshape(-1, phi.spec.k - 1)
-    q = (grid.weights * np.exp(2.0 * u.total)).ravel()
-    return DualCoords(phi.spec, TANGENT_NORMALIZATION * (v.T @ (q * np.conj(v @ phi.a))))
+    f, c, e = _row_tables(phi.spec.k, grid)
+    g = grid.weights * np.exp(2.0 * grid.field(u.total)) * np.conj(f * ((c * phi.a) @ e))
+    return DualCoords(phi.spec, TANGENT_NORMALIZATION * (f * c * (g @ e.T)).sum(axis=0))
 
 
 def _require_full_grid(grid: SphereGrid):
@@ -233,11 +234,10 @@ def dbar_solve(phi: HoloClass, u: ConformalFactor, grid: SphereGrid) -> DbarSolu
     """
     _require_full_grid(grid)
     k = phi.spec.k
-    ones = np.zeros(k - 1, dtype=complex)
-    ones[0] = 1.0
-    # h = -2*pi * conj(g) (1+|z|^2)^{2-k} e^{2(u+c)}; smooth through both poles
-    h = -TANGENT_NORMALIZATION * pair_weight_h0(ones, phi.a, phi.spec, grid) * np.exp(2.0 * u.total)
-    s = 1.0 + np.abs(grid.z) ** 2
+    # h = -2*pi * conj(g) (1+|z|^2)^{2-k} e^{2(u+c)}, the pairing weight of 1 and g; smooth through both poles
+    f, c, e = _row_tables(k, grid)
+    h = -TANGENT_NORMALIZATION * (f * c[:, :1]) * np.conj(f * ((c * phi.a) @ e)) * np.exp(2.0 * grid.field(u.total))
+    s = 1.0 / np.sin(grid.colat[:, None] / 2.0) ** 2  # 1+|z|^2 = 1 + cot^2(theta/2), per row
     rho = h / s**2
     # 4*pi s^2 d_z rho, expanded: forming d_z rho and multiplying by s^2
     # would amplify its spectral error by up to |z|^4 near N

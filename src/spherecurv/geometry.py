@@ -233,7 +233,8 @@ class SphereGrid:
     # transforms
     # ------------------------------------------------------------------
 
-    def _field(self, values) -> np.ndarray:
+    def field(self, values) -> np.ndarray:
+        """The values as an array; any shape but this grid's nodes' (n_lat, n_lon) is a SpecMismatch."""
         v = np.asarray(values)
         if v.shape != (self.n_lat, self.n_lon):
             raise SpecMismatch(f"field shape {v.shape} does not match grid {(self.n_lat, self.n_lon)}")
@@ -252,7 +253,7 @@ class SphereGrid:
 
     def tile(self, values) -> np.ndarray:
         """This grid's node values repeated over the full circle's longitudes: a Z_n-invariant field's full-grid values."""
-        return np.tile(self._field(values), (1, longitudes(self.l_max) // self.n_lon))
+        return np.tile(self.field(values), (1, longitudes(self.l_max) // self.n_lon))
 
     def _analyze_half(self, v: np.ndarray) -> np.ndarray:
         """Half spectra h[m, r, l, cos|sin] in the packed scaling of real fields v[r, lat, lon]."""
@@ -276,7 +277,7 @@ class SphereGrid:
 
     def analyze(self, values) -> np.ndarray:
         """Packed coefficients of a field; a complex field's are analyze(re) + 1j*analyze(im)."""
-        v = self._field(values)
+        v = self.field(values)
         if v.dtype.kind == "c":
             h = self._analyze_half(np.stack([v.real, v.imag]))
             re, im = h.transpose(1, 0, 2, 3).reshape(2, -1)[:, self._flat]
@@ -339,7 +340,7 @@ class SphereGrid:
 
     def integrate(self, f):
         """Integral against the normalized measure (total mass 1)."""
-        return (self.weights * self._field(f)).sum()
+        return (self.weights * self.field(f)).sum()
 
     def zonal_gram(self, weight) -> np.ndarray:
         """The m = 0 block B^T diag(w_lat mean_lon(weight)) B of a non-negative node weight, (l_max+1)-square.
@@ -350,7 +351,7 @@ class SphereGrid:
         symmetric product C^T C, C = sqrt(2 w_lat mean_lon(weight)) Pbar^0 at
         the latitudes, so a negative longitude mean gives NaN entries.
         """
-        c = np.sqrt(2.0 * self._wq * self._field(weight).mean(axis=1))[:, None] * self._plm[0].T
+        c = np.sqrt(2.0 * self._wq * self.field(weight).mean(axis=1))[:, None] * self._plm[0].T
         return c.T @ c
 
     def laplacian(self, f) -> np.ndarray:

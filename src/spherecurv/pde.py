@@ -63,7 +63,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .bundles import TANGENT_NORMALIZATION, ConformalFactor, HoloClass, phi_norm_sq
+from .bundles import TANGENT_NORMALIZATION, ConformalFactor, HoloClass, flat_norm_sq, phi_norm_sq
 from .cohomology import DualCoords, b_coords, flat_mass
 from .errors import InvalidLambda, NonConvergence
 from .geometry import SphereGrid, build_grid, symmetric_step
@@ -168,12 +168,12 @@ class _Workspace:
         self.trace, self.minres_iters = [], 0
         self.mass = flat_mass(phi)  # integral of 2K; a class out of float range fails here
         self.grid = grid
-        self.k_vals = phi_norm_sq(phi, ConformalFactor.zero(grid), grid)
+        self.k_vals = flat_norm_sq(phi, grid)
         self.diag = grid.packed_laplace
         self.n = grid.n_packed
         self.load = np.eye(1, self.n)[0]  # e_0: entry 0's basis function is the constant 1
         self.fine_grid = build_grid(int(SolveConfig.refine_factor * grid.l_max), grid.step)
-        self.k_fine = phi_norm_sq(phi, ConformalFactor.zero(self.fine_grid), self.fine_grid)
+        self.k_fine = flat_norm_sq(phi, self.fine_grid)
 
     def residual_sup(self, grid: SphereGrid, x: np.ndarray, u_vals: np.ndarray, lam: float) -> float:
         """sup|lap(u) + 2 K e^{2u} - lambda| on the solve or filter grid: ``residual`` with lap(u) from packed x."""

@@ -9,12 +9,14 @@ synthesis against a differentiated Legendre table instead of the packed
 recurrence shift, or the flat Gram matrix by grid quadrature instead of its
 Beta-value diagonal, j*(s) by a linear scan of the profile instead of a
 bisection, exact coordinates scaled by Fraction products instead of integer
-quotients, or the margin's budget-0 system solved by lstsq instead of read
-off as a norm.  The helpers after them (pullback of a conformal factor,
-the canonical-section norm, the pole multiplicity of a divisor, j*(s) for
-one budget, whether a candidate is in generic position, the stability
-chain, random rotations, isometries and chart points built or applied
-pointwise) are quantities no program path uses.
+quotients, the margin's budget-0 system solved by lstsq instead of read
+off as a norm, or the chart-stable monomial matrix formed at every point
+instead of per-row and per-longitude tables.  The helpers after them
+(pullback of a conformal factor, the canonical-section norm, the pole
+multiplicity of a divisor, j*(s) for one budget, whether a candidate is in
+generic position, the stability chain, random rotations, isometries and
+chart points built or applied pointwise) are quantities no program path
+uses.
 """
 
 import cmath
@@ -30,8 +32,6 @@ from spherecurv.bundles import (
     ConformalFactor,
     Divisor,
     HoloClass,
-    chart_monomials,
-    pair_weight_values,
     phi_norm_sq,
 )
 from spherecurv.cohomology import IsometryAction, pullback_class
@@ -144,6 +144,36 @@ def log_norm_zeta_callable(u_coeffs, offset: float, spec: BundleSpec, grid: Sphe
         return log_h0 + u_here.reshape(np.asarray(theta).shape) + offset
 
     return fn
+
+
+def chart_monomials(k: int, z, w) -> np.ndarray:
+    """Chart-stable monomial matrix V[..., j], j = 0..k-2, at points (z, w = 1/z).
+
+    Column j is z^j (1+|z|^2)^(1-k/2) where |z| <= 1 and
+    w^(k-2-j) (1+|w|^2)^(1-k/2) elsewhere.  The two charts differ by the
+    unimodular factor (|z|/z)^(k-2), the same for every j, so
+    (V a) * conj(V b) does not depend on the chart and stays bounded at
+    both poles.
+    """
+    south = np.abs(z) <= 1.0
+    x = np.where(south, z, w)
+    v = np.empty(x.shape + (k - 1,), dtype=complex)
+    v[..., 0] = (1.0 + np.abs(x) ** 2) ** (1.0 - k / 2.0)
+    for j in range(1, k - 1):  # powers by recurrence: complex ** is several times slower
+        v[..., j] = v[..., j - 1] * x
+    north = ~south
+    v[north] = v[north][..., ::-1]  # the w-chart columns run k-2-j
+    return v
+
+
+def pair_weight_values(avec, bvec, k: int, z, w) -> np.ndarray:
+    """Chart-stable values of A(z) * conj(B(z)) * (1+|z|^2)^(2-k).
+
+    A and B are polynomials of degree <= k-2 given by low-order-first
+    coefficient vectors.
+    """
+    v = chart_monomials(k, z, w)
+    return (v @ np.asarray(avec, dtype=complex)) * np.conj(v @ np.asarray(bvec, dtype=complex))
 
 
 def phi_norm_sq_at(phi: HoloClass, u: ConformalFactor, grid: SphereGrid, theta, phi_ang) -> np.ndarray:

@@ -3,21 +3,30 @@ import pytest
 from scipy.integrate import quad
 
 from spherecurv.bundles import (
+    TANGENT_NORMALIZATION,
     BundleSpec,
     ConformalFactor,
     HoloClass,
-    chart_monomials,
     curvature_scalar,
     degree_by_integration,
     divisor_of,
-    pair_weight_values,
+    pair_weight_h0,
     phi_norm_sq,
 )
-from spherecurv.errors import ZeroClass
+from spherecurv.cohomology import b_coords
+from spherecurv.errors import SpecMismatch, ZeroClass
+from spherecurv.geometry import build_grid
 from spherecurv.lab import gen_family
 
 from conftest import random_real_field
-from oracles import at_pole, h0_norm_zeta, laplacian_local, log_norm_zeta_callable
+from oracles import (
+    at_pole,
+    chart_monomials,
+    h0_norm_zeta,
+    laplacian_local,
+    log_norm_zeta_callable,
+    pair_weight_values,
+)
 
 
 def spec_k(k, deg_L1=0):
@@ -108,6 +117,48 @@ class TestPhiNormSq:
             dist = np.abs(grid32.z - root)
             near = dist < 2 * np.sin(spacing)  # chart radius of ~one spacing at |z|=1
             assert f[near].min() < 2 * np.pi * (4 * np.sin(spacing)) ** 2
+
+
+class TestGridTables:
+    # the per-row and per-longitude tables against the pointwise monomial
+    # matrix of the oracles, for k = 3..12 and both row-count parities
+    # (l_max 33 has an even one, the others an equator row)
+    @staticmethod
+    def close(x, ref):
+        return np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("l_max", [16, 24, 33, 48, 72])
+    def test_full_grid_matches_the_monomial_matrix(self, l_max):
+        grid = build_grid(l_max)
+        rng = np.random.default_rng(l_max)
+        u = ConformalFactor.from_values(0.3 * random_real_field(grid, rng, l_hi=8), grid)
+        for k in range(3, 13):
+            a, b = rng.normal(size=(2, k - 1)) + 1j * rng.normal(size=(2, k - 1))
+            phi = HoloClass(spec_k(k), a)
+            v = chart_monomials(k, grid.z, grid.w)
+            k_ref = TANGENT_NORMALIZATION * np.abs(v @ a) ** 2 * np.exp(2.0 * u.total)
+            assert self.close(phi_norm_sq(phi, u, grid), k_ref)
+            assert self.close(pair_weight_h0(a, b, phi.spec, grid), pair_weight_values(a, b, k, grid.z, grid.w))
+            v, q = v.reshape(-1, k - 1), (grid.weights * np.exp(2.0 * u.total)).ravel()
+            assert self.close(b_coords(phi, u, grid).b, TANGENT_NORMALIZATION * (v.T @ (q * np.conj(v @ a))))
+
+    @pytest.mark.parametrize("l_max", [16, 24, 33, 48, 72])
+    @pytest.mark.parametrize("step", [4, 0])
+    def test_symmetric_grid_curvature_matches_the_monomial_matrix(self, l_max, step):
+        grid = build_grid(l_max, step)
+        rng = np.random.default_rng(l_max + step)
+        for k in range(3, 13):
+            phi = HoloClass(spec_k(k), rng.normal(size=k - 1) + 1j * rng.normal(size=k - 1))
+            k_ref = TANGENT_NORMALIZATION * pair_weight_values(phi.a, phi.a, k, grid.z, grid.w).real
+            assert self.close(phi_norm_sq(phi, ConformalFactor.zero(grid), grid), k_ref)
+
+    @pytest.mark.parametrize("length", [1, 3, 5])
+    def test_pair_weight_refuses_a_vector_of_another_length(self, length, grid16):
+        # k = 5 takes 4 coefficients; a length-1 vector would broadcast over the tables
+        good = np.ones(4)
+        for avec, bvec in ((np.ones(length), good), (good, np.ones(length))):
+            with pytest.raises(SpecMismatch, match=f"length \\({length},\\), expected 4"):
+                pair_weight_h0(avec, bvec, spec_k(5), grid16)
 
 
 class TestCurvature:

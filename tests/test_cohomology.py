@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from math import comb, factorial
 from scipy.integrate import quad
 
-from spherecurv.bundles import BundleSpec, ConformalFactor, HoloClass, divisor_of
+from spherecurv.bundles import BundleSpec, ConformalFactor, HoloClass, divisor_of, phi_norm_sq
 from spherecurv.cohomology import (
     DualCoords,
     IsometryAction,
@@ -131,6 +131,23 @@ class TestBCoords:
         full = build_grid(48)
         b, ref = b_coords(ring, ConformalFactor.zero(full), full).b, dual_map_H0(ring).b
         assert np.abs(b - ref).max() < 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("source", ["step 0", "scalar", "step 4", "l_max 16"])
+    def test_refuses_a_u_of_another_grid(self, source):
+        # a step-0 or scalar u used to broadcast over the full grid's
+        # longitudes and return numbers; a wedge u or one of another l_max
+        # failed in numpy's broadcasting instead
+        grid = build_grid(24)
+        u = {
+            "step 0": ConformalFactor.zero(build_grid(24, 0)),
+            "scalar": ConformalFactor(np.zeros(()), 0.1),
+            "step 4": ConformalFactor.zero(build_grid(24, 4)),
+            "l_max 16": ConformalFactor.zero(build_grid(16)),
+        }[source]
+        ring = HoloClass(spec_k(7), [0, -1, 0, 0, 0, 1])
+        for evaluate in (phi_norm_sq, b_coords, dbar_solve):
+            with pytest.raises(SpecMismatch, match="does not match grid \\(25, 52\\)"):
+                evaluate(ring, u, grid)
 
     def test_concentrated_divisor_geometric(self, grid16):
         spec = spec_k(5)
