@@ -2,8 +2,9 @@
 
 Everything in this package lives on the sphere normalized so that the total
 area is 1 and the Gaussian curvature is 4*pi (radius 1/(2*sqrt(pi))).  The
-grid is Gauss-Legendre in colatitude times an equispaced longitude circle.
-In this normalization
+grid is Gauss-Legendre in colatitude times an equispaced longitude circle;
+the nodes and weights are numpy's ``leggauss`` (Golub & Welsch 1969, Math.
+Comp. 23: Jacobi-matrix eigenvalues, one Newton step).  In this normalization
 
     laplacian(Y_lm) = -4*pi * l*(l+1) * Y_lm,   Y_lm = sqrt(2) Pbar_l^|m|(cos t) e^{i m phi}
 
@@ -55,7 +56,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import SpecMismatch
 
@@ -184,7 +184,7 @@ class SphereGrid:
         self._stride = s = n or L + 1  # step 0: any order stride above l_max keeps m = 0 alone
         self._orders = orders = np.arange(0, L + 1, s)  # the kept orders; half spectra are indexed by m // stride
 
-        mu, glw = roots_legendre(self.n_lat)
+        mu, glw = np.polynomial.legendre.leggauss(self.n_lat)
         order = np.argsort(-mu)  # north to south
         self.mu = mu[order]
         self.glw = glw[order]

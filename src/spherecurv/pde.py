@@ -49,7 +49,8 @@ no re-solve.
 A radially symmetric reduction (two-point boundary value problem in the
 colatitude) is solved by shooting on the regularized momentum
 p = sin(theta) u'; its boundary defect doubles as the existence probe for
-axis-concentrated curvature data.
+axis-concentrated curvature data.  The probe alone needs scipy (``solve_ivp``,
+``brentq``), imported on its first call: the rest of the package runs on numpy.
 """
 
 from __future__ import annotations
@@ -60,8 +61,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .bundles import TANGENT_NORMALIZATION, ConformalFactor, HoloClass, flat_norm_sq, phi_norm_sq
 from .cohomology import DualCoords, b_coords, flat_mass
@@ -599,6 +598,8 @@ def _shoot(profile: RadialProfile, lam: float, alpha: float, rtol: float = 1e-11
     exactly on regular solutions.  A failed integration, e^{2u} overflowing
     included, returns (nan, None).
     """
+    from scipy.integrate import solve_ivp
+
     eps = 1e-6
 
     def q(t, u):
@@ -632,6 +633,8 @@ def solve_radial(phi: HoloClass, lam: float, cfg: SolveConfig) -> RadialResult:
     integration-error estimate are reported.  An inconclusive sweep returns
     an unconverged result; ``reason`` says why.
     """
+    from scipy.optimize import brentq
+
     if not 0 < lam < math.inf:  # NaN too
         raise InvalidLambda(f"lambda must be positive and finite, got {lam}")
     center = 0.5 * math.log(lam / flat_mass(phi))  # a class out of float range fails here, before its profile

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import roots_legendre
 
 from spherecurv.errors import SpecMismatch
 from spherecurv.geometry import (
@@ -57,6 +58,17 @@ class TestGridConstruction:
         assert grid16.colat.min() > 0.0
         assert grid16.colat.max() < np.pi
         assert np.isfinite(grid16.z).all() and np.isfinite(grid16.w).all()
+
+    @pytest.mark.parametrize("l_max", [4, 16, 33, 48, 72, 96])
+    def test_node_rule_matches_scipy(self, l_max):
+        # numpy's leggauss builds the grid; scipy's roots_legendre is the rule
+        # every earlier figure was measured with, and at these sizes the two
+        # agree to roundoff (the weights to 1.4e-12 at 97 nodes)
+        grid = build_grid(l_max)
+        assert np.all(np.diff(grid.mu) < 0) and -1.0 < grid.mu[-1] and grid.mu[0] < 1.0
+        mu, glw = roots_legendre(l_max + 1)
+        assert np.abs(grid.mu - mu[::-1]).max() <= 2.3e-16
+        assert np.abs(grid.glw / glw[::-1] - 1.0).max() <= 5e-12
 
 
 def etc_density(r):

@@ -27,6 +27,36 @@ def test_star_export_is_the_import_block():
     assert out.split() == sorted(imported)
 
 
+def test_numpy_alone_until_the_radial_probe():
+    # the solve, classify and dbar paths run on numpy alone; scipy loads on the
+    # radial probe's first call (solve_ivp, brentq).  A fresh interpreter, because
+    # this test session has imported scipy already
+    script = """
+import sys
+from fractions import Fraction
+import numpy as np
+import spherecurv, spherecurv.cli
+from spherecurv import BundleSpec, HoloClass, SolveConfig, b_coords, build_grid, dbar_solve, div_classifier
+from spherecurv import solve_phi_system, solve_radial
+heavy = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith(heavy))
+phi = HoloClass(BundleSpec(0, 4), np.array([1.0, 0.5j, 0.25]))
+res = solve_phi_system(phi, 4 * np.pi, SolveConfig(l_max=8))
+b = b_coords(phi, res.u, build_grid(8)).b
+div_classifier(b, phi.spec)
+div_classifier([Fraction(1), Fraction(1, 2), Fraction(1, 4)], phi.spec, exact=True)
+dbar_solve(phi, res.u, build_grid(8))
+assert loaded() == [], loaded()
+radial = solve_radial(HoloClass(BundleSpec(0, 4), np.array([0, 1.0, 0])), 4 * np.pi, SolveConfig(l_max=16))
+assert radial.converged
+assert "scipy.integrate" in sys.modules
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(spherecurv.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def test_tracer_targets_exist():
     # bench/tracing.py wraps package attributes and SphereGrid methods by
     # name, so a rename would silently blind `bench/run.py --trace 1`
